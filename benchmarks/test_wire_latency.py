@@ -6,9 +6,9 @@ table (``benchmarks/results/*.txt``) plus a machine-readable JSON payload
 
 * **Pipelining** — a :class:`PipelinedClient` issuing many in-flight
   binary frames over one loopback connection completes a repeated-query
-  workload at >= 2x the throughput of the serialized JSON-lines client
-  (one request-response turnaround at a time), against the identical
-  single-process server.
+  workload at >= 2x the throughput of a serialized JSON-lines client
+  (the raw-socket helper the tests use: one request-response turnaround
+  at a time), against the identical single-process server.
 * **Cluster latency** — the small-query p50 through a 2-shard subprocess
   cluster (scatter over the multiplexed binary channels + gather) stays
   within 2x of querying one single-process server directly.  On a 1-CPU
@@ -35,13 +35,13 @@ from bench_utils import record, record_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from conftest import make_simple_table  # noqa: E402  (tests/ dir, see above)
+from conftest import JsonLinesClient, make_simple_table  # noqa: E402  (tests/ dir, see above)
 
 from repro import PairwiseHistParams, QueryService  # noqa: E402
 from repro.bench.harness import fmt, format_table, latency_percentiles  # noqa: E402
 from repro.cluster import ClusterQueryService  # noqa: E402
 from repro.cluster.supervisor import ShardSupervisor  # noqa: E402
-from repro.service.wire import ClusterClient, PipelinedClient  # noqa: E402
+from repro.service.wire import PipelinedClient  # noqa: E402
 
 ROWS = 20_000
 PARTITION_SIZE = 1_000
@@ -102,7 +102,7 @@ def test_pipelined_binary_client_beats_serialized_json_client(tmp_path):
         handle = supervisor.spawn(0)
         address = (supervisor.host, handle.port)
         table = make_simple_table(rows=ROWS, seed=50, name="stream")
-        with ClusterClient(*address) as admin:
+        with PipelinedClient(*address) as admin:
             admin.register(table, params=_params(), partition_size=PARTITION_SIZE)
 
         # Warm every query once (parse + result caches on the server), so
@@ -116,7 +116,7 @@ def test_pipelined_binary_client_beats_serialized_json_client(tmp_path):
 
         serial_walls, pipelined_walls = [], []
         serial_latencies: list[float] = []
-        with ClusterClient(*address) as serialized:
+        with JsonLinesClient(*address) as serialized:
             for _ in range(PIPELINE_ROUNDS):
                 round_latencies = []
                 start = time.perf_counter()
@@ -227,7 +227,7 @@ def test_cluster_small_query_p50_within_bar_of_single_node(tmp_path):
     )
     try:
         handle = supervisor.spawn(0)
-        with ClusterClient(supervisor.host, handle.port) as admin:
+        with PipelinedClient(supervisor.host, handle.port) as admin:
             admin.register(table, params=_params(), partition_size=PARTITION_SIZE)
         with PipelinedClient(supervisor.host, handle.port) as client:
             for sql in sqls[:CLUSTER_WARMUP]:

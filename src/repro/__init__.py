@@ -63,9 +63,7 @@ from .service import (
     QueryService,
     QueryServiceSystem,
     ReadWriteLock,
-    SerializedQueryService,
 )
-from .service import ClusterClient
 from .cluster import ClusterQueryService, ShardRouter, ShardSupervisor
 from .audit import AccuracyAuditor, WorkloadLog
 from .sql.parser import parse_query
@@ -113,8 +111,6 @@ __all__ = [
     "QueryService",
     "QueryServiceSystem",
     "ReadWriteLock",
-    "SerializedQueryService",
-    "ClusterClient",
     "ClusterQueryService",
     "ShardRouter",
     "ShardSupervisor",

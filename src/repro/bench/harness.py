@@ -25,8 +25,8 @@ from ..core.params import PairwiseHistParams
 from ..data.datasets import load_dataset
 from ..data.idebench import scale_dataset
 from ..data.table import Table
-from ..service.concurrency import ConcurrentQueryService, SerializedQueryService
-from ..service.database import QueryService
+from ..service.concurrency import ConcurrentQueryService
+from ..service.database import Database, IngestResult, QueryService
 from ..service.system import QueryServiceSystem
 from ..sql.ast import Query, predicate_conditions
 from ..workload.generator import QueryGenerator, WorkloadSpec
@@ -220,6 +220,38 @@ class ThroughputMeasurement:
         if self.wall_seconds <= 0:
             return 0.0
         return self.completed_queries / self.wall_seconds
+
+
+class SerializedQueryService(QueryService):
+    """Baseline: every operation — query *and* ingest — behind one mutex.
+
+    This is what "no concurrency support" costs: while an ingest rebuilds
+    the tail synopsis, every query on every table waits.  The concurrency
+    benchmark reports throughput against this to quantify the per-table
+    reader-writer locks and the copy-on-write refresh.
+    """
+
+    def __init__(self, database: Database | None = None, **database_kwargs) -> None:
+        super().__init__(database, **database_kwargs)
+        self._mutex = threading.Lock()
+
+    def execute(self, query: Query | str):
+        with self._mutex:
+            return super().execute(query)
+
+    def execute_scalar(self, query: Query | str):
+        with self._mutex:
+            return super().execute_scalar(query)
+
+    def register_table(self, table, params=None, partition_size=None):
+        with self._mutex:
+            return super().register_table(
+                table, params=params, partition_size=partition_size
+            )
+
+    def ingest(self, table_name: str, rows: Table) -> IngestResult:
+        with self._mutex:
+            return super().ingest(table_name, rows)
 
 
 def build_service_under_test(
@@ -666,7 +698,7 @@ def run_sharded_benchmark(
     Both deployments are durable (data directories under ``data_dir``),
     serve the same registered table and sustain the same offered load: N
     closed-loop dashboard clients plus a paced background ingest stream.
-    The single server is driven over its JSON-lines TCP protocol (one
+    The single server is driven over the binary wire protocol (one
     connection per client); the cluster through the scatter-gather front
     end over the same protocol to each worker — so every operation pays
     its deployment's real wire cost.
@@ -680,7 +712,7 @@ def run_sharded_benchmark(
 
     from ..cluster.service import ClusterQueryService
     from ..cluster.supervisor import ShardSupervisor
-    from ..service.wire import ClusterClient
+    from ..service.wire import PipelinedClient
 
     data_dir = Path(data_dir)
     params = params or PairwiseHistParams.with_defaults(sample_size=None)
@@ -696,13 +728,13 @@ def run_sharded_benchmark(
     )
     try:
         handle = supervisor.spawn(0)
-        with ClusterClient(supervisor.host, handle.port) as admin:
+        with PipelinedClient(supervisor.host, handle.port) as admin:
             admin.register(table, params=params, partition_size=partition_size)
         clients = [
-            ClusterClient(supervisor.host, handle.port).connect()
+            PipelinedClient(supervisor.host, handle.port).connect()
             for _ in range(num_clients)
         ]
-        writer_client = ClusterClient(supervisor.host, handle.port).connect()
+        writer_client = PipelinedClient(supervisor.host, handle.port).connect()
         try:
             measurements.append(
                 _drive_closed_loop(
@@ -764,9 +796,9 @@ def wait_for_replica_catchup(cluster, timeout_seconds: float = 60.0) -> None:
         if not isinstance(shard, ReplicatedShard):
             continue
         while True:
-            durable = int(shard.primary.status().get("durable_lsn", 0))
+            durable = int(shard.primary.call("status").get("durable_lsn", 0))
             applied = [
-                int(shard.replicas[slot].status().get("applied_lsn", -1))
+                int(shard.replicas[slot].call("status").get("applied_lsn", -1))
                 for slot in shard.replica_slots()
             ]
             if all(lsn >= durable for lsn in applied):

@@ -6,22 +6,21 @@ The horizontal-scaling layer above the durable single-node service:
   row onto one of N worker shards;
 * :mod:`repro.cluster.shard` — worker backends: in-process
   (:class:`LocalShard`) or supervised ``QueryServer`` subprocesses
-  (:class:`ProcessShard`) speaking the JSON-lines protocol;
+  (:class:`ProcessShard`) speaking the binary pipelined protocol;
 * :mod:`repro.cluster.supervisor` — :class:`ShardSupervisor`: spawn,
   health-check, restart-with-recovery of the worker fleet;
 * :mod:`repro.cluster.gather` — recombination of per-shard synopsis
   answers (COUNT/SUM add, AVG via weighted sums, GROUP BY unions,
   conservative bounds);
 * :mod:`repro.cluster.service` — :class:`ClusterQueryService`, the
-  scatter-gather front end (plus :class:`AsyncClusterService`, its
-  asyncio face for ``python -m repro.service --shards N``).
+  scatter-gather front end (``python -m repro.service --shards N`` serves
+  it through the same :class:`~repro.service.server.AsyncFacade` +
+  :class:`~repro.service.server.QueryServer` a single node uses).
 """
 
 from .gather import GatherPlan, ShardAnswer, gather_groups, gather_scalar, plan_query
 from .router import ShardRouter
 from .service import (
-    AsyncClusterService,
-    ClusterCheckpointResult,
     ClusterIngestResult,
     ClusterQueryService,
     ClusterTable,
@@ -30,8 +29,6 @@ from .shard import LocalShard, ProcessShard
 from .supervisor import ShardSupervisor, WorkerHandle
 
 __all__ = [
-    "AsyncClusterService",
-    "ClusterCheckpointResult",
     "ClusterIngestResult",
     "ClusterQueryService",
     "ClusterTable",

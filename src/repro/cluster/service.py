@@ -30,6 +30,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 from ..core.engine import AqpResult
@@ -40,7 +41,10 @@ from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from ..sql.ast import Query
 from ..sql.parser import parse_query_cached
+from ..service.database import check_rows_match
+from ..service.ops import OPS
 from ..service.wire import UnsentRequestError
+from ..storage.durable import CheckpointResult
 from ..storage.cluster import (
     ClusterLayout,
     ClusterManifest,
@@ -150,19 +154,14 @@ class ClusterIngestResult:
     appended_rows: int
     #: rows routed to each shard index (only shards that received rows).
     shard_rows: dict[int, int]
+    #: The table's partition count across the fleet after the append.
+    total_partitions: int
     seconds: float
 
-
-@dataclass
-class ClusterCheckpointResult:
-    """Aggregate of one checkpoint fan-out (shape matches the wire op)."""
-
-    checkpoint_lsn: int
-    tables: int
-    seconds: float
-    skipped: bool
-    path: Path | None = None
-    per_shard: list[dict] = field(default_factory=list)
+    @property
+    def rebuilt_partitions(self) -> list[int]:
+        """What the wire reply reports as rebuilt: the shards that took rows."""
+        return sorted(self.shard_rows)
 
 
 class ClusterQueryService:
@@ -358,12 +357,10 @@ class ClusterQueryService:
         # Which shards recovered which tables — and how many rows survived
         # (shard_rows seeds the crash-ambiguity checks on future ingests).
         for index, shard in enumerate(service.shards):
-            for name in service._shard_call(index, lambda s=shard: s.table_names()):
+            for name in service._shard_call(index, partial(shard.call, "tables")):
                 table = service._catalog.get(name)
                 if table is not None:
-                    stat = service._shard_call(
-                        index, lambda s=shard, n=name: s.stat(n)
-                    )
+                    stat = service._shard_call(index, partial(shard.call, "stat", name))
                     table.record(index, stat["rows"], stat["partitions"])
         return service
 
@@ -473,11 +470,11 @@ class ClusterQueryService:
         for slot in shard.replica_slots():
             replica = shard.replicas[slot]
             try:
-                status = replica.status()
+                status = replica.call("status")
             except Exception:
                 try:
                     replica.reconnect()
-                    status = replica.status()
+                    status = replica.call("status")
                 except Exception:
                     continue
             if status.get("role") != "replica":
@@ -491,7 +488,7 @@ class ClusterQueryService:
         promoted_dir = supervisor.replica_data_dirs[index][slot]
         write_epoch(epoch_path, new_epoch, primary=promoted_dir.name)
         try:
-            shard.replicas[slot].promote(new_epoch)
+            shard.replicas[slot].call("promote", new_epoch)
         except Exception:
             return False  # retried at a yet-higher epoch by the next revive
         deposed = supervisor.adopt_primary(index, slot)
@@ -502,7 +499,7 @@ class ClusterQueryService:
         new_port = supervisor.handles[index].port
         for other in shard.replica_slots():
             try:
-                shard.replicas[other].follow(supervisor.host, new_port)
+                shard.replicas[other].call("follow", supervisor.host, new_port)
             except Exception:
                 pass  # its own revive path will respawn it
         # The deposed primary's directory comes back as a fresh follower:
@@ -602,9 +599,7 @@ class ClusterQueryService:
             raise ValueError("cannot register an empty table")
 
         def _register(index: int, shard) -> dict:
-            return shard.register(
-                parts[index], params=params, partition_size=partition_size
-            )
+            return shard.call("register", parts[index], params, partition_size)
 
         reports = self._scatter(targets, _register)
         with entry.mutex:
@@ -617,17 +612,7 @@ class ClusterQueryService:
 
     def validate_ingest(self, table_name: str, rows: Table) -> ClusterTable:
         entry = self.table(table_name)
-        if not isinstance(rows, Table):
-            raise TypeError(
-                f"ingest into {table_name!r} needs a Table of rows, "
-                f"got {type(rows).__name__}"
-            )
-        if rows.schema.names != entry.schema.names:
-            raise ValueError(
-                f"rows for table {table_name!r} do not match its schema: "
-                f"expected columns {entry.schema.names}, "
-                f"got {rows.schema.names}"
-            )
+        check_rows_match(table_name, rows, entry.schema)
         return entry
 
     def ingest(self, table_name: str, rows: Table) -> ClusterIngestResult:
@@ -659,10 +644,8 @@ class ClusterQueryService:
                     # Registration is slow; holding the mutex serializes
                     # racing first-touch writers instead of letting the
                     # loser fail with "already registered".
-                    report = shard.register(
-                        part,
-                        params=entry.params,
-                        partition_size=entry.partition_size,
+                    report = shard.call(
+                        "register", part, entry.params, entry.partition_size
                     )
                     applied = {
                         "appended_rows": report["rows"],
@@ -670,7 +653,7 @@ class ClusterQueryService:
                     }
                     entry.record(index, part.num_rows, report["partitions"])
                     return applied
-            report = shard.ingest(table_name, part)
+            report = shard.call("ingest", table_name, part)
             with entry.mutex:
                 entry.record(index, part.num_rows, report["total_partitions"])
             return report
@@ -688,7 +671,7 @@ class ClusterQueryService:
                     expected_before = entry.shard_rows.get(index, 0)
                 self._revive(index, generation)
                 try:
-                    stat = shard.stat(table_name)
+                    stat = shard.call("stat", table_name)
                 except KeyError:
                     stat = None  # table absent: the register never landed
                 if stat is None or stat["rows"] == expected_before:
@@ -720,13 +703,14 @@ class ClusterQueryService:
             table_name=table_name,
             appended_rows=rows.num_rows,
             shard_rows=shard_rows,
+            total_partitions=entry.num_partitions,
             seconds=time.perf_counter() - start,
         )
 
     def drop_table(self, table_name: str) -> None:
         entry = self.table(table_name)
         self._scatter(
-            sorted(entry.registered), lambda i, shard: shard.drop(table_name)
+            sorted(entry.registered), lambda i, shard: shard.call("drop", table_name)
         )
         with self._catalog_mutex:
             del self._catalog[table_name]
@@ -774,30 +758,51 @@ class ClusterQueryService:
         return self.execute_scalar(query)
 
     # ------------------------------------------------------------------ #
-    # Durability fan-out
+    # Fan-out ops: ask the workers, merge by the op table's rule
 
-    def checkpoint(self) -> ClusterCheckpointResult:
-        """Checkpoint every shard (each writes its own snapshot)."""
+    def _fan_out(self, name: str, *args, own=None, strict: bool = False):
+        """Op ``name`` on every worker its row routes to, merged by its rule.
+
+        Rows with ``replicas="all"`` ask each shard's replicas as well as
+        its primary.  ``own`` is the front end's own ``(labels, payload)``
+        contribution, if the op has one.  An unreachable worker only costs
+        its share of the answer — unless ``strict`` (the durability ops),
+        where a crashed worker is revived and any failure surfaces.
+        """
+        op = OPS[name]
+        targets = []
+        for index, shard in enumerate(self.shards):
+            workers = shard.workers()
+            for labels, worker in workers if op.replicas == "all" else workers[:1]:
+                targets.append(({"shard": f"{index:05d}", **labels}, index, worker))
+
+        def ask(index: int, worker):
+            if strict:
+                return self._shard_call(index, partial(worker.call, name, *args))
+            return worker.call(name, *args)
+
+        futures = [self._pool.submit(ask, index, worker) for _, index, worker in targets]
+        sources = [] if own is None else [own]
+        for (labels, _, _), future in zip(targets, futures):
+            try:
+                sources.append((labels, future.result()))
+            except Exception:
+                if strict:
+                    raise
+        return op.merge(sources)
+
+    def checkpoint(self) -> CheckpointResult:
+        """Checkpoint every shard (each writes its own snapshot, so the
+        aggregate has no ``path``)."""
         start = time.perf_counter()
-        reports = self._scatter(
-            list(range(self.num_shards)), lambda i, shard: shard.checkpoint()
-        )
-        return ClusterCheckpointResult(
-            checkpoint_lsn=max(r["checkpoint_lsn"] for r in reports),
-            tables=max(r["tables"] for r in reports),
-            seconds=time.perf_counter() - start,
-            skipped=all(r["skipped"] for r in reports),
-            per_shard=list(reports),
+        merged = self._fan_out("checkpoint", strict=True)
+        return CheckpointResult(
+            path=None, seconds=time.perf_counter() - start, **merged
         )
 
     def persist(self) -> list[int]:
         """fsync every shard's WAL; returns the per-shard durable LSNs."""
-        return self._scatter(
-            list(range(self.num_shards)), lambda i, shard: shard.persist()
-        )
-
-    # ------------------------------------------------------------------ #
-    # Observability fan-out
+        return self._fan_out("persist", strict=True)
 
     def metrics(self) -> dict:
         """One merged registry snapshot for the whole cluster.
@@ -806,91 +811,37 @@ class ClusterQueryService:
         front end's own snapshot *is* the cluster's.  In process mode the
         front end's series are labelled ``role="frontend"`` and each
         worker's are labelled ``shard="NNNNN"`` plus
-        ``role="primary"|"replica"``; a worker that cannot be reached is
-        skipped rather than failing the whole scrape.
+        ``role="primary"|"replica"`` (and the replica's ``slot``).
         """
+        snapshot = obs_metrics.REGISTRY.snapshot()
         if self.mode != "process":
-            return obs_metrics.REGISTRY.snapshot()
-        merged: dict = {}
-        obs_metrics.merge_snapshot(
-            merged, obs_metrics.REGISTRY.snapshot(), {"role": "frontend"}
-        )
-        for index, shard in enumerate(self.shards):
-            labels = {"shard": f"{index:05d}", "role": "primary"}
-            try:
-                snapshot = shard.metrics()
-            except Exception:
-                continue  # dead worker: its series are simply absent
-            obs_metrics.merge_snapshot(merged, snapshot, labels)
-            replica_metrics = getattr(shard, "replica_metrics", None)
-            if replica_metrics is None:
-                continue
-            for slot, snapshot in replica_metrics().items():
-                obs_metrics.merge_snapshot(
-                    merged,
-                    snapshot,
-                    {
-                        "shard": f"{index:05d}",
-                        "role": "replica",
-                        "slot": str(slot),
-                    },
-                )
-        return merged
+            return snapshot
+        return self._fan_out("metrics", own=({"role": "frontend"}, snapshot))
 
     def trace(self, trace_id: str) -> list[dict]:
-        """Every finished span recorded for ``trace_id``, cluster-wide.
-
-        Merges the front end's ring buffer with each worker's (primaries
-        and replicas), deduplicating on span id — a span can surface twice
-        when a worker is both asked directly and reachable through a
-        replicated shard's fan-out.  Sorted by start time.
-        """
-        spans: dict[str, dict] = {
-            span["span_id"]: span for span in tracing.spans_for(trace_id)
-        }
-        if self.mode == "process":
-            for index in range(self.num_shards):
-                shard = self.shards[index]
-                try:
-                    collected = self._shard_call(
-                        index, lambda s=shard: s.trace(trace_id)
-                    )
-                except Exception:
-                    continue
-                for span in collected:
-                    spans.setdefault(span["span_id"], span)
-        return sorted(spans.values(), key=lambda s: s.get("start", 0.0))
+        """Every finished span recorded for ``trace_id``, cluster-wide: the
+        front end's ring buffer merged with each worker's."""
+        return self._fan_out(
+            "trace", trace_id, own=({}, tracing.spans_for(trace_id))
+        )
 
     def status_extra(self) -> dict:
-        """Cluster-wide additions for the ``status`` op payload.
+        """Cluster-wide additions for the ``status`` op payload (the front
+        end holds no result cache of its own — the caches live in the
+        workers)."""
+        return self._fan_out("status")
 
-        The front end holds no result cache of its own — the caches live
-        in the workers — so per-table hit/miss stats are gathered from
-        every shard primary and summed.  Before this existed the cluster
-        ``status`` payload silently omitted ``cache_stats`` entirely.
+    def workload(self) -> dict:
+        """One merged workload log for the whole cluster.
+
+        Shards see only their scattered slice of each query, so the
+        per-shard templates carry the *scattered* SQL.
         """
-        totals: dict[str, dict[str, int]] = {}
-        found = False
-        for index, shard in enumerate(self.shards):
-            if self.mode == "process":
-                try:
-                    stats = self._shard_call(
-                        index, lambda s=shard: s.status()
-                    ).get("cache_stats")
-                except Exception:
-                    continue
-            else:
-                stats = getattr(shard.service, "cache_stats", None)
-                if stats is not None:
-                    stats = {t: dict(s) for t, s in stats.items()}
-            if stats is None:
-                continue
-            found = True
-            for table, counts in stats.items():
-                bucket = totals.setdefault(table, {})
-                for outcome, count in counts.items():
-                    bucket[outcome] = bucket.get(outcome, 0) + int(count)
-        return {"cache_stats": totals} if found else {}
+        return self._fan_out("workload")
+
+    def audit(self) -> dict:
+        """Merged accuracy-auditor counters across every worker."""
+        return self._fan_out("audit")
 
     # ------------------------------------------------------------------ #
     # Answer-quality observability (repro.audit)
@@ -933,44 +884,6 @@ class ClusterQueryService:
             plan["analyze"] = analyze_section(self.execute, self.trace, sql)
         return plan
 
-    def workload(self) -> dict:
-        """One merged workload log for the whole cluster.
-
-        Shards see only their scattered slice of each query, so the
-        per-shard templates carry the *scattered* SQL; merging sums their
-        frequencies and rollups per template.  An unreachable worker is
-        skipped rather than failing the scrape.
-        """
-        from ..audit.workload import WorkloadLog
-
-        snapshots = []
-        for index, shard in enumerate(self.shards):
-            try:
-                if self.mode == "process":
-                    snapshot = self._shard_call(index, lambda s=shard: s.workload())
-                else:
-                    snapshot = shard.workload()
-            except Exception:
-                continue
-            snapshots.append(snapshot)
-        return WorkloadLog.merge_snapshots(snapshots)
-
-    def audit_stats(self) -> dict:
-        """Merged accuracy-auditor counters across every shard."""
-        from ..audit.auditor import AccuracyAuditor
-
-        stats = []
-        for index, shard in enumerate(self.shards):
-            try:
-                if self.mode == "process":
-                    payload = self._shard_call(index, lambda s=shard: s.audit())
-                else:
-                    payload = shard.audit()
-            except Exception:
-                continue
-            stats.append(payload)
-        return AccuracyAuditor.merge_stats(stats)
-
     def ready(self) -> bool:
         """Every worker reachable — the cluster's ``/readyz`` predicate."""
         if self.supervisor is None:
@@ -1000,133 +913,3 @@ class ClusterQueryService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class AsyncClusterService:
-    """Coroutine face of a :class:`ClusterQueryService`.
-
-    The same adapter shape as
-    :class:`~repro.service.server.AsyncQueryService`, so a
-    :class:`~repro.service.server.QueryServer` can serve a whole cluster
-    over the standard JSON-lines protocol (the ``python -m repro.service
-    --shards N`` path).  Scatter concurrency lives inside the cluster
-    front end; this layer only keeps the event loop unblocked.
-    """
-
-    def __init__(self, cluster: ClusterQueryService, max_workers: int = 4) -> None:
-        self.cluster = cluster
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="cluster-front"
-        )
-        self._closed = False
-
-    async def __aenter__(self) -> "AsyncClusterService":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
-
-    async def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        import asyncio
-        from functools import partial
-
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(
-            None, partial(self._executor.shutdown, wait=True)
-        )
-
-    async def _dispatch(self, fn, *args, **kwargs):
-        if self._closed:
-            raise RuntimeError("the cluster front end is closed")
-        import asyncio
-        from functools import partial
-
-        loop = asyncio.get_running_loop()
-        # run_in_executor does not carry contextvars over, so the active
-        # trace span would vanish on the worker thread without the copy.
-        # Untraced requests skip it (about a microsecond per call).
-        if tracing.current_span() is not None:
-            call = partial(
-                contextvars.copy_context().run, partial(fn, *args, **kwargs)
-            )
-        else:
-            call = partial(fn, *args, **kwargs)
-        return await loop.run_in_executor(self._executor, call)
-
-    async def query(self, query):
-        return await self._dispatch(self.cluster.execute, query)
-
-    async def query_scalar(self, query):
-        return await self._dispatch(self.cluster.execute_scalar, query)
-
-    async def register_table(self, table, params=None, partition_size=None):
-        return await self._dispatch(
-            self.cluster.register_table,
-            table,
-            params=params,
-            partition_size=partition_size,
-        )
-
-    async def ingest(self, table_name, rows, coalesce: bool = True):
-        # Coalescing happens inside each worker's own ingest queue; the
-        # front end always forwards immediately.
-        del coalesce
-        result = await self._dispatch(self.cluster.ingest, table_name, rows)
-        entry = self.cluster.table(table_name)
-        from ..service.database import IngestResult
-
-        return IngestResult(
-            table_name=result.table_name,
-            appended_rows=result.appended_rows,
-            rebuilt_partitions=sorted(result.shard_rows),
-            total_partitions=entry.num_partitions,
-            seconds=result.seconds,
-        )
-
-    async def drop_table(self, table_name: str) -> None:
-        await self._dispatch(self.cluster.drop_table, table_name)
-
-    async def checkpoint(self) -> ClusterCheckpointResult:
-        return await self._dispatch(self.cluster.checkpoint)
-
-    async def persist(self) -> int:
-        return max(await self._dispatch(self.cluster.persist))
-
-    @property
-    def table_names(self) -> list[str]:
-        return self.cluster.table_names
-
-    def schema_for(self, table_name: str):
-        return self.cluster.schema_for(table_name)
-
-    async def stat(self, table_name: str) -> dict:
-        entry = self.cluster.table(table_name)
-        return {
-            "table": table_name,
-            "rows": entry.num_rows,
-            "partitions": entry.num_partitions,
-        }
-
-    # ------------------------------------------------------------------ #
-    # Observability
-
-    async def status_extra(self) -> dict:
-        return await self._dispatch(self.cluster.status_extra)
-
-    async def metrics(self) -> dict:
-        return await self._dispatch(self.cluster.metrics)
-
-    async def trace(self, trace_id: str) -> list[dict]:
-        return await self._dispatch(self.cluster.trace, trace_id)
-
-    async def explain(self, sql: str, analyze: bool = False) -> dict:
-        return await self._dispatch(self.cluster.explain, sql, analyze)
-
-    async def workload(self) -> dict:
-        return await self._dispatch(self.cluster.workload)
-
-    async def audit_stats(self) -> dict:
-        return await self._dispatch(self.cluster.audit_stats)

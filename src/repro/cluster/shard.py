@@ -15,10 +15,12 @@ small interface so the same scatter-gather code drives both flavours:
   :class:`~repro.service.wire.PipelinedClient`.  This is the
   multi-process deployment the GIL cannot bound.
 
-``execute`` returns shard answers normalised to
+Every flavour answers ``call(name, *args)`` for the rows of the op table
+(:mod:`repro.service.ops`) with the payload that op has over the wire, so
+the front end never cares which flavour it is talking to.  ``execute``
+(the scatter path) returns shard answers normalised to
 (:data:`"scalar"`, ``[ShardAnswer, ...]``) or (:data:`"groups"`,
-``{label: [ShardAnswer, ...]}``) so the gather layer never cares which
-flavour produced them.
+``{label: [ShardAnswer, ...]}``) for the gather layer.
 """
 
 from __future__ import annotations
@@ -29,12 +31,11 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from pathlib import Path
 
-from ..core.params import PairwiseHistParams
-from ..data.table import Table
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from ..service.concurrency import ConcurrentQueryService
 from ..service.database import Database
+from ..service.ops import OPS
 from ..service.wire import PipelinedClient, WireError
 from ..sql.ast import UnsupportedQueryError
 from ..sql.parser import ParseError
@@ -88,25 +89,13 @@ class LocalShard:
             database = Database(**database_kwargs)
         self.service = ConcurrentQueryService(database=database)
 
-    # ------------------------------------------------------------------ #
-
-    def register(
-        self,
-        table: Table,
-        params: PairwiseHistParams | None = None,
-        partition_size: int | None = None,
-    ) -> dict:
-        managed = self.service.register_table(
-            table, params=params, partition_size=partition_size
-        )
-        return {"rows": managed.num_rows, "partitions": managed.num_partitions}
-
-    def ingest(self, table_name: str, rows: Table) -> dict:
-        result = self.service.ingest(table_name, rows)
-        return {
-            "appended_rows": result.appended_rows,
-            "total_partitions": result.total_partitions,
-        }
+    def call(self, name: str, *args):
+        """The op's handler + reply encoder, in-process: the same payload a
+        worker process would have sent."""
+        op = OPS[name]
+        if op.handler is None:
+            raise ValueError(f"op {name!r} needs a worker process")
+        return op.unwrap(op.encode(op.handler(self.service, *args)))
 
     def execute(self, sql: str):
         result = self.service.execute(sql)
@@ -117,42 +106,8 @@ class LocalShard:
             }
         return "scalar", [ShardAnswer.from_result(r) for r in result]
 
-    def table_names(self) -> list[str]:
-        return self.service.table_names
-
-    def stat(self, table_name: str) -> dict:
-        managed = self.service.table(table_name)
-        return {"rows": managed.num_rows, "partitions": managed.num_partitions}
-
-    def drop(self, table_name: str) -> None:
-        self.service.drop_table(table_name)
-
-    def checkpoint(self) -> dict:
-        result = self.service.checkpoint()
-        return {
-            "checkpoint_lsn": result.checkpoint_lsn,
-            "tables": result.tables,
-            "skipped": result.skipped,
-        }
-
-    def persist(self) -> int:
-        return self.service.persist()
-
-    def metrics(self) -> dict:
-        # Local shards share the front end's process, hence its registry.
-        return obs_metrics.REGISTRY.snapshot()
-
-    def trace(self, trace_id: str) -> list[dict]:
-        return tracing.spans_for(trace_id)
-
-    def workload(self) -> dict:
-        return self.service.workload_snapshot()
-
-    def audit(self) -> dict:
-        return self.service.audit_snapshot()
-
-    def reconnect(self) -> None:  # pragma: no cover - interface symmetry
-        pass
+    def workers(self) -> list[tuple[dict, "LocalShard"]]:
+        return [({"role": "primary"}, self)]
 
     def close(self) -> None:
         close = getattr(self.service.database, "close", None)
@@ -194,7 +149,7 @@ class _QueryBatcher:
                 self._inflight = False
                 return
         try:
-            frame = self._channel.submit_query_batch([sql for sql, _ in batch])
+            frame = self._channel.submit("query_batch", [sql for sql, _ in batch])
         except BaseException as exc:
             with self._mutex:
                 self._inflight = False
@@ -297,31 +252,17 @@ class ProcessShard:
         except FutureTimeoutError:
             raise ConnectionError(f"no shard response within {self.timeout}s") from None
 
-    def _call(self, fn):
+    def call(self, name: str, *args):
+        """One op over the row's channel, wire errors translated back."""
         query_channel, bulk_channel, _ = self._channels()
+        channel = bulk_channel if OPS[name].channel == "bulk" else query_channel
         try:
-            return fn(query_channel, bulk_channel)
+            return channel.call(name, *args)
         except WireError as error:
             _raise_wire_error(error)
 
-    # ------------------------------------------------------------------ #
-
-    def register(
-        self,
-        table: Table,
-        params: PairwiseHistParams | None = None,
-        partition_size: int | None = None,
-    ) -> dict:
-        return self._call(
-            lambda query, bulk: bulk.register(
-                table, params=params, partition_size=partition_size
-            )
-        )
-
-    def ingest(self, table_name: str, rows: Table) -> dict:
-        # Binary table frame on the bulk channel: the rows travel as the
-        # codec format, no JSON row lists.
-        return self._call(lambda query, bulk: bulk.ingest(table_name, rows))
+    def workers(self) -> list[tuple[dict, "ProcessShard"]]:
+        return [({"role": "primary"}, self)]
 
     def execute(self, sql: str):
         span = tracing.current_span()
@@ -333,7 +274,7 @@ class ProcessShard:
             query_channel, _, _ = self._channels()
             trace = (bytes.fromhex(span.trace_id), bytes.fromhex(span.span_id))
             try:
-                payload = query_channel.query(sql, trace=trace)
+                payload = query_channel.call("query", sql, trace=trace)
             except WireError as error:
                 _raise_wire_error(error)
             return self._normalize(payload)
@@ -351,49 +292,6 @@ class ProcessShard:
                 for label, results in payload["groups"].items()
             }
         return "scalar", [ShardAnswer.from_wire(r) for r in payload["results"]]
-
-    def table_names(self) -> list[str]:
-        return self._call(lambda query, bulk: query.tables())
-
-    def stat(self, table_name: str) -> dict:
-        return self._call(lambda query, bulk: query.stat(table_name))
-
-    def drop(self, table_name: str) -> None:
-        self._call(lambda query, bulk: query.drop(table_name))
-
-    def checkpoint(self) -> dict:
-        return self._call(lambda query, bulk: query.checkpoint())
-
-    def persist(self) -> int:
-        return self._call(lambda query, bulk: query.persist())
-
-    def status(self) -> dict:
-        """Replication/health snapshot of the worker (role, LSNs, lag)."""
-        return self._call(lambda query, bulk: query.status())
-
-    def metrics(self) -> dict:
-        """The worker process's own registry snapshot."""
-        return self._call(lambda query, bulk: query.metrics())
-
-    def trace(self, trace_id: str) -> list[dict]:
-        """Finished spans the worker recorded for ``trace_id``."""
-        return self._call(lambda query, bulk: query.trace(trace_id))
-
-    def workload(self) -> dict:
-        """The worker's workload-log snapshot."""
-        return self._call(lambda query, bulk: query.workload())
-
-    def audit(self) -> dict:
-        """The worker's accuracy-auditor stats."""
-        return self._call(lambda query, bulk: query.audit())
-
-    def promote(self, epoch: int) -> dict:
-        """Tell a replica worker to become the primary at ``epoch``."""
-        return self._call(lambda query, bulk: query.promote(epoch))
-
-    def follow(self, host: str, port: int) -> dict:
-        """Repoint a replica worker's subscription at a new primary."""
-        return self._call(lambda query, bulk: query.follow(host, port))
 
     def close(self) -> None:
         with self._mutex:
@@ -416,7 +314,8 @@ class ReplicatedShard:
     trouble costs latency, never an error.
 
     Everything with write or authority semantics — ingest, register,
-    drop, checkpoint, persist, stat — goes to the primary only.
+    drop, checkpoint, persist, stat — goes to the primary only (the op
+    table's ``replicas`` column says which is which).
     """
 
     def __init__(
@@ -490,7 +389,7 @@ class ReplicatedShard:
     def _refresh_eligible(self) -> None:
         """Re-derive the eligible replica set from worker statuses."""
         try:
-            durable = int(self.primary.status().get("durable_lsn", 0))
+            durable = int(self.primary.call("status").get("durable_lsn", 0))
         except Exception:
             return  # primary trouble is the revival path's problem
         with self._mutex:
@@ -499,11 +398,11 @@ class ReplicatedShard:
         shard_label = f"{self.index:05d}"
         for slot, shard in sorted(replicas.items()):
             try:
-                status = shard.status()
+                status = shard.call("status")
             except Exception:
                 try:
                     shard.reconnect()
-                    status = shard.status()
+                    status = shard.call("status")
                 except Exception:
                     _REPLICA_ELIGIBLE.set(0, shard=shard_label, slot=str(slot))
                     continue
@@ -551,112 +450,38 @@ class ReplicatedShard:
         with self._mutex:
             self._eligible = tuple(s for s in self._eligible if s != slot)
 
-    def execute(self, sql: str):
+    def _read(self, fn):
+        """``fn(worker)`` on the primary or an eligible replica."""
         self._maybe_refresh()
         slot, shard = self._pick()
         if slot is None:
-            return self.primary.execute(sql)
+            return fn(self.primary)
         try:
-            return shard.execute(sql)
+            return fn(shard)
         except Exception:
             # Deterministic errors re-raise identically from the primary;
             # replica-only trouble (lag, restart, promotion) is absorbed.
             self._demote(slot)
-            return self.primary.execute(sql)
+            return fn(self.primary)
 
-    # ------------------------------------------------------------------ #
-    # Primary-only operations
+    def execute(self, sql: str):
+        return self._read(lambda worker: worker.execute(sql))
 
-    def register(
-        self,
-        table: Table,
-        params: PairwiseHistParams | None = None,
-        partition_size: int | None = None,
-    ) -> dict:
-        return self.primary.register(
-            table, params=params, partition_size=partition_size
-        )
+    def call(self, name: str, *args):
+        """Route by the row's ``replicas`` column: ``any`` reads spread
+        over the eligible replicas, everything else asks the primary
+        (``all`` rows are fanned out by the front end over :meth:`workers`)."""
+        if OPS[name].replicas == "any":
+            return self._read(lambda worker: worker.call(name, *args))
+        return self.primary.call(name, *args)
 
-    def ingest(self, table_name: str, rows: Table) -> dict:
-        return self.primary.ingest(table_name, rows)
-
-    def table_names(self) -> list[str]:
-        return self.primary.table_names()
-
-    def stat(self, table_name: str) -> dict:
-        return self.primary.stat(table_name)
-
-    def drop(self, table_name: str) -> None:
-        self.primary.drop(table_name)
-
-    def checkpoint(self) -> dict:
-        return self.primary.checkpoint()
-
-    def persist(self) -> int:
-        return self.primary.persist()
-
-    def status(self) -> dict:
-        return self.primary.status()
-
-    def metrics(self) -> dict:
-        return self.primary.metrics()
-
-    def replica_metrics(self) -> dict[int, dict]:
-        """Registry snapshot from every reachable replica, by slot."""
-        snapshots: dict[int, dict] = {}
-        for slot in self.replica_slots():
-            with self._mutex:
-                shard = self.replicas.get(slot)
-            if shard is None:
-                continue
-            try:
-                snapshots[slot] = shard.metrics()
-            except Exception:
-                continue  # a dead replica only costs its series
-        return snapshots
-
-    def trace(self, trace_id: str) -> list[dict]:
-        spans = list(self.primary.trace(trace_id))
-        for slot in self.replica_slots():
-            with self._mutex:
-                shard = self.replicas.get(slot)
-            if shard is None:
-                continue
-            try:
-                spans.extend(shard.trace(trace_id))
-            except Exception:
-                continue
-        return spans
-
-    def _fan_in(self, fn) -> list[dict]:
-        """``fn(worker)`` on the primary plus every reachable replica —
-        reads round-robin across them, so each worker holds only its
-        slice of the workload/audit state."""
-        payloads = []
-        try:
-            payloads.append(fn(self.primary))
-        except Exception:
-            pass
-        for slot in self.replica_slots():
-            with self._mutex:
-                shard = self.replicas.get(slot)
-            if shard is None:
-                continue
-            try:
-                payloads.append(fn(shard))
-            except Exception:
-                continue
-        return payloads
-
-    def workload(self) -> dict:
-        from ..audit.workload import WorkloadLog
-
-        return WorkloadLog.merge_snapshots(self._fan_in(lambda w: w.workload()))
-
-    def audit(self) -> dict:
-        from ..audit.auditor import AccuracyAuditor
-
-        return AccuracyAuditor.merge_stats(self._fan_in(lambda w: w.audit()))
+    def workers(self) -> list[tuple[dict, ProcessShard]]:
+        """``(labels, worker)`` of the primary, then of every replica."""
+        with self._mutex:
+            replicas = sorted(self.replicas.items())
+        return [({"role": "primary"}, self.primary)] + [
+            ({"role": "replica", "slot": str(slot)}, shard) for slot, shard in replicas
+        ]
 
     def close(self) -> None:
         with self._mutex:

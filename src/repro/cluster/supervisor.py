@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..obs import log as obs_log
-from ..service.wire import ClusterClient
+from ..service.wire import PipelinedClient
 
 _LISTENING = re.compile(r"listening on ([\d.]+):(\d+)")
 
@@ -229,27 +229,37 @@ class ShardSupervisor:
             env=env,
         )
 
-    def spawn(self, index: int) -> WorkerHandle:
-        """Start the primary of shard ``index``; blocks until it reports
-        its port.
-
-        A worker with a populated data directory recovers before it prints
-        ``listening on``, so a handle returned from here is already serving
-        its recovered tables.
-        """
-        process = self._spawn_process(self._argv(index), index)
+    def _spawn(self, index: int, replica: int | None, argv: list[str]) -> WorkerHandle:
+        """Start one worker; blocks until it reports its port."""
+        key = index if replica is None else (index, replica)
+        what = (
+            f"shard worker {index}"
+            if replica is None
+            else f"replica {replica} of shard {index}"
+        )
+        process = self._spawn_process(argv, key)
         port, banner = self._await_port(process)
         if port is None:
             process.kill()
             process.wait(timeout=30)
             raise RuntimeError(
-                f"shard worker {index} never reported a port within "
+                f"{what} never reported a port within "
                 f"{self.startup_timeout:.0f}s; output:\n" + "".join(banner)
             )
-        handle = WorkerHandle(index=index, process=process, port=port)
-        self.handles[index] = handle
-        _LOG.info("worker_spawned", shard=index, port=port, pid=process.pid)
+        handle = WorkerHandle(index=index, process=process, port=port, replica=replica)
+        self.handles[key] = handle
+        event = "worker_spawned" if replica is None else "replica_spawned"
+        _LOG.info(event, shard=index, slot=replica, port=port, pid=process.pid)
         return handle
+
+    def spawn(self, index: int) -> WorkerHandle:
+        """Start the primary of shard ``index``.
+
+        A worker with a populated data directory recovers before it prints
+        ``listening on``, so a handle returned from here is already serving
+        its recovered tables.
+        """
+        return self._spawn(index, None, self._argv(index))
 
     def spawn_replica(self, index: int, replica: int) -> WorkerHandle:
         """Start follower ``replica`` of shard ``index`` (primary must be up).
@@ -258,23 +268,7 @@ class ShardSupervisor:
         to the primary from its recovered LSN — catch-up happens in the
         background after the handle is returned.
         """
-        process = self._spawn_process(self._replica_argv(index, replica), (index, replica))
-        port, banner = self._await_port(process)
-        if port is None:
-            process.kill()
-            process.wait(timeout=30)
-            raise RuntimeError(
-                f"replica {replica} of shard {index} never reported a port "
-                f"within {self.startup_timeout:.0f}s; output:\n" + "".join(banner)
-            )
-        handle = WorkerHandle(
-            index=index, process=process, port=port, replica=replica
-        )
-        self.handles[(index, replica)] = handle
-        _LOG.info(
-            "replica_spawned", shard=index, slot=replica, port=port, pid=process.pid
-        )
-        return handle
+        return self._spawn(index, replica, self._replica_argv(index, replica))
 
     def _await_port(self, process) -> tuple[int | None, list[str]]:
         """Scrape the ``listening on`` banner, honouring the startup timeout.
@@ -334,8 +328,8 @@ class ShardSupervisor:
         if handle is None or not handle.alive:
             return False
         try:
-            with ClusterClient(self.host, handle.port, timeout=timeout) as client:
-                return client.ping()
+            with PipelinedClient(self.host, handle.port, timeout=timeout) as client:
+                return client.ping() == "pong"
         except (OSError, ConnectionError):
             return False
 

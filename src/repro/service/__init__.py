@@ -6,18 +6,15 @@ SQL front end routing queries by table name.  For parallel clients,
 :class:`ConcurrentQueryService` adds per-table reader-writer locks with
 copy-on-write ingestion, :class:`AsyncQueryService` exposes the same API
 as coroutines (with a coalescing ingest queue), and :class:`QueryServer`
-serves it over TCP speaking two negotiated dialects: the binary pipelined
-protocol (:mod:`repro.service.framing`, spoken by
-:class:`PipelinedClient`) and the legacy newline-delimited-JSON fallback
-(:class:`ClusterClient`).  :class:`QueryServiceSystem` plugs a service
-table into the benchmark harness.
+serves it over TCP: the binary pipelined protocol
+(:mod:`repro.service.framing`, spoken by :class:`PipelinedClient`) plus a
+newline-delimited-JSON shim for ``nc`` and scripts (spoken by
+:class:`AsyncQueryClient`).  Every op either speaks is one row of the op
+table in :mod:`repro.service.ops`.  :class:`QueryServiceSystem` plugs a
+service table into the benchmark harness.
 """
 
-from .concurrency import (
-    ConcurrentQueryService,
-    ReadWriteLock,
-    SerializedQueryService,
-)
+from .concurrency import ConcurrentQueryService, ReadWriteLock
 from .database import (
     Database,
     IngestResult,
@@ -25,14 +22,13 @@ from .database import (
     QueryService,
     StagedIngest,
 )
-from .server import AsyncQueryClient, AsyncQueryService, QueryServer
+from .server import AsyncQueryService, QueryServer
 from .system import QueryServiceSystem
-from .wire import ClusterClient, OverloadedError, PipelinedClient, WireError
+from .wire import AsyncQueryClient, OverloadedError, PipelinedClient, WireError
 
 __all__ = [
     "AsyncQueryClient",
     "AsyncQueryService",
-    "ClusterClient",
     "OverloadedError",
     "PipelinedClient",
     "WireError",
@@ -44,6 +40,5 @@ __all__ = [
     "QueryService",
     "QueryServiceSystem",
     "ReadWriteLock",
-    "SerializedQueryService",
     "StagedIngest",
 ]

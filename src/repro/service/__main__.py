@@ -1,11 +1,11 @@
 """``python -m repro.service`` — run the query server as a process.
 
-Kept separate from :mod:`repro.service.server` so the module executed by
-``-m`` is not also the module the package imports (which would load it
+Kept separate from :mod:`repro.service.cli` so the module executed by
+``-m`` is not also a module the package imports (which would load it
 twice under two names).
 """
 
-from .server import main
+from .cli import main
 
 if __name__ == "__main__":
     main()

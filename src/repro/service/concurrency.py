@@ -15,9 +15,6 @@ This module makes the service safe — and fast — under parallel clients:
   append + synopsis rebuild runs *off* the lock while queries proceed,
   and only the final pointer swap takes the write lock.  Read latency
   stays flat during ingest.
-* :class:`SerializedQueryService` is the strawman baseline — one global
-  mutex around everything — used by the concurrency benchmark and tests
-  to quantify what the per-table locks buy.
 
 The asyncio front end in :mod:`repro.service.server` dispatches onto a
 :class:`ConcurrentQueryService` from an executor, which is why the locking
@@ -32,7 +29,6 @@ from contextlib import contextmanager
 from ..core.params import PairwiseHistParams
 from ..data.table import Table
 from ..sql.ast import Query
-from ..sql.parser import parse_query_cached
 from .database import Database, IngestResult, ManagedTable, QueryService
 
 
@@ -213,8 +209,8 @@ class ConcurrentQueryService(QueryService):
     # ------------------------------------------------------------------ #
     # Queries (shared / read side)
 
-    def execute(self, query: Query | str):
-        parsed = parse_query_cached(query) if isinstance(query, str) else query
+    def _execute_shared(self, query: Query | str, scalar: bool):
+        sql, parsed = self._parse(query)
         while True:
             lock = self.lock_for(parsed.table)
             with lock.read_locked():
@@ -222,16 +218,13 @@ class ConcurrentQueryService(QueryService):
                     continue  # dropped/re-registered underneath us; retry
                 # Cache lookup runs under the read lock, so the synopsis
                 # version it keys on cannot be swapped mid-execution.
-                return self._cached_execute(query, scalar=False)
+                return self._cached_execute(sql, parsed, scalar)
+
+    def execute(self, query: Query | str):
+        return self._execute_shared(query, scalar=False)
 
     def execute_scalar(self, query: Query | str):
-        parsed = parse_query_cached(query) if isinstance(query, str) else query
-        while True:
-            lock = self.lock_for(parsed.table)
-            with lock.read_locked():
-                if not self._lock_is_current(parsed.table, lock):
-                    continue
-                return self._cached_execute(query, scalar=True)
+        return self._execute_shared(query, scalar=True)
 
     # ------------------------------------------------------------------ #
     # Maintenance (exclusive / write side)
@@ -307,35 +300,3 @@ class ConcurrentQueryService(QueryService):
                 self._ingest_mutexes.pop(table_name, None)
         finally:
             mutex.release()
-
-
-class SerializedQueryService(QueryService):
-    """Baseline: every operation — query *and* ingest — behind one mutex.
-
-    This is what "no concurrency support" costs: while an ingest rebuilds
-    the tail synopsis, every query on every table waits.  The concurrency
-    benchmark reports throughput against this to quantify the per-table
-    reader-writer locks and the copy-on-write refresh.
-    """
-
-    def __init__(self, database: Database | None = None, **database_kwargs) -> None:
-        super().__init__(database, **database_kwargs)
-        self._mutex = threading.Lock()
-
-    def execute(self, query: Query | str):
-        with self._mutex:
-            return super().execute(query)
-
-    def execute_scalar(self, query: Query | str):
-        with self._mutex:
-            return super().execute_scalar(query)
-
-    def register_table(self, table, params=None, partition_size=None):
-        with self._mutex:
-            return super().register_table(
-                table, params=params, partition_size=partition_size
-            )
-
-    def ingest(self, table_name: str, rows: Table) -> IngestResult:
-        with self._mutex:
-            return super().ingest(table_name, rows)

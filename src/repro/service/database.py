@@ -50,6 +50,21 @@ _SYNOPSIS_BUILDS = obs_metrics.counter(
 )
 
 
+def check_rows_match(table_name: str, rows, schema) -> None:
+    """The type and schema checks every ingest front door applies."""
+    if not isinstance(rows, Table):
+        raise TypeError(
+            f"ingest into {table_name!r} needs a Table of rows, "
+            f"got {type(rows).__name__}"
+        )
+    if rows.schema.names != schema.names:
+        raise ValueError(
+            f"rows for table {table_name!r} do not match its schema: "
+            f"expected columns {schema.names}, "
+            f"got {rows.schema.names}"
+        )
+
+
 @dataclass
 class IngestResult:
     """Outcome of one streaming append: what changed and what it cost."""
@@ -302,17 +317,7 @@ class Database:
         deep inside the partitioned store.
         """
         managed = self.table(table_name)
-        if not isinstance(rows, Table):
-            raise TypeError(
-                f"ingest into {table_name!r} needs a Table of rows, "
-                f"got {type(rows).__name__}"
-            )
-        if rows.schema.names != managed.store.schema.names:
-            raise ValueError(
-                f"rows for table {table_name!r} do not match its schema: "
-                f"expected columns {managed.store.schema.names}, "
-                f"got {rows.schema.names}"
-            )
+        check_rows_match(table_name, rows, managed.store.schema)
         return managed
 
     def stage_ingest(self, table_name: str, rows: Table) -> StagedIngest:
@@ -472,6 +477,10 @@ class QueryService:
     def table(self, name: str) -> ManagedTable:
         return self.database.table(name)
 
+    def schema_for(self, table_name: str):
+        """Registered schema of one table (KeyError naming the catalog)."""
+        return self.table(table_name).store.schema
+
     def register_table(
         self,
         table: Table,
@@ -514,16 +523,19 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # Query execution
 
-    def _route(self, query: Query | str) -> tuple[Query, PairwiseHistEngine]:
-        if isinstance(query, str):
-            query = parse_query_cached(query)
-        return query, self.database.engine(query.table)
-
     def _execute_engine(self, query: Query, scalar: bool):
         engine = self.database.engine(query.table)
         return engine.execute_scalar(query) if scalar else engine.execute(query)
 
-    def _cached_execute(self, query: Query | str, scalar: bool = False):
+    def _parse(self, query: Query | str) -> tuple[str, Query]:
+        """``(sql text, parsed query)`` — the one parse-cache lookup a
+        statement pays; everything downstream takes the pair."""
+        if isinstance(query, str):
+            with obs_tracing.child_span("parse"):
+                return query, parse_query_cached(query)
+        return str(query), query
+
+    def _cached_execute(self, sql: str, parsed: Query, scalar: bool = False):
         """Execute, feeding the answer-quality hooks when attached.
 
         With no workload log or auditor attached (the default) this is a
@@ -535,19 +547,18 @@ class QueryService:
         workload = self.workload_log
         auditor = self.auditor
         if workload is None and auditor is None:
-            return self._serve_cached(query, scalar)
+            return self._serve_cached(sql, parsed, scalar)
         if auditor is not None and auditor.in_audit:
-            return self._serve_cached(query, scalar)
-        sql = query if isinstance(query, str) else str(query)
+            return self._serve_cached(sql, parsed, scalar)
         started = time.perf_counter()
-        result = self._serve_cached(query, scalar)
+        result = self._serve_cached(sql, parsed, scalar)
         if workload is not None:
             workload.observe(sql, time.perf_counter() - started)
         if auditor is not None:
             auditor.consider(sql)
         return result
 
-    def _serve_cached(self, query: Query | str, scalar: bool = False):
+    def _serve_cached(self, sql: str, parsed: Query, scalar: bool = False):
         """Execute through the synopsis-version-keyed result cache.
 
         The key is ``(table, synopsis_version, scalar, sql_text)``; the
@@ -557,11 +568,6 @@ class QueryService:
         the current version, so the stale entry can never be served and
         simply ages out of the LRU.
         """
-        if isinstance(query, str):
-            with obs_tracing.child_span("parse"):
-                sql, parsed = query, parse_query_cached(query)
-        else:
-            sql, parsed = str(query), query
         if self.result_cache_size <= 0:
             with obs_tracing.child_span("execute", attrs={"table": parsed.table}):
                 return self._execute_engine(parsed, scalar)
@@ -608,11 +614,11 @@ class QueryService:
 
     def execute(self, query: Query | str) -> list[AqpResult] | dict[str, list[AqpResult]]:
         """Execute a query against the table it names."""
-        return self._cached_execute(query, scalar=False)
+        return self._cached_execute(*self._parse(query), scalar=False)
 
     def execute_scalar(self, query: Query | str) -> AqpResult:
         """Execute a non-GROUP BY query, returning the first aggregation."""
-        return self._cached_execute(query, scalar=True)
+        return self._cached_execute(*self._parse(query), scalar=True)
 
     def query(self, query: Query | str) -> list[AqpResult] | dict[str, list[AqpResult]]:
         """Alias for :meth:`execute` matching the async front end's verb."""
@@ -631,13 +637,35 @@ class QueryService:
 
         return build_explain(self, sql, analyze=analyze)
 
-    def workload_snapshot(self) -> dict:
+    def status_extra(self) -> dict:
+        """This service's share of the ``status`` op payload: cache stats
+        and, on a durable database, LSN positions."""
+        extra: dict = {
+            "cache_stats": {t: dict(stats) for t, stats in self.cache_stats.items()}
+        }
+        wal = getattr(self.database, "wal", None)
+        if wal is not None:
+            # The follower applies through the durable commit path, so
+            # applied == durable on every role.
+            extra["durable_lsn"] = extra["applied_lsn"] = wal.last_lsn
+            extra["last_checkpoint_lsn"] = self.database.last_checkpoint_lsn
+        return extra
+
+    def metrics(self) -> dict:
+        """This process's registry snapshot (a cluster front end fans out)."""
+        return obs_metrics.REGISTRY.snapshot()
+
+    def trace(self, trace_id: str) -> list[dict]:
+        """Finished spans recorded in this process for ``trace_id``."""
+        return obs_tracing.spans_for(trace_id)
+
+    def workload(self) -> dict:
         """The workload log's template ring (empty when none is attached)."""
         if self.workload_log is None:
             return {"capacity": 0, "evicted": 0, "templates": []}
         return self.workload_log.snapshot()
 
-    def audit_snapshot(self) -> dict:
+    def audit(self) -> dict:
         """The auditor's counters and recent violations (or ``enabled: False``)."""
         if self.auditor is None:
             return {"enabled": False}

@@ -12,8 +12,8 @@ Negotiation
 A binary client opens its connection by sending the 4-byte magic
 :data:`MAGIC`.  JSON-lines requests always start with ``{`` (0x7B), so
 the server sniffs the first bytes of every connection: magic → binary
-frames, anything else → the legacy newline-delimited-JSON protocol.
-Existing clients keep working unchanged.
+frames, anything else → the newline-delimited-JSON shim in front of the
+same dispatcher.
 
 Frame layout (all integers little-endian)
 -----------------------------------------
@@ -41,9 +41,9 @@ Ops / payloads
   ``codec.encode_table(rows)`` (the lossless binary table codec — no
   JSON round trip for row payloads); OK payload is a JSON object.
 * ``OP_JSON`` (5) — a JSON-encoded request object (the same shape the
-  JSON-lines protocol accepts), for cold-path ops (register, drop,
-  tables, stat, checkpoint, persist, status, promote, follow, explain,
-  workload, audit); OK payload is the JSON result.
+  JSON-lines shim accepts), for every op without a codec of its own —
+  the op table in :mod:`repro.service.ops` says which; OK payload is the
+  JSON result.
 * ``OP_SUBSCRIBE`` (6) — ``<Q after_lsn>`` + ``pack_string(follower_id)``.
   A replication follower sends this once; the server then streams
   ``STATUS_OK`` frames tagged with the subscribe request id for the life
@@ -90,6 +90,10 @@ from ..storage.codec import (
 
 #: Connection preamble a binary client sends once after connecting.
 MAGIC = b"AQP1"
+
+#: Largest request line / frame payload either end accepts (asyncio's
+#: 64 KiB stream default is far smaller than a realistic ingest frame).
+DEFAULT_LINE_LIMIT = 32 * 1024 * 1024
 
 #: Frame header: op/status byte, request id, payload length.
 HEADER = struct.Struct("<BQI")

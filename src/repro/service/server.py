@@ -1,31 +1,28 @@
-"""Asyncio front end and line-protocol server for the query service.
+"""Asyncio front end and TCP server for the query service.
 
-:class:`AsyncQueryService` exposes ``query`` / ``ingest`` /
-``register_table`` as coroutines over a thread-safe
-:class:`~repro.service.concurrency.ConcurrentQueryService`.  CPU work is
-dispatched to a bounded thread-pool executor, so the event loop stays
-responsive while hundreds of dashboard clients multiplex onto a handful
-of worker threads.  Small appends are coalesced: each table gets an
-ingest queue whose drain task batches everything pending into a single
+:class:`AsyncFacade` is the coroutine face of a synchronous service:
+every call hops onto a bounded thread-pool executor, so the event loop
+stays responsive while hundreds of dashboard clients multiplex onto a
+handful of worker threads.  :class:`AsyncQueryService` adds what a
+single node needs on top — ingest coalescing: each table gets an ingest
+queue whose drain task batches everything pending into a single
 tail-partition recompression, amortising the synopsis rebuild across
 writers (the paper's bounded-cost update, amortised once more).
 
 :class:`QueryServer` puts a TCP protocol in front of it
-(``asyncio.start_server``) speaking **two negotiated dialects** on one
-port (sniffed from the first bytes of each connection, see
-:mod:`repro.service.framing`):
-
-* the length-prefixed **binary pipelined protocol** — many in-flight
-  requests per connection, responses matched by request id, binary row
-  and result payloads (no JSON on the hot path);
-* the legacy **newline-delimited-JSON** protocol, kept as a fallback so
-  existing clients and scripts work unchanged:
+(``asyncio.start_server``).  **The** protocol is the length-prefixed
+binary pipelined one (:mod:`repro.service.framing`): many in-flight
+requests per connection, responses matched by request id, binary row and
+result payloads for the hot ops and a JSON request object tunnelled in an
+``OP_JSON`` frame for the rest.  A connection that does not open with the
+binary magic is served by a small newline-delimited-JSON shim in front
+of the same dispatcher, handy for ``nc`` and scripts:
 
     → {"op": "query",  "sql": "SELECT AVG(x) FROM t WHERE y > 3"}
     ← {"ok": true, "result": {"results": [{"value": ..., ...}]}}
 
-Supported ops: ``query``, ``ingest``, ``register``, ``drop``, ``tables``,
-``ping``, ``checkpoint``, ``persist``.
+The ops themselves — names, validation, handlers, reply encodings — are
+the rows of :mod:`repro.service.ops`; this module only moves them.
 Errors come back as ``{"ok": false, "error": ..., "error_type": ...}``
 (JSON) or a ``STATUS_ERROR`` frame (binary) — never as a dropped
 connection or a stack trace.
@@ -37,9 +34,7 @@ immediately with an explicit ``Overloaded`` error frame
 the service degrades gracefully at overload rather than collapsing.
 
 Run it as a process with ``python -m repro.service --data-dir
-/var/lib/aqp``: the data directory makes the whole catalog durable (WAL +
-background snapshot checkpoints via :mod:`repro.storage`), so a killed
-server restarted on the same directory recovers every table.
+/var/lib/aqp`` (:mod:`repro.service.cli`).
 """
 
 from __future__ import annotations
@@ -47,33 +42,19 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import json
-import math
 import socket
 import struct
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from pathlib import Path
 
-from ..audit.explain import split_explain
-from ..core.engine import AqpResult
-from ..core.params import PairwiseHistParams
 from ..data.table import Table
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
-from ..sql.ast import Query
-from ..sql.parser import ParseError
-from ..storage.checkpointer import BackgroundCheckpointer
 from ..storage.faults import maybe_crash
-from . import framing, wire
+from . import framing, ops
 from .concurrency import ConcurrentQueryService
-from .database import (
-    DEFAULT_RESULT_CACHE_SIZE,
-    Database,
-    IngestResult,
-    ManagedTable,
-)
+from .ops import encode_result  # noqa: F401  (part of this module's surface)
 
 #: Coalesce at most this many rows into one batched tail recompression.
 DEFAULT_MAX_BATCH_ROWS = 65_536
@@ -82,10 +63,6 @@ DEFAULT_MAX_BATCH_ROWS = 65_536
 #: arrives (seconds).  0 keeps the legacy behaviour: batch only what is
 #: already queued.
 DEFAULT_MAX_BATCH_DELAY = 0.0
-
-#: Per-line buffer limit for the TCP protocol (asyncio's default is 64 KiB,
-#: far smaller than a realistic ingest frame).
-DEFAULT_LINE_LIMIT = 32 * 1024 * 1024
 
 #: Admission-control defaults: in-flight requests past these limits are
 #: shed with an explicit ``Overloaded`` response instead of queueing.
@@ -114,80 +91,35 @@ _SHED_CELLS = {
 }
 
 
-def _observe_latency(kind: str, seconds: float) -> None:
-    cell = _LATENCY_CELLS.get(kind)
-    if cell is None:
-        cell = _LATENCY_CELLS[kind] = _REQUEST_LATENCY.labels(kind=kind)
-    cell.observe(seconds)
+class AsyncFacade:
+    """Coroutine face of a synchronous service (single-node or cluster).
 
-
-class AsyncQueryService:
-    """Coroutine face of a :class:`ConcurrentQueryService`.
-
-    ``query`` / ``query_scalar`` / ``register_table`` dispatch straight to
-    the bounded executor; ``ingest`` goes through a per-table coalescing
-    queue unless ``coalesce=False``.  Use as an async context manager (or
-    call :meth:`close`) so the drain tasks and executor shut down cleanly.
+    :meth:`call` runs an op-table row's handler against the wrapped
+    service on a bounded executor — the one executor hop every async face
+    shares.  Use as an async context manager (or call :meth:`close`) so
+    the executor shuts down cleanly.
     """
 
-    def __init__(
-        self,
-        service: ConcurrentQueryService | None = None,
-        max_workers: int = 4,
-        max_batch_rows: int = DEFAULT_MAX_BATCH_ROWS,
-        max_batch_delay: float = DEFAULT_MAX_BATCH_DELAY,
-        **service_kwargs,
-    ) -> None:
-        if service is not None and service_kwargs:
-            raise ValueError("pass either a service or its constructor arguments")
-        self.service = service or ConcurrentQueryService(**service_kwargs)
-        self.max_batch_rows = max_batch_rows
-        self.max_batch_delay = max_batch_delay
+    def __init__(self, inner, max_workers: int = 4) -> None:
+        self.inner = inner
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="aqp-worker"
         )
-        self._ingest_queues: dict[str, asyncio.Queue] = {}
-        self._drain_tasks: dict[str, asyncio.Task] = {}
         self._closed = False
 
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-
-    async def __aenter__(self) -> "AsyncQueryService":
+    async def __aenter__(self):
         return self
 
     async def __aexit__(self, *exc_info) -> None:
         await self.close()
 
     async def close(self) -> None:
-        """Cancel drain tasks, fail queued ingests and release the executor."""
-        if self._closed:
-            return
         self._closed = True
-        for task in self._drain_tasks.values():
-            task.cancel()
-        for task in self._drain_tasks.values():
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        # Anything still sitting in a queue was never dequeued by a drain
-        # task; cancel those futures so their awaiting callers don't hang.
-        for queue in self._ingest_queues.values():
-            while not queue.empty():
-                _, future = queue.get_nowait()
-                if not future.done():
-                    future.cancel()
-        self._drain_tasks.clear()
-        self._ingest_queues.clear()
         # Waiting for in-flight executor work can take as long as a synopsis
         # rebuild; do it off the event loop so other tasks keep running.
         await asyncio.get_running_loop().run_in_executor(
             None, partial(self._executor.shutdown, wait=True)
         )
-
-    # ------------------------------------------------------------------ #
-    # Dispatch
 
     async def _dispatch(self, fn, *args, **kwargs):
         if self._closed:
@@ -205,33 +137,68 @@ class AsyncQueryService:
             call = partial(fn, *args, **kwargs)
         return await loop.run_in_executor(self._executor, call)
 
-    # ------------------------------------------------------------------ #
-    # Coroutine API
+    def call(self, op: ops.Op, *args):
+        """Awaitable: one op-table row's handler against the wrapped service."""
+        return self._dispatch(op.handler, self.inner, *args)
 
-    async def query(self, query: Query | str):
-        """Execute a query (list of results, or a dict for GROUP BY)."""
-        return await self._dispatch(self.service.execute, query)
 
-    async def query_scalar(self, query: Query | str) -> AqpResult:
-        """Execute a non-GROUP BY query, returning the first aggregation."""
-        return await self._dispatch(self.service.execute_scalar, query)
+class AsyncQueryService(AsyncFacade):
+    """Coroutine face of a :class:`ConcurrentQueryService`.
 
-    async def register_table(
+    ``query`` / ``query_scalar`` / ``register_table`` (and every op row)
+    dispatch straight to the bounded executor; ``ingest`` goes through a
+    per-table coalescing queue unless ``coalesce=False`` (and
+    ``drop_table`` retires that queue).
+    """
+
+    def __init__(
         self,
-        table: Table,
-        params: PairwiseHistParams | None = None,
-        partition_size: int | None = None,
-    ) -> ManagedTable:
-        return await self._dispatch(
-            self.service.register_table,
-            table,
-            params=params,
-            partition_size=partition_size,
+        service: ConcurrentQueryService | None = None,
+        max_workers: int = 4,
+        max_batch_rows: int = DEFAULT_MAX_BATCH_ROWS,
+        max_batch_delay: float = DEFAULT_MAX_BATCH_DELAY,
+        **service_kwargs,
+    ) -> None:
+        if service is not None and service_kwargs:
+            raise ValueError("pass either a service or its constructor arguments")
+        super().__init__(service or ConcurrentQueryService(**service_kwargs), max_workers)
+        self.service = self.inner
+        self.max_batch_rows = max_batch_rows
+        self.max_batch_delay = max_batch_delay
+        self._ingest_queues: dict[str, asyncio.Queue] = {}
+        self._drain_tasks: dict[str, asyncio.Task] = {}
+        #: Ops this face answers itself instead of hopping the row's handler.
+        self._own_ops = {"ingest": self.ingest, "drop": self._drop}
+
+    async def close(self) -> None:
+        """Cancel drain tasks, fail queued ingests and release the executor."""
+        if self._closed:
+            return
+        self._closed = True  # refuse new work before draining what is queued
+        for table_name in list(self._drain_tasks):
+            await self._retire_queue(table_name)
+        await super().close()
+
+    def call(self, op: ops.Op, *args):
+        own = self._own_ops.get(op.name)
+        if own is not None:
+            return own(*args)
+        return self._dispatch(op.handler, self.inner, *args)
+
+    def query(self, query):
+        """Execute a query (list of results, or a dict for GROUP BY)."""
+        return self._dispatch(self.service.execute, query)
+
+    def query_scalar(self, query):
+        """Execute a non-GROUP BY query, returning the first aggregation."""
+        return self._dispatch(self.service.execute_scalar, query)
+
+    def register_table(self, table: Table, params=None, partition_size=None):
+        return self._dispatch(
+            self.service.register_table, table, params, partition_size
         )
 
-    async def ingest(
-        self, table_name: str, rows: Table, coalesce: bool = True
-    ) -> IngestResult:
+    async def ingest(self, table_name: str, rows: Table, coalesce: bool = True):
         """Append rows; small concurrent appends coalesce into one rebuild.
 
         All callers whose rows land in the same drained batch share a
@@ -250,6 +217,10 @@ class AsyncQueryService:
         queue.put_nowait((rows, future))
         return await future
 
+    @property
+    def table_names(self) -> list[str]:
+        return self.service.table_names
+
     async def drop_table(self, table_name: str) -> None:
         """Drop a table, retiring its coalescing queue and drain task.
 
@@ -267,6 +238,10 @@ class AsyncQueryService:
         # validate-and-enqueue step is atomic on the event loop).
         await self._retire_queue(table_name)
 
+    async def _drop(self, table_name: str) -> dict:
+        await self.drop_table(table_name)
+        return {"table": table_name, "dropped": True}
+
     async def _retire_queue(self, table_name: str) -> None:
         task = self._drain_tasks.pop(table_name, None)
         queue = self._ingest_queues.pop(table_name, None)
@@ -276,96 +251,13 @@ class AsyncQueryService:
                 await task
             except asyncio.CancelledError:
                 pass
+        # Anything still sitting in the queue was never dequeued by the
+        # drain task; cancel those futures so their callers don't hang.
         if queue is not None:
             while not queue.empty():
                 _, future = queue.get_nowait()
                 if not future.done():
                     future.cancel()
-
-    @property
-    def table_names(self) -> list[str]:
-        return self.service.table_names
-
-    def schema_for(self, table_name: str):
-        """Registered schema of one table (KeyError naming the catalog)."""
-        return self.service.table(table_name).store.schema
-
-    async def stat(self, table_name: str) -> dict:
-        """Exact row/partition counts of one table (cheap catalog lookup).
-
-        The cluster front end uses this to resolve an ambiguous ingest —
-        a worker that died after the WAL append but before the response —
-        by checking whether the batch's rows are actually there.
-        """
-        managed = await self._dispatch(self.service.table, table_name)
-        return {
-            "table": table_name,
-            "rows": managed.num_rows,
-            "partitions": managed.num_partitions,
-        }
-
-    # ------------------------------------------------------------------ #
-    # Durability
-
-    async def checkpoint(self):
-        """Snapshot the catalog to the database's data directory.
-
-        Raises :class:`ValueError` when the underlying database was not
-        opened durably (no data directory).
-        """
-        return await self._dispatch(self.service.checkpoint)
-
-    async def persist(self) -> int:
-        """fsync the WAL; returns the last durable LSN."""
-        return await self._dispatch(self.service.persist)
-
-    # ------------------------------------------------------------------ #
-    # Observability
-
-    async def status_extra(self) -> dict:
-        """Cache stats + LSN positions for the ``status`` op payload.
-
-        Both async facades implement this, so the server's status payload
-        is complete on every deployment shape (the cluster facade fans the
-        equivalent out to its workers).
-        """
-        extra: dict = {}
-        inner = self.service
-        cache_stats = getattr(inner, "cache_stats", None)
-        if cache_stats is not None:
-            extra["cache_stats"] = {
-                table: dict(stats) for table, stats in cache_stats.items()
-            }
-        database = getattr(inner, "database", None)
-        wal = getattr(database, "wal", None)
-        if wal is not None:
-            durable = wal.last_lsn
-            # The follower applies through the durable commit path, so
-            # applied == durable on every role.
-            extra["durable_lsn"] = durable
-            extra["applied_lsn"] = durable
-            extra["last_checkpoint_lsn"] = database.last_checkpoint_lsn
-        return extra
-
-    async def metrics(self) -> dict:
-        """This process's registry snapshot (the cluster facade fans out)."""
-        return obs_metrics.REGISTRY.snapshot()
-
-    async def trace(self, trace_id: str) -> list[dict]:
-        """Finished spans recorded in this process for ``trace_id``."""
-        return tracing.spans_for(trace_id)
-
-    async def explain(self, sql: str, analyze: bool = False) -> dict:
-        """Structured EXPLAIN plan (``analyze=True`` also executes)."""
-        return await self._dispatch(self.service.explain, sql, analyze)
-
-    async def workload(self) -> dict:
-        """The workload log's normalized-template snapshot."""
-        return await self._dispatch(self.service.workload_snapshot)
-
-    async def audit_stats(self) -> dict:
-        """The accuracy auditor's counters and recent violations."""
-        return await self._dispatch(self.service.audit_snapshot)
 
     # ------------------------------------------------------------------ #
     # Ingest coalescing
@@ -442,59 +334,21 @@ class AsyncQueryService:
                         f.set_result(result)
 
 
-# --------------------------------------------------------------------------- #
-# Wire format
-
-
-def encode_result(result) -> dict:
-    """JSON-encodable payload for one execute() return value."""
-    if isinstance(result, dict):  # GROUP BY: label -> [AqpResult]
-        return {
-            "groups": {
-                label: [_encode_aqp(r) for r in results]
-                for label, results in result.items()
-            }
-        }
-    return {"results": [_encode_aqp(r) for r in result]}
-
-
-def _encode_aqp(result: AqpResult) -> dict:
-    aggregation = result.aggregation
-    column = aggregation.column if aggregation.column is not None else "*"
-    return {
-        "aggregation": f"{aggregation.func.value}({column})",
-        "value": _json_float(result.value),
-        "lower": _json_float(result.lower),
-        "upper": _json_float(result.upper),
-        "group": result.group,
-    }
-
-
-def _json_float(value: float) -> float | None:
-    """NaN / inf are not valid JSON; encode them as null."""
-    return value if isinstance(value, (int, float)) and math.isfinite(value) else None
-
-
-def _encode_ingest(result: IngestResult) -> dict:
-    return {
-        "table": result.table_name,
-        "appended_rows": result.appended_rows,
-        "rebuilt_partitions": result.rebuilt_partitions,
-        "total_partitions": result.total_partitions,
-        "seconds": result.seconds,
-    }
-
-
-#: Errors the server converts into clean ``{"ok": false}`` responses.
-_CLIENT_ERRORS = (KeyError, ValueError, TypeError, ParseError)
+def _error_frame(request_id: int, exc: BaseException) -> bytes:
+    fields = ops.error_fields(exc)
+    return framing.encode_frame(
+        framing.STATUS_ERROR,
+        request_id,
+        framing.encode_error(fields["error_type"], fields["error"]),
+    )
 
 
 class QueryServer:
-    """Dual-protocol TCP server over an :class:`AsyncQueryService`.
+    """TCP server over an :class:`AsyncFacade`, one dispatcher for every op.
 
     Each connection is sniffed: the :data:`~repro.service.framing.MAGIC`
     preamble selects the binary pipelined protocol, anything else the
-    legacy JSON-lines dialect (see the module docstring).
+    JSON-lines shim (see the module docstring).
 
     >>> server = QueryServer(async_service)          # doctest: +SKIP
     >>> await server.start()                         # doctest: +SKIP
@@ -503,10 +357,10 @@ class QueryServer:
 
     def __init__(
         self,
-        service: AsyncQueryService,
+        service: AsyncFacade,
         host: str = "127.0.0.1",
         port: int = 0,
-        line_limit: int = DEFAULT_LINE_LIMIT,
+        line_limit: int = framing.DEFAULT_LINE_LIMIT,
         max_inflight_queries: int | None = DEFAULT_MAX_INFLIGHT_QUERIES,
         max_inflight_ingests: int | None = DEFAULT_MAX_INFLIGHT_INGESTS,
         replication=None,
@@ -552,7 +406,8 @@ class QueryServer:
         self._inflight[kind] += 1
         return True
 
-    def _release(self, kind: str) -> None:
+    def _release(self, kind: str, started: float) -> None:
+        _LATENCY_CELLS[kind].observe(time.perf_counter() - started)
         self._inflight[kind] -= 1
 
     def _overloaded_message(self, kind: str) -> str:
@@ -596,271 +451,35 @@ class QueryServer:
         await self.close()
 
     # ------------------------------------------------------------------ #
-    # Protocol
+    # The dispatcher
 
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        self._connections.add(writer)
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            # Small request/response frames + Nagle's algorithm = up to
-            # ~40 ms artificial stalls; this workload is exactly that.
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        try:
-            # Negotiation sniff: binary clients lead with the 4-byte magic,
-            # JSON-lines requests start with '{'.  Read one byte at a time
-            # so a degenerate short first line (e.g. "{}\n") can never
-            # stall the sniff waiting for a fourth byte.
-            preamble = b""
-            while len(preamble) < len(framing.MAGIC):
-                byte = await reader.read(1)
-                if not byte:
-                    return
-                preamble += byte
-                if preamble == framing.MAGIC[: len(preamble)]:
-                    continue
-                break
-            if preamble == framing.MAGIC:
-                await self._serve_binary(reader, writer)
-            else:
-                await self._serve_json(reader, writer, first=preamble)
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+    async def _execute(
+        self, op: ops.Op, request: dict | None, payload: bytes = b"", trace=None
+    ):
+        """Run one admitted request of either dialect; returns the reply body.
 
-    async def _serve_json(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        first: bytes = b"",
-    ) -> None:
-        """The legacy newline-delimited-JSON loop (negotiated fallback).
-
-        ``first`` is whatever the negotiation sniff consumed; if it already
-        ends the first line, that request is served before reading again —
-        blocking in ``readline()`` first would deadlock a client awaiting
-        its first response.
+        ``request`` is the JSON request object, or ``None`` for a
+        fast-path frame whose arguments are in ``payload`` (and whose
+        trace ids, if any, came in the frame trailer).
         """
-        pending = first
-        while True:
-            if pending.endswith(b"\n"):
-                line, pending = pending, b""
-            else:
-                try:
-                    rest = await reader.readline()
-                except ValueError as exc:
-                    # Line exceeded the buffer limit; the stream cannot be
-                    # re-synchronised, so answer with an error frame and
-                    # drop this connection only.
-                    writer.write(
-                        json.dumps(self._error(exc)).encode("utf-8") + b"\n"
-                    )
-                    await writer.drain()
-                    break
-                if not rest:
-                    break
-                line, pending = pending + rest, b""
-                if not line.endswith(b"\n"):
-                    break  # EOF mid-line
-            response = await self._respond(line)
-            writer.write(json.dumps(response).encode("utf-8") + b"\n")
-            await writer.drain()
-
-    async def _serve_binary(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """The pipelined binary loop: one task per frame, answers by id.
-
-        Frames are admitted (or shed) synchronously in arrival order, then
-        executed concurrently; each response is written as a single
-        ``write()`` as soon as its work completes, in whatever order that
-        happens — clients match responses to requests by id.
-        """
-        tasks: set[asyncio.Task] = set()
-        #: follower_id of the subscription (if any) living on this
-        #: connection — OP_WAL_ACK frames carry only an LSN and are
-        #: attributed to it.
-        subscriber_id: str | None = None
-        try:
-            while True:
-                try:
-                    header = await reader.readexactly(framing.HEADER_SIZE)
-                except asyncio.IncompleteReadError:
-                    break
-                op, request_id, payload_len = framing.decode_header(header)
-                traced = bool(op & framing.TRACE_FLAG)
-                op &= ~framing.TRACE_FLAG
-                if payload_len > self.line_limit:
-                    # readexactly() is not bounded by the stream limit the
-                    # way readline() is, so enforce it explicitly; the
-                    # stream cannot be re-synchronised after refusing.
-                    writer.write(
-                        framing.encode_frame(
-                            framing.STATUS_ERROR,
-                            request_id,
-                            framing.encode_error(
-                                "ValueError",
-                                f"frame payload of {payload_len} bytes exceeds "
-                                f"the {self.line_limit} byte limit",
-                            ),
-                        )
-                    )
-                    await writer.drain()
-                    break
-                payload = await reader.readexactly(payload_len)
-                trace: tuple[bytes, bytes] | None = None
-                if traced:
-                    trailer = await reader.readexactly(framing.TRACE_TRAILER_SIZE)
-                    trace = framing.decode_trace_trailer(trailer)
-                if op == framing.OP_WAL_ACK:
-                    # One-way: no response frame, no admission slot.
-                    rep = self.replication
-                    if subscriber_id is not None and rep is not None and rep.hub is not None:
-                        rep.hub.update_ack(
-                            subscriber_id, framing.decode_wal_ack(payload)
-                        )
-                    continue
-                if op == framing.OP_SUBSCRIBE:
-                    try:
-                        after_lsn, follower_id = framing.decode_subscribe(payload)
-                    except (ValueError, struct.error) as exc:
-                        writer.write(
-                            framing.encode_frame(
-                                framing.STATUS_ERROR,
-                                request_id,
-                                framing.encode_error(type(exc).__name__, str(exc)),
-                            )
-                        )
-                        await writer.drain()
-                        continue
-                    subscriber_id = follower_id
-                    task = asyncio.ensure_future(
-                        self._serve_subscription(
-                            writer, request_id, after_lsn, follower_id
-                        )
-                    )
-                    tasks.add(task)
-                    task.add_done_callback(tasks.discard)
-                    continue
-                kind = "ingest" if op == framing.OP_INGEST else "query"
-                request = None
-                if op == framing.OP_JSON:
-                    # Parse inline so admission classifies JSON-op ingests
-                    # correctly (and malformed JSON errors out cleanly).
-                    try:
-                        request = framing.decode_json(payload)
-                    except (
-                        json.JSONDecodeError,
-                        UnicodeDecodeError,
-                    ) as exc:
-                        writer.write(
-                            framing.encode_frame(
-                                framing.STATUS_ERROR,
-                                request_id,
-                                framing.encode_error(
-                                    type(exc).__name__, str(exc)
-                                ),
-                            )
-                        )
-                        await writer.drain()
-                        continue
-                    if isinstance(request, dict) and request.get("op") == "ingest":
-                        kind = "ingest"
-                if not self._admit(kind):
-                    writer.write(
-                        framing.encode_frame(
-                            framing.STATUS_OVERLOADED,
-                            request_id,
-                            framing.encode_error(
-                                framing.OVERLOADED_ERROR_TYPE,
-                                self._overloaded_message(kind),
-                            ),
-                        )
-                    )
-                    await writer.drain()
-                    continue
-                task = asyncio.ensure_future(
-                    self._serve_frame(
-                        writer, op, request_id, payload, kind, request, trace
-                    )
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        finally:
-            if tasks:
-                for task in tasks:
-                    task.cancel()
-                await asyncio.gather(*tasks, return_exceptions=True)
-
-    async def _serve_frame(
-        self,
-        writer: asyncio.StreamWriter,
-        op: int,
-        request_id: int,
-        payload: bytes,
-        kind: str,
-        request: dict | None,
-        trace: tuple[bytes, bytes] | None = None,
-    ) -> None:
-        """Execute one admitted binary frame and write its response."""
-        started = time.perf_counter()
-        try:
-            try:
-                body = await self._execute_binary_op(op, payload, request, trace)
-                status = framing.STATUS_OK
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                # Same contract as JSON: errors are frames, never dropped
-                # connections or stack traces.
-                status = framing.STATUS_ERROR
-                message = exc.args[0] if exc.args else str(exc)
-                body = framing.encode_error(type(exc).__name__, str(message))
-            try:
-                writer.write(framing.encode_frame(status, request_id, body))
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError, RuntimeError):
-                pass  # client went away; nothing to answer
-        finally:
-            _observe_latency(kind, time.perf_counter() - started)
-            self._release(kind)
-
-    async def _serve_subscription(
-        self, writer: asyncio.StreamWriter, request_id: int, after_lsn: int, follower_id: str
-    ) -> None:
-        """Run one replication subscription for the connection's lifetime."""
-        rep = self.replication
-        try:
-            if rep is None or rep.hub is None:
-                raise ValueError(
-                    "this server does not accept replication subscriptions"
-                )
-            await rep.hub.stream(writer, request_id, after_lsn, follower_id)
-        except asyncio.CancelledError:
-            raise
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass  # the follower went away; its grace-period floor remains
-        except Exception as exc:
-            message = exc.args[0] if exc.args else str(exc)
-            try:
-                writer.write(
-                    framing.encode_frame(
-                        framing.STATUS_ERROR,
-                        request_id,
-                        framing.encode_error(type(exc).__name__, str(message)),
-                    )
-                )
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError, RuntimeError):
-                pass
-
-    # ------------------------------------------------------------------ #
-    # Replication gates
+        if op.mutating:
+            self._require_writable()
+        if request is None:
+            args = op.binary.decode_request(payload)
+            if trace is not None:
+                trace = (trace[0].hex(), trace[1].hex())
+        else:
+            args = op.extract(self.service.inner, request) if op.extract else ()
+            trace = self._trace_from_request(request)
+        if op.serve is not None:
+            result = await op.serve(self, args, trace)
+        else:
+            result = await self.service.call(op, *args)
+        if op.mutating:
+            await self._commit_gate()
+            if op.before_ack is not None:
+                maybe_crash(op.before_ack)
+        return op.encode(result)
 
     def _require_writable(self) -> None:
         """Reject external mutations on a read replica (the apply loop
@@ -901,192 +520,6 @@ class QueryServer:
                     "unacknowledged — retry"
                 )
 
-    async def _execute_binary_op(
-        self,
-        op: int,
-        payload: bytes,
-        request: dict | None,
-        trace: tuple[bytes, bytes] | None = None,
-    ) -> bytes:
-        if op == framing.OP_PING:
-            return b""
-        if op == framing.OP_QUERY:
-            sql = framing.decode_query(payload)
-            hex_trace = (trace[0].hex(), trace[1].hex()) if trace else None
-            with self._query_span(sql, hex_trace):
-                result = await self.service.query(sql)
-            return framing.encode_result(encode_result(result))
-        if op == framing.OP_QUERY_BATCH:
-            sqls = framing.decode_query_batch(payload)
-
-            async def run_one(sql: str) -> dict:
-                try:
-                    result = encode_result(await self.service.query(sql))
-                    return {"ok": True, "result": result}
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:
-                    message = exc.args[0] if exc.args else str(exc)
-                    return {
-                        "ok": False,
-                        "error_type": type(exc).__name__,
-                        "error": str(message),
-                    }
-
-            items = await asyncio.gather(*(run_one(sql) for sql in sqls))
-            return framing.encode_batch_response(list(items))
-        if op == framing.OP_INGEST:
-            self._require_writable()
-            table_name, rows, coalesce = framing.decode_ingest(payload)
-            result = await self.service.ingest(table_name, rows, coalesce=coalesce)
-            await self._commit_gate()
-            # Same crash drill as the JSON path: the batch is WAL-committed
-            # but the acknowledgement never leaves the process.  Cluster
-            # tests arm this to pin the front end's exactly-once recovery.
-            maybe_crash("server.ingest.before_ack")
-            return framing.encode_json(_encode_ingest(result))
-        if op == framing.OP_JSON:
-            if not isinstance(request, dict):
-                raise ValueError("requests must be JSON objects")
-            return framing.encode_json(await self._execute_op(request))
-        raise ValueError(f"unknown binary op {op}")
-
-    async def _respond(self, line: bytes) -> dict:
-        try:
-            request = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return self._error(exc)
-        if not isinstance(request, dict):
-            return self._error(ValueError("requests must be JSON objects"))
-        kind = "ingest" if request.get("op") == "ingest" else "query"
-        if not self._admit(kind):
-            return {
-                "ok": False,
-                "error": self._overloaded_message(kind),
-                "error_type": framing.OVERLOADED_ERROR_TYPE,
-            }
-        started = time.perf_counter()
-        try:
-            return {"ok": True, "result": await self._execute_op(request)}
-        except _CLIENT_ERRORS as exc:
-            return self._error(exc)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            # The documented contract: errors are frames, never dropped
-            # connections or stack traces (e.g. a query racing close()).
-            return self._error(exc)
-        finally:
-            _observe_latency(kind, time.perf_counter() - started)
-            self._release(kind)
-
-    @staticmethod
-    def _error(exc: Exception) -> dict:
-        message = exc.args[0] if exc.args else str(exc)
-        return {"ok": False, "error": str(message), "error_type": type(exc).__name__}
-
-    async def _execute_op(self, request: dict):
-        op = request.get("op")
-        if op == "ping":
-            return "pong"
-        if op == "tables":
-            return {"tables": self.service.table_names}
-        if op == "stat":
-            table_name = request.get("table")
-            if not isinstance(table_name, str):
-                raise ValueError("stat requests need a 'table' name")
-            return await self.service.stat(table_name)
-        if op == "query":
-            if "sql" not in request:
-                raise ValueError("query requests need a 'sql' field")
-            sql = request["sql"]
-            # SQL-prefix form: "EXPLAIN [ANALYZE] <query>" through the
-            # ordinary query op answers the structured plan instead.
-            prefixed = split_explain(sql) if isinstance(sql, str) else None
-            if prefixed is not None:
-                analyze, inner_sql = prefixed
-                return {"explain": await self.service.explain(inner_sql, analyze)}
-            with self._query_span(sql, self._trace_from_request(request)):
-                result = await self.service.query(sql)
-            return encode_result(result)
-        if op == "ingest":
-            self._require_writable()
-            table_name, rows = self._rows_from_request(request)
-            result = await self.service.ingest(
-                table_name, rows, coalesce=bool(request.get("coalesce", True))
-            )
-            await self._commit_gate()
-            # The nastiest distributed window: the batch is WAL-committed
-            # but the acknowledgement never leaves the process.  Cluster
-            # tests arm this to pin the front end's exactly-once recovery.
-            maybe_crash("server.ingest.before_ack")
-            return _encode_ingest(result)
-        if op == "register":
-            self._require_writable()
-            table_name, rows = self._rows_from_request(request, registered=False)
-            params = request.get("params")
-            managed = await self.service.register_table(
-                rows,
-                params=wire.params_from_payload(params) if params is not None else None,
-                partition_size=request.get("partition_size"),
-            )
-            await self._commit_gate()
-            return {
-                "table": managed.name,
-                "rows": managed.num_rows,
-                "partitions": managed.num_partitions,
-            }
-        if op == "drop":
-            self._require_writable()
-            table_name = request.get("table")
-            if not isinstance(table_name, str):
-                raise ValueError("drop requests need a 'table' name")
-            await self.service.drop_table(table_name)
-            await self._commit_gate()
-            return {"table": table_name, "dropped": True}
-        if op == "status":
-            return await self._status_payload()
-        if op == "metrics":
-            return {"metrics": await self.service.metrics()}
-        if op == "trace":
-            trace_id = request.get("trace_id")
-            if not isinstance(trace_id, str):
-                raise ValueError("trace requests need a 'trace_id' string")
-            return {"trace_id": trace_id, "spans": await self.service.trace(trace_id)}
-        if op == "explain":
-            sql = request.get("sql")
-            if not isinstance(sql, str):
-                raise ValueError("explain requests need a 'sql' string")
-            analyze = bool(request.get("analyze", False))
-            prefixed = split_explain(sql)
-            if prefixed is not None:  # accept the prefix here too
-                analyze = prefixed[0] or analyze
-                sql = prefixed[1]
-            return {"explain": await self.service.explain(sql, analyze)}
-        if op == "workload":
-            return {"workload": await self.service.workload()}
-        if op == "audit":
-            return {"audit": await self.service.audit_stats()}
-        if op == "promote":
-            return await self._promote(request)
-        if op == "follow":
-            return self._follow(request)
-        if op == "checkpoint":
-            result = await self.service.checkpoint()
-            return {
-                "checkpoint_lsn": result.checkpoint_lsn,
-                "snapshot": result.path.name if result.path is not None else None,
-                "tables": result.tables,
-                "seconds": result.seconds,
-                "skipped": result.skipped,
-            }
-        if op == "persist":
-            return {"last_lsn": await self.service.persist()}
-        raise ValueError(f"unknown op {op!r}")
-
-    # ------------------------------------------------------------------ #
-    # Observability + role transitions
-
     def _query_attrs(self, sql) -> dict:
         rep = self.replication
         return {
@@ -1094,7 +527,7 @@ class QueryServer:
             "server_role": rep.role if rep is not None else "standalone",
         }
 
-    def _query_span(self, sql, trace: tuple[str, str] | None):
+    def query_span(self, sql, trace: tuple[str, str] | None):
         """Root span for one query request.
 
         When the client supplied trace ids (binary trailer / JSON
@@ -1116,713 +549,263 @@ class QueryServer:
             )
         return tracing.slow_watch("query", lambda: self._query_attrs(sql))
 
-    @staticmethod
-    def _trace_from_request(request: dict) -> tuple[str, str] | None:
-        """(trace_id, span_id) from a JSON-dialect ``"trace"`` key, if sane."""
-        trace = request.get("trace")
-        if not isinstance(trace, dict):
-            return None
-        trace_id = trace.get("trace_id")
-        span_id = trace.get("span_id")
-        if isinstance(trace_id, str) and isinstance(span_id, str):
-            return trace_id, span_id
-        return None
+    # ------------------------------------------------------------------ #
+    # Connections
 
-    async def _status_payload(self) -> dict:
-        """The ``status`` op: LSNs, replication role/lag, shed + cache stats."""
-        rep = self.replication
-        payload: dict = {
-            "role": rep.role if rep is not None else "standalone",
-            "epoch": rep.epoch if rep is not None else 0,
-            "shed_counts": dict(self.shed_counts),
-        }
-        status_extra = getattr(self.service, "status_extra", None)
-        if status_extra is not None:
-            # Both async facades implement this (the cluster one fans out
-            # to its workers), so cache stats and LSN positions show up on
-            # every deployment shape — not just a wrapped QueryService.
-            payload.update(await status_extra())
-        if rep is not None and rep.hub is not None:
-            followers = rep.hub.subscriber_snapshot()
-            payload["followers"] = followers
-            payload["replicated_lsn"] = rep.hub.replicated_lsn()
-            if followers and "durable_lsn" in payload:
-                payload["replication_lag"] = payload["durable_lsn"] - min(
-                    f["acked_lsn"] for f in followers.values()
-                )
-        if rep is not None and rep.follower is not None:
-            payload["follower"] = dict(rep.follower.status)
-        return payload
-
-    async def _promote(self, request: dict) -> dict:
-        """Turn this replica into the shard's primary at a new epoch.
-
-        The caller (the cluster front end) has already bumped the epoch
-        file, fencing the old primary; this end stops the follower loop
-        and starts a replication hub so the surviving replicas can
-        re-subscribe here.
-        """
-        rep = self.replication
-        if rep is None or rep.role != "replica" or rep.follower is None:
-            raise ValueError("only a running replica can be promoted")
-        epoch = request.get("epoch")
-        if not isinstance(epoch, int):
-            raise ValueError("promote requests need an integer 'epoch'")
-        from ..replication.primary import ReplicationHub
-
-        loop = asyncio.get_running_loop()
-        follower, rep.follower = rep.follower, None
-        await loop.run_in_executor(None, follower.shutdown)
-        inner = self.service.service
-        hub = ReplicationHub(inner.database, ack_replicas=rep.ack_replicas)
-        hub.attach()
-        rep.hub = hub
-        rep.role = "primary"
-        rep.epoch = epoch
-        return {
-            "role": "primary",
-            "epoch": epoch,
-            "applied_lsn": inner.database.wal.last_lsn,
-        }
-
-    def _follow(self, request: dict) -> dict:
-        """Repoint this replica's subscription at a new primary."""
-        rep = self.replication
-        if rep is None or rep.follower is None:
-            raise ValueError("this worker is not following anyone")
-        host = request.get("host")
-        port = request.get("port")
-        if not isinstance(host, str) or not isinstance(port, int):
-            raise ValueError("follow requests need 'host' and an integer 'port'")
-        rep.follower.retarget(host, port)
-        return {
-            "upstream": f"{host}:{port}",
-            "applied_lsn": self.service.service.database.wal.last_lsn,
-        }
-
-    def _rows_from_request(
-        self, request: dict, registered: bool = True
-    ) -> tuple[str, Table]:
-        table_name = request.get("table")
-        if not isinstance(table_name, str):
-            raise ValueError("ingest/register requests need a 'table' name")
-        payload = request.get("rows")
-        if not isinstance(payload, dict) or not payload:
-            raise ValueError("ingest/register requests need a 'rows' mapping")
-        schema = None
-        if registered:
-            # Decode against the registered schema so numeric columns arrive
-            # typed the way the store expects (raises KeyError if unknown).
-            schema = self.service.schema_for(table_name)
-        elif request.get("schema") is not None:
-            # Registrations may carry an explicit schema (the cluster front
-            # end does), skipping column-type inference entirely.
-            schema = wire.schema_from_payload(request["schema"])
-        return table_name, Table.from_dict(payload, name=table_name, schema=schema)
-
-
-class AsyncQueryClient:
-    """Minimal line-protocol client for :class:`QueryServer` (tests, examples).
-
-    One request is in flight per connection at a time; concurrent callers
-    sharing a client serialize on an internal lock, so open one client per
-    simulated dashboard session for parallel traffic.
-    """
-
-    def __init__(
-        self, host: str, port: int, line_limit: int = DEFAULT_LINE_LIMIT
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.line_limit = line_limit
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._lock = asyncio.Lock()
-
-    async def connect(self) -> "AsyncQueryClient":
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port, limit=self.line_limit
-        )
-        sock = self._writer.get_extra_info("socket")
+    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
+        self._connections.add(writer)
+        sock = writer.get_extra_info("socket")
         if sock is not None:
+            # Small request/response frames + Nagle's algorithm = up to
+            # ~40 ms artificial stalls; this workload is exactly that.
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return self
-
-    async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
+        try:
+            # Negotiation sniff: binary clients lead with the 4-byte magic,
+            # JSON-lines requests start with '{'.  Read one byte at a time
+            # so a degenerate short first line (e.g. "{}\n") can never
+            # stall the sniff waiting for a fourth byte.
+            preamble = b""
+            while len(preamble) < len(framing.MAGIC):
+                byte = await reader.read(1)
+                if not byte:
+                    return
+                preamble += byte
+                if preamble == framing.MAGIC[: len(preamble)]:
+                    continue
+                break
+            if preamble == framing.MAGIC:
+                await self._serve_binary(reader, writer)
+            else:
+                await self._serve_json(reader, writer, first=preamble)
+        except (ConnectionResetError, asyncio.IncompleteReadError):
+            pass
+        finally:
+            self._connections.discard(writer)
+            writer.close()
             try:
-                await self._writer.wait_closed()
+                await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
-            self._reader = self._writer = None
 
-    async def __aenter__(self) -> "AsyncQueryClient":
-        return await self.connect()
+    # ---- JSON-lines shim: one request object per line, one reply per line
 
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
-
-    async def request(self, payload: dict) -> dict:
-        if self._writer is None:
-            raise RuntimeError("client is not connected")
-        async with self._lock:
-            self._writer.write(json.dumps(payload).encode("utf-8") + b"\n")
-            await self._writer.drain()
-            line = await self._reader.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return json.loads(line)
-
-    async def query(self, sql: str) -> dict:
-        """Send a query, returning the decoded result payload (raises on error)."""
-        response = await self.request({"op": "query", "sql": sql})
-        if not response["ok"]:
-            raise RuntimeError(f"{response['error_type']}: {response['error']}")
-        return response["result"]
-
-    async def ingest(self, table: str, rows: dict, coalesce: bool = True) -> dict:
-        response = await self.request(
-            {"op": "ingest", "table": table, "rows": rows, "coalesce": coalesce}
-        )
-        if not response["ok"]:
-            raise RuntimeError(f"{response['error_type']}: {response['error']}")
-        return response["result"]
-
-
-# --------------------------------------------------------------------------- #
-# Process entry point
-
-
-def _build_arg_parser():
-    import argparse
-
-    from ..gd.partitioned import DEFAULT_PARTITION_SIZE
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service",
-        description="Serve the approximate query engine over newline-delimited JSON/TCP.",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0, help="0 picks a free port")
-    parser.add_argument(
-        "--data-dir",
-        default=None,
-        help="durable data directory (WAL + snapshots); omit for a purely "
-        "in-memory server.  With --shards N this is the cluster root: one "
-        "shard-NNNNN data directory per worker plus the CLUSTER manifest",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="run a sharded cluster: N worker subprocesses (each a full "
-        "durable engine) behind a scatter-gather front end; 1 (default) "
-        "serves a single-process engine",
-    )
-    parser.add_argument(
-        "--checkpoint-interval",
-        type=float,
-        default=30.0,
-        help="seconds between background snapshot checkpoints (with --data-dir)",
-    )
-    parser.add_argument(
-        "--fsync",
-        action="store_true",
-        help="fsync every WAL append (with --data-dir); slower, survives "
-        "power loss rather than just process death",
-    )
-    parser.add_argument(
-        "--partition-size", type=int, default=DEFAULT_PARTITION_SIZE
-    )
-    parser.add_argument(
-        "--coalesce-delay",
-        type=float,
-        default=DEFAULT_MAX_BATCH_DELAY,
-        help="max seconds the ingest coalescer keeps a batch open waiting "
-        "for more writers",
-    )
-    parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument(
-        "--result-cache-size",
-        type=int,
-        default=DEFAULT_RESULT_CACHE_SIZE,
-        help="entries in the synopsis-version-keyed result cache "
-        "(0 disables; with --shards this applies to every worker)",
-    )
-    parser.add_argument(
-        "--max-inflight-queries",
-        type=int,
-        default=DEFAULT_MAX_INFLIGHT_QUERIES,
-        help="admission control: queries in flight beyond this are shed "
-        "with an Overloaded error (0 disables the limit)",
-    )
-    parser.add_argument(
-        "--max-inflight-ingests",
-        type=int,
-        default=DEFAULT_MAX_INFLIGHT_INGESTS,
-        help="admission control: ingests in flight beyond this are shed "
-        "with an Overloaded error (0 disables the limit)",
-    )
-    parser.add_argument(
-        "--replicas",
-        type=int,
-        default=0,
-        help="(with --shards) follower workers per shard; they serve "
-        "staleness-bounded read scatters and one is promoted when the "
-        "shard's primary dies",
-    )
-    parser.add_argument(
-        "--max-replica-lag",
-        type=int,
-        default=256,
-        help="(cluster) a replica serves reads only while its applied LSN "
-        "is within this many records of the primary's durable LSN",
-    )
-    parser.add_argument(
-        "--replica-of",
-        default=None,
-        metavar="HOST:PORT",
-        help="run as a read replica subscribed to the given primary "
-        "(requires --data-dir; the worker refuses external writes)",
-    )
-    parser.add_argument(
-        "--follower-id",
-        default=None,
-        help="stable subscriber identity for --replica-of (defaults to the "
-        "data directory name)",
-    )
-    parser.add_argument(
-        "--epoch",
-        type=int,
-        default=0,
-        help="replication epoch this worker was spawned at (fencing)",
-    )
-    parser.add_argument(
-        "--epoch-file",
-        default=None,
-        help="path to the shard's epoch file; mutations re-check it before "
-        "acking, so a fenced zombie primary cannot acknowledge writes",
-    )
-    parser.add_argument(
-        "--ack-replicas",
-        type=int,
-        default=0,
-        help="semi-synchronous replication: delay each mutation ack until "
-        "this many followers durably acknowledged it (0 = async)",
-    )
-    parser.add_argument(
-        "--ack-timeout",
-        type=float,
-        default=30.0,
-        help="seconds a mutation ack may wait on the replication barrier",
-    )
-    parser.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        help="serve a Prometheus-text /metrics endpoint on this port "
-        "(0 picks a free port; a cluster front end serves the fan-out "
-        "merged fleet registry)",
-    )
-    parser.add_argument(
-        "--slow-query-ms",
-        type=float,
-        default=None,
-        help="log completed root query spans slower than this many "
-        "milliseconds as structured JSON lines (default: "
-        "REPRO_SLOW_QUERY_MS, else off)",
-    )
-    parser.add_argument(
-        "--slow-log-file",
-        default=None,
-        help="route slow-query JSON lines to this size-rotated file "
-        "instead of stderr (default: REPRO_SLOW_LOG_FILE, else stderr)",
-    )
-    parser.add_argument(
-        "--slow-log-max-mb",
-        type=float,
-        default=tracing.DEFAULT_SLOW_LOG_MAX_MB,
-        help="rotate the slow-query log file at this size; at most "
-        f"{tracing.SLOW_LOG_KEEP} rotated generations are kept "
-        "(default: REPRO_SLOW_LOG_MAX_MB, else %(default)s)",
-    )
-    parser.add_argument(
-        "--audit-sample",
-        type=float,
-        default=0.0,
-        help="fraction of served queries the background accuracy auditor "
-        "recomputes exactly against the lossless GD rows (0 disables; "
-        "try 0.01)",
-    )
-    parser.add_argument(
-        "--audit-interval",
-        type=float,
-        default=5.0,
-        help="seconds between background audit passes (with --audit-sample)",
-    )
-    parser.add_argument(
-        "--workload-capacity",
-        type=int,
-        default=256,
-        help="distinct normalized query templates the workload analytics "
-        "log retains (LRU; 0 disables the log and the auditor's "
-        "stratified replay)",
-    )
-    return parser
-
-
-def _admission_kwargs(args) -> dict:
-    return {
-        "max_inflight_queries": args.max_inflight_queries or None,
-        "max_inflight_ingests": args.max_inflight_ingests or None,
-    }
-
-
-def _apply_slow_query_threshold(args) -> None:
-    millis = getattr(args, "slow_query_ms", None)
-    if millis is not None:
-        tracing.TRACER.slow_threshold_seconds = max(millis, 0.0) / 1000.0
-    path = getattr(args, "slow_log_file", None)
-    if path:
-        tracing.TRACER.configure_slow_log(
-            path,
-            max_mb=getattr(args, "slow_log_max_mb", tracing.DEFAULT_SLOW_LOG_MAX_MB),
-        )
-
-
-def _attach_answer_quality(service, args):
-    """Wire the workload log and (optionally) the accuracy auditor onto a
-    query service; returns the started auditor (or ``None``) so the serve
-    loop can stop its daemon on shutdown."""
-    capacity = getattr(args, "workload_capacity", 0) or 0
-    if capacity > 0:
-        from ..audit.workload import WorkloadLog
-
-        service.workload_log = WorkloadLog(capacity=capacity)
-    sample = getattr(args, "audit_sample", 0.0) or 0.0
-    if sample > 0:
-        from ..audit.auditor import AccuracyAuditor
-
-        service.auditor = AccuracyAuditor(
-            service,
-            sample_rate=sample,
-            interval_seconds=getattr(args, "audit_interval", 5.0),
-            workload=service.workload_log,
-        ).start()
-    return service.auditor
-
-
-def _start_metrics_endpoint(args, snapshot_fn, ready_fn=None):
-    """Start the /metrics HTTP endpoint when --metrics-port was given."""
-    if getattr(args, "metrics_port", None) is None:
-        return None
-    from ..obs.exposition import MetricsHTTPServer
-
-    endpoint = MetricsHTTPServer(
-        snapshot_fn, host=args.host, port=args.metrics_port, ready_fn=ready_fn
-    ).start()
-    print(f"metrics on {args.host}:{endpoint.port}", flush=True)
-    return endpoint
-
-
-def _install_stop_handlers(loop, stop: asyncio.Event) -> None:
-    """SIGINT/SIGTERM set the stop event for a graceful shutdown.
-
-    ``REPRO_HANG_ON_SIGTERM=1`` registers a no-op SIGTERM handler instead —
-    the wedged-worker drill for the supervisor's SIGTERM → SIGKILL
-    escalation (the process then only dies to SIGKILL).
-    """
-    import os
-    import signal
-
-    hang = os.environ.get("REPRO_HANG_ON_SIGTERM") == "1"
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            if hang and signum == signal.SIGTERM:
-                loop.add_signal_handler(signum, lambda: None)
+    async def _serve_json(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        first: bytes = b"",
+    ) -> None:
+        """``first`` is whatever the negotiation sniff consumed; if it
+        already ends the first line, that request is served before reading
+        again — blocking in ``readline()`` first would deadlock a client
+        awaiting its first response."""
+        pending = first
+        while True:
+            if pending.endswith(b"\n"):
+                line, pending = pending, b""
             else:
-                loop.add_signal_handler(signum, stop.set)
-        except NotImplementedError:  # non-unix event loops
-            pass
+                try:
+                    rest = await reader.readline()
+                except ValueError as exc:
+                    # Line exceeded the buffer limit; the stream cannot be
+                    # re-synchronised, so answer with an error frame and
+                    # drop this connection only.
+                    refusal = {"ok": False, **ops.error_fields(exc)}
+                    writer.write(json.dumps(refusal).encode("utf-8") + b"\n")
+                    await writer.drain()
+                    break
+                if not rest:
+                    break
+                line, pending = pending + rest, b""
+                if not line.endswith(b"\n"):
+                    break  # EOF mid-line
+            response = await self._respond(line)
+            writer.write(json.dumps(response).encode("utf-8") + b"\n")
+            await writer.drain()
 
+    async def _respond(self, line: bytes) -> dict:
+        try:
+            request = json.loads(line)
+            op = ops.lookup(request)
+        except ValueError as exc:  # includes JSONDecodeError
+            return {"ok": False, **ops.error_fields(exc)}
+        if not self._admit(op.kind):
+            return {
+                "ok": False,
+                "error": self._overloaded_message(op.kind),
+                "error_type": framing.OVERLOADED_ERROR_TYPE,
+            }
+        started = time.perf_counter()
+        try:
+            return {"ok": True, "result": await self._execute(op, request)}
+        except asyncio.CancelledError:
+            raise
+        except Exception as exc:
+            # The documented contract: errors are frames, never dropped
+            # connections or stack traces (e.g. a query racing close()).
+            return {"ok": False, **ops.error_fields(exc)}
+        finally:
+            self._release(op.kind, started)
 
-async def serve_cluster(args) -> None:
-    """Run a sharded cluster front end until SIGINT/SIGTERM.
+    @staticmethod
+    def _trace_from_request(request: dict) -> tuple[str, str] | None:
+        """(trace_id, span_id) from a request's ``"trace"`` key, if sane."""
+        trace = request.get("trace")
+        if isinstance(trace, dict):
+            ids = (trace.get("trace_id"), trace.get("span_id"))
+            if isinstance(ids[0], str) and isinstance(ids[1], str):
+                return ids
+        return None
 
-    Spawns ``--shards`` worker subprocesses (each the plain single-process
-    server on its own shard data directory), scatter-gathers through
-    :class:`~repro.cluster.service.ClusterQueryService` and serves the
-    same JSON-lines protocol on the front-end port.
-    """
-    from ..cluster.service import AsyncClusterService, ClusterQueryService
-    from ..storage.cluster import ClusterLayout
+    # ---- binary pipelined protocol
 
-    worker_options = {
-        "checkpoint_interval": args.checkpoint_interval,
-        "coalesce_delay": args.coalesce_delay,
-        "workers_per_shard": args.workers,
-        "fsync": args.fsync,
-        "result_cache_size": args.result_cache_size,
-        # Workers own the rows, so auditing runs inside each worker.
-        "audit_sample": args.audit_sample,
-        "audit_interval": args.audit_interval,
-        "workload_capacity": args.workload_capacity,
-    }
-    if args.data_dir and ClusterLayout(args.data_dir).read_manifest() is not None:
-        cluster = ClusterQueryService.open(
-            args.data_dir,
-            mode="process",
-            expected_shards=args.shards,
-            partition_size=args.partition_size,
-            replicas=args.replicas or None,
-            max_replica_lag=args.max_replica_lag,
-            worker_options=worker_options,
-        )
-        print(
-            f"recovered cluster of {cluster.num_shards} shard(s), "
-            f"{len(cluster.table_names)} table(s) from {args.data_dir}",
-            flush=True,
-        )
-    else:
-        cluster = ClusterQueryService(
-            num_shards=args.shards,
-            path=args.data_dir or None,
-            mode="process",
-            partition_size=args.partition_size,
-            replicas=args.replicas,
-            max_replica_lag=args.max_replica_lag,
-            worker_options=worker_options,
-        )
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    _install_stop_handlers(loop, stop)
-    _apply_slow_query_threshold(args)
-    listening = threading.Event()
-    metrics_endpoint = _start_metrics_endpoint(
-        args,
-        cluster.metrics,
-        # Ready = the front end accepts connections AND every worker
-        # answers a supervisor ping.
-        ready_fn=lambda: listening.is_set() and cluster.ready(),
-    )
-    try:
-        async with AsyncClusterService(
-            cluster, max_workers=args.workers
-        ) as front_end:
-            async with QueryServer(
-                front_end, host=args.host, port=args.port, **_admission_kwargs(args)
-            ) as server:
-                print(f"listening on {server.host}:{server.port}", flush=True)
-                listening.set()
-                await stop.wait()
-    finally:
-        if metrics_endpoint is not None:
-            metrics_endpoint.stop()
-        # Graceful worker shutdown: SIGTERM triggers each worker's final
-        # checkpoint, so the next start recovers from snapshots.
-        await loop.run_in_executor(None, cluster.close)
+    async def _serve_binary(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """The pipelined binary loop: one task per frame, answers by id.
 
+        Frames are admitted (or shed) synchronously in arrival order, then
+        executed concurrently; each response is written as a single
+        ``write()`` as soon as its work completes, in whatever order that
+        happens — clients match responses to requests by id.
+        """
+        tasks: set[asyncio.Task] = set()
+        #: follower_id of the subscription (if any) living on this
+        #: connection — OP_WAL_ACK frames carry only an LSN and are
+        #: attributed to it.
+        subscriber_id: str | None = None
 
-async def serve_replica(args) -> None:
-    """Run a read replica: recover the local data dir, subscribe to the
-    primary, serve queries (and refuse external writes) until stopped."""
-    from ..replication import FollowerLoop, ReplicaApplier, ReplicationState
+        def spawn(coroutine) -> None:
+            task = asyncio.ensure_future(coroutine)
+            tasks.add(task)
+            task.add_done_callback(tasks.discard)
 
-    if not args.data_dir:
-        raise SystemExit("--replica-of requires --data-dir")
-    host, _, port_text = args.replica_of.rpartition(":")
-    if not host or not port_text.isdigit():
-        raise SystemExit("--replica-of must be HOST:PORT")
-    database = Database.open(
-        args.data_dir, fsync=args.fsync, partition_size=args.partition_size
-    )
-    service = ConcurrentQueryService(
-        database=database, result_cache_size=args.result_cache_size
-    )
-    applier = ReplicaApplier(service)
-    follower_id = args.follower_id or Path(args.data_dir).name
-    follower = FollowerLoop(applier, follower_id, host, int(port_text))
-    replication = ReplicationState(
-        role="replica",
-        epoch=args.epoch,
-        epoch_file=Path(args.epoch_file) if args.epoch_file else None,
-        follower=follower,
-        ack_replicas=args.ack_replicas,
-    )
-    checkpointer = BackgroundCheckpointer(
-        service, interval_seconds=args.checkpoint_interval
-    )
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    _install_stop_handlers(loop, stop)
-    _apply_slow_query_threshold(args)
-    # Replicas are the preferred audit host: replication applies the same
-    # committed batches, so the exact recomputation never taxes the primary.
-    auditor = _attach_answer_quality(service, args)
-    listening = threading.Event()
-    metrics_endpoint = _start_metrics_endpoint(
-        args, obs_metrics.REGISTRY.snapshot, ready_fn=listening.is_set
-    )
-    async with AsyncQueryService(
-        service=service,
-        max_workers=args.workers,
-        max_batch_delay=args.coalesce_delay,
-    ) as async_service:
-        async with QueryServer(
-            async_service,
-            host=args.host,
-            port=args.port,
-            replication=replication,
-            **_admission_kwargs(args),
-        ) as server:
-            checkpointer.start()
-            follower.start()
-            print(f"listening on {server.host}:{server.port}", flush=True)
-            listening.set()
-            try:
-                await stop.wait()
-            finally:
-                # A promotion swaps rep.follower for a hub; only stop the
-                # loop if we are still following someone.
-                if auditor is not None:
-                    await loop.run_in_executor(None, auditor.stop)
-                if replication.follower is not None:
-                    await loop.run_in_executor(
-                        None, replication.follower.shutdown
+        try:
+            while True:
+                try:
+                    header = await reader.readexactly(framing.HEADER_SIZE)
+                except asyncio.IncompleteReadError:
+                    break
+                opcode, request_id, payload_len = framing.decode_header(header)
+                traced = bool(opcode & framing.TRACE_FLAG)
+                opcode &= ~framing.TRACE_FLAG
+                if payload_len > self.line_limit:
+                    # readexactly() is not bounded by the stream limit the
+                    # way readline() is, so enforce it explicitly; the
+                    # stream cannot be re-synchronised after refusing.
+                    oversized = ValueError(
+                        f"frame payload of {payload_len} bytes exceeds "
+                        f"the {self.line_limit} byte limit"
                     )
-                final = await loop.run_in_executor(None, checkpointer.stop)
-                if final is None and checkpointer.last_error is not None:
-                    print(
-                        "final checkpoint failed: "
-                        f"{checkpointer.last_error!r}; the next start "
-                        "will recover this state from the WAL instead",
-                        flush=True,
-                    )
-    if metrics_endpoint is not None:
-        metrics_endpoint.stop()
-    database.close()
-
-
-async def serve(args) -> None:
-    """Run a server until SIGINT/SIGTERM; durable when --data-dir is set."""
-    if getattr(args, "shards", 1) > 1 or getattr(args, "replicas", 0) > 0:
-        # Replicas are follower subprocesses under the cluster supervisor,
-        # so even a 1-shard deployment with replicas is a cluster.
-        await serve_cluster(args)
-        return
-    if getattr(args, "replica_of", None):
-        await serve_replica(args)
-        return
-
-    if args.data_dir:
-        from ..storage.cluster import ClusterLayout
-
-        manifest = ClusterLayout(args.data_dir).read_manifest()
-        if manifest is not None:
-            # Opening a cluster root as a single-node data dir would boot
-            # an empty catalog and scribble wal/snapshots into the cluster
-            # directory — refuse instead of silently "losing" the data.
-            raise SystemExit(
-                f"{args.data_dir!r} is a sharded cluster root "
-                f"({manifest.num_shards} shard(s)); start it with "
-                f"--shards {manifest.num_shards}"
-            )
-        database = Database.open(
-            args.data_dir, fsync=args.fsync, partition_size=args.partition_size
-        )
-        info = database.recovery_info
-        print(
-            f"recovered {len(database.table_names)} table(s) from {args.data_dir} "
-            f"(snapshot lsn {info.snapshot_lsn}, {info.replayed_records} WAL "
-            f"record(s) replayed, {info.rebuilt_partitions} partition "
-            f"synopsis(es) rebuilt in {info.seconds:.2f}s)",
-            flush=True,
-        )
-    else:
-        database = Database(partition_size=args.partition_size)
-    service = ConcurrentQueryService(
-        database=database, result_cache_size=args.result_cache_size
-    )
-    checkpointer = (
-        BackgroundCheckpointer(service, interval_seconds=args.checkpoint_interval)
-        if args.data_dir
-        else None
-    )
-    replication = None
-    if args.data_dir:
-        # Every durable server can feed followers; it only *behaves* as a
-        # fenced/semi-sync primary when the cluster wires it up that way.
-        from ..replication import ReplicationHub, ReplicationState
-
-        ack_replicas = getattr(args, "ack_replicas", 0)
-        epoch_file = getattr(args, "epoch_file", None)
-        hub = ReplicationHub(
-            database,
-            ack_replicas=ack_replicas,
-            ack_timeout=getattr(args, "ack_timeout", 30.0),
-        )
-        hub.attach()
-        replication = ReplicationState(
-            role="primary" if (epoch_file or ack_replicas) else "standalone",
-            epoch=getattr(args, "epoch", 0),
-            epoch_file=Path(epoch_file) if epoch_file else None,
-            hub=hub,
-            ack_replicas=ack_replicas,
-        )
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    _install_stop_handlers(loop, stop)
-    _apply_slow_query_threshold(args)
-    auditor = _attach_answer_quality(service, args)
-    # Readiness: recovery already completed above (Database.open replays
-    # the WAL before returning), so ready == accepting connections.
-    listening = threading.Event()
-    metrics_endpoint = _start_metrics_endpoint(
-        args, obs_metrics.REGISTRY.snapshot, ready_fn=listening.is_set
-    )
-    async with AsyncQueryService(
-        service=service,
-        max_workers=args.workers,
-        max_batch_delay=args.coalesce_delay,
-    ) as async_service:
-        async with QueryServer(
-            async_service,
-            host=args.host,
-            port=args.port,
-            replication=replication,
-            **_admission_kwargs(args),
-        ) as server:
-            if checkpointer is not None:
-                checkpointer.start()
-            print(f"listening on {server.host}:{server.port}", flush=True)
-            listening.set()
-            try:
-                await stop.wait()
-            finally:
-                if auditor is not None:
-                    await loop.run_in_executor(None, auditor.stop)
-                if checkpointer is not None:
-                    # Final checkpoint so the next start recovers from a
-                    # snapshot instead of replaying the whole WAL.
-                    final = await loop.run_in_executor(None, checkpointer.stop)
-                    if final is None and checkpointer.last_error is not None:
-                        print(
-                            "final checkpoint failed: "
-                            f"{checkpointer.last_error!r}; the next start "
-                            "will recover this state from the WAL instead",
-                            flush=True,
+                    writer.write(_error_frame(request_id, oversized))
+                    await writer.drain()
+                    break
+                payload = await reader.readexactly(payload_len)
+                trace: tuple[bytes, bytes] | None = None
+                if traced:
+                    trailer = await reader.readexactly(framing.TRACE_TRAILER_SIZE)
+                    trace = framing.decode_trace_trailer(trailer)
+                op = ops.BINARY.get(opcode)
+                request = None
+                try:
+                    if op is ops.TUNNEL:
+                        request = framing.decode_json(payload)
+                        op = ops.lookup(request)
+                    elif op is None:
+                        if opcode == framing.OP_WAL_ACK:
+                            # One-way: no response frame, no admission slot.
+                            hub = getattr(self.replication, "hub", None)
+                            if subscriber_id is not None and hub is not None:
+                                hub.update_ack(
+                                    subscriber_id, framing.decode_wal_ack(payload)
+                                )
+                            continue
+                        if opcode == framing.OP_SUBSCRIBE:
+                            after_lsn, subscriber_id = framing.decode_subscribe(payload)
+                            spawn(
+                                self._serve_subscription(
+                                    writer, request_id, after_lsn, subscriber_id
+                                )
+                            )
+                            continue
+                        raise ValueError(f"unknown binary op {opcode}")
+                except (ValueError, struct.error) as exc:
+                    # Malformed before admission (bad JSON, unknown op):
+                    # an error frame, and the connection carries on.
+                    writer.write(_error_frame(request_id, exc))
+                    await writer.drain()
+                    continue
+                if not self._admit(op.kind):
+                    writer.write(
+                        framing.encode_frame(
+                            framing.STATUS_OVERLOADED,
+                            request_id,
+                            framing.encode_error(
+                                framing.OVERLOADED_ERROR_TYPE,
+                                self._overloaded_message(op.kind),
+                            ),
                         )
-    if metrics_endpoint is not None:
-        metrics_endpoint.stop()
-    if args.data_dir:
-        database.close()
+                    )
+                    await writer.drain()
+                    continue
+                spawn(self._serve_frame(writer, op, request_id, request, payload, trace))
+        finally:
+            if tasks:
+                for task in tasks:
+                    task.cancel()
+                await asyncio.gather(*tasks, return_exceptions=True)
 
+    async def _serve_frame(
+        self,
+        writer: asyncio.StreamWriter,
+        op: ops.Op,
+        request_id: int,
+        request: dict | None,
+        payload: bytes,
+        trace: tuple[bytes, bytes] | None,
+    ) -> None:
+        """Execute one admitted binary frame and write its response."""
+        started = time.perf_counter()
+        try:
+            try:
+                body = await self._execute(op, request, payload, trace)
+                if request is None:
+                    reply = op.binary.encode_reply(body)
+                else:
+                    reply = framing.encode_json(body)
+                frame = framing.encode_frame(framing.STATUS_OK, request_id, reply)
+            except asyncio.CancelledError:
+                raise
+            except Exception as exc:
+                # Same contract as JSON: errors are frames, never dropped
+                # connections or stack traces.
+                frame = _error_frame(request_id, exc)
+            try:
+                writer.write(frame)
+                await writer.drain()
+            except (ConnectionResetError, BrokenPipeError, RuntimeError):
+                pass  # client went away; nothing to answer
+        finally:
+            self._release(op.kind, started)
 
-def main(argv=None) -> None:
-    args = _build_arg_parser().parse_args(argv)
-    asyncio.run(serve(args))
-
-
-if __name__ == "__main__":
-    main()
+    async def _serve_subscription(
+        self, writer: asyncio.StreamWriter, request_id: int, after_lsn: int, follower_id: str
+    ) -> None:
+        """Run one replication subscription for the connection's lifetime."""
+        rep = self.replication
+        try:
+            if rep is None or rep.hub is None:
+                raise ValueError(
+                    "this server does not accept replication subscriptions"
+                )
+            await rep.hub.stream(writer, request_id, after_lsn, follower_id)
+        except asyncio.CancelledError:
+            raise
+        except (ConnectionResetError, BrokenPipeError, OSError):
+            pass  # the follower went away; its grace-period floor remains
+        except Exception as exc:
+            try:
+                writer.write(_error_frame(request_id, exc))
+                await writer.drain()
+            except (ConnectionResetError, BrokenPipeError, RuntimeError):
+                pass

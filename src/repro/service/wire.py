@@ -1,122 +1,29 @@
-"""Synchronous wire clients + payload helpers.
+"""Wire clients for :class:`~repro.service.server.QueryServer`.
 
-Two blocking clients for :class:`~repro.service.server.QueryServer`:
+Both answer ``client.<name>(*args)`` for every row of the op table
+(:mod:`repro.service.ops`) — the row builds the request and unwraps the
+reply, so neither client lists the ops:
 
-* :class:`ClusterClient` — the legacy newline-delimited-JSON client, one
-  request in flight per connection.  Kept as the negotiated fallback and
-  as a handy operational client for scripts and tests.
-* :class:`PipelinedClient` — the binary-protocol client
+* :class:`PipelinedClient` — the blocking binary-protocol client
   (:mod:`repro.service.framing`): many requests in flight per connection,
   a background reader thread matches response frames to requests by id.
   This is what the cluster front end (:mod:`repro.cluster`) multiplexes
   its scatters over.
-
-The module additionally owns the JSON payload encodings shared by both
-ends of the protocol — tables, schemas and
-:class:`~repro.core.params.PairwiseHistParams` — so the server and every
-client agree on one encoding.
+* :class:`AsyncQueryClient` — the asyncio client of the JSON-lines shim,
+  one request in flight per connection (tests, examples).
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
-import math
 import socket
 import threading
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
-import numpy as np
-
-from ..core.params import PairwiseHistParams
-from ..data.schema import ColumnSchema, ColumnType, TableSchema
-from ..data.table import Table
 from . import framing
-
-#: Mirrors the server's per-line buffer limit.
-DEFAULT_LINE_LIMIT = 32 * 1024 * 1024
-
-
-# --------------------------------------------------------------------------- #
-# Payload encodings (shared by the async server and every client)
-
-
-def table_payload(table: Table) -> dict:
-    """JSON-encodable column mapping for ``register`` / ``ingest`` requests."""
-    payload: dict[str, list] = {}
-    for column in table.schema:
-        values = table.column(column.name)
-        if column.is_categorical:
-            payload[column.name] = [None if v is None else str(v) for v in values]
-        else:
-            floats = np.asarray(values, dtype=float)
-            payload[column.name] = [
-                None if not math.isfinite(v) else v for v in floats.tolist()
-            ]
-    return payload
-
-
-def schema_payload(schema: TableSchema) -> list[dict]:
-    """JSON-encodable schema for ``register`` requests (skips inference)."""
-    return [
-        {
-            "name": column.name,
-            "type": column.ctype.value,
-            "decimals": column.decimals,
-            "nullable": bool(column.nullable),
-            "categories": column.categories,
-        }
-        for column in schema
-    ]
-
-
-def schema_from_payload(payload: list[dict]) -> TableSchema:
-    """Inverse of :func:`schema_payload`."""
-    if not isinstance(payload, list) or not all(isinstance(c, dict) for c in payload):
-        raise ValueError("schema payloads must be a list of column objects")
-    columns = []
-    for entry in payload:
-        columns.append(
-            ColumnSchema(
-                name=str(entry["name"]),
-                ctype=ColumnType(entry["type"]),
-                decimals=int(entry.get("decimals", 0)),
-                categories=entry.get("categories"),
-                nullable=bool(entry.get("nullable", True)),
-            )
-        )
-    return TableSchema(columns)
-
-
-_PARAMS_FIELDS = (
-    "sample_size",
-    "min_points",
-    "alpha",
-    "min_spacing",
-    "max_initial_bins",
-    "max_refine_depth",
-    "seed",
-    "max_merged_cells",
-)
-
-
-def params_payload(params: PairwiseHistParams) -> dict:
-    """JSON-encodable construction parameters for ``register`` requests."""
-    return {field: getattr(params, field) for field in _PARAMS_FIELDS}
-
-
-def params_from_payload(payload: dict) -> PairwiseHistParams:
-    """Inverse of :func:`params_payload` (unknown keys are rejected)."""
-    if not isinstance(payload, dict):
-        raise ValueError("params payloads must be a JSON object")
-    unknown = set(payload) - set(_PARAMS_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown params fields: {sorted(unknown)}")
-    return PairwiseHistParams(**payload)
-
-
-# --------------------------------------------------------------------------- #
-# Blocking client
+from .ops import OPS, stubs
 
 
 class WireError(RuntimeError):
@@ -147,207 +54,27 @@ class UnsentRequestError(ConnectionError):
     """
 
 
-class ClusterClient:
-    """Blocking newline-delimited-JSON client for :class:`QueryServer`.
-
-    One request is in flight per connection at a time; concurrent callers
-    sharing a client serialize on an internal lock (the cluster front end
-    opens one client per worker shard, so shard calls still fan out in
-    parallel).
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float | None = 30.0,
-        line_limit: int = DEFAULT_LINE_LIMIT,
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.line_limit = line_limit
-        self._sock: socket.socket | None = None
-        self._rfile = None
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-
-    def connect(self) -> "ClusterClient":
-        sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
-        self._rfile = sock.makefile("rb")
-        return self
-
-    def close(self) -> None:
-        if self._rfile is not None:
-            try:
-                self._rfile.close()
-            except OSError:
-                pass
-            self._rfile = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
-    @property
-    def connected(self) -> bool:
-        return self._sock is not None
-
-    def __enter__(self) -> "ClusterClient":
-        return self.connect()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    # Protocol
-
-    def request(self, payload: dict) -> dict:
-        """Send one frame, wait for its response frame (raw, ok or not).
-
-        Failures before the frame is written raise
-        :class:`UnsentRequestError` (safe to retry verbatim); failures
-        after it raise :class:`ConnectionError` (the server may have
-        applied the request even though no response arrived).
-        """
-        if self._sock is None:
-            raise UnsentRequestError("client is not connected")
-        frame = json.dumps(payload).encode("utf-8") + b"\n"
-        with self._lock:
-            try:
-                self._sock.sendall(frame)
-            except OSError as exc:
-                raise UnsentRequestError(f"wire send failed: {exc}") from exc
-            try:
-                line = self._rfile.readline(self.line_limit)
-            except OSError as exc:
-                raise ConnectionError(f"wire response failed: {exc}") from exc
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return json.loads(line)
-
-    def call(self, payload: dict) -> dict:
-        """Like :meth:`request`, raising :class:`WireError` on error frames."""
-        response = self.request(payload)
-        if not response.get("ok"):
-            raise WireError(
-                str(response.get("error_type", "Error")),
-                str(response.get("error", "")),
-            )
-        return response["result"]
-
-    # ------------------------------------------------------------------ #
-    # Convenience ops
-
-    def ping(self) -> bool:
-        return self.call({"op": "ping"}) == "pong"
-
-    def tables(self) -> list[str]:
-        return self.call({"op": "tables"})["tables"]
-
-    def stat(self, table: str) -> dict:
-        return self.call({"op": "stat", "table": table})
-
-    def query(self, sql: str, trace: tuple[str, str] | None = None) -> dict:
-        """``trace=(trace_id_hex, span_id_hex)`` tags the query for tracing."""
-        request: dict = {"op": "query", "sql": sql}
-        if trace is not None:
-            request["trace"] = {"trace_id": trace[0], "span_id": trace[1]}
-        return self.call(request)
-
-    def ingest(self, table: str, rows: Table | dict, coalesce: bool = True) -> dict:
-        payload = table_payload(rows) if isinstance(rows, Table) else rows
-        return self.call(
-            {"op": "ingest", "table": table, "rows": payload, "coalesce": coalesce}
-        )
-
-    def register(
-        self,
-        table: Table,
-        params: PairwiseHistParams | None = None,
-        partition_size: int | None = None,
-    ) -> dict:
-        request: dict = {
-            "op": "register",
-            "table": table.name,
-            "rows": table_payload(table),
-            "schema": schema_payload(table.schema),
-        }
-        if params is not None:
-            request["params"] = params_payload(params)
-        if partition_size is not None:
-            request["partition_size"] = partition_size
-        return self.call(request)
-
-    def drop(self, table: str) -> dict:
-        return self.call({"op": "drop", "table": table})
-
-    def checkpoint(self) -> dict:
-        return self.call({"op": "checkpoint"})
-
-    def persist(self) -> int:
-        return self.call({"op": "persist"})["last_lsn"]
-
-    def status(self) -> dict:
-        """Replication/health snapshot (role, LSNs, lag, shed counts)."""
-        return self.call({"op": "status"})
-
-    def promote(self, epoch: int) -> dict:
-        """Tell a replica to become the primary at ``epoch``."""
-        return self.call({"op": "promote", "epoch": epoch})
-
-    def follow(self, host: str, port: int) -> dict:
-        """Repoint a replica's subscription at a new primary."""
-        return self.call({"op": "follow", "host": host, "port": port})
-
-    def metrics(self) -> dict:
-        """Registry snapshot (fan-out merged when talking to a cluster)."""
-        return self.call({"op": "metrics"})["metrics"]
-
-    def trace(self, trace_id: str) -> list[dict]:
-        """Finished spans for ``trace_id`` (fan-out merged on a cluster)."""
-        return self.call({"op": "trace", "trace_id": trace_id})["spans"]
-
-    def explain(self, sql: str, analyze: bool = False) -> dict:
-        """Structured EXPLAIN plan; ``analyze=True`` also executes."""
-        return self.call({"op": "explain", "sql": sql, "analyze": analyze})["explain"]
-
-    def workload(self) -> dict:
-        """Normalized-template workload log (fan-out merged on a cluster)."""
-        return self.call({"op": "workload"})["workload"]
-
-    def audit(self) -> dict:
-        """Accuracy-auditor stats (fan-out merged on a cluster)."""
-        return self.call({"op": "audit"})["audit"]
-
-
 # --------------------------------------------------------------------------- #
 # Pipelined binary client
 
 
+@stubs
 class PipelinedClient:
     """Blocking binary-protocol client with true pipelining.
 
-    ``submit_*`` methods write one frame and return a
+    :meth:`submit` writes one frame and returns a
     :class:`~concurrent.futures.Future` immediately — many requests ride
     one connection concurrently, and a background reader thread resolves
     each future as its response frame arrives (responses may come back in
-    any order; they are matched by request id).  The synchronous
-    conveniences (``query`` / ``ingest`` / ``call`` / ...) mirror
-    :class:`ClusterClient` and simply wait on their own future.
+    any order; they are matched by request id).  ``client.<op>(...)`` and
+    :meth:`call` simply wait on their own future.
 
-    Error semantics match :class:`ClusterClient`: a failure *before* the
-    frame hits the socket raises :class:`UnsentRequestError` (safe to
-    retry verbatim); a connection failure afterwards fails the future
-    with a plain :class:`ConnectionError` (the server may have applied
-    the request).  Error frames raise :class:`WireError`; admission-shed
-    frames raise :class:`OverloadedError`.
+    A failure *before* the frame hits the socket raises
+    :class:`UnsentRequestError` (safe to retry verbatim); a connection
+    failure afterwards fails the future with a plain
+    :class:`ConnectionError` (the server may have applied the request).
+    Error frames raise :class:`WireError`; admission-shed frames raise
+    :class:`OverloadedError`.
     """
 
     def __init__(
@@ -355,7 +82,7 @@ class PipelinedClient:
         host: str,
         port: int,
         timeout: float | None = 30.0,
-        line_limit: int = DEFAULT_LINE_LIMIT,
+        line_limit: int = framing.DEFAULT_LINE_LIMIT,
     ) -> None:
         self.host = host
         self.port = port
@@ -366,7 +93,8 @@ class PipelinedClient:
         self._reader: threading.Thread | None = None
         self._send_lock = threading.Lock()
         self._pending_lock = threading.Lock()
-        self._pending: dict[int, tuple[Future, int]] = {}
+        #: request id → (future, reply payload decoder)
+        self._pending: dict[int, tuple[Future, object]] = {}
         self._next_id = 0
         self._closed = False
         #: Set (under ``_pending_lock``) when the reader thread dies; any
@@ -432,11 +160,13 @@ class PipelinedClient:
 
     def _submit(
         self,
-        op: int,
+        opcode: int,
         payload: bytes,
+        decode,
         trace: tuple[bytes, bytes] | None = None,
     ) -> Future:
-        """Write one request frame; its future resolves with the response.
+        """Write one request frame; its future resolves with
+        ``decode(response payload)``.
 
         ``trace=(trace_id16, span_id8)`` appends the trace trailer so the
         server joins this request to an existing trace.
@@ -459,9 +189,9 @@ class PipelinedClient:
                     raise UnsentRequestError(
                         f"wire reader died: {self._dead_exc}"
                     ) from self._dead_exc
-                self._pending[request_id] = (future, op)
+                self._pending[request_id] = (future, decode)
             try:
-                sock.sendall(framing.encode_frame(op, request_id, payload, trace))
+                sock.sendall(framing.encode_frame(opcode, request_id, payload, trace))
             except OSError as exc:
                 with self._pending_lock:
                     self._pending.pop(request_id, None)
@@ -488,10 +218,10 @@ class PipelinedClient:
                     entry = self._pending.pop(request_id, None)
                 if entry is None:
                     continue  # e.g. a duplicate/late frame; nobody waits on it
-                future, op = entry
+                future, decode = entry
                 if status == framing.STATUS_OK:
                     try:
-                        result = self._decode_ok(op, payload)
+                        result = decode(payload)
                     except Exception as exc:
                         future.set_exception(exc)
                     else:
@@ -518,17 +248,39 @@ class PipelinedClient:
             if not future.done():
                 future.set_exception(exc)
 
-    @staticmethod
-    def _decode_ok(op: int, payload: bytes):
-        if op == framing.OP_PING:
-            return True
-        if op == framing.OP_QUERY:
-            return framing.decode_result(payload)
-        if op == framing.OP_QUERY_BATCH:
-            return framing.decode_batch_response(payload)
-        return framing.decode_json(payload)  # OP_INGEST / OP_JSON
+    # ------------------------------------------------------------------ #
+    # Ops
 
-    def _result(self, future: Future):
+    def submit(
+        self, name: str, *args, trace: tuple[bytes, bytes] | None = None, **kwargs
+    ) -> Future:
+        """Send op ``name``; the future resolves with what ``client.<name>``
+        returns.  The op's fast-path frame is used when its arguments fit
+        one (``trace`` then rides its trailer), the JSON request object in
+        an ``OP_JSON`` frame otherwise."""
+        op = OPS[name]
+        opcode, decode, payload = framing.OP_JSON, framing.decode_json, None
+        if op.binary is not None:
+            payload = op.binary.encode_request(*args, **kwargs)
+            if payload is not None:
+                opcode, decode = op.binary.opcode, op.binary.decode_reply
+        if payload is None:
+            payload = framing.encode_json(op.build_request(*args, **kwargs))
+        return self._submit(
+            opcode, payload, lambda reply: op.unwrap(decode(reply)), trace
+        )
+
+    def submit_query(
+        self, sql: str, trace: tuple[bytes, bytes] | None = None
+    ) -> Future:
+        """The hot path spelled out: future of a decoded result payload."""
+        return self._submit(
+            framing.OP_QUERY, framing.encode_query(sql), framing.decode_result, trace
+        )
+
+    def call(self, name: str, *args, **kwargs):
+        """Send op ``name`` and wait for its (unwrapped) reply."""
+        future = self.submit(name, *args, **kwargs)
         try:
             return future.result(timeout=self.timeout)
         except FutureTimeoutError:
@@ -539,121 +291,70 @@ class PipelinedClient:
                 f"no response within {self.timeout}s"
             ) from None
 
-    # ------------------------------------------------------------------ #
-    # Pipelined submissions
 
-    def submit_ping(self) -> Future:
-        return self._submit(framing.OP_PING, b"")
+# --------------------------------------------------------------------------- #
+# Asyncio JSON-lines client
 
-    def submit_query(
-        self, sql: str, trace: tuple[bytes, bytes] | None = None
-    ) -> Future:
-        """Future of a decoded result payload (same shape as the JSON path)."""
-        return self._submit(framing.OP_QUERY, framing.encode_query(sql), trace)
 
-    def submit_query_batch(self, sqls: list[str]) -> Future:
-        """Future of per-query outcome dicts (``ok``/``result``/``error``)."""
-        return self._submit(framing.OP_QUERY_BATCH, framing.encode_query_batch(sqls))
+@stubs
+class AsyncQueryClient:
+    """Minimal asyncio client of the JSON-lines shim (tests, examples).
 
-    def submit_ingest(self, table: str, rows: Table, coalesce: bool = True) -> Future:
-        """Binary ingest: rows travel as the codec table format, not JSON."""
-        return self._submit(
-            framing.OP_INGEST, framing.encode_ingest(table, rows, coalesce)
+    One request is in flight per connection at a time; concurrent callers
+    sharing a client serialize on an internal lock, so open one client per
+    simulated dashboard session for parallel traffic.
+    """
+
+    def __init__(
+        self, host: str, port: int, line_limit: int = framing.DEFAULT_LINE_LIMIT
+    ) -> None:
+        self.host = host
+        self.port = port
+        self.line_limit = line_limit
+        self._reader: asyncio.StreamReader | None = None
+        self._writer: asyncio.StreamWriter | None = None
+        self._lock = asyncio.Lock()
+
+    async def connect(self) -> "AsyncQueryClient":
+        self._reader, self._writer = await asyncio.open_connection(
+            self.host, self.port, limit=self.line_limit
         )
+        sock = self._writer.get_extra_info("socket")
+        if sock is not None:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return self
 
-    def submit_call(self, payload: dict) -> Future:
-        """Cold-path JSON op over a binary frame (register, drop, stat, ...)."""
-        return self._submit(framing.OP_JSON, framing.encode_json(payload))
+    async def close(self) -> None:
+        if self._writer is not None:
+            self._writer.close()
+            try:
+                await self._writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+            self._reader = self._writer = None
 
-    # ------------------------------------------------------------------ #
-    # Synchronous conveniences (mirror ClusterClient)
+    async def __aenter__(self) -> "AsyncQueryClient":
+        return await self.connect()
 
-    def call(self, payload: dict) -> dict:
-        return self._result(self.submit_call(payload))
+    async def __aexit__(self, *exc_info) -> None:
+        await self.close()
 
-    def ping(self) -> bool:
-        return self._result(self.submit_ping()) is True
+    async def request(self, payload: dict) -> dict:
+        """Send one request object; the raw response object, ok or not."""
+        if self._writer is None:
+            raise RuntimeError("client is not connected")
+        async with self._lock:
+            self._writer.write(json.dumps(payload).encode("utf-8") + b"\n")
+            await self._writer.drain()
+            line = await self._reader.readline()
+        if not line:
+            raise ConnectionError("server closed the connection")
+        return json.loads(line)
 
-    def tables(self) -> list[str]:
-        return self.call({"op": "tables"})["tables"]
-
-    def stat(self, table: str) -> dict:
-        return self.call({"op": "stat", "table": table})
-
-    def query(self, sql: str, trace: tuple[bytes, bytes] | None = None) -> dict:
-        from ..audit.explain import split_explain
-
-        # The binary result block cannot carry a structured plan, so the
-        # SQL-prefix form rides the OP_JSON cold path instead.
-        if split_explain(sql) is not None:
-            return self.call({"op": "query", "sql": sql})
-        return self._result(self.submit_query(sql, trace))
-
-    def query_batch(self, sqls: list[str]) -> list[dict]:
-        return self._result(self.submit_query_batch(sqls))
-
-    def ingest(self, table: str, rows: Table | dict, coalesce: bool = True) -> dict:
-        if isinstance(rows, Table):
-            return self._result(self.submit_ingest(table, rows, coalesce))
-        return self.call(
-            {"op": "ingest", "table": table, "rows": rows, "coalesce": coalesce}
-        )
-
-    def register(
-        self,
-        table: Table,
-        params: PairwiseHistParams | None = None,
-        partition_size: int | None = None,
-    ) -> dict:
-        request: dict = {
-            "op": "register",
-            "table": table.name,
-            "rows": table_payload(table),
-            "schema": schema_payload(table.schema),
-        }
-        if params is not None:
-            request["params"] = params_payload(params)
-        if partition_size is not None:
-            request["partition_size"] = partition_size
-        return self.call(request)
-
-    def drop(self, table: str) -> dict:
-        return self.call({"op": "drop", "table": table})
-
-    def checkpoint(self) -> dict:
-        return self.call({"op": "checkpoint"})
-
-    def persist(self) -> int:
-        return self.call({"op": "persist"})["last_lsn"]
-
-    def status(self) -> dict:
-        """Replication/health snapshot (role, LSNs, lag, shed counts)."""
-        return self.call({"op": "status"})
-
-    def promote(self, epoch: int) -> dict:
-        """Tell a replica to become the primary at ``epoch``."""
-        return self.call({"op": "promote", "epoch": epoch})
-
-    def follow(self, host: str, port: int) -> dict:
-        """Repoint a replica's subscription at a new primary."""
-        return self.call({"op": "follow", "host": host, "port": port})
-
-    def metrics(self) -> dict:
-        """Registry snapshot (fan-out merged when talking to a cluster)."""
-        return self.call({"op": "metrics"})["metrics"]
-
-    def trace(self, trace_id: str) -> list[dict]:
-        """Finished spans for ``trace_id`` (fan-out merged on a cluster)."""
-        return self.call({"op": "trace", "trace_id": trace_id})["spans"]
-
-    def explain(self, sql: str, analyze: bool = False) -> dict:
-        """Structured EXPLAIN plan; ``analyze=True`` also executes."""
-        return self.call({"op": "explain", "sql": sql, "analyze": analyze})["explain"]
-
-    def workload(self) -> dict:
-        """Normalized-template workload log (fan-out merged on a cluster)."""
-        return self.call({"op": "workload"})["workload"]
-
-    def audit(self) -> dict:
-        """Accuracy-auditor stats (fan-out merged on a cluster)."""
-        return self.call({"op": "audit"})["audit"]
+    async def call(self, name: str, *args, **kwargs):
+        """Send op ``name``; its unwrapped reply (:class:`WireError` on error)."""
+        op = OPS[name]
+        response = await self.request(op.build_request(*args, **kwargs))
+        if not response["ok"]:
+            raise WireError(response["error_type"], response["error"])
+        return op.unwrap(response["result"])

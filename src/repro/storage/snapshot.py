@@ -12,11 +12,11 @@ whose manifest validates, so a crash mid-checkpoint (partial temp dir,
 missing manifest, torn file) silently falls back to the previous
 checkpoint plus WAL replay.
 
-Two partition layouts exist:
+Two partition layouts exist on disk:
 
 * **v1** — one ``table-NNNNN.partitions`` file framing every partition
-  blob; every checkpoint rewrites the whole table.
-* **v2** (default) — one content-addressed ``part-<digest>.blob`` file
+  blob.  No longer written; the loader still reads it.
+* **v2** — one content-addressed ``part-<digest>.blob`` file
   per partition plus a small ``table-NNNNN.parts`` index listing the
   blob names in partition order.  Sealed partitions are immutable, so a
   checkpoint **hard-links** their blob files from the previous snapshot
@@ -26,9 +26,8 @@ Two partition layouts exist:
   collection stays safe because the link keeps the blob's bytes alive
   until the last snapshot directory referencing it is removed.
 
-The loader accepts both layouts, so a v2 build opens v1 data directories
-unchanged.  ``REPRO_SNAPSHOT_FORMAT=1`` forces new snapshots back to the
-v1 layout (used by the CI backward-compat drill).
+The loader accepts both layouts, so a v1 data directory opens unchanged
+and its next checkpoint writes v2.
 """
 
 from __future__ import annotations
@@ -69,10 +68,6 @@ _MANIFEST_NAME = "MANIFEST"
 _CATALOG_NAME = "CATALOG"
 _CURRENT_NAME = "CURRENT"
 
-#: Snapshot partition layouts (see module docstring).
-SNAPSHOT_FORMAT_V1 = 1
-SNAPSHOT_FORMAT_V2 = 2
-
 _BLOB_PREFIX = "part-"
 _BLOB_SUFFIX = ".blob"
 _PARTS_MAGIC = b"PRT2"
@@ -100,11 +95,6 @@ def _decode_parts_index(payload: bytes) -> list[str]:
         raise ValueError("not a snapshot partition index (bad magic)")
     blobs, _ = codec.unframe_blobs(buffer, 4)
     return [blob.decode("ascii") for blob in blobs]
-
-
-def snapshot_format_version() -> int:
-    """The partition layout new snapshots are written in (env-overridable)."""
-    return int(os.environ.get("REPRO_SNAPSHOT_FORMAT", SNAPSHOT_FORMAT_V2))
 
 
 # --------------------------------------------------------------------------- #
@@ -213,10 +203,6 @@ def _decode_table_meta(payload: bytes):
     return name, int(partition_size), int(synopsis_builds), params, gd_config, schema, preprocessor
 
 
-def _frame_blobs(blobs: list[bytes]) -> bytes:
-    return codec.frame_blobs(blobs)
-
-
 def _unframe_blobs(payload: bytes) -> list[bytes]:
     blobs, _ = codec.unframe_blobs(payload)
     return blobs
@@ -252,7 +238,6 @@ def write_snapshot(
     state: SnapshotState,
     keep: int = 2,
     fsync: bool = False,
-    format_version: int | None = None,
     blob_stats: dict[str, int] | None = None,
 ) -> Path:
     """Write one snapshot atomically; returns the published directory.
@@ -268,8 +253,7 @@ def write_snapshot(
     directory under its final LSN-derived name.  Snapshots beyond the
     ``keep`` most recent are garbage-collected afterwards.
 
-    In the default v2 layout, partition blobs already present in the
-    previous snapshot are hard-linked into the new directory instead of
+    Partition blobs already present in the previous snapshot are hard-linked into the new directory instead of
     being re-serialized and re-written — only partitions persisted for
     the first time (the tail), the catalog, the synopsis payloads and
     the manifest cost anything, so checkpoint time is O(tail).
@@ -283,16 +267,10 @@ def write_snapshot(
     persist the truncation but not the snapshot data;
     process-death-only durability (the default) does not need it.
     """
-    if format_version is None:
-        format_version = snapshot_format_version()
     snapshots_dir = Path(snapshots_dir)
     snapshots_dir.mkdir(parents=True, exist_ok=True)
     final_path = snapshots_dir / snapshot_dir_name(state.checkpoint_lsn)
-    previous = (
-        _previous_snapshot(snapshots_dir)
-        if format_version >= SNAPSHOT_FORMAT_V2
-        else None
-    )
+    previous = _previous_snapshot(snapshots_dir)
     tmp_path = snapshots_dir / f"{_TMP_PREFIX}{state.checkpoint_lsn:020d}-{os.getpid()}"
     if tmp_path.exists():
         shutil.rmtree(tmp_path)
@@ -322,7 +300,7 @@ def write_snapshot(
             os.link(src, dst)
         except OSError:
             # No hard-link support (or the file vanished): fall back to a
-            # verified copy, degrading to v1-style write cost for this blob.
+            # verified copy, paying a full write for this blob.
             try:
                 payload = src.read_bytes()
             except OSError:
@@ -337,14 +315,6 @@ def write_snapshot(
         return True
 
     def _persist_partitions(index: int, table: TableSnapshotState) -> None:
-        if format_version < SNAPSHOT_FORMAT_V2:
-            _write(
-                f"table-{index:05d}.partitions",
-                _frame_blobs([dump_partition(p) for p in table.partitions]),
-            )
-            blob_stats["rewritten"] += len(table.partitions)
-            maybe_crash("snapshot.mid_write")
-            return
         known = (
             table.persisted_blobs
             if table.persisted_blobs is not None

@@ -62,7 +62,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
 from repro.obs.exposition import MetricsHTTPServer
 from repro.service.database import Database
-from repro.service.wire import ClusterClient, PipelinedClient
+from repro.service.wire import PipelinedClient
 
 PARAMS = PairwiseHistParams.with_defaults(sample_size=None, seed=1)
 
@@ -330,7 +330,7 @@ class TestExplainClusterAgreement:
             for shard in cluster.shards:
                 templates = {
                     t["template"]
-                    for t in shard.service.workload_snapshot()["templates"]
+                    for t in shard.service.workload()["templates"]
                 }
                 assert templates == {scattered_template}
         finally:
@@ -577,7 +577,7 @@ class TestClusterAuditDrill:
                 assert auditor.audit_now() >= len(clean)
                 assert auditor.violations == 0
             assert alerts.getvalue() == ""
-            stats = cluster.audit_stats()
+            stats = cluster.audit()
             assert stats["enabled"] is True and stats["shards"] == 2
             assert stats["audited"] >= 2 * len(clean)
             assert stats["violations"] == 0
@@ -610,7 +610,7 @@ class TestClusterAuditDrill:
                     auditor.stop()
             events = alert_events(alerts)
             assert any(e["event"] == "bound_violation" for e in events)
-            stats = cluster.audit_stats()
+            stats = cluster.audit()
             assert stats["violations"] >= 1
             assert stats["recent_violations"]
         finally:
@@ -642,33 +642,6 @@ async def serve(scenario, **server_kwargs):
 
 
 class TestWireOps:
-    def test_explain_op_is_pinned_in_both_dialects(self):
-        sql = "SELECT AVG(x) FROM stream WHERE x > 10"
-
-        def scenario(address, server):
-            with ClusterClient(*address) as old, PipelinedClient(*address) as new:
-                old.query(sql)
-                for client in (old, new):
-                    plan = client.explain(sql)
-                    assert plan["node"] == "single"
-                    assert plan["route"]["table"] == "stream"
-                    assert plan["route"]["rows"] == 1200
-                    assert plan["route"]["partitions"] == 2
-                    assert (
-                        plan["query"]["template"]
-                        == "SELECT AVG(x) FROM stream WHERE x > ?;"
-                    )
-                    assert plan["result_cache"]["cached"] is True
-                    assert plan["gather"]["scattered_sql"] == str(
-                        plan_query(parse_query(sql)).scattered
-                    )
-                    # SQL-prefix form through the ordinary query op
-                    # answers the identical plan in both dialects.
-                    prefixed = client.query(f"EXPLAIN {sql}")["explain"]
-                    assert prefixed == plan
-
-        run_async(serve(scenario))
-
     def test_explain_analyze_over_the_wire(self):
         def scenario(address, server):
             with PipelinedClient(*address) as client:
@@ -683,29 +656,6 @@ class TestWireOps:
 
         run_async(serve(scenario))
 
-    def test_workload_and_audit_ops_in_both_dialects(self):
-        def scenario(address, server):
-            auditor = server.service.service.auditor
-            with ClusterClient(*address) as old, PipelinedClient(*address) as new:
-                old.query("SELECT SUM(y) FROM stream WHERE y > 40")
-                new.query("SELECT SUM(y) FROM stream WHERE y > 90")
-                auditor.audit_now()
-                for client in (old, new):
-                    workload = client.workload()
-                    by_template = {
-                        t["template"]: t for t in workload["templates"]
-                    }
-                    entry = by_template["SELECT SUM(y) FROM stream WHERE y > ?;"]
-                    assert entry["count"] == 2
-                    assert entry["last_sql"] == "SELECT SUM(y) FROM stream WHERE y > 90"
-                    assert entry["audit"]["audited"] >= 1
-                    audit = client.audit()
-                    assert audit["enabled"] is True
-                    assert audit["audited"] >= 1
-                    assert audit["sample_rate"] == 1.0
-
-        run_async(serve(scenario))
-
 
 # --------------------------------------------------------------------------- #
 # CLI wiring
@@ -713,7 +663,7 @@ class TestWireOps:
 
 class TestServerWiring:
     def test_attach_answer_quality_wires_and_starts(self):
-        from repro.service.server import _attach_answer_quality
+        from repro.service.cli import _attach_answer_quality
 
         service = QueryService()
         service.register_table(
@@ -736,7 +686,7 @@ class TestServerWiring:
             auditor.stop()
 
     def test_attach_answer_quality_defaults_off(self):
-        from repro.service.server import _attach_answer_quality
+        from repro.service.cli import _attach_answer_quality
 
         service = QueryService()
         args = argparse.Namespace(
@@ -885,10 +835,10 @@ class TestProcessClusterAuditEndToEnd:
             for _ in range(3):
                 cluster.execute("SELECT AVG(x) FROM sensors WHERE x > 10")
             deadline = time.perf_counter() + 30.0
-            stats = cluster.audit_stats()
+            stats = cluster.audit()
             while time.perf_counter() < deadline and stats["audited"] == 0:
                 time.sleep(0.2)
-                stats = cluster.audit_stats()
+                stats = cluster.audit()
             assert stats["enabled"] is True
             assert stats["shards"] == 2
             assert stats["audited"] > 0

@@ -418,7 +418,7 @@ class TestLocalCluster:
         cluster.drop_table("sensors")
         assert "sensors" not in cluster
         for shard in cluster.shards:
-            assert shard.table_names() == []
+            assert shard.call("tables") == []
 
     def test_accuracy_tracks_single_node(self, cluster, single_node):
         from repro.exactdb.executor import ExactQueryEngine
@@ -562,7 +562,7 @@ class TestProcessClusterSmoke:
             # Front-end bookkeeping agrees with each worker's durable truth.
             entry = cluster.table("sensors")
             for index, shard in enumerate(cluster.shards):
-                assert shard.stat("sensors")["rows"] == entry.shard_rows[index]
+                assert shard.call("stat", "sensors")["rows"] == entry.shard_rows[index]
         finally:
             cluster.close()
 

@@ -32,8 +32,8 @@ from repro import (
     PairwiseHistParams,
     QueryServer,
     ReadWriteLock,
-    SerializedQueryService,
 )
+from repro.bench.harness import SerializedQueryService
 
 JOIN_TIMEOUT = 60.0
 

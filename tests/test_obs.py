@@ -30,7 +30,7 @@ import time
 import urllib.request
 
 import pytest
-from conftest import make_simple_table
+from conftest import JsonLinesClient, make_simple_table
 
 from repro import (
     AsyncQueryService,
@@ -44,7 +44,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
 from repro.obs.exposition import CONTENT_TYPE, MetricsHTTPServer, render_prometheus
 from repro.obs.metrics import MetricsRegistry, merge_snapshot
-from repro.service.wire import ClusterClient, PipelinedClient
+from repro.service.wire import PipelinedClient
 
 PARAMS = PairwiseHistParams.with_defaults(sample_size=None, seed=1)
 
@@ -346,32 +346,12 @@ async def serve(scenario, **server_kwargs):
 
 
 class TestWireOps:
-    def test_metrics_op_in_both_dialects(self):
-        def scenario(address, server):
-            with ClusterClient(*address) as old, PipelinedClient(*address) as new:
-                old.query("SELECT COUNT(*) FROM stream")
-                for client in (old, new):
-                    snapshot = client.metrics()
-                    assert "aqp_request_latency_seconds" in snapshot
-                    latency = snapshot["aqp_request_latency_seconds"]
-                    assert latency["type"] == "histogram"
-                    kinds = {
-                        s["labels"]["kind"]
-                        for s in latency["series"]
-                        if s["count"] > 0
-                    }
-                    assert "query" in kinds
-                    assert "aqp_requests_shed_total" in snapshot
-                    assert "aqp_result_cache_lookups_total" in snapshot
-
-        run_async(serve(scenario))
-
     def test_traced_query_span_tree_in_both_dialects(self):
         def scenario(address, server):
             # JSON dialect: the "trace" request key.
             tid = tracing.new_trace_id()
             sid = tracing.new_span_id()
-            with ClusterClient(*address) as old:
+            with JsonLinesClient(*address) as old:
                 old.query("SELECT AVG(x) FROM stream", trace=(tid, sid))
                 spans = old.trace(tid)
             names = {s["name"] for s in spans}
@@ -401,7 +381,7 @@ class TestWireOps:
 
     def test_untraced_queries_do_not_leak_into_foreign_traces(self):
         def scenario(address, server):
-            with ClusterClient(*address) as client:
+            with JsonLinesClient(*address) as client:
                 client.query("SELECT COUNT(*) FROM stream")
                 assert client.trace(tracing.new_trace_id()) == []
 
@@ -412,7 +392,7 @@ class TestWireOps:
         must not change the ``status`` op payload one old clients parse."""
 
         def scenario(address, server):
-            with ClusterClient(*address) as client:
+            with JsonLinesClient(*address) as client:
                 client.query("SELECT COUNT(*) FROM stream")
                 client.query("SELECT COUNT(*) FROM stream")  # cache hit
                 status = client.status()
@@ -489,7 +469,7 @@ def _await_lag(shard, predicate, timeout=30.0, message=""):
     deadline = time.perf_counter() + timeout
     lags: dict[str, float] = {}
     while time.perf_counter() < deadline:
-        snapshot = shard.primary.metrics()
+        snapshot = shard.primary.call("metrics")
         series = snapshot.get("aqp_replication_ack_lag_records", {}).get(
             "series", []
         )
@@ -520,7 +500,7 @@ class TestClusterObservabilityEndToEnd:
             cluster.execute("SELECT COUNT(*) FROM sensors")
             cluster.execute("SELECT COUNT(*) FROM sensors")
             for i in range(cluster.num_shards):
-                cluster.shards[i].checkpoint()
+                cluster.shards[i].call("checkpoint")
             snapshot = cluster.metrics()
 
             def shards_with(name):

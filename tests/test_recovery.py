@@ -11,12 +11,15 @@ idempotency) — plus a real ``kill -9`` of a ``QueryServer`` subprocess.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +45,8 @@ QUERIES = [
 
 PARAMS = PairwiseHistParams.with_defaults(sample_size=5_000)
 PARTITION_SIZE = 400
+
+V1_FIXTURE = Path(__file__).parent / "fixtures" / "snapshot-v1"
 
 
 @pytest.fixture(autouse=True)
@@ -264,31 +269,34 @@ class TestRecovery:
         assert answers(recovered) == expected
         recovered.close()
 
-    def test_v1_snapshot_recovers_and_next_checkpoint_upgrades(
-        self, tmp_path, monkeypatch
-    ):
+    def test_v1_snapshot_recovers_and_next_checkpoint_upgrades(self, tmp_path):
         """A data dir written by the v1 (monolithic) snapshot format must
         recover under the v2 code, and the next checkpoint upgrades it to
-        the blob layout without disturbing answers."""
-        monkeypatch.setenv("REPRO_SNAPSHOT_FORMAT", "1")
-        db = durable(tmp_path)
-        db.register(batch(0, rows=900))
-        db.ingest("sensors", batch(1))
-        db.checkpoint()
-        db.ingest("sensors", batch(2))
-        expected = answers(db)
-        db.close()
+        the blob layout without disturbing answers.
+
+        The directory is the committed fixture (register 900 rows, ingest
+        batch 1, checkpoint, ingest batch 2 — written once by the last
+        commit that could write v1), with the answers that commit gave.
+        """
+        shutil.copytree(V1_FIXTURE / "data", tmp_path / "data")
+        golden = json.loads((V1_FIXTURE / "expected.json").read_text())
+        expected = [
+            tuple(float.fromhex(v) for v in row) for row in golden["answers"]
+        ]
         snapshots = tmp_path / "data" / "snapshots"
         newest = sorted(p for p in snapshots.iterdir() if p.name.startswith("snap-"))[-1]
         assert (newest / "table-00000.partitions").is_file()
 
-        monkeypatch.delenv("REPRO_SNAPSHOT_FORMAT")
         recovered = durable(tmp_path)
         assert recovered.recovery_info.snapshot_lsn == 2
+        assert recovered.table("sensors").num_rows == golden["rows"]
         assert answers(recovered) == expected
         recovered.checkpoint()
         newest = sorted(p for p in snapshots.iterdir() if p.name.startswith("snap-"))[-1]
-        assert list(newest.glob("part-*.blob"))  # upgraded to v2
+        blobs = list(newest.glob("part-*.blob"))
+        assert blobs  # upgraded to v2
+        # Nothing to link from a v1 directory: every blob is a fresh file.
+        assert all(blob.stat().st_nlink == 1 for blob in blobs)
         recovered.close()
         again = durable(tmp_path)
         assert again.recovery_info.snapshot_lsn == 3
@@ -682,7 +690,7 @@ def _start_server(data_dir, crash_point: str | None = None):
 
 
 def _client_run(port, coroutine_factory):
-    from repro.service.server import AsyncQueryClient
+    from repro.service.wire import AsyncQueryClient
 
     async def runner():
         async with AsyncQueryClient("127.0.0.1", port) as client:

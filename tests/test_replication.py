@@ -536,12 +536,12 @@ class TestReplicationEndToEnd:
             shard = cluster.shards[0]
             assert isinstance(shard, ReplicatedShard)
             # Both replicas durably applied everything and are eligible.
-            primary_status = shard.primary.status()
+            primary_status = shard.primary.call("status")
             assert primary_status["role"] == "primary"
             assert len(primary_status["followers"]) == 2
             durable = primary_status["durable_lsn"]
             for slot in shard.replica_slots():
-                status = shard.replicas[slot].status()
+                status = shard.replicas[slot].call("status")
                 assert status["role"] == "replica"
                 assert status["applied_lsn"] == durable
             assert sorted(shard.eligible_slots()) == [0, 1]
@@ -565,11 +565,11 @@ class TestReplicationEndToEnd:
                     "sensors", make_simple_table(rows=100, seed=seed, name="sensors")
                 )
             shard = cluster.shards[0]
-            acked = shard.primary.status()["replicated_lsn"]
-            durable = shard.primary.status()["durable_lsn"]
+            acked = shard.primary.call("status")["replicated_lsn"]
+            durable = shard.primary.call("status")["durable_lsn"]
             assert acked == durable  # every returned ack was replicated
             freshest = max(
-                shard.replicas[slot].status()["applied_lsn"]
+                shard.replicas[slot].call("status")["applied_lsn"]
                 for slot in shard.replica_slots()
             )
             assert freshest >= acked
@@ -598,8 +598,8 @@ class TestReplicationEndToEnd:
             wait_for_replica_catchup(cluster)
             assert _scalar(cluster, "SELECT COUNT(*) FROM sensors") == 600.0
             shard = cluster.shards[0]
-            assert shard.primary.status()["role"] == "primary"
-            assert shard.primary.status()["epoch"] == 2
+            assert shard.primary.call("status")["role"] == "primary"
+            assert shard.primary.call("status")["epoch"] == 2
             # The deposed primary's slot was reseeded as a fresh follower
             # and its pre-crash state quarantined, not merged.
             assert len(shard.replica_slots()) == 2
@@ -653,8 +653,8 @@ class TestReplicationEndToEnd:
                 0, ProcessShard(0, cluster.supervisor.host, handle.port)
             )
             wait_for_replica_catchup(cluster)
-            status = shard.replicas[0].status()
-            assert status["applied_lsn"] == shard.primary.status()["durable_lsn"]
+            status = shard.replicas[0].call("status")
+            assert status["applied_lsn"] == shard.primary.call("status")["durable_lsn"]
             assert status["follower"]["seeds"] >= 1
             # The pre-quarantine state was moved aside, not deleted.
             quarantine = cluster.layout.replica_path(0, 0) / f"divergent-{epoch:06d}"

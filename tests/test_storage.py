@@ -8,6 +8,7 @@ lives in ``test_recovery.py``.
 
 from __future__ import annotations
 
+import shutil
 import struct
 import zlib
 from pathlib import Path
@@ -43,13 +44,6 @@ from repro.storage.snapshot import SnapshotState, TableSnapshotState
 def _clear_crash_hook():
     yield
     set_crash_hook(None)
-
-
-@pytest.fixture(autouse=True)
-def _default_snapshot_format(monkeypatch):
-    """These unit tests pin the default (v2) layout; don't let an ambient
-    REPRO_SNAPSHOT_FORMAT (e.g. the CI v1-compat job) flip it."""
-    monkeypatch.delenv("REPRO_SNAPSHOT_FORMAT", raising=False)
 
 
 # --------------------------------------------------------------------------- #
@@ -313,6 +307,10 @@ class TestPartitionDumpLoad:
 # Snapshots
 
 
+#: A snapshots directory in the v1 layout (see tests/fixtures/snapshot-v1).
+V1_SNAPSHOTS = Path(__file__).parent / "fixtures" / "snapshot-v1" / "data" / "snapshots"
+
+
 def _make_state(checkpoint_lsn: int, seed: int = 0) -> SnapshotState:
     from repro.core.builder import build_partition_synopses, snapshot_partition_input
 
@@ -408,16 +406,14 @@ class TestSnapshots:
         """A second snapshot at an already-published LSN hits the
         redundant-temp branch: the fresh copy is dropped, the published
         directory stays, and no temp dirs leak."""
-        for fmt in (2, 1):
-            target = tmp_path / f"v{fmt}"
-            state = _make_state(checkpoint_lsn=7)
-            first = write_snapshot(target, state, format_version=fmt)
-            second = write_snapshot(target, state, format_version=fmt)
-            assert first == second
-            assert not list(target.glob("tmp-*"))
-            loaded = load_latest_snapshot(target)
-            assert loaded.checkpoint_lsn == 7
-            assert loaded.tables[0].to_store().num_rows == 600
+        state = _make_state(checkpoint_lsn=7)
+        first = write_snapshot(tmp_path, state)
+        second = write_snapshot(tmp_path, state)
+        assert first == second
+        assert not list(tmp_path.glob("tmp-*"))
+        loaded = load_latest_snapshot(tmp_path)
+        assert loaded.checkpoint_lsn == 7
+        assert loaded.tables[0].to_store().num_rows == 600
 
     def test_fsync_covers_current_pointer_and_skips_linked_blobs(
         self, tmp_path, monkeypatch
@@ -597,26 +593,24 @@ class TestIncrementalSnapshots:
         assert load_latest_snapshot(tmp_path).checkpoint_lsn == 2
         assert not list(tmp_path.glob("tmp-*"))
 
-    def test_v1_format_written_and_loaded(self, tmp_path):
-        path = write_snapshot(
-            tmp_path, _make_state(checkpoint_lsn=7), format_version=1
-        )
+    def test_v1_format_is_still_loaded(self):
+        """The v1 (monolithic) layout is no longer written; the committed
+        fixture — written once by the last commit that could — must load."""
+        (path,) = V1_SNAPSHOTS.glob("snap-*")
         assert (path / "table-00000.partitions").is_file()
         assert not _blob_names(path)
-        loaded = load_latest_snapshot(tmp_path)
-        assert loaded.checkpoint_lsn == 7
-        assert loaded.tables[0].to_store().num_rows == 600
+        loaded = load_latest_snapshot(V1_SNAPSHOTS)
+        assert loaded.checkpoint_lsn == 2
+        assert loaded.tables[0].to_store().num_rows == 1200
 
     def test_v1_chain_upgrades_to_v2_on_next_write(self, tmp_path):
-        store, params = _make_store()
-        write_snapshot(
-            tmp_path, _state_from_store(store, params, 1), keep=5, format_version=1
-        )
+        shutil.copytree(V1_SNAPSHOTS, tmp_path, dirs_exist_ok=True)
         loaded = load_latest_snapshot(tmp_path)
         restored = loaded.tables[0].to_store()
-        snap2 = write_snapshot(tmp_path, _state_from_store(restored, params, 2), keep=5)
+        params = loaded.tables[0].params
+        snap2 = write_snapshot(tmp_path, _state_from_store(restored, params, 3), keep=5)
         assert _blob_names(snap2)  # v2 layout now
-        assert load_latest_snapshot(tmp_path).checkpoint_lsn == 2
+        assert load_latest_snapshot(tmp_path).checkpoint_lsn == 3
         # The v2 blobs are brand new files (nothing to link from a v1 dir).
         for name in _blob_names(snap2):
             assert (snap2 / name).stat().st_nlink == 1

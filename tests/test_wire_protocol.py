@@ -4,9 +4,9 @@ The contract under test (see ``repro.service.framing`` / ``wire`` /
 ``server``):
 
 * the server sniffs each connection's first bytes — the binary magic
-  selects the pipelined frame protocol, anything else the legacy
-  JSON-lines dialect, so old clients keep working unchanged and both
-  dialects answer identically;
+  selects the pipelined frame protocol, anything else the JSON-lines
+  shim, so ``nc``-style clients keep working (that both dialects answer
+  identically is pinned per op in ``test_ops_conformance.py``);
 * :class:`PipelinedClient` keeps many requests in flight on one
   connection and matches responses by request id;
 * admission control sheds requests over the in-flight limit with an
@@ -21,7 +21,7 @@ import asyncio
 
 import pytest
 
-from conftest import make_simple_table
+from conftest import JsonLinesClient, make_simple_table
 
 from repro import (
     AsyncQueryService,
@@ -30,12 +30,9 @@ from repro import (
     QueryServer,
     QueryService,
 )
-from repro.service.wire import (
-    ClusterClient,
-    OverloadedError,
-    PipelinedClient,
-    WireError,
-)
+from repro.obs import metrics as obs_metrics
+from repro.obs import tracing
+from repro.service.wire import OverloadedError, PipelinedClient, WireError
 from repro.sql import parser as sql_parser
 from repro.sql.parser import (
     ParseError,
@@ -88,7 +85,7 @@ class TestNegotiation:
         """A pre-binary client (first byte ``{``) gets correct answers."""
 
         def scenario(address, server):
-            with ClusterClient(*address) as client:
+            with JsonLinesClient(*address) as client:
                 assert client.ping()
                 assert client.tables() == ["stream"]
                 payload = client.query("SELECT COUNT(*) FROM stream")
@@ -103,17 +100,6 @@ class TestNegotiation:
                 # Errors still come back as clean JSON frames.
                 with pytest.raises(WireError, match="ParseError"):
                     client.query("SELECT FROM")
-
-        run_async(serve(scenario))
-
-    def test_both_dialects_share_a_server_and_answer_identically(self):
-        def scenario(address, server):
-            sql = "SELECT AVG(x), SUM(y) FROM stream WHERE y > 50"
-            grouped = "SELECT COUNT(x) FROM stream GROUP BY category"
-            with ClusterClient(*address) as old, PipelinedClient(*address) as new:
-                assert old.query(sql) == new.query(sql)
-                assert old.query(grouped) == new.query(grouped)
-                assert old.tables() == new.tables() == ["stream"]
 
         run_async(serve(scenario))
 
@@ -186,10 +172,10 @@ class TestPipelinedClient:
                 # error and a ping so non-query frames are in the mix too.
                 futures = [(sql, client.submit_query(sql)) for sql in sqls]
                 bad = client.submit_query("SELECT FROM")
-                pinged = client.submit_ping()
+                pinged = client.submit("ping")
                 for sql, future in futures:
                     assert future.result(timeout=30.0) == serial[sql]
-                assert pinged.result(timeout=30.0) is True
+                assert pinged.result(timeout=30.0) == "pong"
                 with pytest.raises(WireError, match="ParseError"):
                     bad.result(timeout=30.0)
 
@@ -216,7 +202,7 @@ class TestPipelinedClient:
             client = PipelinedClient(*address).connect()
             client.close()
             with pytest.raises(UnsentRequestError):
-                client.submit_ping()
+                client.submit("ping")
 
         run_async(serve(scenario))
 
@@ -233,7 +219,7 @@ class TestAdmissionControl:
             with PipelinedClient(*address) as binary:
                 with pytest.raises(OverloadedError):
                     binary.query("SELECT COUNT(*) FROM stream")
-            with ClusterClient(*address) as old:
+            with JsonLinesClient(*address) as old:
                 response = old.request(
                     {"op": "query", "sql": "SELECT COUNT(*) FROM stream"}
                 )
@@ -241,7 +227,7 @@ class TestAdmissionControl:
                 assert response["error_type"] == "Overloaded"
             assert server.shed_counts["query"] >= 2
             # Ingest has its own limit: it is not collateral damage.
-            with ClusterClient(*address) as old:
+            with JsonLinesClient(*address) as old:
                 assert old.ingest("stream", EXTRA_ROW)["appended_rows"] == 1
 
         run_async(serve(scenario, max_inflight_queries=0))
@@ -323,6 +309,41 @@ class TestParseCache:
             in sql_parser._parse_cache
         )
         assert "SELECT COUNT(*) FROM stream WHERE y > 0" not in sql_parser._parse_cache
+
+    def test_one_statement_is_one_parse_cache_lookup(self):
+        """Regression: the concurrent service looked a statement up once to
+        find its table lock and handed the *string* on to be looked up
+        again, so a stream that never repeats read as a 50% hit ratio."""
+        service = make_cached_service(ConcurrentQueryService)
+
+        def lookups() -> dict[str, float]:
+            series = obs_metrics.REGISTRY.snapshot()["aqp_parse_cache_lookups_total"]["series"]
+            return {s["labels"]["outcome"]: s["value"] for s in series}
+
+        before = lookups()
+        for i in range(25):
+            execute = service.execute if i % 2 else service.execute_scalar
+            execute(f"SELECT COUNT(*) FROM stream WHERE y > {i}")
+        after = lookups()
+        assert after["miss"] - before["miss"] == 25
+        assert after["hit"] - before["hit"] == 0
+
+    def test_parse_span_of_an_uncached_traced_query_encloses_the_parse(
+        self, monkeypatch
+    ):
+        service = make_cached_service(ConcurrentQueryService)
+        active_spans = []
+        real_parse = sql_parser.parse_query
+
+        def spying_parse(sql):
+            span = tracing.current_span()
+            active_spans.append(None if span is None else span.name)
+            return real_parse(sql)
+
+        monkeypatch.setattr(sql_parser, "parse_query", spying_parse)
+        with tracing.root_span("query"):
+            service.execute("SELECT AVG(x) FROM stream WHERE y > 12.5")
+        assert active_spans == ["parse"]
 
     def test_parse_errors_are_never_cached(self):
         for _ in range(2):
