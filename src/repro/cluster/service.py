@@ -746,10 +746,11 @@ class ClusterQueryService:
             return gather_groups(plan, [groups for _, groups in raw])
 
     def execute_scalar(self, query: Query | str) -> AqpResult:
-        results = self.execute(query)
-        if isinstance(results, dict):
+        if isinstance(query, str):
+            query = parse_query_cached(query)
+        if query.group_by is not None:
             raise ValueError("execute_scalar does not support GROUP BY queries")
-        return results[0]
+        return self.execute(query)[0]
 
     def query(self, query: Query | str):
         return self.execute(query)

@@ -32,6 +32,10 @@ class AqpEstimate:
         if np.isfinite(self.lower) and np.isfinite(self.upper) and self.lower > self.upper:
             self.lower, self.upper = self.upper, self.lower
 
+    def map(self, formula) -> "AqpEstimate":
+        """``formula`` applied to the value and to each bound."""
+        return AqpEstimate(formula(self.value), formula(self.lower), formula(self.upper))
+
     @property
     def width(self) -> float:
         """Absolute bound width."""
@@ -62,10 +66,8 @@ def aggregate(
         return _sum(hist, weights, sampling_ratio)
     if func is AggregateFunction.AVG:
         return _avg(hist, weights)
-    if func is AggregateFunction.MIN:
-        return _min(hist, weights, min_points, single_column)
-    if func is AggregateFunction.MAX:
-        return _max(hist, weights, min_points, single_column)
+    if func in (AggregateFunction.MIN, AggregateFunction.MAX):
+        return _extremum(hist, weights, min_points, single_column, func is AggregateFunction.MAX)
     if func is AggregateFunction.MEDIAN:
         return _median(hist, weights)
     if func is AggregateFunction.VAR:
@@ -100,11 +102,15 @@ def _weighted_mean(weights: np.ndarray, values: np.ndarray) -> float:
     return float(weights @ values / total)
 
 
+def _bound_weightings(weights: WeightingResult) -> list[np.ndarray]:
+    """The non-empty weighting bounds a ratio aggregate's bounds range over."""
+    candidates = [w for w in (weights.lower, weights.upper) if w.sum() > 0]
+    return candidates or [weights.estimate]
+
+
 def _avg(hist: Histogram1D, weights: WeightingResult) -> AqpEstimate:
     estimate = _weighted_mean(weights.estimate, hist.midpoints)
-    candidates = [w for w in (weights.lower, weights.upper) if w.sum() > 0]
-    if not candidates:
-        candidates = [weights.estimate]
+    candidates = _bound_weightings(weights)
     lower = min(_weighted_mean(w, hist.centre_lower) for w in candidates)
     upper = max(_weighted_mean(w, hist.centre_upper) for w in candidates)
     # Clamp like the other estimators: merged (partitioned) histograms can
@@ -116,77 +122,47 @@ def _avg(hist: Histogram1D, weights: WeightingResult) -> AqpEstimate:
 # MIN / MAX
 
 
-def _first_index(mask: np.ndarray) -> int | None:
-    indices = np.flatnonzero(mask)
-    return int(indices[0]) if indices.size else None
-
-
-def _last_index(mask: np.ndarray) -> int | None:
-    indices = np.flatnonzero(mask)
-    return int(indices[-1]) if indices.size else None
-
-
-def _sub_bin_width(hist: Histogram1D, t: int) -> float:
-    s = terrell_scott_bins(int(hist.unique[t]))
-    width = hist.v_plus[t] - hist.v_minus[t]
-    return width / s if s > 0 else width
-
-
-def _min(
-    hist: Histogram1D, weights: WeightingResult, min_points: int, single_column: bool
+def _extremum(
+    hist: Histogram1D,
+    weights: WeightingResult,
+    min_points: int,
+    single_column: bool,
+    is_max: bool,
 ) -> AqpEstimate:
-    t_est = _first_index(weights.estimate > 0)
+    """MIN / MAX: the extremum of the outermost bin holding matching points.
+
+    ``near`` is the extremum on the aggregate's own side (``v-`` for MIN),
+    ``far`` the opposite one.  The value and the outer bound come from the
+    outermost bin with a positive estimated / upper weighting, stepping to
+    ``far`` when a two-valued bin is mostly excluded; the inner bound starts
+    at ``far`` of the outermost bin certain to hold a point and moves
+    towards ``near`` by the sub-bins the lower weighting must occupy.
+    """
+    near, far = (hist.v_plus, hist.v_minus) if is_max else (hist.v_minus, hist.v_plus)
+    towards_near = 1.0 if is_max else -1.0
+
+    def outermost(mask: np.ndarray, default: int | None) -> int | None:
+        indices = np.flatnonzero(mask)
+        return int(indices[-1 if is_max else 0]) if indices.size else default
+
+    def outer(w: np.ndarray, t: int, divisor: int) -> float:
+        mostly_excluded = w[t] < hist.counts[t] / divisor
+        return float(far[t] if single_column and hist.unique[t] == 2 and mostly_excluded else near[t])
+
+    t_est = outermost(weights.estimate > 0, None)
     if t_est is None:
         return _EMPTY
-    if single_column and hist.unique[t_est] == 2 and weights.estimate[t_est] < hist.counts[t_est] / 2:
-        value = float(hist.v_plus[t_est])
-    else:
-        value = float(hist.v_minus[t_est])
+    value = outer(weights.estimate, t_est, 2)
+    outer_bound = outer(weights.upper, outermost(weights.upper > 0, t_est), 5)
 
-    t_lo = _first_index(weights.upper > 0)
-    t_lo = t_est if t_lo is None else t_lo
-    if single_column and hist.unique[t_lo] == 2 and weights.upper[t_lo] < hist.counts[t_lo] / 5:
-        lower = float(hist.v_plus[t_lo])
-    else:
-        lower = float(hist.v_minus[t_lo])
-
-    t_hi = _first_index(weights.lower > 0.5)
-    t_hi = t_est if t_hi is None else t_hi
-    if single_column and hist.unique[t_hi] > 2 and hist.counts[t_hi] > min_points:
-        s = terrell_scott_bins(int(hist.unique[t_hi]))
-        covered = int(np.floor(s * weights.lower[t_hi] / max(hist.counts[t_hi], 1.0)))
-        upper = float(hist.v_plus[t_hi] - covered * _sub_bin_width(hist, t_hi))
-    else:
-        upper = float(hist.v_plus[t_hi])
-    return AqpEstimate(value=value, lower=min(lower, value), upper=max(upper, value))
-
-
-def _max(
-    hist: Histogram1D, weights: WeightingResult, min_points: int, single_column: bool
-) -> AqpEstimate:
-    t_est = _last_index(weights.estimate > 0)
-    if t_est is None:
-        return _EMPTY
-    if single_column and hist.unique[t_est] == 2 and weights.estimate[t_est] < hist.counts[t_est] / 2:
-        value = float(hist.v_minus[t_est])
-    else:
-        value = float(hist.v_plus[t_est])
-
-    t_lo = _last_index(weights.lower > 0.5)
-    t_lo = t_est if t_lo is None else t_lo
-    if single_column and hist.unique[t_lo] > 2 and hist.counts[t_lo] > min_points:
-        s = terrell_scott_bins(int(hist.unique[t_lo]))
-        covered = int(np.floor(s * weights.lower[t_lo] / max(hist.counts[t_lo], 1.0)))
-        lower = float(hist.v_minus[t_lo] + covered * _sub_bin_width(hist, t_lo))
-    else:
-        lower = float(hist.v_minus[t_lo])
-
-    t_hi = _last_index(weights.upper > 0)
-    t_hi = t_est if t_hi is None else t_hi
-    if single_column and hist.unique[t_hi] == 2 and weights.upper[t_hi] < hist.counts[t_hi] / 5:
-        upper = float(hist.v_minus[t_hi])
-    else:
-        upper = float(hist.v_plus[t_hi])
+    t = outermost(weights.lower > 0.5, t_est)
+    inner_bound = float(far[t])
+    if single_column and hist.unique[t] > 2 and hist.counts[t] > min_points:
+        s = terrell_scott_bins(int(hist.unique[t]))
+        covered = int(np.floor(s * weights.lower[t] / max(hist.counts[t], 1.0)))
+        sub_bin_width = (hist.v_plus[t] - hist.v_minus[t]) / s
+        inner_bound = float(far[t] + towards_near * covered * sub_bin_width)
+    lower, upper = (inner_bound, outer_bound) if is_max else (outer_bound, inner_bound)
     return AqpEstimate(value=value, lower=min(lower, value), upper=max(upper, value))
 
 
@@ -253,9 +229,7 @@ def _var(hist: Histogram1D, weights: WeightingResult) -> AqpEstimate:
     distance_high = np.abs(hist.v_plus - mean)
     xi_plus = np.where(distance_low > distance_high, hist.v_minus, hist.v_plus)
 
-    candidates = [w for w in (weights.lower, weights.upper) if w.sum() > 0]
-    if not candidates:
-        candidates = [weights.estimate]
+    candidates = _bound_weightings(weights)
 
     def variance_with(points: np.ndarray, w: np.ndarray) -> float:
         mu = _weighted_mean(w, points)

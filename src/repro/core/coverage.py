@@ -14,51 +14,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sql.ast import ComparisonOp
-from .hypothesis import chi2_critical_value, terrell_scott_bins
+from .hypothesis import sub_bins_and_critical_values
+
+_MEMBERS = ("estimate", "lower", "upper")
 
 
 @dataclass
 class CoverageResult:
-    """Coverage estimate and bounds, one entry per histogram bin."""
+    """Per-bin probability that a condition (or sub-predicate) holds, with
+    bounds: one entry per histogram bin, each clipped to [0, 1]."""
 
     estimate: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self) -> None:
-        self.estimate = np.clip(np.asarray(self.estimate, dtype=float), 0.0, 1.0)
-        self.lower = np.clip(np.asarray(self.lower, dtype=float), 0.0, 1.0)
-        self.upper = np.clip(np.asarray(self.upper, dtype=float), 0.0, 1.0)
+        for name in _MEMBERS:
+            setattr(self, name, np.clip(np.asarray(getattr(self, name), dtype=float), 0.0, 1.0))
+
+    @classmethod
+    def each(cls, formula, *results: "CoverageResult") -> "CoverageResult":
+        """``formula`` applied to the estimates, then the lowers, then the uppers."""
+        return cls(*(formula(*(getattr(r, name) for r in results)) for name in _MEMBERS))
 
     @property
     def num_bins(self) -> int:
         return len(self.estimate)
 
 
-def _range_fraction(op: ComparisonOp, literal: float, v_minus: float, v_plus: float) -> float:
-    """Fraction of the bin value range ``[v-, v+]`` satisfying a range condition."""
-    width = v_plus - v_minus
-    if width <= 0:
-        return 1.0 if _satisfies(op, literal, v_minus) else 0.0
-    if op in (ComparisonOp.LT, ComparisonOp.LE):
-        fraction = (literal - v_minus) / width
-    else:  # GT / GE
-        fraction = (v_plus - literal) / width
-    return float(np.clip(fraction, 0.0, 1.0))
-
-
-def _satisfies(op: ComparisonOp, literal: float, value: float) -> bool:
-    if op is ComparisonOp.LT:
-        return value < literal
-    if op is ComparisonOp.LE:
-        return value <= literal
-    if op is ComparisonOp.GT:
-        return value > literal
-    if op is ComparisonOp.GE:
-        return value >= literal
-    if op is ComparisonOp.EQ:
-        return value == literal
-    return value != literal
+_COMPARE = {
+    ComparisonOp.LT: np.less,
+    ComparisonOp.LE: np.less_equal,
+    ComparisonOp.GT: np.greater,
+    ComparisonOp.GE: np.greater_equal,
+}
 
 
 def coverage_estimate(
@@ -68,47 +57,42 @@ def coverage_estimate(
     v_plus: np.ndarray,
     unique: np.ndarray,
 ) -> np.ndarray:
-    """Eq. 15–16: per-bin coverage of a single condition."""
-    k = len(v_minus)
-    beta = np.zeros(k)
-    for t in range(k):
-        u = unique[t]
-        if u <= 0:
-            beta[t] = 0.0
-            continue
-        lo, hi = float(v_minus[t]), float(v_plus[t])
+    """Eq. 15–16: per-bin coverage of a single condition.
+
+    A range condition covers a bin fully when both extrema satisfy it, not
+    at all when neither does, and otherwise the satisfying fraction of
+    ``[v-, v+]`` (one half when the bin holds just two values).
+    """
+    v_minus, v_plus, unique = np.asarray(v_minus), np.asarray(v_plus), np.asarray(unique)
+    with np.errstate(divide="ignore", invalid="ignore"):
         if op.is_equality:
-            inside = lo <= literal <= hi
-            hit = (1.0 / u) if inside else 0.0
-            beta[t] = hit if op is ComparisonOp.EQ else 1.0 - hit
-            continue
-        low_ok = _satisfies(op, literal, lo)
-        high_ok = _satisfies(op, literal, hi)
-        if not low_ok and not high_ok:
-            beta[t] = 0.0
-        elif low_ok and high_ok:
-            beta[t] = 1.0
-        elif u == 2:
-            beta[t] = 0.5
+            hit = np.where((v_minus <= literal) & (literal <= v_plus), 1.0 / unique, 0.0)
+            beta = hit if op is ComparisonOp.EQ else 1.0 - hit
         else:
-            beta[t] = _range_fraction(op, literal, lo, hi)
-    return beta
+            low_ok = _COMPARE[op](v_minus, literal)
+            high_ok = _COMPARE[op](v_plus, literal)
+            below = op in (ComparisonOp.LT, ComparisonOp.LE)
+            satisfying = (literal - v_minus) if below else (v_plus - literal)
+            fraction = np.clip(satisfying / (v_plus - v_minus), 0.0, 1.0)
+            partial = np.where(unique == 2, 0.5, fraction)
+            beta = np.where(low_ok & high_ok, 1.0, np.where(low_ok | high_ok, partial, 0.0))
+    return np.where(unique > 0, beta, 0.0)
 
 
 def partial_count_bounds(
-    count: float, sub_bins: int, covered: int, chi2_alpha: float
-) -> tuple[float, float]:
+    count: np.ndarray, sub_bins: np.ndarray, covered: np.ndarray, chi2_alpha: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Theorem 2 (Eq. 17): bounds on the count over ``covered`` of ``sub_bins`` sub-bins."""
-    if count <= 0 or sub_bins <= 0:
-        return 0.0, 0.0
-    covered = int(np.clip(covered, 0, sub_bins))
-    expected = count * covered / sub_bins
-    if covered == 0:
-        return 0.0, 0.0
-    if covered == sub_bins:
-        return count, count
-    spread = expected * np.sqrt(chi2_alpha * (sub_bins - covered) / (count * covered))
-    return max(0.0, expected - spread), min(count, expected + spread)
+    count, sub_bins = np.asarray(count, dtype=float), np.asarray(sub_bins)
+    covered = np.clip(covered, 0, sub_bins)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = count * covered / sub_bins
+        spread = expected * np.sqrt(chi2_alpha * (sub_bins - covered) / (count * covered))
+    nothing = (count <= 0) | (sub_bins <= 0) | (covered == 0)
+    everything = covered == sub_bins
+    lower = np.where(everything, count, np.maximum(0.0, expected - spread))
+    upper = np.where(everything, count, np.minimum(count, expected + spread))
+    return np.where(nothing, 0.0, lower), np.where(nothing, 0.0, upper)
 
 
 def coverage_bounds(
@@ -124,34 +108,24 @@ def coverage_bounds(
     fewer than ``M`` points fall back to the one-point worst case; bins that
     passed the uniformity test use the Theorem 2 partial-count bounds.
     """
-    k = len(beta)
-    lower = np.empty(k)
-    upper = np.empty(k)
-    for t in range(k):
-        b = float(beta[t])
-        h = float(counts[t])
-        if b in (0.0, 1.0) or h <= 0:
-            lower[t] = b
-            upper[t] = b
-            continue
-        if h < min_points:
-            lower[t] = 1.0 / h
-            upper[t] = 1.0 - 1.0 / h
-            if lower[t] > upper[t]:
-                lower[t] = upper[t] = b
-            continue
-        s = terrell_scott_bins(int(unique[t]))
-        if s < 2:
-            lower[t] = b
-            upper[t] = b
-            continue
-        chi2_alpha = chi2_critical_value(alpha, s)
-        a = int(np.floor(b * s))
-        c = int(np.ceil(b * s))
-        lo_count, _ = partial_count_bounds(h, s, a, chi2_alpha)
-        _, hi_count = partial_count_bounds(h, s, c, chi2_alpha)
-        lower[t] = lo_count / h
-        upper[t] = hi_count / h
+    beta, counts = np.asarray(beta, dtype=float), np.asarray(counts, dtype=float)
+    lower, upper = beta.copy(), beta.copy()
+    partial = (beta != 0.0) & (beta != 1.0) & (counts > 0)
+
+    small = np.flatnonzero(partial & (counts < min_points))
+    one_point = 1.0 / counts[small]
+    feasible = one_point <= 1.0 - one_point
+    lower[small] = np.where(feasible, one_point, beta[small])
+    upper[small] = np.where(feasible, 1.0 - one_point, beta[small])
+
+    tested = np.flatnonzero(partial & (counts >= min_points))
+    if tested.size:
+        b, h = beta[tested], counts[tested]
+        s, chi2_alpha = sub_bins_and_critical_values(np.asarray(unique)[tested], alpha)
+        lo_count, _ = partial_count_bounds(h, s, np.floor(b * s), chi2_alpha)
+        _, hi_count = partial_count_bounds(h, s, np.ceil(b * s), chi2_alpha)
+        lower[tested] = np.where(s < 2, b, lo_count / h)
+        upper[tested] = np.where(s < 2, b, hi_count / h)
     lower = np.minimum(lower, beta)
     upper = np.maximum(upper, beta)
     return np.clip(lower, 0.0, 1.0), np.clip(upper, 0.0, 1.0)
@@ -186,27 +160,19 @@ def interval_coverage(
     conditions on the same column: the group is equivalent to one interval,
     and the satisfied fraction of a bin is the overlap of that interval with
     the bin's value range (exact under the per-bin uniformity assumption).
+    An overlap that is a single point covers one of the bin's ``u`` values.
     """
-    k = len(v_minus)
-    beta = np.zeros(k)
-    for t in range(k):
-        u = unique[t]
-        if u <= 0:
-            continue
-        lo, hi = float(v_minus[t]), float(v_plus[t])
-        overlap_lo = max(lower_literal, lo)
-        overlap_hi = min(upper_literal, hi)
-        if overlap_hi < overlap_lo:
-            continue
-        if overlap_lo <= lo and overlap_hi >= hi:
-            beta[t] = 1.0
-        elif overlap_hi == overlap_lo:
-            beta[t] = 1.0 / u
-        elif u == 2:
-            beta[t] = 0.5
-        else:
-            width = hi - lo
-            beta[t] = (overlap_hi - overlap_lo) / width if width > 0 else 1.0
+    v_minus, v_plus, unique = np.asarray(v_minus), np.asarray(v_plus), np.asarray(unique)
+    overlap_lo = np.maximum(lower_literal, v_minus)
+    overlap_hi = np.minimum(upper_literal, v_plus)
+    width = v_plus - v_minus
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fraction = np.where(width > 0, (overlap_hi - overlap_lo) / width, 1.0)
+        partial = np.where(
+            overlap_hi == overlap_lo, 1.0 / unique, np.where(unique == 2, 0.5, fraction)
+        )
+    beta = np.where((overlap_lo <= v_minus) & (overlap_hi >= v_plus), 1.0, partial)
+    beta = np.where((unique > 0) & (overlap_hi >= overlap_lo), beta, 0.0)
     return np.clip(beta, 0.0, 1.0)
 
 
@@ -217,10 +183,7 @@ def consolidate_and(results: list[CoverageResult]) -> CoverageResult:
     satisfied fraction of a bin is the overlap, i.e. the element-wise
     minimum of the individual coverages (Fig. 7: beta_12 = min(beta_1, beta_2)).
     """
-    estimate = np.minimum.reduce([r.estimate for r in results])
-    lower = np.minimum.reduce([r.lower for r in results])
-    upper = np.minimum.reduce([r.upper for r in results])
-    return CoverageResult(estimate=estimate, lower=lower, upper=upper)
+    return CoverageResult.each(lambda *betas: np.minimum.reduce(betas), *results)
 
 
 def consolidate_or(results: list[CoverageResult]) -> CoverageResult:
@@ -229,7 +192,8 @@ def consolidate_or(results: list[CoverageResult]) -> CoverageResult:
     Exact when the conditions cover disjoint parts of the bin (the common
     case for generated workloads) and an upper bound otherwise.
     """
-    estimate = np.clip(np.add.reduce([r.estimate for r in results]), 0.0, 1.0)
-    lower = np.clip(np.maximum.reduce([r.lower for r in results]), 0.0, 1.0)
-    upper = np.clip(np.add.reduce([r.upper for r in results]), 0.0, 1.0)
-    return CoverageResult(estimate=estimate, lower=lower, upper=upper)
+    return CoverageResult(
+        estimate=np.add.reduce([r.estimate for r in results]),
+        lower=np.maximum.reduce([r.lower for r in results]),
+        upper=np.add.reduce([r.upper for r in results]),
+    )

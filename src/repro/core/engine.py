@@ -14,7 +14,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +43,34 @@ from .groupby import group_predicates
 from .params import PairwiseHistParams
 from .serialization import serialize, synopsis_size_bytes
 from .synopsis import PairwiseHist
-from .weightings import PredicateEvaluator
+from .weightings import PredicateEvaluator, WeightingResult
+
+
+#: Aggregate function -> the inverse "aggregation transform" (Fig. 2) that
+#: maps its code-domain estimate back to the data domain; a non-COUNT
+#: aggregate over a categorical column is ``categorical_passthrough``.
+#: ``_INVERSE_INPUTS`` names what each transform reads.  The two tables
+#: drive both what :meth:`PairwiseHistEngine._inverse_transform` runs and
+#: what EXPLAIN prints under ``bounds``, so the printed plan is the
+#: executed plan.
+_INVERSE_METHOD = {
+    AggregateFunction.COUNT: "count_passthrough",
+    AggregateFunction.SUM: "sum_with_count_bounds",
+    AggregateFunction.VAR: "scale_squared",
+    AggregateFunction.AVG: "affine_inverse",
+    AggregateFunction.MIN: "affine_inverse",
+    AggregateFunction.MAX: "affine_inverse",
+    AggregateFunction.MEDIAN: "affine_inverse",
+}
+_INVERSE_INPUTS = {
+    "count_passthrough": (),
+    "categorical_passthrough": (),
+    "affine_inverse": ("scale", "offset"),
+    "scale_squared": ("scale",),
+    "sum_with_count_bounds": ("scale", "offset", "rho"),
+}
+
+_DEFAULT_PARAMS = PairwiseHistParams.with_defaults(sample_size=100_000)
 
 
 @dataclass
@@ -82,7 +110,6 @@ class PairwiseHistEngine:
     table_name: str
     store: CompressedStore | None = None
     construction_seconds: float = 0.0
-    _evaluators: dict[str, PredicateEvaluator] = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -103,41 +130,26 @@ class PairwiseHistEngine:
         from the GD bases; ``False`` runs PairwiseHist stand-alone, building
         histograms from min/max initial bins.
         """
-        import time
-
         start = time.perf_counter()
-        params = params or PairwiseHistParams.with_defaults(sample_size=100_000)
         if use_compression:
-            store = CompressedStore.compress(table, gd_config)
-            codes, nulls = store.decoded_codes()
-            preprocessor = store.preprocessor
-            initial_edges = {
-                name: store.base_values(name)
-                for name in table.column_names
-                if not preprocessor[name].is_categorical
-            }
+            engine = cls.from_compressed(
+                CompressedStore.compress(table, gd_config), params, build_pairs
+            )
         else:
-            store = None
             preprocessor = Preprocessor.fit(table)
             codes, nulls = preprocessor.transform_table(table)
-            initial_edges = None
-        synopsis = build_pairwise_hist(
-            codes,
-            params,
-            population_rows=table.num_rows,
-            null_masks=nulls,
-            initial_edges=initial_edges,
-            columns=table.column_names,
-            build_pairs=build_pairs,
-        )
-        elapsed = time.perf_counter() - start
-        return cls(
-            synopsis=synopsis,
-            preprocessor=preprocessor,
-            table_name=table.name,
-            store=store,
-            construction_seconds=elapsed,
-        )
+            synopsis = build_pairwise_hist(
+                codes,
+                params or _DEFAULT_PARAMS,
+                population_rows=table.num_rows,
+                null_masks=nulls,
+                initial_edges=None,
+                columns=table.column_names,
+                build_pairs=build_pairs,
+            )
+            engine = cls(synopsis=synopsis, preprocessor=preprocessor, table_name=table.name)
+        engine.construction_seconds = time.perf_counter() - start
+        return engine
 
     @classmethod
     def from_compressed(
@@ -147,10 +159,7 @@ class PairwiseHistEngine:
         build_pairs: bool = True,
     ) -> "PairwiseHistEngine":
         """Build an engine directly from an existing GreedyGD store."""
-        import time
-
         start = time.perf_counter()
-        params = params or PairwiseHistParams.with_defaults(sample_size=100_000)
         codes, nulls = store.decoded_codes()
         initial_edges = {
             name: store.base_values(name)
@@ -159,7 +168,7 @@ class PairwiseHistEngine:
         }
         synopsis = build_pairwise_hist(
             codes,
-            params,
+            params or _DEFAULT_PARAMS,
             population_rows=store.num_rows,
             null_masks=nulls,
             initial_edges=initial_edges,
@@ -184,9 +193,8 @@ class PairwiseHistEngine:
 
     def refresh_synopsis(self, synopsis: PairwiseHist) -> None:
         """Swap in a new synopsis (e.g. re-merged after an incremental
-        append) and drop the evaluator caches built against the old one."""
+        append).  The pointer is the engine's only mutable query state."""
         self.synopsis = synopsis
-        self._evaluators.clear()
 
     def serialize_synopsis(self) -> bytes:
         return serialize(self.synopsis)
@@ -200,46 +208,25 @@ class PairwiseHistEngine:
         aggregation of ``query`` would consult and how its code-domain
         estimate maps back to the data domain (:meth:`_inverse_transform`).
 
-        Pure — mirrors :meth:`_execute_single` without executing.
+        Pure — the plan :meth:`_execute_single` runs, without executing.
         """
-        column = self._aggregation_column(aggregation, query)
+        column, single_column, method = self._plan(aggregation, query)
         hist = self.synopsis.hist1d.get(column)
-        pred_cols = predicate_columns(query.predicate)
-        single_column = all(c == column for c in pred_cols) if pred_cols else True
-        info = {
+        transform = self.preprocessor[column]
+        inputs = {
+            "scale": float(transform.scale),
+            "offset": float(transform.offset),
+            "rho": float(self.synopsis.sampling_ratio),
+        }
+        return {
             "aggregation": str(aggregation),
             "weightings_column": column,
             "single_column": single_column,
             "histogram_bins": None if hist is None else int(hist.num_bins),
-            "sampling_ratio": float(self.synopsis.sampling_ratio),
+            "sampling_ratio": inputs["rho"],
             "min_points": self.synopsis.params.min_points,
+            "bounds": {"method": method, **{k: inputs[k] for k in _INVERSE_INPUTS[method]}},
         }
-        func = aggregation.func
-        if func is AggregateFunction.COUNT:
-            info["bounds"] = {"method": "count_passthrough"}
-            return info
-        transform = self.preprocessor[column]
-        if transform.is_categorical:
-            info["bounds"] = {"method": "categorical_passthrough"}
-            return info
-        scale = float(transform.scale)
-        offset = float(transform.offset)
-        if func is AggregateFunction.VAR:
-            info["bounds"] = {"method": "scale_squared", "scale": scale}
-        elif func is AggregateFunction.SUM:
-            info["bounds"] = {
-                "method": "sum_with_count_bounds",
-                "scale": scale,
-                "offset": offset,
-                "rho": float(self.synopsis.sampling_ratio),
-            }
-        else:  # AVG / MIN / MAX / MEDIAN
-            info["bounds"] = {
-                "method": "affine_inverse",
-                "scale": scale,
-                "offset": offset,
-            }
-        return info
 
     # ------------------------------------------------------------------ #
     # Query execution
@@ -288,10 +275,11 @@ class PairwiseHistEngine:
 
     def execute_scalar(self, query: Query | str) -> AqpResult:
         """Execute a non-GROUP BY query and return the first aggregation's result."""
-        results = self.execute(query)
-        if isinstance(results, dict):
+        if isinstance(query, str):
+            query = parse_query(query)
+        if query.group_by is not None:
             raise ValueError("execute_scalar does not support GROUP BY queries")
-        return results[0]
+        return self.execute(query)[0]
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -299,9 +287,6 @@ class PairwiseHistEngine:
     _RANGE_OPS = (ComparisonOp.LT, ComparisonOp.GT, ComparisonOp.LE, ComparisonOp.GE)
 
     def _check_query(self, query: Query) -> None:
-        if query.table and query.table != self.table_name:
-            # Accept any table name; warn-free because the engine serves one table.
-            pass
         for column in query.columns:
             if column not in self.preprocessor:
                 raise KeyError(f"unknown column {column!r} in query")
@@ -324,11 +309,6 @@ class PairwiseHistEngine:
                     f"{agg.func.value} over categorical column {agg.column!r} is not defined"
                 )
 
-    def _evaluator(self, column: str) -> PredicateEvaluator:
-        if column not in self._evaluators:
-            self._evaluators[column] = PredicateEvaluator(self.synopsis, column)
-        return self._evaluators[column]
-
     def _transform_predicate(self, predicate: Predicate | None) -> Predicate | None:
         """Apply GreedyGD pre-processing to predicate literals (Fig. 7, §5.1)."""
         if predicate is None:
@@ -342,14 +322,19 @@ class PairwiseHistEngine:
             children=[self._transform_predicate(child) for child in predicate.children],
         )
 
-    def _aggregation_column(self, aggregation: Aggregation, query: Query) -> str:
-        """Column whose 1-d histogram carries the weightings for this aggregation."""
-        if aggregation.column is not None:
-            return aggregation.column
+    def _plan(self, aggregation: Aggregation, query: Query) -> tuple[str, bool, str]:
+        """What execution and EXPLAIN both need to know about one aggregation:
+        the column whose 1-d histogram carries its weightings, whether the
+        predicate touches only that column, and its inverse-transform method."""
         predicate_cols = predicate_columns(query.predicate)
-        if predicate_cols:
-            return predicate_cols[0]
-        return self.synopsis.columns[0]
+        column = aggregation.column
+        if column is None:
+            column = predicate_cols[0] if predicate_cols else self.synopsis.columns[0]
+        single_column = all(c == column for c in predicate_cols)
+        method = _INVERSE_METHOD[aggregation.func]
+        if aggregation.func is not AggregateFunction.COUNT and self.preprocessor[column].is_categorical:
+            method = "categorical_passthrough"
+        return column, single_column, method
 
     def _execute_single(
         self,
@@ -358,63 +343,40 @@ class PairwiseHistEngine:
         query: Query,
         group: str | None = None,
     ) -> AqpResult:
-        column = self._aggregation_column(aggregation, query)
-        evaluator = self._evaluator(column)
-        weights = evaluator.weightings(predicate)
-        hist = self.synopsis.histogram(column)
-        pred_cols = predicate_columns(query.predicate)
-        single_column = all(c == column for c in pred_cols) if pred_cols else True
+        column, single_column, method = self._plan(aggregation, query)
+        weights = PredicateEvaluator(self.synopsis, column).weightings(predicate)
         code_estimate = aggregate(
             aggregation.func,
-            hist,
+            self.synopsis.histogram(column),
             weights,
             self.synopsis.sampling_ratio,
             self.synopsis.params.min_points,
             single_column=single_column,
         )
-        estimate = self._inverse_transform(aggregation, column, code_estimate, weights)
+        estimate = self._inverse_transform(method, column, code_estimate, weights)
         return AqpResult(aggregation=aggregation, estimate=estimate, group=group)
 
     def _inverse_transform(
-        self,
-        aggregation: Aggregation,
-        column: str,
-        estimate: AqpEstimate,
-        weights,
+        self, method: str, column: str, estimate: AqpEstimate, weights: WeightingResult
     ) -> AqpEstimate:
         """Fig. 2 "Aggregation Transform": map results back to the original domain."""
-        func = aggregation.func
-        if func is AggregateFunction.COUNT:
+        if not _INVERSE_INPUTS[method]:
             return estimate
-        transform = self.preprocessor[column]
-        if transform.is_categorical:
-            return estimate
-        scale = transform.scale
-        offset = transform.offset
-        if func in (AggregateFunction.AVG, AggregateFunction.MIN, AggregateFunction.MAX, AggregateFunction.MEDIAN):
-            return AqpEstimate(
-                value=estimate.value / scale + offset,
-                lower=estimate.lower / scale + offset,
-                upper=estimate.upper / scale + offset,
-            )
-        if func is AggregateFunction.VAR:
-            factor = scale * scale
-            return AqpEstimate(
-                value=estimate.value / factor,
-                lower=estimate.lower / factor,
-                upper=estimate.upper / factor,
-            )
-        if func is AggregateFunction.SUM:
-            rho = self.synopsis.sampling_ratio
-            count_value = weights.estimate.sum() / rho
-            count_lower = weights.lower.sum() / rho
-            count_upper = weights.upper.sum() / rho
-            value = estimate.value / scale + offset * count_value
-            if offset >= 0:
-                lower = estimate.lower / scale + offset * count_lower
-                upper = estimate.upper / scale + offset * count_upper
-            else:
-                lower = estimate.lower / scale + offset * count_upper
-                upper = estimate.upper / scale + offset * count_lower
-            return AqpEstimate(value=value, lower=lower, upper=upper)
-        raise ValueError(f"unsupported aggregation function {func}")  # pragma: no cover
+        scale = self.preprocessor[column].scale
+        offset = self.preprocessor[column].offset
+        if method == "affine_inverse":
+            return estimate.map(lambda code: code / scale + offset)
+        if method == "scale_squared":
+            return estimate.map(lambda code: code / (scale * scale))
+        # sum_with_count_bounds: SUM(x) = SUM(code) / scale + offset * COUNT.
+        rho = self.synopsis.sampling_ratio
+        count_value = weights.estimate.sum() / rho
+        count_lower = weights.lower.sum() / rho
+        count_upper = weights.upper.sum() / rho
+        if offset < 0:
+            count_lower, count_upper = count_upper, count_lower
+        return AqpEstimate(
+            value=estimate.value / scale + offset * count_value,
+            lower=estimate.lower / scale + offset * count_lower,
+            upper=estimate.upper / scale + offset * count_upper,
+        )

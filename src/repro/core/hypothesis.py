@@ -38,6 +38,22 @@ def chi2_critical_value(alpha: float, sub_bins: int) -> float:
     return float(stats.chi2.ppf(1.0 - alpha, dof))
 
 
+def sub_bins_and_critical_values(unique: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bin ``s`` (Eq. 2) and ``chi2_alpha`` for an array of unique counts.
+
+    One :func:`terrell_scott_bins` / :func:`chi2_critical_value` lookup per
+    *distinct* truncated count, scattered back — not an array ``(2u) ** (1/3)``,
+    whose SIMD ``pow`` may differ from libm by an ulp that ``ceil`` would
+    turn into a different ``s`` on another machine.
+    """
+    unique = np.asarray(unique)
+    distinct, inverse = np.unique(unique.astype(np.int64), return_inverse=True)
+    sub_bins = np.array([terrell_scott_bins(int(u)) for u in distinct])
+    critical = np.array([chi2_critical_value(alpha, int(s)) for s in sub_bins])
+    inverse = inverse.reshape(unique.shape)
+    return sub_bins[inverse], critical[inverse]
+
+
 @dataclass(frozen=True)
 class UniformityResult:
     """Outcome of one uniformity test (kept for diagnostics / ablations)."""

@@ -27,6 +27,8 @@ from .coverage import (
     coverage_bounds,
     interval_coverage,
 )
+from .histogram1d import Histogram1D
+from .histogram2d import AxisMetadata
 from .synopsis import PairwiseHist
 
 #: z-value of the two-sided 98 % confidence interval used by Eq. 29.
@@ -56,15 +58,6 @@ class WeightingResult:
         return self.total <= 0.0
 
 
-@dataclass
-class _Probabilities:
-    """Per-bin probability that a (sub-)predicate holds, with bounds."""
-
-    estimate: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-
 class PredicateEvaluator:
     """Computes bin weightings for one aggregation column of a synopsis."""
 
@@ -86,22 +79,20 @@ class PredicateEvaluator:
             return WeightingResult(counts.copy(), counts.copy(), counts.copy())
         probabilities = self._evaluate(predicate)
         estimate = counts * probabilities.estimate
-        lower = counts * probabilities.lower
-        upper = counts * probabilities.upper
-        lower, upper = self._widen_for_sampling(counts, lower, upper)
-        lower = np.minimum(lower, estimate)
-        upper = np.maximum(upper, estimate)
-        return WeightingResult(estimate, lower, upper)
+        lower, upper = self._widen_for_sampling(
+            counts, counts * probabilities.lower, counts * probabilities.upper
+        )
+        return WeightingResult(estimate, np.minimum(lower, estimate), np.maximum(upper, estimate))
 
     # ------------------------------------------------------------------ #
     # Predicate tree evaluation
 
-    def _evaluate(self, predicate: Predicate) -> _Probabilities:
+    def _evaluate(self, predicate: Predicate) -> CoverageResult:
         if isinstance(predicate, Condition):
             return self._leaf_group(predicate.column, [predicate], LogicalOp.AND)
         if not isinstance(predicate, PredicateNode):
             raise TypeError(f"unsupported predicate node type {type(predicate)!r}")
-        parts: list[_Probabilities] = []
+        parts: list[CoverageResult] = []
         leaf_groups: dict[str, list[Condition]] = {}
         for child in predicate.children:
             if isinstance(child, Condition):
@@ -112,19 +103,14 @@ class PredicateEvaluator:
             parts.append(self._leaf_group(column, conditions, predicate.op))
         return self._combine(parts, predicate.op)
 
-    def _combine(self, parts: list[_Probabilities], op: LogicalOp) -> _Probabilities:
+    def _combine(self, parts: list[CoverageResult], op: LogicalOp) -> CoverageResult:
+        """Eq. 28: conjunction / disjunction under conditional independence."""
         if len(parts) == 1:
             return parts[0]
         if op is LogicalOp.AND:
-            estimate = np.prod([p.estimate for p in parts], axis=0)
-            lower = np.prod([p.lower for p in parts], axis=0)
-            upper = np.prod([p.upper for p in parts], axis=0)
-        else:
-            estimate = 1.0 - np.prod([1.0 - p.estimate for p in parts], axis=0)
-            lower = 1.0 - np.prod([1.0 - p.lower for p in parts], axis=0)
-            upper = 1.0 - np.prod([1.0 - p.upper for p in parts], axis=0)
-        return _Probabilities(
-            np.clip(estimate, 0.0, 1.0), np.clip(lower, 0.0, 1.0), np.clip(upper, 0.0, 1.0)
+            return CoverageResult.each(lambda *probs: np.prod(probs, axis=0), *parts)
+        return CoverageResult.each(
+            lambda *probs: 1.0 - np.prod([1.0 - p for p in probs], axis=0), *parts
         )
 
     # ------------------------------------------------------------------ #
@@ -132,51 +118,39 @@ class PredicateEvaluator:
 
     def _leaf_group(
         self, column: str, conditions: list[Condition], op: LogicalOp
-    ) -> _Probabilities:
+    ) -> CoverageResult:
         """Coverage of same-column conditions, consolidated then transformed."""
         if column == self._column:
-            hist = self._hist
-            coverage = self._group_coverage(
-                conditions, op, hist.v_minus, hist.v_plus, hist.unique, hist.counts
-            )
-            return _Probabilities(coverage.estimate, coverage.lower, coverage.upper)
+            return self._group_coverage(conditions, op, self._hist, self._hist.counts)
 
         if self._synopsis.has_pair(self._column, column):
             pair = self._synopsis.pair(self._column, column)
             counts, agg_axis, pred_axis = pair.oriented(self._column)
-            coverage = self._group_coverage(
-                conditions, op, pred_axis.v_minus, pred_axis.v_plus,
-                pred_axis.unique, pred_axis.marginal_counts,
-            )
+            coverage = self._group_coverage(conditions, op, pred_axis, pred_axis.marginal_counts)
             return self._transform_through_pair(counts, agg_axis.parent, coverage)
 
         # Fallback when the pair histogram was not built: assume full
         # independence from the aggregation column and use the marginal
         # selectivity from the predicate column's own 1-d histogram.
         hist_j = self._synopsis.histogram(column)
-        coverage = self._group_coverage(
-            conditions, op, hist_j.v_minus, hist_j.v_plus, hist_j.unique, hist_j.counts
-        )
+        coverage = self._group_coverage(conditions, op, hist_j, hist_j.counts)
         total = hist_j.total_count
-        if total <= 0:
-            zeros = np.zeros(self._hist.num_bins)
-            return _Probabilities(zeros, zeros.copy(), zeros.copy())
-        scalar = float((coverage.estimate * hist_j.counts).sum() / total)
-        scalar_lo = float((coverage.lower * hist_j.counts).sum() / total)
-        scalar_hi = float((coverage.upper * hist_j.counts).sum() / total)
-        ones = np.ones(self._hist.num_bins)
-        return _Probabilities(ones * scalar, ones * scalar_lo, ones * scalar_hi)
+
+        def selectivity(beta: np.ndarray) -> np.ndarray:
+            fraction = (beta * hist_j.counts).sum() / total if total > 0 else 0.0
+            return np.full(self._hist.num_bins, fraction)
+
+        return CoverageResult.each(selectivity, coverage)
 
     def _group_coverage(
         self,
         conditions: list[Condition],
         op: LogicalOp,
-        v_minus: np.ndarray,
-        v_plus: np.ndarray,
-        unique: np.ndarray,
+        bins: Histogram1D | AxisMetadata,
         counts: np.ndarray,
     ) -> CoverageResult:
-        """Coverage of a same-column condition group over one set of bins.
+        """Coverage of a same-column condition group over one set of bins
+        (``bins`` supplies the per-bin extrema and unique counts).
 
         AND-connected range/equality groups are consolidated exactly as one
         interval (delayed transformation); everything else falls back to the
@@ -186,35 +160,31 @@ class PredicateEvaluator:
         if len(conditions) > 1 and op is LogicalOp.AND and all(
             cond.op is not ComparisonOp.NE for cond in conditions
         ):
-            lower_literal, upper_literal = -np.inf, np.inf
-            for cond in conditions:
-                literal = float(cond.literal)
-                if cond.op in (ComparisonOp.GT, ComparisonOp.GE):
-                    lower_literal = max(lower_literal, literal)
-                elif cond.op in (ComparisonOp.LT, ComparisonOp.LE):
-                    upper_literal = min(upper_literal, literal)
-                else:  # EQ pins the interval to a point
-                    lower_literal = max(lower_literal, literal)
-                    upper_literal = min(upper_literal, literal)
-            beta = interval_coverage(lower_literal, upper_literal, v_minus, v_plus, unique)
-            lower, upper = coverage_bounds(beta, counts, unique, params.min_points, params.alpha)
+            # GT / GE raise the interval's floor, LT / LE lower its ceiling
+            # and EQ does both, pinning it to a point.
+            floor_ops = (ComparisonOp.GT, ComparisonOp.GE, ComparisonOp.EQ)
+            ceiling_ops = (ComparisonOp.LT, ComparisonOp.LE, ComparisonOp.EQ)
+            beta = interval_coverage(
+                max([-np.inf] + [float(c.literal) for c in conditions if c.op in floor_ops]),
+                min([np.inf] + [float(c.literal) for c in conditions if c.op in ceiling_ops]),
+                bins.v_minus, bins.v_plus, bins.unique,
+            )
+            lower, upper = coverage_bounds(beta, counts, bins.unique, params.min_points, params.alpha)
             return CoverageResult(beta, lower, upper)
         coverages = [
             condition_coverage(
-                cond.op, float(cond.literal), v_minus, v_plus, unique, counts,
+                cond.op, float(cond.literal), bins.v_minus, bins.v_plus, bins.unique, counts,
                 params.min_points, params.alpha,
             )
             for cond in conditions
         ]
         if len(coverages) == 1:
             return coverages[0]
-        if op is LogicalOp.AND:
-            return consolidate_and(coverages)
-        return consolidate_or(coverages)
+        return consolidate_and(coverages) if op is LogicalOp.AND else consolidate_or(coverages)
 
     def _transform_through_pair(
         self, counts: np.ndarray, parent: np.ndarray, coverage: CoverageResult
-    ) -> _Probabilities:
+    ) -> CoverageResult:
         """Eq. 27: fold ``H(ij) beta(j)`` back onto the 1-d bins of the aggregation column."""
         k = self._hist.num_bins
         hist_counts = self._hist.counts
@@ -223,10 +193,9 @@ class PredicateEvaluator:
             weighted = counts @ beta
             folded = np.bincount(parent, weights=weighted, minlength=k)[:k]
             with np.errstate(divide="ignore", invalid="ignore"):
-                probs = np.where(hist_counts > 0, folded / hist_counts, 0.0)
-            return np.clip(probs, 0.0, 1.0)
+                return np.where(hist_counts > 0, folded / hist_counts, 0.0)
 
-        return _Probabilities(fold(coverage.estimate), fold(coverage.lower), fold(coverage.upper))
+        return CoverageResult.each(fold, coverage)
 
     # ------------------------------------------------------------------ #
     # Sampling widening (Eq. 29)
@@ -239,15 +208,12 @@ class PredicateEvaluator:
         if population <= sample or population <= 1:
             return lower, upper
         correction = (population - sample) / (population - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            beta_lower = np.where(counts > 0, lower / counts, 0.0)
-            beta_upper = np.where(counts > 0, upper / counts, 0.0)
-            spread_lower = Z_98 * np.sqrt(
-                np.clip(beta_lower * (1.0 - beta_lower), 0.0, None) / np.maximum(counts, 1.0) * correction
-            )
-            spread_upper = Z_98 * np.sqrt(
-                np.clip(beta_upper * (1.0 - beta_upper), 0.0, None) / np.maximum(counts, 1.0) * correction
-            )
-        widened_lower = np.clip(beta_lower - spread_lower, 0.0, 1.0) * counts
-        widened_upper = np.clip(beta_upper + spread_upper, 0.0, 1.0) * counts
-        return widened_lower, widened_upper
+
+        def widen(bound: np.ndarray, sign: float) -> np.ndarray:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                beta = np.where(counts > 0, bound / counts, 0.0)
+            variance = np.clip(beta * (1.0 - beta), 0.0, None) / np.maximum(counts, 1.0)
+            spread = Z_98 * np.sqrt(variance * correction)
+            return np.clip(beta + sign * spread, 0.0, 1.0) * counts
+
+        return widen(lower, -1.0), widen(upper, 1.0)

@@ -2,7 +2,8 @@
 
 The plain :class:`~repro.service.database.QueryService` is single-threaded:
 a query running concurrently with an ``ingest()`` can observe a
-half-updated engine (new synopsis, stale evaluator cache, or vice versa).
+half-committed table (weightings computed on the old synopsis aggregated
+over the new one's histogram, or a result cached under the old version).
 This module makes the service safe — and fast — under parallel clients:
 
 * :class:`ReadWriteLock` is a writer-preference reader-writer lock: any

@@ -402,6 +402,15 @@ class TestLocalCluster:
         total = sum(r[0].value for r in groups.values())
         assert total == pytest.approx(partial.num_rows, rel=0.05)
 
+    def test_execute_scalar_refuses_group_by_before_scattering(self, cluster):
+        def scatters() -> int:
+            return cluster.metrics()["aqp_scatter_fanout"]["series"][0]["count"]
+
+        before = scatters()
+        with pytest.raises(ValueError, match="execute_scalar does not support GROUP BY queries"):
+            cluster.execute_scalar("SELECT COUNT(*) FROM sensors GROUP BY category")
+        assert scatters() == before
+
     def test_error_semantics_match_single_node(self, cluster):
         with pytest.raises(KeyError, match="no table named"):
             cluster.execute_scalar("SELECT COUNT(*) FROM nope")

@@ -44,6 +44,14 @@ class TestQueryValidation:
         with pytest.raises(ValueError):
             simple_engine.execute_scalar("SELECT COUNT(x) FROM simple GROUP BY category")
 
+    def test_group_by_rejected_in_execute_scalar_before_any_work(self, simple_engine, monkeypatch):
+        def no_evaluator(*args, **kwargs):
+            raise AssertionError("execute_scalar evaluated a GROUP BY query before refusing it")
+
+        monkeypatch.setattr("repro.core.engine.PredicateEvaluator", no_evaluator)
+        with pytest.raises(ValueError, match="execute_scalar does not support GROUP BY queries"):
+            simple_engine.execute_scalar("SELECT COUNT(x) FROM simple GROUP BY category")
+
     def test_accepts_query_objects(self, simple_engine):
         query = parse_query("SELECT COUNT(x) FROM simple WHERE x >= 0")
         results = simple_engine.execute(query)

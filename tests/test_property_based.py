@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.centre_bounds import weighted_centre_bounds
+from repro.core.centre_bounds import (
+    non_passing_centre_bounds,
+    passing_centre_bounds,
+    weighted_centre_bounds,
+)
 from repro.core.coverage import coverage_bounds, coverage_estimate, interval_coverage, partial_count_bounds
 from repro.core.golomb import decode_sequence, encode_sequence
 from repro.core.histogram1d import bin_indices
@@ -123,6 +127,123 @@ class TestCentreBoundProperties:
             np.array([float(min(unique, count))]), min_points=100, alpha=0.001,
         )
         assert v_minus - 1e-6 <= lower[0] <= upper[0] <= v_plus + 1e-6
+
+
+# One histogram bin, drawn so the edge cases the array forms must get right
+# are common: an empty bin, one / two unique values, a degenerate value range,
+# a count below ``M`` and fractional (merged-synopsis) counts and uniques.
+_BIN = st.tuples(
+    st.sampled_from([0.0, 1.0, 3.0, 49.0, 50.0, 51.0, 400.0, 1234.5, 20_000.0]),  # count
+    st.sampled_from([-7.5, 0.0, 10.0, 99.25]),  # v-
+    st.sampled_from([0.0, 0.0, 1.0, 2.5, 40.0, 1e6]),  # v+ - v-
+    st.sampled_from([0.0, 1.0, 1.7, 2.0, 3.0, 4.0, 4.5, 13.0, 500.0, 5000.0]),  # unique
+)
+_BINS = st.lists(_BIN, min_size=1, max_size=12)
+_MIN_POINTS, _ALPHA = 50, 0.001
+
+
+def _columns(bins):
+    counts, v_minus, widths, unique = (np.array(column) for column in zip(*bins))
+    return counts, v_minus, v_minus + widths, unique
+
+
+def _literals(v_minus, v_plus):
+    """Literals exactly on every stored extremum, between and beyond them."""
+    on_extrema = np.concatenate([v_minus, v_plus])
+    return st.one_of(
+        st.sampled_from(sorted(set(on_extrema.tolist()))),
+        st.floats(min_value=-10.0, max_value=150.0, allow_nan=False),
+    )
+
+
+def _same_bits(whole, bin_by_bin):
+    whole, bin_by_bin = np.asarray(whole, dtype=float), np.asarray(bin_by_bin, dtype=float)
+    return whole.shape == bin_by_bin.shape and whole.tobytes() == bin_by_bin.tobytes()
+
+
+class TestArrayFormsEqualTheirSingleBinCase:
+    """``f(arrays)[t]`` is ``f`` of bin ``t`` alone, bit for bit: the array
+    expression is the definition, a scalar (or one-element array) its
+    one-element case."""
+
+    @given(_BINS, st.sampled_from(list(ComparisonOp)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_coverage_estimate(self, bins, op, data):
+        _, v_minus, v_plus, unique = _columns(bins)
+        literal = data.draw(_literals(v_minus, v_plus))
+        whole = coverage_estimate(op, literal, v_minus, v_plus, unique)
+        alone = [
+            coverage_estimate(op, literal, v_minus[t : t + 1], v_plus[t : t + 1], unique[t : t + 1])[0]
+            for t in range(len(bins))
+        ]
+        scalar = [coverage_estimate(op, literal, *bin_) for bin_ in zip(v_minus, v_plus, unique)]
+        assert _same_bits(whole, alone) and _same_bits(whole, scalar)
+
+    @given(_BINS, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_interval_coverage(self, bins, data):
+        _, v_minus, v_plus, unique = _columns(bins)
+        a, b = data.draw(_literals(v_minus, v_plus)), data.draw(_literals(v_minus, v_plus))
+        lower, upper = data.draw(
+            st.sampled_from([(min(a, b), max(a, b)), (a, a), (-np.inf, b), (a, np.inf)])
+        )
+        whole = interval_coverage(lower, upper, v_minus, v_plus, unique)
+        alone = [
+            interval_coverage(lower, upper, v_minus[t : t + 1], v_plus[t : t + 1], unique[t : t + 1])[0]
+            for t in range(len(bins))
+        ]
+        assert _same_bits(whole, alone)
+
+    @given(_BINS, st.lists(st.sampled_from([0.0, 1.0, 0.5, 0.25, 1 / 3, 0.999, 1e-9]), min_size=12, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_coverage_bounds(self, bins, betas):
+        counts, _, _, unique = _columns(bins)
+        beta = np.array(betas[: len(bins)])
+        whole = coverage_bounds(beta, counts, unique, _MIN_POINTS, _ALPHA)
+        alone = [
+            coverage_bounds(beta[t : t + 1], counts[t : t + 1], unique[t : t + 1], _MIN_POINTS, _ALPHA)
+            for t in range(len(bins))
+        ]
+        for side in (0, 1):
+            assert _same_bits(whole[side], [bounds[side][0] for bounds in alone])
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0, 60.0, 1234.5]),  # count
+                st.integers(min_value=0, max_value=9),  # sub-bins
+                st.integers(min_value=-1, max_value=10),  # covered
+                st.sampled_from([0.5, 10.83, 27.9]),  # chi2_alpha
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_partial_count_bounds(self, cases):
+        columns = [np.array(column) for column in zip(*cases)]
+        whole = partial_count_bounds(*columns)
+        alone = [partial_count_bounds(*case) for case in cases]
+        for side in (0, 1):
+            assert _same_bits(whole[side], [bounds[side] for bounds in alone])
+
+    @given(_BINS)
+    @settings(max_examples=150, deadline=None)
+    def test_centre_bounds(self, bins):
+        columns = _columns(bins)
+        for array_form, tail in (
+            (passing_centre_bounds, (_ALPHA,)),
+            (non_passing_centre_bounds, (1.0,)),
+            (weighted_centre_bounds, (_MIN_POINTS, _ALPHA)),
+        ):
+            whole = array_form(*columns, *tail)
+            if array_form is weighted_centre_bounds:  # always took arrays
+                alone = [array_form(*(c[t : t + 1] for c in columns), *tail) for t in range(len(bins))]
+                alone = [(lo[0], hi[0]) for lo, hi in alone]
+            else:
+                alone = [array_form(*bin_, *tail) for bin_ in zip(*columns)]
+            for side in (0, 1):
+                assert _same_bits(whole[side], [bounds[side] for bounds in alone]), array_form.__name__
 
 
 class TestRefinementProperties:

@@ -522,6 +522,18 @@ def _scalar(cluster, sql) -> float:
     return cluster.execute_scalar(sql).value
 
 
+def _wait_for_status(worker, ready, timeout_seconds: float = 30.0) -> dict:
+    """Poll ``worker``'s ``status`` op (one round trip per poll) until
+    ``ready(status)`` holds; returns that status."""
+    deadline = time.monotonic() + timeout_seconds
+    while True:
+        status = worker.call("status")
+        if ready(status):
+            return status
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"status never became ready: {status}")
+
+
 @pytest.mark.slow
 class TestReplicationEndToEnd:
     def test_replicas_catch_up_and_serve_reads(self, tmp_path):
@@ -647,15 +659,23 @@ class TestReplicationEndToEnd:
             # from-zero follower can only bootstrap via SNAPSHOT_SEED.
             cluster.checkpoint()
             shard = cluster.shards[0]
+            wal_segments = sorted(p.name for p in (cluster.layout.shard_path(0) / "wal").iterdir())
+            assert wal_segments == [f"{2:020d}.wal"], "the checkpoint left LSN 1 in the WAL"
             epoch = read_epoch(cluster.layout.epoch_path(0)).epoch
             handle = cluster.supervisor.respawn_replica(0, 0, fresh=True, epoch=epoch)
             shard.attach_replica(
                 0, ProcessShard(0, cluster.supervisor.host, handle.port)
             )
+            # The follower counts a seed only once it is fully installed,
+            # which is after the reseeded WAL position becomes visible as
+            # ``applied_lsn`` — so wait for the count, not just the position.
+            status = _wait_for_status(
+                shard.replicas[0], lambda s: s.get("follower", {}).get("seeds", 0) >= 1
+            )
             wait_for_replica_catchup(cluster)
-            status = shard.replicas[0].call("status")
             assert status["applied_lsn"] == shard.primary.call("status")["durable_lsn"]
             assert status["follower"]["seeds"] >= 1
+            assert status["follower"]["batches"] == 0
             # The pre-quarantine state was moved aside, not deleted.
             quarantine = cluster.layout.replica_path(0, 0) / f"divergent-{epoch:06d}"
             assert quarantine.is_dir()
