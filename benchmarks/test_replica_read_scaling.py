@@ -5,8 +5,7 @@ the replica count, because the staleness-bounded router scatters the
 closed-loop clients across the primary *and* every caught-up follower —
 three worker processes evaluating synopses instead of one.
 
-The acceptance bar is tiered by usable CPUs, same policy as
-``test_sharded_throughput.py``:
+The acceptance bar is tiered by usable CPUs:
 
 * >= 4 CPUs (the CI failover-drill job): 1 primary + 2 replicas must
   deliver >= 1.8x the queries/s of the primary alone — the router keeps
@@ -23,8 +22,11 @@ The acceptance bar is tiered by usable CPUs, same policy as
 
 Both deployments run with the result cache off and checkpoints pushed
 out of the window, so the ratio measures multi-process synopsis
-evaluation, not cache hits (cache behaviour has its own bars in
-``test_wire_latency.py``).
+evaluation, not cache hits (``benchmarks/e2e`` reports those as
+``database.cache_hit_us_p50`` and ``dash_templated``).
+
+This file stays only until ``benchmarks/e2e`` has a ``replica_reads``
+workload; it is the last machine-dependent timing test outside it.
 """
 
 from __future__ import annotations

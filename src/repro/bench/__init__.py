@@ -3,14 +3,10 @@
 from .harness import (
     ExperimentScale,
     SystemSuite,
-    ThroughputMeasurement,
-    build_service_under_test,
     build_suite,
     format_table,
     generate_workload,
     load_scaled_dataset,
-    measure_query_throughput,
-    run_concurrency_benchmark,
     run_suite,
     workload_templates,
 )
@@ -30,10 +26,6 @@ from .ablations import AblationGDSeeding, AblationHypothesisTesting, AblationSto
 __all__ = [
     "ExperimentScale",
     "SystemSuite",
-    "ThroughputMeasurement",
-    "build_service_under_test",
-    "measure_query_throughput",
-    "run_concurrency_benchmark",
     "build_suite",
     "format_table",
     "generate_workload",

@@ -178,14 +178,6 @@ class Histogram1D:
     def total_count(self) -> float:
         return float(self.counts.sum())
 
-    @property
-    def lower_edges(self) -> np.ndarray:
-        return self.edges[:-1]
-
-    @property
-    def upper_edges(self) -> np.ndarray:
-        return self.edges[1:]
-
     def find_bin(self, value: float) -> int:
         """Bin index containing ``value`` (clipped to the edge range)."""
         return int(bin_indices(self.edges, np.asarray([value]))[0])

@@ -182,10 +182,6 @@ class Preprocessor:
         """Transform one predicate literal into the compressed domain."""
         return self.transforms[column].transform_value(value)
 
-    def inverse_literal(self, column: str, value: float):
-        """Inverse-transform a value for the given column."""
-        return self.transforms[column].inverse_value(value)
-
     def bits_per_column(self) -> dict[str, int]:
         """Number of bits needed to store each column's largest code."""
         out: dict[str, int] = {}

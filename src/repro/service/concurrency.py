@@ -97,7 +97,7 @@ class ReadWriteLock:
             self._cond.notify_all()
 
     # ------------------------------------------------------------------ #
-    # Context managers / introspection
+    # Context managers
 
     @contextmanager
     def read_locked(self, timeout: float | None = None):
@@ -114,16 +114,6 @@ class ReadWriteLock:
             yield self
         finally:
             self.release_write()
-
-    @property
-    def active_readers(self) -> int:
-        with self._cond:
-            return self._active_readers
-
-    @property
-    def writer_active(self) -> bool:
-        with self._cond:
-            return self._writer_active
 
 
 class ConcurrentQueryService(QueryService):

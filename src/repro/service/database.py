@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from ..core.builder import build_partition_synopses, snapshot_partition_input
 from ..core.engine import AqpResult, PairwiseHistEngine
 from ..core.params import PairwiseHistParams
-from ..core.serialization import serialize_partitioned, synopsis_size_bytes
+from ..core.serialization import serialize_partitioned
 from ..core.synopsis import PairwiseHist
 from ..data.table import Table
 from ..gd.greedygd import GreedyGDConfig
@@ -153,10 +153,6 @@ class ManagedTable:
         grids are not what lands on disk.
         """
         return len(self.serialized_partition_synopses())
-
-    def merged_synopsis_bytes(self) -> int:
-        """In-memory serialized size of the merged, queryable synopsis."""
-        return synopsis_size_bytes(self.engine.synopsis)
 
     def serialized_partition_synopses(self) -> bytes:
         """Framed payload of every per-partition synopsis (PWHP format)."""

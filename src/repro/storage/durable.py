@@ -288,6 +288,13 @@ class DurableDatabase(Database):
             start = time.perf_counter()
             state = self._capture()
             if state.checkpoint_lsn == self._last_checkpoint_lsn:
+                if self.wal.truncation_held:
+                    # The snapshot at this LSN is already on disk; only the
+                    # truncation a follower or reader held back is still due.
+                    self.wal.truncate_through(
+                        state.checkpoint_lsn,
+                        retain_after_lsn=self._retention_floor_lsn(),
+                    )
                 elapsed = time.perf_counter() - start
                 _CHECKPOINT_SECONDS.observe(elapsed)
                 _CHECKPOINTS.inc(outcome="skipped")

@@ -145,6 +145,10 @@ class WriteAheadLog:
         #: In-flight :meth:`read_records` iterators, token -> ``after_lsn``.
         #: Truncation never deletes a segment such a reader still needs.
         self._active_readers: dict[object, int] = {}
+        #: Whether the last :meth:`truncate_through` was floored below the
+        #: LSN it was asked for (a follower or an in-flight reader held
+        #: segments back), so its caller knows to retry.
+        self.truncation_held = False
         #: Byte offset of the last appended record within the active
         #: segment — consumed (once) by :meth:`rollback_last`.
         self._last_append_offset: int | None = None
@@ -360,6 +364,7 @@ class WriteAheadLog:
                 floor = min(floor, retain_after_lsn)
             for reader_after in self._active_readers.values():
                 floor = min(floor, reader_after)
+            self.truncation_held = floor < lsn
             if self._last_lsn <= floor and self._file.tell() > 0:
                 self._rotate_locked()
             segments = self.segment_paths()

@@ -1,6 +1,5 @@
-"""Small shared utilities (bit-level I/O, timing helpers)."""
+"""Small shared utilities (bit-level I/O)."""
 
 from .bitstream import BitReader, BitWriter
-from .timing import Timer
 
-__all__ = ["BitReader", "BitWriter", "Timer"]
+__all__ = ["BitReader", "BitWriter"]

@@ -33,7 +33,6 @@ from repro import (
     QueryServer,
     ReadWriteLock,
 )
-from repro.bench.harness import SerializedQueryService
 
 JOIN_TIMEOUT = 60.0
 
@@ -42,13 +41,8 @@ def exact_params() -> PairwiseHistParams:
     return PairwiseHistParams.with_defaults(sample_size=None, seed=1)
 
 
-def make_service(
-    rows: int = 1200,
-    partition_size: int = 600,
-    name: str = "stream",
-    service_cls=ConcurrentQueryService,
-):
-    service = service_cls(partition_size=partition_size)
+def make_service(rows: int = 1200, partition_size: int = 600, name: str = "stream"):
+    service = ConcurrentQueryService(partition_size=partition_size)
     service.register_table(
         make_simple_table(rows=rows, seed=50, name=name), params=exact_params()
     )
@@ -440,14 +434,6 @@ class TestConcurrentService:
         service.ingest("stream", make_simple_table(rows=300, seed=54, name="stream"))
         total = service.execute_scalar("SELECT COUNT(*) FROM stream").value
         assert total == pytest.approx(rows_before + 300, rel=1e-9)
-
-    def test_serialized_baseline_answers_match(self):
-        concurrent = make_service()
-        serialized = make_service(service_cls=SerializedQueryService)
-        for sql in ("SELECT COUNT(*) FROM stream", "SELECT AVG(y) FROM stream"):
-            assert concurrent.execute_scalar(sql).value == pytest.approx(
-                serialized.execute_scalar(sql).value, rel=1e-12
-            )
 
 
 # --------------------------------------------------------------------------- #

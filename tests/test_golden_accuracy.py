@@ -22,6 +22,7 @@ import pytest
 from conftest import make_simple_table
 
 from repro import PairwiseHistParams, QueryService, parse_query
+from repro.cluster import ClusterQueryService
 from repro.exactdb.executor import ExactQueryEngine
 
 ROWS = 4_000
@@ -55,6 +56,15 @@ GOLDEN_QUERIES = [
 #: Whole-workload regression bars (Fig. 8 reports the median).
 MEDIAN_ERROR_CEILING = 0.010
 BOUNDS_CORRECT_FLOOR = 0.60
+
+#: 2-shard per-query ceilings, frozen 2026-07 against the PR 5 gather
+#: (~2.5x measured); everything absent here must meet the single-node
+#: ceiling unchanged.  ``AVG(z) WHERE z < 30`` was frozen at 0.005 for one
+#: 4000-row synopsis; two independent 2000-row synopses have intrinsically
+#: higher estimator variance.
+SHARDED_CEILING_OVERRIDES = {
+    "SELECT AVG(z) FROM golden WHERE z < 30": 0.020,
+}
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +108,37 @@ def test_golden_workload_median_error(golden_setup):
     assert median <= MEDIAN_ERROR_CEILING, f"median error {median:.4f} regressed"
     rate = float(np.mean(in_bounds))
     assert rate >= BOUNDS_CORRECT_FLOOR, f"bounds-correct rate {rate:.2f} regressed"
+
+
+def test_two_shard_gather_within_frozen_ceilings(golden_setup):
+    """The scatter-gather answers stay inside the golden bars.  In-process
+    shards suffice: ``tests/test_cluster.py`` pins subprocess shards to
+    answer bit-identically to them."""
+    _, exact = golden_setup
+    cluster = ClusterQueryService(
+        num_shards=2, mode="local", partition_size=PARTITION_SIZE
+    )
+    try:
+        cluster.register_table(
+            make_simple_table(rows=ROWS, seed=SEED, name="golden"),
+            params=PairwiseHistParams.with_defaults(sample_size=None, seed=1),
+        )
+        errors = []
+        for sql, ceiling in GOLDEN_QUERIES:
+            estimate = cluster.execute_scalar(sql)
+            truth = exact.execute_scalar(parse_query(sql))
+            error = relative_error(estimate.value, truth)
+            errors.append(error)
+            allowed = max(ceiling, SHARDED_CEILING_OVERRIDES.get(sql, 0.0))
+            assert error <= allowed, (
+                f"{sql}: sharded relative error {error:.4f} exceeds ceiling "
+                f"{allowed} (truth={truth:.4f}, estimate={estimate.value:.4f})"
+            )
+            assert estimate.lower <= estimate.value <= estimate.upper
+        median = float(np.median(errors))
+        assert median <= MEDIAN_ERROR_CEILING, f"sharded median error {median:.4f} regressed"
+    finally:
+        cluster.close()
 
 
 def test_golden_accuracy_survives_ingest(golden_setup):

@@ -26,6 +26,7 @@ import pytest
 from conftest import make_simple_table
 
 from repro.core.params import PairwiseHistParams
+from repro.core.serialization import LazyPartitionSynopses
 from repro.service.concurrency import ConcurrentQueryService
 from repro.service.database import Database, QueryService
 from repro.storage import (
@@ -118,6 +119,43 @@ class TestRecovery:
         assert 0 < info.rebuilt_partitions < recovered.table("sensors").num_partitions
         assert answers(recovered) == expected
         recovered.close()
+
+    def test_clean_restart_stays_lazy_and_wal_replay_hydrates(self, tmp_path):
+        """Queries run off the persisted merged synopsis, so a query-only
+        restart never decodes the per-partition synopses; replaying a WAL
+        record rebuilds the tail and must.  Cold rebuild, clean restart
+        and crash restart answer identically."""
+
+        def lazy(db) -> bool:
+            synopses = db.table("sensors").partition_synopses
+            return isinstance(synopses, LazyPartitionSynopses) and not synopses.hydrated
+
+        # "crash" checkpoints one batch early: the last stays WAL-only.
+        for sub, checkpoint_after in (("clean", 2), ("crash", 1)):
+            db = durable(tmp_path / sub)
+            db.register(batch(0, rows=900))
+            for seed in (1, 2):
+                db.ingest("sensors", batch(seed))
+                if seed == checkpoint_after:
+                    db.checkpoint()
+            db.close()
+        cold = reference_db(
+            [
+                ("register", batch(0, rows=900)),
+                ("ingest", "sensors", batch(1)),
+                ("ingest", "sensors", batch(2)),
+            ]
+        )
+
+        clean = durable(tmp_path / "clean")
+        crash = durable(tmp_path / "crash")
+        assert clean.recovery_info.replayed_records == 0
+        assert crash.recovery_info.replayed_records == 1
+        assert crash.recovery_info.rebuilt_partitions >= 1
+        assert answers(clean) == answers(crash) == answers(cold)
+        assert lazy(clean) and not lazy(crash)
+        clean.close()
+        crash.close()
 
     def test_recovered_matches_uninterrupted_reference_exactly(self, tmp_path):
         ops = [

@@ -30,6 +30,7 @@ from repro.gd.greedygd import GreedyGDConfig
 from repro.gd.partitioned import PartitionedStore, dump_partition, load_partition
 from repro.gd.preprocessor import Preprocessor
 from repro.storage import (
+    DurableDatabase,
     SimulatedCrash,
     WriteAheadLog,
     load_latest_snapshot,
@@ -614,3 +615,31 @@ class TestIncrementalSnapshots:
         # The v2 blobs are brand new files (nothing to link from a v1 dir).
         for name in _blob_names(snap2):
             assert (snap2 / name).stat().st_nlink == 1
+
+
+# --------------------------------------------------------------------------- #
+# Checkpoint-driven WAL truncation
+
+
+def test_held_wal_truncation_is_retried_by_the_next_checkpoint(tmp_path):
+    """A follower floor holds covered segments back at checkpoint time; once
+    it rises, the next checkpoint drops them even though no write happened
+    in between (it takes the ``skipped`` path: nothing new to snapshot)."""
+    db = DurableDatabase.open(
+        tmp_path,
+        default_params=PairwiseHistParams.with_defaults(sample_size=None, seed=1),
+        partition_size=200,
+    )
+    db.retention_floor = lambda: 0  # a follower that has acked nothing
+    db.register(make_simple_table(rows=300, seed=1, name="held"))
+    db.ingest("held", make_simple_table(rows=100, seed=2, name="held"))
+    covered = db.wal.segment_paths()
+    assert not db.checkpoint().skipped
+    assert db.wal.segment_paths() == covered  # held back for the follower
+    assert [r.lsn for r in db.wal.read_records()] == [1, 2]
+
+    db.retention_floor = lambda: 2  # the follower caught up
+    assert db.checkpoint().skipped
+    assert not any(path.exists() for path in covered)
+    assert list(db.wal.read_records()) == []
+    db.close()
