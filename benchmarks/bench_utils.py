@@ -1,17 +1,4 @@
-"""Shared helpers for the benchmark suite.
-
-Every benchmark regenerates one table or figure of the paper at a
-configurable scale.  The scale is selected with the ``REPRO_BENCH_SCALE``
-environment variable:
-
-* ``smoke``   (default) — minutes on a laptop, preserves relative rankings,
-* ``default`` — tens of minutes, closer to the paper's sample-size ratios,
-* ``paper``   — overnight-sized run.
-
-Rendered result tables are printed and also written to
-``benchmarks/results/<name>.txt`` so the regenerated rows survive pytest's
-output capturing and can be pasted into EXPERIMENTS.md.
-"""
+"""Shared helpers for ``benchmarks/test_*.py``."""
 
 from __future__ import annotations
 
@@ -20,23 +7,18 @@ import math
 import os
 from pathlib import Path
 
-from repro.bench import ExperimentScale
+from repro.bench import SCALES, ExperimentScale
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def bench_scale() -> ExperimentScale:
-    """Experiment scale selected by the ``REPRO_BENCH_SCALE`` env var."""
-    name = os.environ.get("REPRO_BENCH_SCALE", "smoke").lower()
-    if name == "paper":
-        return ExperimentScale.paper()
-    if name == "default":
-        return ExperimentScale.default()
-    return ExperimentScale.smoke()
+    """The scale ``REPRO_BENCH_SCALE`` names (``smoke`` when unset or unknown)."""
+    return SCALES.get(os.environ.get("REPRO_BENCH_SCALE", "smoke").lower(), SCALES["smoke"])
 
 
 def record(name: str, text: str) -> None:
-    """Print a rendered experiment table and persist it under benchmarks/results/."""
+    """Print a rendered table and persist it under benchmarks/results/."""
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     print(f"\n{text}\n")
@@ -54,12 +36,7 @@ def _jsonable(value):
 
 
 def record_json(name: str, payload: dict) -> None:
-    """Persist a machine-readable result next to the rendered ``.txt`` table.
-
-    Written to ``benchmarks/results/<name>.json`` so dashboards and
-    regression tooling can track latency percentiles / throughput numbers
-    without screen-scraping the fixed-width tables.
-    """
+    """Persist a machine-readable result next to the rendered ``.txt`` table."""
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.json").write_text(
         json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"

@@ -1,6 +1,7 @@
 """Head-to-head comparison of AQP systems on one workload (a mini Fig. 8/11).
 
-Builds PairwiseHist, the DeepDB-like SPN baseline, the DBEst++-like
+Builds PairwiseHist (a ``QueryService`` at the ``paper`` configuration: one
+partition, sampled synopsis), the DeepDB-like SPN baseline, the DBEst++-like
 density+regression baseline and a plain uniform-sampling baseline on the
 same dataset, runs an identical random workload against each and prints the
 accuracy / latency / storage / construction summary the paper reports.
@@ -9,9 +10,9 @@ Run with:  python examples/compare_aqp_systems.py
 """
 
 from repro import load_dataset
-from repro.baselines import DBEstPlusPlusLike, DeepDBLike, PairwiseHistSystem, SamplingAQP
-from repro.bench.harness import fmt, format_table, workload_templates
-from repro.workload import QueryGenerator, WorkloadRunner, WorkloadSpec
+from repro.baselines import DBEstPlusPlusLike, DeepDBLike, SamplingAQP
+from repro.bench.harness import ServedSystem, fmt, format_table, workload_templates
+from repro.workload import QueryGenerator, WorkloadSpec, run
 
 
 def main() -> None:
@@ -21,11 +22,10 @@ def main() -> None:
     spec = WorkloadSpec.initial_experiments(num_queries=60, seed=5)
     queries = QueryGenerator(table, spec).generate()
     templates = workload_templates(queries)
-    runner = WorkloadRunner(table)
 
     sample = 20_000
     systems = [
-        PairwiseHistSystem.fit(table, sample_size=sample),
+        ServedSystem.serve(table, sample_size=sample),
         DeepDBLike.fit(table, sample_size=sample),
         DBEstPlusPlusLike.fit(table, sample_size=sample // 4, templates=templates),
         SamplingAQP.fit(table, sample_size=sample),
@@ -33,10 +33,10 @@ def main() -> None:
 
     rows = []
     for system in systems:
-        summary = runner.run(system, queries)
+        summary = run(system, table, queries)
         rows.append([
             system.name,
-            str(len(summary.supported_records)),
+            str(summary.n),
             fmt(summary.median_error_percent()),
             fmt(summary.median_latency_ms()),
             fmt(summary.bounds_correct_rate_percent(), 1),
@@ -44,7 +44,7 @@ def main() -> None:
             fmt(system.construction_seconds, 2),
         ])
 
-    headers = ["system", "queries", "median err (%)", "latency (ms)",
+    headers = ["system", "n", "median err (%)", "latency (ms)",
                "bounds ok (%)", "synopsis (MB)", "build (s)"]
     print(format_table(headers, rows, title=f"AQP systems on {len(queries)} random queries"))
     print("\n(the sampling baseline stores the raw sample itself, which is what the paper's")

@@ -17,12 +17,13 @@ from repro import (
     parse_query,
     scale_dataset,
 )
+from repro.workload import score
 
 
 def show(engine: PairwiseHistEngine, exact: ExactQueryEngine, sql: str) -> None:
     result = engine.execute_scalar(sql)
     truth = exact.execute_scalar(parse_query(sql))
-    error = 100 * result.relative_error(truth)
+    error = 100 * score(result.value, result.lower, result.upper, truth)[0]
     print(f"  {sql}")
     print(f"    estimate {result.value:14,.2f}   bounds [{result.lower:,.2f}, {result.upper:,.2f}]"
           f"   exact {truth:14,.2f}   error {error:.2f}%")

@@ -10,6 +10,7 @@ from repro import (
     load_dataset,
     parse_query,
 )
+from repro.workload import score
 
 
 def main() -> None:
@@ -38,7 +39,7 @@ def main() -> None:
     for sql in queries:
         result = engine.execute_scalar(sql)
         truth = exact.execute_scalar(parse_query(sql))
-        error = 100 * result.relative_error(truth)
+        error = 100 * score(result.value, result.lower, result.upper, truth)[0]
         bounds = f"[{result.lower:,.2f}, {result.upper:,.2f}]"
         print(f"{sql:70s} {result.value:12,.2f} {bounds:>24s} {truth:12,.2f} {error:7.2f}")
 

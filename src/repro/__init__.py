@@ -61,7 +61,6 @@ from .service import (
     PipelinedClient,
     QueryServer,
     QueryService,
-    QueryServiceSystem,
     ReadWriteLock,
 )
 from .cluster import ClusterQueryService, ShardRouter, ShardSupervisor
@@ -109,7 +108,6 @@ __all__ = [
     "PipelinedClient",
     "QueryServer",
     "QueryService",
-    "QueryServiceSystem",
     "ReadWriteLock",
     "ClusterQueryService",
     "ShardRouter",

@@ -36,6 +36,7 @@ from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
 from ..sql.ast import UnsupportedQueryError
 from ..sql.parser import ParseError, parse_query_cached
+from ..workload.metrics import score
 from .workload import WorkloadLog
 
 __all__ = ["AccuracyAuditor", "AuditRecord"]
@@ -241,8 +242,8 @@ class AccuracyAuditor:
                 self.truth_failures += 1
             _SKIPPED.inc(reason="truth_failed")
             return False
-        error = estimate.relative_error(truth)
-        violated = not (estimate.lower <= truth <= estimate.upper)
+        error, hit = score(estimate.value, estimate.lower, estimate.upper, truth)
+        violated = not hit
         record = AuditRecord(
             sql=sql,
             table=query.table,

@@ -1,7 +1,6 @@
 """Baseline AQP systems used in the paper's evaluation, plus the common interface."""
 
 from .base import AqpSystem, BaselineResult, UnsupportedQueryError
-from .adapter import PairwiseHistSystem
 from .deepdb import DeepDBLike
 from .dbest import DBEstPlusPlusLike
 from .sampling_aqp import SamplingAQP
@@ -12,7 +11,6 @@ __all__ = [
     "AqpSystem",
     "BaselineResult",
     "UnsupportedQueryError",
-    "PairwiseHistSystem",
     "DeepDBLike",
     "DBEstPlusPlusLike",
     "SamplingAQP",

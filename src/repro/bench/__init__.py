@@ -1,16 +1,8 @@
 """Benchmark harness: one experiment class per table / figure of the paper."""
 
-from .harness import (
-    ExperimentScale,
-    SystemSuite,
-    build_suite,
-    format_table,
-    generate_workload,
-    load_scaled_dataset,
-    run_suite,
-    workload_templates,
-)
+from .harness import SCALES, ExperimentScale, ServedSystem, format_table, workload_templates
 from .experiments import (
+    AccuracySweep,
     Fig1Summary,
     Fig8InitialExperiments,
     Fig9ParameterSensitivity,
@@ -24,14 +16,12 @@ from .experiments import (
 from .ablations import AblationGDSeeding, AblationHypothesisTesting, AblationStorageEncoding
 
 __all__ = [
+    "SCALES",
     "ExperimentScale",
-    "SystemSuite",
-    "build_suite",
+    "ServedSystem",
     "format_table",
-    "generate_workload",
-    "load_scaled_dataset",
-    "run_suite",
     "workload_templates",
+    "AccuracySweep",
     "Fig1Summary",
     "Fig8InitialExperiments",
     "Fig9ParameterSensitivity",

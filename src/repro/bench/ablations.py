@@ -12,40 +12,34 @@ accuracy, synopsis size and construction time on the same workload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..baselines.adapter import PairwiseHistSystem
 from ..core.builder import build_pairwise_hist
+from ..core.engine import PairwiseHistEngine
 from ..core.params import PairwiseHistParams
 from ..core.serialization import synopsis_size_bytes
-from ..data.datasets import load_dataset
 from ..gd.preprocessor import Preprocessor
-from ..workload.runner import WorkloadRunner
-from .experiments import _initial_workload
-from .harness import ExperimentScale, fmt, format_table
+from ..workload.runner import run
+from .experiments import Experiment, initial_workload, load_original
+from .harness import ServedSystem, fmt, format_table
 
 _MB = 1e6
 
 
 @dataclass
-class AblationHypothesisTesting:
+class AblationHypothesisTesting(Experiment):
     """Hypothesis-test-driven refinement vs equi-width histograms with the same bin budget."""
 
-    scale: ExperimentScale = field(default_factory=ExperimentScale.default)
     dataset: str = "power"
-    results: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def run(self) -> dict[str, dict[str, float]]:
-        table = load_dataset(self.dataset, rows=self.scale.dataset_rows, seed=self.scale.seed)
-        queries = _initial_workload(table, self.scale)
-        runner = WorkloadRunner(table)
+        table = load_original(self.dataset, self.scale)
+        queries = initial_workload(table, self.scale)
 
-        refined = PairwiseHistSystem.fit(
-            table, sample_size=self.scale.sample_small, name="PairwiseHist (refined)"
-        )
-        refined_summary = runner.run(refined, queries)
+        refined = ServedSystem.serve(table, sample_size=self.scale.sample_small)
+        refined_summary = run(refined, table, queries)
         mean_bins = float(
             np.mean([h.num_bins for h in refined.engine.synopsis.hist1d.values()])
         )
@@ -78,89 +72,85 @@ class AblationHypothesisTesting:
             initial_edges=equi_edges,
             columns=table.column_names,
         )
-        from ..core.engine import PairwiseHistEngine
-
+        # A hand-built synopsis has no service to register with: a bare engine.
         equi_engine = PairwiseHistEngine(
             synopsis=synopsis, preprocessor=preprocessor, table_name=table.name
         )
-        equi_system = PairwiseHistSystem(engine=equi_engine, name="Equi-width (no refinement)")
-        equi_summary = runner.run(equi_system, queries)
+        equi_summary = run(ServedSystem(backend=equi_engine, engine=equi_engine), table, queries)
 
         self.results = {
             "PairwiseHist (refined)": {
                 "median_error_percent": refined_summary.median_error_percent(),
                 "synopsis_mb": refined.synopsis_bytes() / _MB,
                 "mean_bins_per_column": mean_bins,
+                "n": float(refined_summary.n),
             },
             "Equi-width (no refinement)": {
                 "median_error_percent": equi_summary.median_error_percent(),
                 "synopsis_mb": synopsis_size_bytes(synopsis) / _MB,
                 "mean_bins_per_column": float(bins),
+                "n": float(equi_summary.n),
             },
         }
         return self.results
 
-    def render(self) -> str:
-        if not self.results:
-            self.run()
-        headers = ["variant", "median error (%)", "synopsis (MB)", "bins/column"]
+    def _render(self) -> str:
+        headers = ["variant", "median error (%)", "synopsis (MB)", "bins/column", "n"]
         rows = [
-            [name, fmt(v["median_error_percent"]), fmt(v["synopsis_mb"], 3), fmt(v["mean_bins_per_column"], 1)]
+            [name, fmt(v["median_error_percent"]), fmt(v["synopsis_mb"], 3),
+             fmt(v["mean_bins_per_column"], 1), fmt(v["n"], 0)]
             for name, v in self.results.items()
         ]
         return format_table(headers, rows, "Ablation — recursive hypothesis testing")
 
 
 @dataclass
-class AblationGDSeeding:
+class AblationGDSeeding(Experiment):
     """GD-base-seeded initial bin edges vs min/max initial edges."""
 
-    scale: ExperimentScale = field(default_factory=ExperimentScale.default)
     dataset: str = "power"
-    results: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def run(self) -> dict[str, dict[str, float]]:
-        table = load_dataset(self.dataset, rows=self.scale.dataset_rows, seed=self.scale.seed)
-        queries = _initial_workload(table, self.scale)
-        runner = WorkloadRunner(table)
-        for label, use_compression in (("GD-seeded (with compression)", True), ("Min/max seeded (stand-alone)", False)):
-            system = PairwiseHistSystem.fit(
-                table,
-                sample_size=self.scale.sample_small,
-                use_compression=use_compression,
-                name=label,
-            )
-            summary = runner.run(system, queries)
+        table = load_original(self.dataset, self.scale)
+        queries = initial_workload(table, self.scale)
+        sample = self.scale.sample_small
+        # Stand-alone PairwiseHist never compresses, so no service can hold it.
+        standalone = PairwiseHistEngine.from_table(
+            table, params=PairwiseHistParams.with_defaults(sample_size=sample), use_compression=False
+        )
+        systems = {
+            "GD-seeded (with compression)": ServedSystem.serve(table, sample_size=sample),
+            "Min/max seeded (stand-alone)": ServedSystem(backend=standalone, engine=standalone),
+        }
+        for label, system in systems.items():
+            summary = run(system, table, queries)
             self.results[label] = {
                 "median_error_percent": summary.median_error_percent(),
                 "construction_seconds": system.construction_seconds,
                 "synopsis_mb": system.synopsis_bytes() / _MB,
+                "n": float(summary.n),
             }
         return self.results
 
-    def render(self) -> str:
-        if not self.results:
-            self.run()
-        headers = ["variant", "median error (%)", "construction (s)", "synopsis (MB)"]
+    def _render(self) -> str:
+        headers = ["variant", "median error (%)", "construction (s)", "synopsis (MB)", "n"]
         rows = [
-            [name, fmt(v["median_error_percent"]), fmt(v["construction_seconds"]), fmt(v["synopsis_mb"], 3)]
+            [name, fmt(v["median_error_percent"]), fmt(v["construction_seconds"]),
+             fmt(v["synopsis_mb"], 3), fmt(v["n"], 0)]
             for name, v in self.results.items()
         ]
         return format_table(headers, rows, "Ablation — GD base seeding of initial bins")
 
 
 @dataclass
-class AblationStorageEncoding:
+class AblationStorageEncoding(Experiment):
     """Adaptive dense/sparse (Golomb) bin-count encoding vs dense-only encoding."""
 
-    scale: ExperimentScale = field(default_factory=ExperimentScale.default)
     dataset: str = "flights"
-    results: dict[str, float] = field(default_factory=dict)
 
     def run(self) -> dict[str, float]:
-        table = load_dataset(self.dataset, rows=self.scale.dataset_rows, seed=self.scale.seed)
-        system = PairwiseHistSystem.fit(table, sample_size=self.scale.sample_small)
-        synopsis = system.engine.synopsis
+        table = load_original(self.dataset, self.scale)
+        synopsis = ServedSystem.serve(table, sample_size=self.scale.sample_small).engine.synopsis
         adaptive = synopsis_size_bytes(synopsis)
         dense = synopsis_size_bytes(synopsis, force_dense=True)
         self.results = {
@@ -170,9 +160,7 @@ class AblationStorageEncoding:
         }
         return self.results
 
-    def render(self) -> str:
-        if not self.results:
-            self.run()
+    def _render(self) -> str:
         headers = ["encoding", "synopsis (MB)"]
         rows = [
             ["adaptive dense/sparse (paper)", fmt(self.results["adaptive_mb"], 3)],

@@ -2,47 +2,121 @@
 
 Each class owns one artefact of the paper's evaluation, exposes ``run()``
 returning structured results and ``render()`` producing the same rows /
-series the paper reports.  Scales are configurable (see
-:class:`~repro.bench.harness.ExperimentScale`): the defaults finish on a
-laptop, and all claims are relative (PairwiseHist vs the baselines on the
-same host and data), matching how the paper's findings are stated.
+series the paper reports, with the n each number was scored on.  It is
+one instrument: every PairwiseHist row is a
+:class:`~repro.service.database.QueryService` at a named configuration
+(:meth:`ServedSystem.serve`: ``paper`` or ``deployed``), every system is
+evaluated by :func:`repro.workload.runner.run` over one generated
+workload, and :class:`AccuracySweep` is the same experiment at more
+settings.  Scales are configurable (:class:`ExperimentScale`); all claims
+are relative (PairwiseHist vs the baselines on the same host and data),
+matching how the paper's findings are stated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
-import numpy as np
-
-from ..baselines.adapter import PairwiseHistSystem
+from ..baselines.base import AqpSystem
 from ..baselines.dbest import DBEstPlusPlusLike
 from ..baselines.deepdb import DeepDBLike
 from ..core.params import PairwiseHistParams
 from ..data.datasets import available_datasets, load_dataset
 from ..data.idebench import scale_dataset
 from ..data.table import Table
-from ..gd.store import CompressedStore
 from ..sql.ast import AggregateFunction, Query
 from ..workload.generator import QueryGenerator, WorkloadSpec
 from ..workload.metrics import WorkloadSummary
-from ..workload.runner import WorkloadRunner
-from .harness import ExperimentScale, fmt, format_table, workload_templates
+from ..workload.runner import run
+from .harness import SCALES, ExperimentScale, ServedSystem, fmt, format_table, workload_templates
 
 _MB = 1e6
 
+#: Statements generated per workload.  PAPERS.md's "Query Log Compression
+#: for Workload Analytics": a workload is hundreds of templates, not 15.
+STATEMENTS = 1_000
+#: Fig. 8 trains one DBEst++ model per template on eleven datasets, so it
+#: keeps the paper's own 100 statements per dataset.
+FIG8_STATEMENTS = 100
 
-def _initial_workload(table: Table, scale: ExperimentScale) -> list[Query]:
-    spec = WorkloadSpec.initial_experiments(num_queries=scale.queries, seed=scale.seed)
+DEPLOYED = "PairwiseHist (deployed)"
+
+
+def initial_workload(
+    table: Table, scale: ExperimentScale, statements: int | None = None
+) -> list[Query]:
+    """The Fig. 8 family: single-predicate COUNT / SUM / AVG statements."""
+    spec = WorkloadSpec.initial_experiments(
+        num_queries=statements or STATEMENTS, seed=scale.seed
+    )
     return QueryGenerator(table, spec).generate()
 
 
-def _scaled_workload(table: Table, scale: ExperimentScale) -> list[Query]:
-    spec = WorkloadSpec.scaled_experiments(num_queries=scale.queries, seed=scale.seed)
+def scaled_workload(table: Table, scale: ExperimentScale) -> list[Query]:
+    """The Table 5 family: all seven functions, 1-5 predicates, AND / OR."""
+    spec = WorkloadSpec.scaled_experiments(num_queries=STATEMENTS, seed=scale.seed)
     # The paper's minimum selectivity of 1e-6 targets 10^9-row tables (>=1000
     # matching rows).  At laptop scale keep queries meaningful by requiring a
     # comparable number of matching rows rather than the raw fraction.
-    spec.min_selectivity = max(spec.min_selectivity, 30.0 / max(table.num_rows, 1))
-    return QueryGenerator(table, spec).generate()
+    floor = max(spec.min_selectivity, 30.0 / max(table.num_rows, 1))
+    return QueryGenerator(table, replace(spec, min_selectivity=floor)).generate()
+
+
+def load_original(dataset: str, scale: ExperimentScale) -> Table:
+    return load_dataset(dataset, rows=scale.dataset_rows, seed=scale.seed)
+
+
+def scale_up(original: Table, scale: ExperimentScale) -> Table:
+    """The paper's IDEBench scale-up: fit the original and sample more rows."""
+    return scale_dataset(original, rows=scale.scaled_rows, seed=scale.seed)
+
+
+def _supported_by(summary: WorkloadSummary) -> set[str]:
+    return {r.sql for r in summary.records if r.supported}
+
+
+def _restrict(summary: WorkloadSummary, keep_sql: set[str]) -> WorkloadSummary:
+    return WorkloadSummary([r for r in summary.records if r.sql in keep_sql])
+
+
+@dataclass
+class Experiment:
+    """One artefact: ``run()`` fills and returns ``results``; ``render()``
+    (running first if nothing has) prints them as the paper's rows."""
+
+    scale: ExperimentScale = SCALES["default"]
+    results: dict = field(default_factory=dict)
+
+    def render(self) -> str:
+        if not self.results:
+            self.run()
+        return self._render()
+
+
+def _grid(results: dict[str, dict[str, float]], corner: str, title: str, digits: int = 2) -> str:
+    """Render ``{row label: {column label: number}}`` as one table."""
+    labels = list(next(iter(results.values())))
+    rows = [
+        [name] + [str(v) if isinstance(v, int) else fmt(v, digits) for v in map(values.get, labels)]
+        for name, values in results.items()
+    ]
+    return format_table([corner] + labels, rows, title)
+
+
+def _panels(results: dict[str, dict[str, dict[str, float]]], panels: list[tuple[str, str, int]]) -> str:
+    """One dataset x system table per ``(metric key, title, digits)`` of
+    ``{dataset: {system: {metric key: number}}}``."""
+    return "\n\n".join(
+        _grid(
+            {
+                dataset: {system: values[key] for system, values in per_system.items()}
+                for dataset, per_system in results.items()
+            },
+            "dataset", title, digits,
+        )
+        for key, title, digits in panels
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -50,64 +124,44 @@ def _scaled_workload(table: Table, scale: ExperimentScale) -> list[Query]:
 
 
 @dataclass
-class Fig8InitialExperiments:
+class Fig8InitialExperiments(Experiment):
     """Fig. 8: median error (a) and synopsis size (b) across the 11 datasets."""
 
-    scale: ExperimentScale = field(default_factory=ExperimentScale.default)
     datasets: list[str] = field(default_factory=available_datasets)
-    results: dict[str, dict[str, dict[str, float]]] = field(default_factory=dict)
 
     def run(self) -> dict[str, dict[str, dict[str, float]]]:
+        small, tiny = self.scale.sample_small, self.scale.sample_tiny
         for name in self.datasets:
-            table = load_dataset(name, rows=self.scale.dataset_rows, seed=self.scale.seed)
-            queries = _initial_workload(table, self.scale)
-            runner = WorkloadRunner(table)
+            table = load_original(name, self.scale)
+            queries = initial_workload(table, self.scale, FIG8_STATEMENTS)
             templates = workload_templates(queries)
             systems = {
-                "PairwiseHist 100k": PairwiseHistSystem.fit(
-                    table, sample_size=self.scale.sample_small, name="PairwiseHist 100k"
-                ),
-                "PairwiseHist 10k": PairwiseHistSystem.fit(
-                    table, sample_size=self.scale.sample_tiny, name="PairwiseHist 10k"
-                ),
-                "DeepDB 100k": DeepDBLike.fit(table, sample_size=self.scale.sample_small),
-                "DeepDB 10k": DeepDBLike.fit(table, sample_size=self.scale.sample_tiny),
-                "DBEst++ 100k": DBEstPlusPlusLike.fit(
-                    table, sample_size=self.scale.sample_small, templates=templates
-                ),
-                "DBEst++ 10k": DBEstPlusPlusLike.fit(
-                    table, sample_size=self.scale.sample_tiny, templates=templates
-                ),
+                "PairwiseHist 100k": ServedSystem.serve(table, sample_size=small),
+                "PairwiseHist 10k": ServedSystem.serve(table, sample_size=tiny),
+                "DeepDB 100k": DeepDBLike.fit(table, sample_size=small),
+                "DeepDB 10k": DeepDBLike.fit(table, sample_size=tiny),
+                "DBEst++ 100k": DBEstPlusPlusLike.fit(table, sample_size=small, templates=templates),
+                "DBEst++ 10k": DBEstPlusPlusLike.fit(table, sample_size=tiny, templates=templates),
             }
             per_dataset: dict[str, dict[str, float]] = {}
             for label, system in systems.items():
-                summary = runner.run(system, queries)
+                summary = run(system, table, queries)
                 per_dataset[label] = {
                     "median_error_percent": summary.median_error_percent(),
                     "synopsis_mb": system.synopsis_bytes() / _MB,
-                    "supported_queries": float(len(summary.supported_records)),
+                    "supported_queries": float(summary.n),
                 }
             self.results[name] = per_dataset
         return self.results
 
-    def render(self) -> str:
-        if not self.results:
-            self.run()
-        labels = next(iter(self.results.values())).keys()
-        error_rows = [
-            [name] + [fmt(self.results[name][label]["median_error_percent"]) for label in labels]
-            for name in self.results
-        ]
-        size_rows = [
-            [name] + [fmt(self.results[name][label]["synopsis_mb"], 3) for label in labels]
-            for name in self.results
-        ]
-        headers = ["dataset"] + list(labels)
-        return "\n\n".join(
+    def _render(self) -> str:
+        return _panels(
+            self.results,
             [
-                format_table(headers, error_rows, "Fig. 8(a) — median error (%)"),
-                format_table(headers, size_rows, "Fig. 8(b) — synopsis size (MB)"),
-            ]
+                ("median_error_percent", "Fig. 8(a) — median error (%)", 2),
+                ("synopsis_mb", "Fig. 8(b) — synopsis size (MB)", 3),
+                ("supported_queries", "Fig. 8 — n, statements each median is over", 0),
+            ],
         )
 
 
@@ -116,10 +170,9 @@ class Fig8InitialExperiments:
 
 
 @dataclass
-class Fig9ParameterSensitivity:
+class Fig9ParameterSensitivity(Experiment):
     """Fig. 9: accuracy and synopsis size vs M, alpha and Ns on scaled Flights."""
 
-    scale: ExperimentScale = field(default_factory=ExperimentScale.default)
     dataset: str = "flights"
     min_points_fractions: tuple[float, ...] = (0.01, 0.04, 0.07, 0.10)
     series: tuple[tuple[str, str, float], ...] = (
@@ -128,13 +181,10 @@ class Fig9ParameterSensitivity:
         ("100k, alpha=0.01", "small", 0.01),
         ("100k, alpha=0.1", "small", 0.1),
     )
-    results: dict[str, list[dict[str, float]]] = field(default_factory=dict)
 
     def run(self) -> dict[str, list[dict[str, float]]]:
-        original = load_dataset(self.dataset, rows=self.scale.dataset_rows, seed=self.scale.seed)
-        table = scale_dataset(original, rows=self.scale.scaled_rows, seed=self.scale.seed)
-        queries = _initial_workload(table, self.scale)
-        runner = WorkloadRunner(table)
+        table = scale_up(load_original(self.dataset, self.scale), self.scale)
+        queries = initial_workload(table, self.scale)
         for label, size_key, alpha in self.series:
             sample = self.scale.sample_large if size_key == "large" else self.scale.sample_small
             points: list[dict[str, float]] = []
@@ -143,372 +193,358 @@ class Fig9ParameterSensitivity:
                 params = PairwiseHistParams(
                     sample_size=sample, min_points=min_points, alpha=alpha, seed=self.scale.seed
                 )
-                system = PairwiseHistSystem.fit(table, params=params, name=f"PH {label}")
-                summary = runner.run(system, queries)
+                system = ServedSystem.serve(table, params=params)
+                summary = run(system, table, queries)
                 points.append(
                     {
                         "min_points": float(min_points),
                         "median_error_percent": summary.median_error_percent(),
                         "synopsis_mb": system.synopsis_bytes() / _MB,
+                        "n": float(summary.n),
                     }
                 )
             self.results[label] = points
         return self.results
 
-    def render(self) -> str:
-        if not self.results:
-            self.run()
-        headers = ["series", "M", "median error (%)", "synopsis (MB)"]
-        rows = []
-        for label, points in self.results.items():
-            for point in points:
-                rows.append(
-                    [
-                        label,
-                        fmt(point["min_points"], 0),
-                        fmt(point["median_error_percent"]),
-                        fmt(point["synopsis_mb"], 3),
-                    ]
-                )
+    def _render(self) -> str:
+        headers = ["series", "M", "median error (%)", "synopsis (MB)", "n"]
+        rows = [
+            [
+                label,
+                fmt(point["min_points"], 0),
+                fmt(point["median_error_percent"]),
+                fmt(point["synopsis_mb"], 3),
+                fmt(point["n"], 0),
+            ]
+            for label, points in self.results.items()
+            for point in points
+        ]
         return format_table(headers, rows, "Fig. 9 — parameter sensitivity (scaled Flights)")
 
 
 # --------------------------------------------------------------------------- #
-# Table 5 / Fig. 10 — scaled-up experiments
+# Table 5 / Fig. 10 / Fig. 11 / Fig. 1 — projections of one scaled run
 
 
 @dataclass
-class ScaledExperimentRun:
-    """Shared machinery: run the scaled workload for one dataset on all systems."""
+class ScaledRun:
+    """Every system fitted on one scaled dataset and scored on its workload."""
 
-    scale: ExperimentScale
-    dataset: str
+    table: Table
+    systems: dict[str, AqpSystem]
+    summaries: dict[str, WorkloadSummary]
 
-    def execute(self) -> tuple[Table, list[Query], dict[str, WorkloadSummary], dict[str, object]]:
-        original = load_dataset(self.dataset, rows=self.scale.dataset_rows, seed=self.scale.seed)
-        table = scale_dataset(original, rows=self.scale.scaled_rows, seed=self.scale.seed,
-                              name=f"{self.dataset}_scaled")
-        queries = _scaled_workload(table, self.scale)
-        runner = WorkloadRunner(table)
-        templates = workload_templates(queries)
-        systems = {
-            "PairwiseHist": PairwiseHistSystem.fit(table, sample_size=self.scale.sample_large),
-            "DeepDB": DeepDBLike.fit(table, sample_size=self.scale.sample_large),
-            "DBEst++": DBEstPlusPlusLike.fit(
-                table, sample_size=self.scale.sample_tiny, templates=templates
-            ),
-        }
-        summaries = {name: runner.run(system, queries) for name, system in systems.items()}
-        return table, queries, summaries, systems
+
+@lru_cache(maxsize=None)
+def scaled_run(scale: ExperimentScale, dataset: str) -> ScaledRun:
+    """The scaled-up experiment for one dataset, fitted and scored once per
+    process; Table 5, Fig. 10, Fig. 11 and Fig. 1 each project it."""
+    table = scale_up(load_original(dataset, scale), scale)
+    queries = scaled_workload(table, scale)
+    systems: dict[str, AqpSystem] = {
+        "PairwiseHist": ServedSystem.serve(table, sample_size=scale.sample_large),
+        DEPLOYED: ServedSystem.serve(table, "deployed"),
+        "DeepDB": DeepDBLike.fit(table, sample_size=scale.sample_large),
+        "DBEst++": DBEstPlusPlusLike.fit(
+            table, sample_size=scale.sample_tiny, templates=workload_templates(queries)
+        ),
+    }
+    summaries = {name: run(system, table, queries) for name, system in systems.items()}
+    return ScaledRun(table, systems, summaries)
 
 
 @dataclass
-class Table5AccuracyByAggregation:
+class Table5AccuracyByAggregation(Experiment):
     """Table 5: median relative error (%) per aggregation function and system."""
 
-    scale: ExperimentScale = field(default_factory=ExperimentScale.default)
     datasets: tuple[str, ...] = ("power", "flights")
-    results: dict[str, dict[str, dict[str, float]]] = field(default_factory=dict)
 
     def run(self) -> dict[str, dict[str, dict[str, float]]]:
         for dataset in self.datasets:
-            _, _, summaries, _ = ScaledExperimentRun(self.scale, dataset).execute()
             per_system: dict[str, dict[str, float]] = {}
-            for system_name, summary in summaries.items():
-                by_agg = {
-                    agg: sub.median_error_percent() for agg, sub in summary.by_aggregation().items()
-                }
+            for system_name, summary in scaled_run(self.scale, dataset).summaries.items():
+                by_agg = {agg: sub.median_error_percent() for agg, sub in summary.by_aggregation().items()}
                 by_agg["Overall"] = summary.median_error_percent()
-                by_agg["supported"] = float(len(summary.supported_records))
+                by_agg["supported"] = float(summary.n)
                 per_system[system_name] = by_agg
             self.results[dataset] = per_system
         return self.results
 
-    def render(self) -> str:
-        if not self.results:
-            self.run()
+    def _render(self) -> str:
         functions = [f.value for f in AggregateFunction] + ["Overall"]
         blocks = []
         for dataset, per_system in self.results.items():
-            headers = ["aggregation"] + list(per_system.keys())
-            rows = []
-            for func in functions:
-                rows.append(
-                    [func] + [fmt(per_system[system].get(func, float("nan"))) for system in per_system]
+            rows = [
+                [func] + [fmt(values.get(func, float("nan"))) for values in per_system.values()]
+                for func in functions
+            ]
+            rows.append(["n (supported statements)"] + [fmt(v["supported"], 0) for v in per_system.values()])
+            blocks.append(
+                format_table(
+                    ["aggregation"] + list(per_system),
+                    rows,
+                    f"Table 5 — median relative error (%), {dataset} (scaled)",
                 )
-            rows.append(
-                ["supported queries"]
-                + [fmt(per_system[system].get("supported", float("nan")), 0) for system in per_system]
             )
-            blocks.append(format_table(headers, rows, f"Table 5 — median relative error (%), {dataset} (scaled)"))
         return "\n\n".join(blocks)
 
 
 @dataclass
-class Fig10ErrorCDF:
+class Fig10ErrorCDF(Experiment):
     """Fig. 10(a)-(c): error CDFs over system-supported query subsets."""
 
-    scale: ExperimentScale = field(default_factory=ExperimentScale.default)
     datasets: tuple[str, ...] = ("power", "flights")
     percentiles: tuple[float, ...] = (25.0, 50.0, 75.0, 90.0, 95.0, 99.0)
-    results: dict[str, dict[str, object]] = field(default_factory=dict)
 
     def run(self) -> dict[str, dict[str, object]]:
-        all_records: dict[str, list] = {"PairwiseHist": [], "DeepDB": [], "DBEst++": []}
+        merged: dict[str, WorkloadSummary] = {}
         for dataset in self.datasets:
-            _, _, summaries, _ = ScaledExperimentRun(self.scale, dataset).execute()
-            for system_name, summary in summaries.items():
-                all_records[system_name].extend(summary.records)
-        merged = {name: WorkloadSummary(records) for name, records in all_records.items()}
-
-        def subset(records, keep_sql: set[str]) -> WorkloadSummary:
-            return WorkloadSummary([r for r in records if r.sql in keep_sql])
-
-        deepdb_supported = {r.sql for r in merged["DeepDB"].records if r.supported}
-        dbest_supported = {r.sql for r in merged["DBEst++"].records if r.supported}
+            for system_name, summary in scaled_run(self.scale, dataset).summaries.items():
+                merged.setdefault(system_name, WorkloadSummary()).records.extend(summary.records)
         panels = {
-            "vs DBEst++ (supported subset)": {
-                "PairwiseHist": subset(merged["PairwiseHist"].records, dbest_supported),
-                "DBEst++": subset(merged["DBEst++"].records, dbest_supported),
-            },
-            "vs DeepDB (supported subset)": {
-                "PairwiseHist": subset(merged["PairwiseHist"].records, deepdb_supported),
-                "DeepDB": subset(merged["DeepDB"].records, deepdb_supported),
-            },
-            "all queries": {"PairwiseHist": merged["PairwiseHist"]},
+            f"vs {name} (supported subset)": {
+                system: _restrict(merged[system], _supported_by(merged[name]))
+                for system in ("PairwiseHist", name)
+            }
+            for name in ("DBEst++", "DeepDB")
         }
-        rendered: dict[str, dict[str, object]] = {}
-        for panel, systems in panels.items():
-            rendered[panel] = {
+        panels["all queries"] = {name: merged[name] for name in ("PairwiseHist", DEPLOYED)}
+        self.results = {
+            panel: {
                 name: {
-                    "num_queries": float(len(summary.supported_records)),
+                    "num_queries": float(summary.n),
                     "error_percentiles": summary.error_percentiles(list(self.percentiles)) * 100.0,
                     "fraction_below_10pct": summary.fraction_below(0.10),
                     "fraction_below_1pct": summary.fraction_below(0.01),
                 }
                 for name, summary in systems.items()
             }
-        self.results = rendered
-        return rendered
+            for panel, systems in panels.items()
+        }
+        return self.results
 
-    def render(self) -> str:
-        if not self.results:
-            self.run()
+    def _render(self) -> str:
+        headers = ["system", "n"] + [f"p{int(p)} err (%)" for p in self.percentiles] + [
+            "<1% err", "<10% err"
+        ]
         blocks = []
         for panel, systems in self.results.items():
-            headers = ["system", "n"] + [f"p{int(p)} err (%)" for p in self.percentiles] + [
-                "<1% err", "<10% err"
+            rows = [
+                [name, fmt(stats["num_queries"], 0)]
+                + [fmt(v) for v in stats["error_percentiles"]]
+                + [fmt(stats["fraction_below_1pct"] * 100, 1) + "%",
+                   fmt(stats["fraction_below_10pct"] * 100, 1) + "%"]
+                for name, stats in systems.items()
             ]
-            rows = []
-            for name, stats in systems.items():
-                rows.append(
-                    [name, fmt(stats["num_queries"], 0)]
-                    + [fmt(v) for v in stats["error_percentiles"]]
-                    + [fmt(stats["fraction_below_1pct"] * 100, 1) + "%",
-                       fmt(stats["fraction_below_10pct"] * 100, 1) + "%"]
-                )
             blocks.append(format_table(headers, rows, f"Fig. 10 — error distribution, {panel}"))
         return "\n\n".join(blocks)
 
 
 @dataclass
-class Fig10RealVsIdebench:
-    """Fig. 10(d): PairwiseHist / DeepDB error on real vs IDEBench-generated data."""
-
-    scale: ExperimentScale = field(default_factory=ExperimentScale.default)
-    datasets: tuple[str, ...] = ("power", "flights")
-    results: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def run(self) -> dict[str, dict[str, float]]:
-        for dataset in self.datasets:
-            real = load_dataset(dataset, rows=self.scale.dataset_rows, seed=self.scale.seed)
-            synthetic = scale_dataset(
-                real, rows=self.scale.dataset_rows, seed=self.scale.seed, name=f"{dataset}_idebench"
-            )
-            queries = _initial_workload(real, self.scale)
-            row: dict[str, float] = {}
-            for label, table in (("Real", real), ("IDEBench", synthetic)):
-                runner = WorkloadRunner(table)
-                ph = PairwiseHistSystem.fit(table, sample_size=self.scale.sample_large)
-                dd = DeepDBLike.fit(table, sample_size=self.scale.sample_large)
-                row[f"PairwiseHist {label}"] = runner.run(ph, queries).median_error_percent()
-                row[f"DeepDB {label}"] = runner.run(dd, queries).median_error_percent()
-            self.results[dataset] = row
-        return self.results
-
-    def render(self) -> str:
-        if not self.results:
-            self.run()
-        labels = list(next(iter(self.results.values())).keys())
-        headers = ["dataset"] + labels
-        rows = [
-            [dataset] + [fmt(self.results[dataset][label]) for label in labels]
-            for dataset in self.results
-        ]
-        return format_table(headers, rows, "Fig. 10(d) — median error (%), real vs IDEBench data")
-
-
-# --------------------------------------------------------------------------- #
-# Table 6 — bounds accuracy and width
-
-
-@dataclass
-class Table6Bounds:
-    """Table 6: bounds correct-rate (%) and median width (%) for PairwiseHist vs DeepDB."""
-
-    scale: ExperimentScale = field(default_factory=ExperimentScale.default)
-    datasets: tuple[str, ...] = ("power", "flights")
-    results: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def run(self) -> dict[str, dict[str, float]]:
-        for dataset in self.datasets:
-            for variant in ("original", "scaled"):
-                if variant == "original":
-                    table = load_dataset(dataset, rows=self.scale.dataset_rows, seed=self.scale.seed)
-                else:
-                    original = load_dataset(dataset, rows=self.scale.dataset_rows, seed=self.scale.seed)
-                    table = scale_dataset(original, rows=self.scale.scaled_rows, seed=self.scale.seed)
-                queries = _initial_workload(table, self.scale)
-                runner = WorkloadRunner(table)
-                ph = PairwiseHistSystem.fit(table, sample_size=self.scale.sample_large)
-                dd = DeepDBLike.fit(table, sample_size=self.scale.sample_large)
-                ph_summary = runner.run(ph, queries)
-                dd_summary = runner.run(dd, queries)
-                supported = {r.sql for r in dd_summary.records if r.supported}
-                ph_subset = WorkloadSummary([r for r in ph_summary.records if r.sql in supported])
-                dd_subset = WorkloadSummary([r for r in dd_summary.records if r.sql in supported])
-                self.results[f"{dataset} ({variant})"] = {
-                    "PairwiseHist correct (%)": ph_subset.bounds_correct_rate_percent(),
-                    "DeepDB correct (%)": dd_subset.bounds_correct_rate_percent(),
-                    "PairwiseHist width (%)": ph_subset.median_bound_width_percent(),
-                    "DeepDB width (%)": dd_subset.median_bound_width_percent(),
-                }
-        return self.results
-
-    def render(self) -> str:
-        if not self.results:
-            self.run()
-        labels = list(next(iter(self.results.values())).keys())
-        headers = ["dataset"] + labels
-        rows = [
-            [name] + [fmt(values[label], 1) for label in labels]
-            for name, values in self.results.items()
-        ]
-        return format_table(headers, rows, "Table 6 — bounds accuracy rate and width")
-
-
-# --------------------------------------------------------------------------- #
-# Fig. 11 — storage and runtime on the scaled datasets
-
-
-@dataclass
-class Fig11ScaledPerformance:
+class Fig11ScaledPerformance(Experiment):
     """Fig. 11(a)-(d): synopsis size, total storage, query latency, construction time."""
 
-    scale: ExperimentScale = field(default_factory=ExperimentScale.default)
     datasets: tuple[str, ...] = ("power", "flights")
-    results: dict[str, dict[str, dict[str, float]]] = field(default_factory=dict)
 
     def run(self) -> dict[str, dict[str, dict[str, float]]]:
         for dataset in self.datasets:
-            table, _, summaries, systems = ScaledExperimentRun(self.scale, dataset).execute()
-            raw_bytes = table.memory_bytes()
-            ph_system = systems["PairwiseHist"]
-            store: CompressedStore | None = ph_system.engine.store
-            compressed_bytes = store.compressed_bytes() if store is not None else raw_bytes
+            scaled = scaled_run(self.scale, dataset)
+            raw_bytes = scaled.table.memory_bytes()
             per_system: dict[str, dict[str, float]] = {}
-            for name, system in systems.items():
-                summary = summaries[name]
-                synopsis_mb = system.synopsis_bytes() / _MB
-                if name == "PairwiseHist":
-                    total_storage = (compressed_bytes + system.synopsis_bytes()) / _MB
-                else:
-                    total_storage = (raw_bytes + system.synopsis_bytes()) / _MB
+            for name, system in scaled.systems.items():
+                summary = scaled.summaries[name]
+                # PairwiseHist answers from GreedyGD-compressed rows; the
+                # baselines keep the raw table next to their models.
+                stored = system.compressed_bytes() if isinstance(system, ServedSystem) else raw_bytes
                 per_system[name] = {
-                    "synopsis_mb": synopsis_mb,
-                    "total_storage_mb": total_storage,
+                    "synopsis_mb": system.synopsis_bytes() / _MB,
+                    "total_storage_mb": (stored + system.synopsis_bytes()) / _MB,
                     "median_latency_ms": summary.median_latency_ms(),
                     "construction_seconds": system.construction_seconds,
-                    "median_error_percent": summary.median_error_percent(),
+                    "n": float(summary.n),
                 }
-            per_system["Raw data"] = {
-                "synopsis_mb": float("nan"),
-                "total_storage_mb": raw_bytes / _MB,
-                "median_latency_ms": float("nan"),
-                "construction_seconds": float("nan"),
-                "median_error_percent": float("nan"),
-            }
+            per_system["Raw data"] = dict.fromkeys(per_system["PairwiseHist"], float("nan"))
+            per_system["Raw data"]["total_storage_mb"] = raw_bytes / _MB
             self.results[dataset] = per_system
         return self.results
 
-    def render(self) -> str:
-        if not self.results:
-            self.run()
-        blocks = []
-        metrics = [
-            ("synopsis_mb", "Fig. 11(a) — synopsis size (MB)", 3),
-            ("total_storage_mb", "Fig. 11(b) — total storage (MB)", 2),
-            ("median_latency_ms", "Fig. 11(c) — median query latency (ms)", 2),
-            ("construction_seconds", "Fig. 11(d) — construction time (s)", 2),
-        ]
-        for key, title, digits in metrics:
-            systems = list(next(iter(self.results.values())).keys())
-            headers = ["dataset"] + systems
-            rows = [
-                [dataset] + [fmt(self.results[dataset][system][key], digits) for system in systems]
-                for dataset in self.results
-            ]
-            blocks.append(format_table(headers, rows, title))
-        return "\n\n".join(blocks)
-
-
-# --------------------------------------------------------------------------- #
-# Fig. 1 and Table 1 — summaries
+    def _render(self) -> str:
+        return _panels(
+            self.results,
+            [
+                ("synopsis_mb", "Fig. 11(a) — synopsis size (MB)", 3),
+                ("total_storage_mb", "Fig. 11(b) — total storage (MB)", 2),
+                ("median_latency_ms", "Fig. 11(c) — median query latency (ms)", 2),
+                ("construction_seconds", "Fig. 11(d) — construction time (s)", 2),
+                ("n", "Fig. 11 — n, statements each median of (c) is over", 0),
+            ],
+        )
 
 
 @dataclass
-class Fig1Summary:
+class Fig1Summary(Experiment):
     """Fig. 1: relative performance of PairwiseHist vs DeepDB and DBEst++.
 
     Each axis is reported as "factor by which PairwiseHist is better"
-    (>1 means PairwiseHist wins), derived from one scaled-experiment run.
+    (>1 means PairwiseHist wins), derived from the scaled-experiment run.
     """
 
-    scale: ExperimentScale = field(default_factory=ExperimentScale.default)
     dataset: str = "power"
-    results: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def run(self) -> dict[str, dict[str, float]]:
-        table, queries, summaries, systems = ScaledExperimentRun(self.scale, self.dataset).execute()
-        ph_summary = summaries["PairwiseHist"]
-        ph = systems["PairwiseHist"]
+        scaled = scaled_run(self.scale, self.dataset)
+        ph_summary, ph = scaled.summaries["PairwiseHist"], scaled.systems["PairwiseHist"]
         for name in ("DeepDB", "DBEst++"):
-            summary = summaries[name]
-            system = systems[name]
+            summary, system = scaled.summaries[name], scaled.systems[name]
+            bounds = summary.bounds_correct_rate_percent()
             self.results[name] = {
                 "accuracy": summary.median_error_percent() / max(ph_summary.median_error_percent(), 1e-9),
                 "latency": summary.median_latency_ms() / max(ph_summary.median_latency_ms(), 1e-9),
                 "synopsis_size": system.synopsis_bytes() / max(ph.synopsis_bytes(), 1),
                 "construction_time": system.construction_seconds / max(ph.construction_seconds, 1e-9),
                 "query_bounds": (
-                    ph_summary.bounds_correct_rate_percent()
-                    / summary.bounds_correct_rate_percent()
-                    if np.isfinite(summary.bounds_correct_rate_percent())
-                    and summary.bounds_correct_rate_percent() > 0
-                    else float("nan")
+                    ph_summary.bounds_correct_rate_percent() / bounds if bounds > 0 else float("nan")
                 ),
             }
         return self.results
 
-    def render(self) -> str:
-        if not self.results:
-            self.run()
+    def _render(self) -> str:
         headers = ["axis", *[f"vs {name} (x better)" for name in self.results]]
         axes = ["accuracy", "latency", "synopsis_size", "construction_time", "query_bounds"]
         rows = [
             [axis] + [fmt(self.results[name][axis], 2) for name in self.results] for axis in axes
         ]
-        return format_table(headers, rows, "Fig. 1 — relative performance of PairwiseHist")
+        n = scaled_run(self.scale, self.dataset).summaries["PairwiseHist"].n
+        return format_table(headers, rows, f"Fig. 1 — relative performance of PairwiseHist (n = {n})")
+
+
+# --------------------------------------------------------------------------- #
+# Fig. 10(d) and Table 6 — PairwiseHist vs DeepDB on the initial workload
+
+
+@dataclass
+class Fig10RealVsIdebench(Experiment):
+    """Fig. 10(d): PairwiseHist / DeepDB error on real vs IDEBench-generated data."""
+
+    datasets: tuple[str, ...] = ("power", "flights")
+
+    def run(self) -> dict[str, dict[str, float]]:
+        for dataset in self.datasets:
+            real = load_original(dataset, self.scale)
+            # Same name as the real table: the statements' FROM routes to it.
+            synthetic = scale_dataset(
+                real, rows=self.scale.dataset_rows, seed=self.scale.seed, name=real.name
+            )
+            queries = initial_workload(real, self.scale)
+            row: dict[str, float] = {}
+            for label, table in (("Real", real), ("IDEBench", synthetic)):
+                ph = ServedSystem.serve(table, sample_size=self.scale.sample_large)
+                dd = DeepDBLike.fit(table, sample_size=self.scale.sample_large)
+                summary = run(ph, table, queries)
+                row[f"PairwiseHist {label}"] = summary.median_error_percent()
+                row[f"DeepDB {label}"] = run(dd, table, queries).median_error_percent()
+                row[f"n {label}"] = summary.n
+            self.results[dataset] = row
+        return self.results
+
+    def _render(self) -> str:
+        return _grid(self.results, "dataset", "Fig. 10(d) — median error (%), real vs IDEBench data")
+
+
+@dataclass
+class Table6Bounds(Experiment):
+    """Table 6: bounds correct-rate (%) and median width (%), PairwiseHist (as in
+    the paper, and as deployed) vs DeepDB, on the statements DeepDB supports."""
+
+    datasets: tuple[str, ...] = ("power", "flights")
+
+    def run(self) -> dict[str, dict[str, float]]:
+        for dataset in self.datasets:
+            original = load_original(dataset, self.scale)
+            for variant, table in (("original", original), ("scaled", scale_up(original, self.scale))):
+                queries = initial_workload(table, self.scale)
+                systems = {
+                    "PairwiseHist": ServedSystem.serve(table, sample_size=self.scale.sample_large),
+                    DEPLOYED: ServedSystem.serve(table, "deployed"),
+                    "DeepDB": DeepDBLike.fit(table, sample_size=self.scale.sample_large),
+                }
+                summaries = {name: run(system, table, queries) for name, system in systems.items()}
+                supported = _supported_by(summaries["DeepDB"])
+                row: dict[str, float] = {}
+                for name, summary in summaries.items():
+                    subset = _restrict(summary, supported)
+                    row[f"{name} correct (%)"] = subset.bounds_correct_rate_percent()
+                    row[f"{name} width (%)"] = subset.median_bound_width_percent()
+                row["n"] = subset.n
+                self.results[f"{dataset} ({variant})"] = row
+        return self.results
+
+    def _render(self) -> str:
+        return _grid(self.results, "dataset", "Table 6 — bounds accuracy rate and width", 1)
+
+
+# --------------------------------------------------------------------------- #
+# The accuracy sweep — the same experiment at more settings
+
+
+@dataclass
+class AccuracySweep:
+    """Where the bounds break: the ``deployed`` configuration at several
+    partition counts, then by predicate count and by function at the first.
+
+    The inputs are the caller's: ``benchmarks/test_reproduction.py`` passes
+    ``benchmarks/e2e``'s own table and statements, so the 10-partition row
+    is the in-process counterpart of its ``bound_hit_rate``.
+    """
+
+    table: Table
+    queries: list[Query]
+    partition_counts: tuple[int, ...] = (1, 2, 10, 50)
+    results: dict[int, WorkloadSummary] = field(default_factory=dict)
+
+    def run(self) -> dict[int, WorkloadSummary]:
+        for count in self.partition_counts:
+            system = ServedSystem.serve(self.table, "deployed", partitions=count)
+            self.results[count] = run(system, self.table, self.queries)
+        return self.results
+
+    def render(self) -> str:
+        if not self.results:
+            self.run()
+        headers = ["n", "hit rate", "median rel. error (%)", "median width (%)", "zero-width and wrong"]
+
+        def block(corner: str, summaries: dict[object, WorkloadSummary], title: str) -> str:
+            rows = [
+                [
+                    str(label),
+                    str(s.n),
+                    fmt(s.bounds_correct_rate_percent() / 100.0, 3),
+                    fmt(s.median_error_percent()),
+                    fmt(s.median_bound_width_percent()),
+                    str(s.zero_width_and_wrong()),
+                ]
+                for label, s in summaries.items()
+            ]
+            return format_table([corner] + headers, rows, title)
+
+        first = self.results[self.partition_counts[0]]
+        where = f"{self.partition_counts[0]} partition(s)"
+        return "\n\n".join(
+            [
+                block(
+                    "partitions",
+                    self.results,
+                    f"Accuracy sweep — {self.table.num_rows} rows of {self.table.name}, "
+                    f"{len(self.queries)} statements, unsampled",
+                ),
+                block("predicates", dict(sorted(first.by("predicates").items())), f"By predicate count, {where}"),
+                block("function", first.by_aggregation(), f"By function, {where}"),
+            ]
+        )
+
+
+# --------------------------------------------------------------------------- #
+# Table 1 — qualitative overview
 
 
 _TABLE1_LITERATURE = [
@@ -530,40 +566,40 @@ _TABLE1_LITERATURE = [
 
 
 @dataclass
-class Table1Qualitative:
+class Table1Qualitative(Experiment):
     """Table 1: qualitative comparison, with PairwiseHist's row measured live."""
 
-    scale: ExperimentScale = field(default_factory=ExperimentScale.default)
     dataset: str = "power"
-    measured: dict[str, float] = field(default_factory=dict)
 
     def run(self) -> dict[str, float]:
-        table = load_dataset(self.dataset, rows=self.scale.dataset_rows, seed=self.scale.seed)
-        queries = _initial_workload(table, self.scale)
-        runner = WorkloadRunner(table)
-        system = PairwiseHistSystem.fit(table, sample_size=self.scale.sample_small)
-        summary = runner.run(system, queries)
-        self.measured = {
+        table = load_original(self.dataset, self.scale)
+        system = ServedSystem.serve(table, sample_size=self.scale.sample_small)
+        summary = run(system, table, initial_workload(table, self.scale))
+        self.results = {
             "median_error_percent": summary.median_error_percent(),
             "median_latency_ms": summary.median_latency_ms(),
             "synopsis_mb": system.synopsis_bytes() / _MB,
             "construction_seconds": system.construction_seconds,
             "bounds_correct_rate": summary.bounds_correct_rate_percent(),
+            "n": float(summary.n),
         }
-        return self.measured
+        return self.results
 
-    def render(self) -> str:
-        if not self.measured:
-            self.run()
+    def _render(self) -> str:
         headers = ["system", "accuracy", "latency", "bounds", "size", "build", "versatility"]
         measured_row = [
             "PairwiseHist (measured)",
-            f"{fmt(self.measured['median_error_percent'])}%",
-            f"{fmt(self.measured['median_latency_ms'])} ms",
+            f"{fmt(self.results['median_error_percent'])}%",
+            f"{fmt(self.results['median_latency_ms'])} ms",
             "yes",
-            f"{fmt(self.measured['synopsis_mb'], 3)} MB",
-            f"{fmt(self.measured['construction_seconds'])} s",
+            f"{fmt(self.results['synopsis_mb'], 3)} MB",
+            f"{fmt(self.results['construction_seconds'])} s",
             "very high",
         ]
         rows = [measured_row] + [list(row) for row in _TABLE1_LITERATURE]
-        return format_table(headers, rows, "Table 1 — PairwiseHist compared to previous AQP works")
+        return format_table(
+            headers,
+            rows,
+            "Table 1 — PairwiseHist compared to previous AQP works "
+            f"(measured row: n = {fmt(self.results['n'], 0)})",
+        )

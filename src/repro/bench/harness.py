@@ -12,29 +12,21 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..baselines.adapter import PairwiseHistSystem
-from ..baselines.base import AqpSystem
-from ..baselines.dbest import DBEstPlusPlusLike
-from ..baselines.deepdb import DeepDBLike
-from ..baselines.sampling_aqp import SamplingAQP
+from ..baselines.base import UnsupportedQueryError
+from ..core.engine import AqpResult, PairwiseHistEngine
 from ..core.params import PairwiseHistParams
-from ..data.datasets import load_dataset
-from ..data.idebench import scale_dataset
 from ..data.table import Table
-from ..service.system import QueryServiceSystem
+from ..service.database import QueryService
 from ..sql.ast import Query, predicate_conditions
-from ..workload.generator import QueryGenerator, WorkloadSpec
-from ..workload.metrics import WorkloadSummary
-from ..workload.runner import WorkloadRunner
 
 
 @dataclass(frozen=True)
 class ExperimentScale:
-    """Row counts / sample sizes / workload sizes for one experiment run."""
+    """Row counts and sample sizes for one experiment run."""
 
     #: Rows generated per original dataset.
     dataset_rows: int = 20_000
@@ -46,61 +38,96 @@ class ExperimentScale:
     sample_small: int = 3_000
     #: The paper's "10k" synopsis sample (used by DBEst++ and Fig. 8).
     sample_tiny: int = 1_000
-    #: Queries per workload.
-    queries: int = 40
     #: RNG seed shared by dataset generation and workloads.
     seed: int = 7
 
-    @classmethod
-    def smoke(cls) -> "ExperimentScale":
-        """Tiny scale used by the unit/integration tests."""
-        return cls(
-            dataset_rows=6_000,
-            scaled_rows=10_000,
-            sample_large=3_000,
-            sample_small=1_500,
-            sample_tiny=600,
-            queries=15,
-            seed=7,
-        )
 
-    @classmethod
-    def default(cls) -> "ExperimentScale":
-        """Laptop-scale default used by the benchmark suite."""
-        return cls()
+#: What ``REPRO_BENCH_SCALE`` selects.  ``smoke`` is the scale
+#: ``benchmarks/results/*.txt`` are recorded at (minutes, preserves relative
+#: rankings); ``default`` is tens of minutes, closer to the paper's
+#: sample-size ratios; ``paper`` is an overnight run, still far below 10^9 rows.
+SCALES = {
+    "smoke": ExperimentScale(
+        dataset_rows=6_000, scaled_rows=10_000, sample_large=3_000, sample_small=1_500, sample_tiny=600
+    ),
+    "default": ExperimentScale(),
+    "paper": ExperimentScale(
+        dataset_rows=200_000,
+        scaled_rows=1_000_000,
+        sample_large=100_000,
+        sample_small=30_000,
+        sample_tiny=10_000,
+    ),
+}
 
-    @classmethod
-    def paper(cls) -> "ExperimentScale":
-        """A larger configuration for overnight runs (still far below 10^9 rows)."""
-        return cls(
-            dataset_rows=200_000,
-            scaled_rows=1_000_000,
-            sample_large=100_000,
-            sample_small=30_000,
-            sample_tiny=10_000,
-            queries=200,
-            seed=7,
-        )
+
+# --------------------------------------------------------------------------- #
+# PairwiseHist as an evaluated system: a QueryService at a named configuration
+
+#: Rows per partition of the ``deployed`` configuration (``benchmarks/e2e``'s).
+DEPLOYED_PARTITION_ROWS = 10_000
 
 
 @dataclass
-class SystemSuite:
-    """The set of AQP systems compared in one experiment."""
+class ServedSystem:
+    """Anything with ``execute_scalar`` as a row of a comparison table.
 
-    systems: list[AqpSystem] = field(default_factory=list)
+    ``backend`` is a :class:`QueryService` for every cited table; a bare
+    :class:`PairwiseHistEngine` only where an ablation needs a stand-alone
+    or hand-built synopsis.  ``engine`` is the engine whose synopsis size
+    and build time the row reports.
+    """
 
-    def __iter__(self):
-        return iter(self.systems)
+    backend: QueryService | PairwiseHistEngine
+    engine: PairwiseHistEngine
+    name: str = "PairwiseHist"
 
-    def by_name(self, name: str) -> AqpSystem:
-        for system in self.systems:
-            if system.name == name:
-                return system
-        raise KeyError(f"no system named {name!r}")
+    @classmethod
+    def serve(
+        cls,
+        table: Table,
+        configuration: str = "paper",
+        sample_size: int | None = None,
+        params: PairwiseHistParams | None = None,
+        partitions: int | None = None,
+    ) -> "ServedSystem":
+        """Register ``table`` with a fresh service at a named configuration.
+
+        ``paper``: one partition, a synopsis built from ``sample_size``
+        sampled rows (or explicit ``params``) — bit-identical to the
+        monolithic ``PairwiseHistEngine.from_table``.  ``deployed``:
+        10k-row partitions, unsampled — what ``benchmarks/e2e`` serves;
+        ``partitions`` overrides the partition count for the sweep.
+        """
+        if configuration == "paper":
+            partition_size = max(table.num_rows, 1)
+            params = params or PairwiseHistParams.with_defaults(sample_size=sample_size)
+        elif configuration == "deployed":
+            partition_size = (
+                -(-table.num_rows // partitions) if partitions else DEPLOYED_PARTITION_ROWS
+            )
+            params = PairwiseHistParams.with_defaults(sample_size=None, seed=1)
+        else:
+            raise ValueError(f"unknown configuration {configuration!r}")
+        service = QueryService(partition_size=partition_size)
+        managed = service.register_table(table, params=params)
+        return cls(backend=service, engine=managed.engine)
 
     @property
-    def names(self) -> list[str]:
-        return [s.name for s in self.systems]
+    def construction_seconds(self) -> float:
+        return self.engine.construction_seconds
+
+    def synopsis_bytes(self) -> int:
+        return self.engine.synopsis_bytes()
+
+    def compressed_bytes(self) -> int:
+        """GreedyGD-compressed size of the rows behind a service-backed row."""
+        return self.backend.table(self.engine.table_name).compressed_bytes()
+
+    def estimate(self, query: Query) -> AqpResult:
+        if query.group_by is not None:
+            raise UnsupportedQueryError("the harness compares non-GROUP BY queries")
+        return self.backend.execute_scalar(query)
 
 
 def workload_templates(queries: list[Query]) -> list[tuple[str, str]]:
@@ -109,77 +136,15 @@ def workload_templates(queries: list[Query]) -> list[tuple[str, str]]:
     DBEst++ needs one model per template; this mirrors the paper's procedure
     of training every model required to support the evaluated queries.
     """
-    templates: list[tuple[str, str]] = []
+    templates: dict[tuple[str, str], None] = {}
     for query in queries:
         agg_column = query.aggregation.column
         if agg_column is None:
             continue
         for condition in predicate_conditions(query.predicate):
-            pair = (agg_column, condition.column)
-            if pair not in templates and pair[0] != pair[1]:
-                templates.append(pair)
-    return templates
-
-
-def build_suite(
-    table: Table,
-    scale: ExperimentScale,
-    queries: list[Query] | None = None,
-    include_sampling: bool = False,
-    include_partitioned: bool = False,
-    pairwisehist_sample: int | None = None,
-    deepdb_sample: int | None = None,
-    dbest_sample: int | None = None,
-    partition_size: int | None = None,
-) -> SystemSuite:
-    """Build the PairwiseHist / DeepDB / DBEst++ (/ Sampling) suite for one table.
-
-    ``include_partitioned=True`` adds the service-backed partitioned engine
-    (parallel per-partition synopses merged into one), the configuration the
-    streaming / multi-table benchmarks compare against the monolith.
-    """
-    ph_sample = pairwisehist_sample or scale.sample_large
-    dd_sample = deepdb_sample or scale.sample_large
-    db_sample = dbest_sample or scale.sample_tiny
-    templates = workload_templates(queries) if queries else None
-    systems: list[AqpSystem] = [
-        PairwiseHistSystem.fit(table, sample_size=ph_sample),
-        DeepDBLike.fit(table, sample_size=dd_sample),
-        DBEstPlusPlusLike.fit(table, sample_size=db_sample, templates=templates),
-    ]
-    if include_partitioned:
-        systems.append(
-            QueryServiceSystem.fit(
-                table, sample_size=ph_sample, partition_size=partition_size
-            )
-        )
-    if include_sampling:
-        systems.append(SamplingAQP.fit(table, sample_size=ph_sample))
-    return SystemSuite(systems)
-
-
-def generate_workload(
-    table: Table, scale: ExperimentScale, spec: WorkloadSpec | None = None
-) -> list[Query]:
-    """Generate a workload for a table using the experiment scale's defaults."""
-    if spec is None:
-        spec = WorkloadSpec.initial_experiments(num_queries=scale.queries, seed=scale.seed)
-    generator = QueryGenerator(table, spec)
-    return generator.generate()
-
-
-def load_scaled_dataset(name: str, scale: ExperimentScale) -> Table:
-    """The paper's IDEBench scale-up: fit the original and sample more rows."""
-    original = load_dataset(name, rows=scale.dataset_rows, seed=scale.seed)
-    return scale_dataset(original, rows=scale.scaled_rows, seed=scale.seed, name=f"{name}_scaled")
-
-
-def run_suite(
-    table: Table, suite: SystemSuite, queries: list[Query]
-) -> dict[str, WorkloadSummary]:
-    """Run the workload against every system in the suite."""
-    runner = WorkloadRunner(table)
-    return runner.run_many(list(suite), queries)
+            if condition.column != agg_column:
+                templates.setdefault((agg_column, condition.column))
+    return list(templates)
 
 
 # --------------------------------------------------------------------------- #

@@ -17,8 +17,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..data.table import Table
 from ..gd.greedygd import GreedyGDConfig
 from ..gd.preprocessor import Preprocessor
@@ -92,13 +90,6 @@ class AqpResult:
     @property
     def upper(self) -> float:
         return self.estimate.upper
-
-    def relative_error(self, truth: float) -> float:
-        """Relative error against a ground-truth value (paper's error metric)."""
-        if not np.isfinite(self.value) or not np.isfinite(truth):
-            return float("inf")
-        denominator = abs(truth) if truth != 0 else 1.0
-        return abs(self.value - truth) / denominator
 
 
 @dataclass

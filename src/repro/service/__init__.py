@@ -10,8 +10,7 @@ serves it over TCP: the binary pipelined protocol
 (:mod:`repro.service.framing`, spoken by :class:`PipelinedClient`) plus a
 newline-delimited-JSON shim for ``nc`` and scripts (spoken by
 :class:`AsyncQueryClient`).  Every op either speaks is one row of the op
-table in :mod:`repro.service.ops`.  :class:`QueryServiceSystem` plugs a
-service table into the benchmark harness.
+table in :mod:`repro.service.ops`.
 """
 
 from .concurrency import ConcurrentQueryService, ReadWriteLock
@@ -23,7 +22,6 @@ from .database import (
     StagedIngest,
 )
 from .server import AsyncQueryService, QueryServer
-from .system import QueryServiceSystem
 from .wire import AsyncQueryClient, OverloadedError, PipelinedClient, WireError
 
 __all__ = [
@@ -38,7 +36,6 @@ __all__ = [
     "ManagedTable",
     "QueryServer",
     "QueryService",
-    "QueryServiceSystem",
     "ReadWriteLock",
     "StagedIngest",
 ]

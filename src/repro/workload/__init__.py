@@ -1,22 +1,15 @@
 """Workload generation, execution and metrics."""
 
 from .generator import QueryGenerator, WorkloadSpec
-from .metrics import (
-    QueryRecord,
-    WorkloadSummary,
-    bound_width_percent,
-    bounds_correct,
-    relative_error,
-)
-from .runner import WorkloadRunner
+from .metrics import QueryRecord, WorkloadSummary, score, usable
+from .runner import run
 
 __all__ = [
     "QueryGenerator",
     "WorkloadSpec",
     "QueryRecord",
     "WorkloadSummary",
-    "relative_error",
-    "bounds_correct",
-    "bound_width_percent",
-    "WorkloadRunner",
+    "score",
+    "usable",
+    "run",
 ]

@@ -50,7 +50,6 @@ class WorkloadSpec:
     max_predicates: int = 1
     min_selectivity: float = 1e-5
     allow_or: bool = False
-    allow_categorical_predicates: bool = True
     seed: int = 0
 
     @classmethod
@@ -93,20 +92,23 @@ class QueryGenerator:
     # ------------------------------------------------------------------ #
 
     def generate(self) -> list[Query]:
-        """Generate the workload, enforcing the minimum-selectivity constraint."""
+        """Generate exactly ``num_queries`` statements meeting the minimum
+        selectivity, or raise: a short workload is an error, not a shorter table."""
         queries: list[Query] = []
-        attempts = 0
         max_attempts = self.spec.num_queries * 30
-        while len(queries) < self.spec.num_queries and attempts < max_attempts:
-            attempts += 1
+        for _ in range(max_attempts):
+            if len(queries) == self.spec.num_queries:
+                return queries
             query = self._generate_one()
-            if query is None:
-                continue
-            selectivity = self._selectivity(query.predicate)
-            if selectivity < self.spec.min_selectivity:
-                continue
-            queries.append(query)
-        return queries
+            if query is not None and self._selectivity(query.predicate) >= self.spec.min_selectivity:
+                queries.append(query)
+        if len(queries) == self.spec.num_queries:
+            return queries
+        raise RuntimeError(
+            f"statement generator came up short: {len(queries)} of "
+            f"{self.spec.num_queries} statements on {self.table.name!r} reach selectivity "
+            f"{self.spec.min_selectivity} within {max_attempts} attempts"
+        )
 
     # ------------------------------------------------------------------ #
 
@@ -144,12 +146,7 @@ class QueryGenerator:
         return PredicateNode(LogicalOp.OR, [left_node, right_node])
 
     def _random_condition(self) -> Condition | None:
-        use_categorical = (
-            self.spec.allow_categorical_predicates
-            and self._categorical_columns
-            and self._rng.random() < 0.25
-        )
-        if use_categorical:
+        if self._categorical_columns and self._rng.random() < 0.25:
             column = str(self._rng.choice(self._categorical_columns))
             values = [v for v in self.table.column(column) if v is not None]
             if not values:

@@ -1,158 +1,51 @@
-"""Run a workload against an AQP system and collect per-query measurements.
+"""Run a workload against an AQP system and score every answer.
 
-Systems under test include the classic single-table adapters and whole
-:class:`~repro.service.database.QueryService` tables (via
-:meth:`WorkloadRunner.for_service`, which reconstructs the ground-truth
-rows losslessly from the service's partitioned store).
+One function serves every table, figure, ablation and the accuracy sweep:
+:func:`run` computes the exact answer over ``table``, asks the system, and
+scores with :func:`~repro.workload.metrics.score`.  To evaluate a service
+after ingests, pass ``service.table(name).store.reconstruct_rows()`` — the
+lossless reconstruction of whatever it holds now — as ``table``.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass
 
 from ..baselines.base import AqpSystem, UnsupportedQueryError
 from ..data.table import Table
 from ..exactdb.executor import ExactQueryEngine
-from ..sql.ast import Query
-from .metrics import QueryRecord, WorkloadSummary
+from ..sql.ast import Query, predicate_conditions
+from .metrics import QueryRecord, WorkloadSummary, usable
 
 
-@dataclass
-class WorkloadRunner:
-    """Executes queries exactly (ground truth) and approximately (system under test)."""
+def run(system: AqpSystem, table: Table, queries: list[Query]) -> WorkloadSummary:
+    """Score ``system`` on every query whose exact answer over ``table`` is usable.
 
-    table: Table
-
-    def __post_init__(self) -> None:
-        self._exact = ExactQueryEngine(self.table)
-
-    @classmethod
-    def for_service(cls, service, table_name: str) -> "WorkloadRunner":
-        """Build a runner for one table of a query service.
-
-        Ground truth comes from the partitioned store's lossless
-        reconstruction, so the runner stays in sync with whatever the
-        service has ingested so far (call again after further ingests).
-        """
-        return cls(table=service.table(table_name).store.reconstruct_rows())
-
-    # ------------------------------------------------------------------ #
-
-    def ground_truth(self, query: Query) -> float:
-        """Exact result of the query's first aggregation."""
-        return self._exact.execute_scalar(query)
-
-    def run(self, system: AqpSystem, queries: list[Query]) -> WorkloadSummary:
-        """Run every query against ``system`` and summarise the outcome.
-
-        Queries the system cannot answer are recorded with
-        ``supported=False`` so the harness can report per-system supported
-        query counts the way the paper does for DeepDB and DBEst++.
-        """
-        summary = WorkloadSummary()
-        for query in queries:
-            summary.add(_measure_query(system, query, self.ground_truth(query)))
-        return summary
-
-    def run_many(
-        self, systems: list[AqpSystem], queries: list[Query]
-    ) -> dict[str, WorkloadSummary]:
-        """Run the same workload against several systems."""
-        return {system.name: self.run(system, queries) for system in systems}
-
-    def run_concurrent(
-        self,
-        system: AqpSystem,
-        queries: list[Query],
-        num_clients: int = 4,
-        think_seconds: float = 0.0,
-    ) -> "ConcurrentRunResult":
-        """Run the workload from several concurrent clients (threads).
-
-        The query list is split round-robin across ``num_clients`` threads
-        hitting ``system`` simultaneously — dashboard-style traffic.
-        Ground truth is computed up front on the calling thread, so only
-        the system under test sees concurrency.  ``think_seconds`` adds a
-        per-query client-side pause (render/network time) between requests.
-
-        The summary preserves the original query order; any unexpected
-        exception from a client is re-raised after all threads join.
-        """
-        if num_clients < 1:
-            raise ValueError("num_clients must be at least 1")
-        truths = [self.ground_truth(query) for query in queries]
-        records: list[QueryRecord | None] = [None] * len(queries)
-        failures: list[BaseException] = []
-
-        def client(worker: int) -> None:
-            try:
-                for index in range(worker, len(queries), num_clients):
-                    if think_seconds > 0:
-                        time.sleep(think_seconds)
-                    records[index] = _measure_query(
-                        system, queries[index], truths[index]
-                    )
-            except BaseException as exc:  # pragma: no cover - surfaced below
-                failures.append(exc)
-
-        threads = [
-            threading.Thread(target=client, args=(worker,), daemon=True)
-            for worker in range(num_clients)
-        ]
-        start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        wall_seconds = time.perf_counter() - start
-        if failures:
-            raise failures[0]
-        summary = WorkloadSummary()
-        for record in records:
-            summary.add(record)
-        return ConcurrentRunResult(
-            summary=summary, wall_seconds=wall_seconds, num_clients=num_clients
-        )
-
-
-def _measure_query(system: AqpSystem, query: Query, truth: float) -> QueryRecord:
-    """One timed estimate, recorded the same way :meth:`WorkloadRunner.run` does."""
-    aggregation = query.aggregation.func.value
-    sql = str(query)
-    try:
-        start = time.perf_counter()
-        result = system.estimate(query)
-        latency = time.perf_counter() - start
-    except UnsupportedQueryError:
-        return QueryRecord(
-            sql=sql,
-            aggregation=aggregation,
+    Statements whose exact answer is empty, zero or non-finite are not
+    scored (the rule ``benchmarks/e2e`` applies); ones the system cannot
+    answer are recorded with ``supported=False`` so per-system supported
+    counts can be reported the way the paper does for DeepDB and DBEst++.
+    """
+    exact = ExactQueryEngine(table)
+    summary = WorkloadSummary()
+    for query in queries:
+        truth = exact.execute_scalar(query)
+        if not usable(truth):
+            continue
+        record = QueryRecord(
+            sql=str(query),
+            aggregation=query.aggregation.func.value,
             truth=truth,
             estimate=float("nan"),
-            supported=False,
+            predicates=len(predicate_conditions(query.predicate)),
         )
-    return QueryRecord(
-        sql=sql,
-        aggregation=aggregation,
-        truth=truth,
-        estimate=result.value,
-        lower=result.lower,
-        upper=result.upper,
-        latency_seconds=latency,
-    )
-
-
-@dataclass
-class ConcurrentRunResult:
-    """Outcome of one multi-client run: accuracy summary plus throughput."""
-
-    summary: WorkloadSummary
-    wall_seconds: float
-    num_clients: int
-
-    @property
-    def queries_per_second(self) -> float:
-        supported = len(self.summary.supported_records)
-        return supported / self.wall_seconds if self.wall_seconds > 0 else 0.0
+        try:
+            start = time.perf_counter()
+            result = system.estimate(query)
+            record.latency_seconds = time.perf_counter() - start
+        except UnsupportedQueryError:
+            record.supported = False
+        else:
+            record.estimate, record.lower, record.upper = result.value, result.lower, result.upper
+        summary.add(record)
+    return summary

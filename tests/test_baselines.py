@@ -10,11 +10,11 @@ from repro.baselines import (
     DBEstPlusPlusLike,
     DeepDBLike,
     GaussianMixture1D,
-    PairwiseHistSystem,
     SamplingAQP,
     UnsupportedQueryError,
 )
 from repro.baselines.spn import HistogramLeaf, SumProductNetwork
+from repro.bench import ServedSystem
 from repro.exactdb.executor import ExactQueryEngine
 
 
@@ -133,7 +133,7 @@ def sampling(simple_table):
 
 @pytest.fixture(scope="module")
 def adapter(simple_engine):
-    return PairwiseHistSystem(engine=simple_engine)
+    return ServedSystem(backend=simple_engine, engine=simple_engine)
 
 
 class TestDeepDBLike:
@@ -245,8 +245,10 @@ class TestPairwiseHistAdapter:
             adapter.estimate(parse_query("SELECT COUNT(x) FROM simple GROUP BY category"))
 
     def test_fit_classmethod(self, simple_table):
-        system = PairwiseHistSystem.fit(simple_table, sample_size=800, name="PH-small")
-        assert system.name == "PH-small"
+        system = ServedSystem.serve(simple_table, sample_size=800)
+        assert system.name == "PairwiseHist"
+        assert system.construction_seconds > 0
+        assert system.synopsis_bytes() > 0
         result = system.estimate(parse_query("SELECT COUNT(x) FROM simple WHERE x > 0"))
         assert result.value > 0
 

@@ -335,33 +335,6 @@ class TestConcurrentService:
             total = service.execute_scalar(f"SELECT COUNT(*) FROM {name}").value
             assert total == pytest.approx(1250, rel=1e-9)
 
-    def test_multi_client_workload_runner(self):
-        from repro import QueryServiceSystem, parse_query
-        from repro.workload.runner import WorkloadRunner
-
-        service = make_service()
-        runner = WorkloadRunner.for_service(service, "stream")
-        system = QueryServiceSystem(service=service, table_name="stream")
-        queries = [
-            parse_query("SELECT COUNT(x) FROM stream WHERE x > 50"),
-            parse_query("SELECT AVG(y) FROM stream WHERE x > 20 AND x < 80"),
-            parse_query("SELECT SUM(z) FROM stream WHERE x < 70"),
-            parse_query("SELECT COUNT(*) FROM stream"),
-            parse_query("SELECT AVG(x) FROM stream WHERE y > 100"),
-            parse_query("SELECT MAX(x) FROM stream WHERE x < 90"),
-        ]
-        outcome = runner.run_concurrent(system, queries, num_clients=3)
-        assert len(outcome.summary) == len(queries)
-        assert outcome.queries_per_second > 0
-        assert outcome.num_clients == 3
-        # Records keep query order and stay accurate under concurrency.
-        for record, query in zip(outcome.summary.records, queries):
-            assert record.sql == str(query)
-            assert record.supported
-        assert outcome.summary.median_error_percent() < 5.0
-        with pytest.raises(ValueError):
-            runner.run_concurrent(system, queries, num_clients=0)
-
     def test_unknown_names_do_not_grow_the_lock_registry(self):
         service = make_service()
         for i in range(20):

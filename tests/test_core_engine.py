@@ -104,11 +104,6 @@ class TestAccuracyAgainstExact:
         truth = power_exact.execute_scalar(parse_query(sql))
         assert estimate.value == pytest.approx(truth, rel=0.1)
 
-    def test_relative_error_helper(self, simple_engine):
-        result = simple_engine.execute_scalar("SELECT COUNT(x) FROM simple WHERE x > 50")
-        assert result.relative_error(result.value) == 0.0
-        assert result.relative_error(result.value * 2) == pytest.approx(0.5)
-
 
 class TestBounds:
     @pytest.mark.parametrize(

@@ -17,8 +17,9 @@ from repro import (
     parse_query,
     scale_dataset,
 )
-from repro.baselines import DeepDBLike, PairwiseHistSystem
-from repro.workload import QueryGenerator, WorkloadRunner, WorkloadSpec
+from repro.baselines import DeepDBLike
+from repro.bench import ServedSystem
+from repro.workload import QueryGenerator, WorkloadSpec, run
 
 
 class TestEndToEndAccuracy:
@@ -26,10 +27,10 @@ class TestEndToEndAccuracy:
     def test_median_error_below_five_percent(self, dataset):
         table = load_dataset(dataset, rows=6000, seed=11)
         params = PairwiseHistParams.with_defaults(sample_size=4000, seed=1)
-        system = PairwiseHistSystem.fit(table, params=params)
+        system = ServedSystem.serve(table, params=params)
         spec = WorkloadSpec.initial_experiments(num_queries=25, seed=11)
         queries = QueryGenerator(table, spec).generate()
-        summary = WorkloadRunner(table).run(system, queries)
+        summary = run(system, table, queries)
         assert summary.median_error_percent() < 5.0
 
     def test_all_seven_aggregations_on_power(self, power_engine, power_exact):
@@ -96,22 +97,21 @@ class TestScaledWorkflow:
     def test_idebench_scaled_pipeline(self, power_table):
         scaled = scale_dataset(power_table, rows=12_000, seed=5, name="power_scaled")
         params = PairwiseHistParams.with_defaults(sample_size=4000, seed=5)
-        system = PairwiseHistSystem.fit(scaled, params=params)
+        system = ServedSystem.serve(scaled, params=params)
         spec = WorkloadSpec.scaled_experiments(num_queries=20, seed=5)
         queries = QueryGenerator(scaled, spec).generate()
-        summary = WorkloadRunner(scaled).run(system, queries)
-        assert len(summary.supported_records) == len(queries)
+        summary = run(system, scaled, queries)
+        assert 0 < summary.n == len(summary) <= len(queries)
         assert summary.median_error_percent() < 10.0
 
     def test_pairwisehist_beats_deepdb_on_latency(self, power_table):
         params = PairwiseHistParams.with_defaults(sample_size=3000, seed=6)
-        ph = PairwiseHistSystem.fit(power_table, params=params)
+        ph = ServedSystem.serve(power_table, params=params)
         dd = DeepDBLike.fit(power_table, sample_size=3000)
         spec = WorkloadSpec.initial_experiments(num_queries=15, seed=6)
         queries = QueryGenerator(power_table, spec).generate()
-        runner = WorkloadRunner(power_table)
-        ph_summary = runner.run(ph, queries)
-        dd_summary = runner.run(dd, queries)
+        ph_summary = run(ph, power_table, queries)
+        dd_summary = run(dd, power_table, queries)
         assert ph_summary.median_latency_ms() < dd_summary.median_latency_ms()
 
     def test_group_by_pipeline_against_exact(self, flights_table):

@@ -9,12 +9,12 @@ from repro import (
     Database,
     PairwiseHistParams,
     QueryService,
-    QueryServiceSystem,
     Table,
     parse_query,
 )
+from repro.bench import ServedSystem
 from repro.exactdb.executor import ExactQueryEngine
-from repro.workload.runner import WorkloadRunner
+from repro.workload import run
 
 
 @pytest.fixture(scope="module")
@@ -174,18 +174,23 @@ class TestIngest:
 
 class TestWorkloadIntegration:
     def test_runner_for_service_uses_reconstructed_truth(self, service):
-        runner = WorkloadRunner.for_service(service, "simple")
-        assert runner.table.num_rows == service.table("simple").num_rows
-        system = QueryServiceSystem(service=service, table_name="simple")
+        # The rows a service holds are its partitioned store's lossless
+        # reconstruction; the runner scores against exactly those.
+        managed = service.table("simple")
+        rows = managed.store.reconstruct_rows()
+        assert rows.num_rows == managed.num_rows
+        system = ServedSystem(backend=service, engine=managed.engine)
         query = parse_query("SELECT COUNT(x) FROM simple WHERE x > 50")
-        summary = runner.run(system, [query])
-        (record,) = summary.records
+        (record,) = run(system, rows, [query]).records
         assert record.supported
+        assert record.truth == float((rows.column("x") > 50).sum())
         assert record.estimate == pytest.approx(record.truth, rel=0.05)
 
     def test_system_fit_builds_single_table_service(self):
         table = make_simple_table(rows=2000, seed=41)
-        system = QueryServiceSystem.fit(table, sample_size=None, partition_size=1000)
+        system = ServedSystem.serve(table, "deployed", partitions=2)
+        assert system.backend.table_names == ["simple"]
+        assert system.backend.table("simple").num_partitions == 2
         assert system.construction_seconds > 0
         assert system.synopsis_bytes() > 0
         result = system.estimate(parse_query("SELECT COUNT(x) FROM simple WHERE x > 50"))
@@ -194,6 +199,6 @@ class TestWorkloadIntegration:
     def test_system_rejects_group_by(self, service):
         from repro.baselines.base import UnsupportedQueryError
 
-        system = QueryServiceSystem(service=service, table_name="simple")
+        system = ServedSystem(backend=service, engine=service.table("simple").engine)
         with pytest.raises(UnsupportedQueryError):
             system.estimate(parse_query("SELECT COUNT(x) FROM simple GROUP BY category"))

@@ -96,19 +96,18 @@ class TestSemanticEdges:
             service.query(f"SELECT COUNT(*) FROM simple WHERE category {op} 5")
 
     def test_runner_records_categorical_range_as_unsupported(self, service):
-        from repro import QueryServiceSystem
-        from repro.workload.runner import WorkloadRunner
+        from repro.bench import ServedSystem
+        from repro.workload import run
 
-        runner = WorkloadRunner.for_service(service, "simple")
-        system = QueryServiceSystem(service=service, table_name="simple")
+        managed = service.table("simple")
+        system = ServedSystem(backend=service, engine=managed.engine)
         queries = [
             parse_query("SELECT COUNT(x) FROM simple WHERE x > 50"),
-            parse_query("SELECT COUNT(*) FROM simple WHERE category > 'm'"),
+            parse_query("SELECT COUNT(*) FROM simple WHERE category < 'm'"),
         ]
-        summary = runner.run(system, queries)
+        summary = run(system, managed.store.reconstruct_rows(), queries)
         assert [r.supported for r in summary.records] == [True, False]
-        concurrent = runner.run_concurrent(system, queries, num_clients=2)
-        assert [r.supported for r in concurrent.summary.records] == [True, False]
+        assert summary.n == 1
 
     def test_execute_scalar_rejects_group_by(self, service):
         with pytest.raises(ValueError, match="GROUP BY"):

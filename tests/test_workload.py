@@ -3,34 +3,59 @@
 import numpy as np
 import pytest
 
-from repro.baselines import PairwiseHistSystem, SamplingAQP, UnsupportedQueryError
+from repro.baselines import UnsupportedQueryError
+from repro.bench import ServedSystem
 from repro.sql.ast import AggregateFunction, predicate_conditions
 from repro.sql.predicate import selectivity
 from repro.workload import (
     QueryGenerator,
     QueryRecord,
-    WorkloadRunner,
     WorkloadSpec,
     WorkloadSummary,
-    bound_width_percent,
-    bounds_correct,
-    relative_error,
+    run,
+    score,
+    usable,
 )
+
+NAN, INF = float("nan"), float("inf")
 
 
 class TestMetrics:
     def test_relative_error(self):
-        assert relative_error(110, 100) == pytest.approx(0.1)
-        assert relative_error(100, 0) == pytest.approx(100.0)
-        assert relative_error(float("nan"), 100) == float("inf")
+        assert score(110, 100, 120, 100)[0] == pytest.approx(0.1)
+        # An exact 0 (the auditor meets them; the runner skips them) is
+        # judged on the absolute error.
+        assert score(100, 0, 200, 0)[0] == pytest.approx(100.0)
+        assert not usable(0.0) and not usable(NAN) and usable(-3.0)
 
     def test_bounds_correct(self):
-        assert bounds_correct(90, 110, 100)
-        assert not bounds_correct(101, 110, 100)
-        assert not bounds_correct(float("nan"), 110, 100)
+        assert score(100, 90, 110, 100)[1]
+        assert not score(105, 101, 110, 100)[1]
+        assert not score(100, NAN, 110, 100)[1]
+
+    def test_no_answer_where_rows_exist_is_a_miss_everywhere(self):
+        assert score(NAN, NAN, NAN, 100) == (INF, False)
+        assert score(NAN, 0, 200, 100) == (INF, False)
+        records = [
+            QueryRecord("a", "COUNT", 100, 101, 95, 105),
+            QueryRecord("b", "AVG", 50, NAN, NAN, NAN),
+        ]
+        summary = WorkloadSummary(records)
+        # The NaN answer stays in the denominator of every reduction.
+        assert summary.n == 2
+        assert summary.bounds_correct_rate_percent() == pytest.approx(50.0)
+        assert summary.fraction_below(0.05) == pytest.approx(0.5)
+        assert summary.error_percentiles([99])[0] == INF
+        # A system that reports no bounds at all (DBEst++) renders "-".
+        unbounded = WorkloadSummary([QueryRecord("a", "COUNT", 100, 101)])
+        assert np.isnan(unbounded.bounds_correct_rate_percent())
+        assert np.isnan(unbounded.median_bound_width_percent())
 
     def test_bound_width_percent(self):
-        assert bound_width_percent(90, 110, 100) == pytest.approx(20.0)
+        record = QueryRecord("q", "COUNT", truth=100.0, estimate=100.0, lower=90.0, upper=110.0)
+        assert record.bound_width_percent == pytest.approx(20.0)
+        wrong = QueryRecord("q", "COUNT", truth=100.0, estimate=7.0, lower=7.0, upper=7.0)
+        assert WorkloadSummary([record, wrong]).zero_width_and_wrong() == 1
 
     def test_query_record_properties(self):
         record = QueryRecord(
@@ -90,7 +115,7 @@ class TestQueryGenerator:
     def test_scaled_spec_generates_multi_predicate_queries(self, simple_table):
         spec = WorkloadSpec.scaled_experiments(num_queries=30, seed=1)
         queries = QueryGenerator(simple_table, spec).generate()
-        assert len(queries) >= 25
+        assert len(queries) == 30
         counts = [len(predicate_conditions(q.predicate)) for q in queries]
         assert max(counts) > 1
         functions = {q.aggregation.func for q in queries}
@@ -99,8 +124,15 @@ class TestQueryGenerator:
     def test_minimum_selectivity_enforced(self, simple_table):
         spec = WorkloadSpec(num_queries=20, min_selectivity=0.05, seed=2)
         queries = QueryGenerator(simple_table, spec).generate()
+        assert len(queries) == 20
         for query in queries:
             assert selectivity(query.predicate, simple_table.columns) >= 0.05
+
+    def test_short_workload_is_an_error(self, simple_table):
+        # Single-predicate statements never select every row.
+        spec = WorkloadSpec(num_queries=5, min_selectivity=1.0, seed=2)
+        with pytest.raises(RuntimeError, match="came up short: 0 of 5"):
+            QueryGenerator(simple_table, spec).generate()
 
     def test_generation_is_deterministic(self, simple_table):
         spec = WorkloadSpec.initial_experiments(num_queries=10, seed=3)
@@ -127,16 +159,31 @@ class TestQueryGenerator:
                 assert column in power_table.column_names
 
 
+@pytest.fixture(scope="module")
+def simple_system(simple_engine):
+    return ServedSystem(backend=simple_engine, engine=simple_engine)
+
+
 class TestWorkloadRunner:
-    def test_run_produces_summary_with_latency(self, simple_table, simple_engine):
+    def test_run_produces_summary_with_latency(self, simple_table, simple_system):
         spec = WorkloadSpec.initial_experiments(num_queries=10, seed=6)
         queries = QueryGenerator(simple_table, spec).generate()
-        runner = WorkloadRunner(simple_table)
-        system = PairwiseHistSystem(engine=simple_engine)
-        summary = runner.run(system, queries)
-        assert len(summary) == 10
+        summary = run(simple_system, simple_table, queries)
+        assert len(summary) == summary.n == 10
         assert summary.median_latency_ms() > 0
         assert np.isfinite(summary.median_error_percent())
+        assert [r.predicates for r in summary.records] == [1] * 10
+
+    def test_unusable_truths_are_not_scored(self, simple_table, simple_system):
+        from repro import parse_query
+
+        queries = [
+            parse_query("SELECT COUNT(x) FROM simple WHERE x > 50"),
+            parse_query("SELECT COUNT(x) FROM simple WHERE x > 1000"),   # 0
+            parse_query("SELECT AVG(x) FROM simple WHERE x > 1000"),     # empty
+        ]
+        summary = run(simple_system, simple_table, queries)
+        assert [r.sql for r in summary.records] == [str(queries[0])]
 
     def test_unsupported_queries_are_recorded(self, simple_table):
         class RejectingSystem:
@@ -151,25 +198,13 @@ class TestWorkloadRunner:
 
         spec = WorkloadSpec.initial_experiments(num_queries=5, seed=7)
         queries = QueryGenerator(simple_table, spec).generate()
-        summary = WorkloadRunner(simple_table).run(RejectingSystem(), queries)
-        assert len(summary.supported_records) == 0
+        summary = run(RejectingSystem(), simple_table, queries)
+        assert summary.n == 0
         assert len(summary) == 5
 
-    def test_run_many(self, simple_table, simple_engine):
-        spec = WorkloadSpec.initial_experiments(num_queries=5, seed=8)
-        queries = QueryGenerator(simple_table, spec).generate()
-        runner = WorkloadRunner(simple_table)
-        systems = [
-            PairwiseHistSystem(engine=simple_engine, name="PH"),
-            SamplingAQP.fit(simple_table, sample_size=500),
-        ]
-        summaries = runner.run_many(systems, queries)
-        assert set(summaries) == {"PH", "Sampling"}
-
-    def test_pairwisehist_beats_or_matches_nothing_baseline(self, simple_table, simple_engine):
+    def test_pairwisehist_beats_or_matches_nothing_baseline(self, simple_table, simple_system):
         # Sanity: the engine's median error on the generated workload is small.
         spec = WorkloadSpec.initial_experiments(num_queries=20, seed=9)
         queries = QueryGenerator(simple_table, spec).generate()
-        runner = WorkloadRunner(simple_table)
-        summary = runner.run(PairwiseHistSystem(engine=simple_engine), queries)
+        summary = run(simple_system, simple_table, queries)
         assert summary.median_error_percent() < 10.0
