@@ -265,6 +265,7 @@ def run_replication_benchmark(
     from pathlib import Path
 
     from ..cluster.service import ClusterQueryService
+    from ..service.config import ServeConfig
 
     data_dir = Path(data_dir)
     params = params or PairwiseHistParams.with_defaults(sample_size=None)
@@ -276,11 +277,9 @@ def run_replication_benchmark(
             mode="process",
             partition_size=partition_size,
             replicas=count,
-            worker_options={
-                "checkpoint_interval": 3600.0,
-                "workers_per_shard": num_clients,
-                "result_cache_size": 0,
-            },
+            worker=ServeConfig(
+                checkpoint_interval=3600.0, workers=num_clients, result_cache_size=0
+            ),
         )
         try:
             cluster.register_table(table, params=params)

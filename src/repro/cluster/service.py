@@ -41,6 +41,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from ..sql.ast import Query
 from ..sql.parser import parse_query_cached
+from ..service.config import ServeConfig
 from ..service.database import check_rows_match
 from ..service.ops import OPS
 from ..service.wire import UnsentRequestError
@@ -174,12 +175,18 @@ class ClusterQueryService:
         mode: str = "local",
         default_params: PairwiseHistParams | None = None,
         partition_size: int | None = None,
-        worker_options: dict | None = None,
+        worker: ServeConfig | None = None,
         replicas: int | None = 0,
         max_replica_lag: int = 256,
         _opening: bool = False,
-        **database_kwargs,
+        **shard_kwargs,
     ) -> None:
+        """``worker`` (``mode="process"`` only) is what every worker runs
+        with — the flags of ``python -m repro.service``.  ``shard_kwargs``
+        configure how shards are run: each :class:`LocalShard`'s database
+        in local mode, the :class:`ShardSupervisor` in process mode
+        (``crash_point``, ``startup_timeout``, ``stop_grace_timeout``,
+        ``extra_env``, ``python``)."""
         if mode not in ("local", "process"):
             raise ValueError(f"unknown cluster mode {mode!r}")
         self.num_shards = num_shards
@@ -253,13 +260,16 @@ class ClusterQueryService:
                             break
         self.supervisor: ShardSupervisor | None = None
         if mode == "process":
+            worker = worker or ServeConfig()
+            if partition_size is not None:
+                worker = replace(worker, partition_size=partition_size)
             self.supervisor = ShardSupervisor(
                 data_dirs=shard_dirs,
-                partition_size=partition_size,
+                worker=worker,
                 replicas=self.replicas,
                 replica_data_dirs=replica_dirs,
                 epoch_files=epoch_files,
-                **(worker_options or {}),
+                **shard_kwargs,
             )
             handles = self.supervisor.start()
             primaries = [
@@ -285,9 +295,9 @@ class ClusterQueryService:
             else:
                 self.shards = primaries
         else:
-            if worker_options:
-                raise ValueError("worker_options only apply to mode='process'")
-            kwargs = dict(database_kwargs)
+            if worker is not None:
+                raise ValueError("worker only applies to mode='process'")
+            kwargs = dict(shard_kwargs)
             if default_params is not None:
                 kwargs["default_params"] = default_params
             if partition_size is not None:
@@ -516,40 +526,31 @@ class ClusterQueryService:
             pass  # a missing replica only costs read capacity
         return True
 
-    def _scatter(self, indices: list[int], fn):
-        """Run ``fn(index, shard)`` on many shards concurrently (with the
-        default revive-and-retry crash handling — idempotent ops only).
+    def _submit(self, calls, revive: bool, traced: bool) -> list:
+        """The one scatter loop: start each ``(shard index, thunk)`` of
+        ``calls`` on the pool and return the futures, in order.
 
-        Each submission runs under a copy of the caller's context so an
-        active trace span is visible on the pool thread (a Context can
-        only be entered once, hence one copy per future).  Untraced calls
-        skip the copies — they cost about a microsecond per shard."""
-        if tracing.current_span() is not None:
-            futures = [
-                self._pool.submit(
-                    contextvars.copy_context().run,
-                    self._shard_call,
-                    i,
-                    lambda i=i: fn(i, self.shards[i]),
-                )
-                for i in indices
-            ]
-        else:
-            futures = [
-                self._pool.submit(
-                    self._shard_call, i, lambda i=i: fn(i, self.shards[i])
-                )
-                for i in indices
-            ]
-        return [future.result() for future in futures]
+        ``revive`` wraps each thunk in :meth:`_shard_call`'s
+        revive-and-retry crash handling (idempotent ops only).  ``traced``
+        runs each under a copy of the caller's context so an active trace
+        span is visible on the pool thread (a Context can only be entered
+        once, hence one copy per future); untraced calls skip the copies —
+        they cost about a microsecond per shard."""
+        copy = traced and tracing.current_span() is not None
+        futures = []
+        for index, call in calls:
+            if revive:
+                call = partial(self._shard_call, index, call)
+            if copy:
+                call = partial(contextvars.copy_context().run, call)
+            futures.append(self._pool.submit(call))
+        return futures
 
-    def _scatter_raw(self, indices: list[int], fn):
-        """Run ``fn(index, shard)`` concurrently with *no* crash handling —
-        for callers (ingest) that implement their own retry semantics."""
-        futures = [
-            self._pool.submit(lambda i=i: fn(i, self.shards[i])) for i in indices
-        ]
-        return [future.result() for future in futures]
+    def _scatter(self, indices: list[int], fn, revive: bool = True, traced: bool = True):
+        """Run ``fn(index, shard)`` on many shards concurrently.  A caller
+        with its own retry semantics (ingest) passes ``revive=False``."""
+        calls = [(i, lambda i=i: fn(i, self.shards[i])) for i in indices]
+        return [future.result() for future in self._submit(calls, revive, traced)]
 
     # ------------------------------------------------------------------ #
     # Catalog
@@ -694,7 +695,7 @@ class ClusterQueryService:
                     "interleaved — resolve manually before re-sending"
                 ) from failure
 
-        reports = self._scatter_raw(targets, _ingest)
+        reports = self._scatter(targets, _ingest, revive=False, traced=False)
         shard_rows = {
             index: report["appended_rows"]
             for index, report in zip(targets, reports)
@@ -777,12 +778,11 @@ class ClusterQueryService:
             for labels, worker in workers if op.replicas == "all" else workers[:1]:
                 targets.append(({"shard": f"{index:05d}", **labels}, index, worker))
 
-        def ask(index: int, worker):
-            if strict:
-                return self._shard_call(index, partial(worker.call, name, *args))
-            return worker.call(name, *args)
-
-        futures = [self._pool.submit(ask, index, worker) for _, index, worker in targets]
+        futures = self._submit(
+            [(index, partial(worker.call, name, *args)) for _, index, worker in targets],
+            revive=strict,
+            traced=False,
+        )
         sources = [] if own is None else [own]
         for (labels, _, _), future in zip(targets, futures):
             try:

@@ -3,10 +3,16 @@
 Each worker is a ``python -m repro.service`` subprocess — the exact same
 entry point operators run by hand — bound to ``127.0.0.1`` on an
 OS-assigned port and (when the cluster is durable) rooted at its own
-shard data directory.  The supervisor:
+shard data directory.  Its command line is not assembled here: it is
+``worker.for_worker(...).argv()`` of the one
+:class:`~repro.service.config.ServeConfig` the front end itself runs
+with, so the supervisor names only what is per process (data directory,
+whom to follow, the fencing epoch).  The supervisor:
 
 * spawns workers and scrapes the ``listening on host:port`` line each one
-  prints, so no port coordination is needed;
+  prints, so no port coordination is needed; whatever a worker prints
+  after that line is relayed through this process's ``obs.log``
+  (component ``worker``), not kept;
 * health-checks by process liveness plus a wire ``ping``;
 * restarts a dead worker on the same data directory, which makes the
   replacement recover its tables from its own snapshot + WAL before it
@@ -23,23 +29,36 @@ shard data directory.  The supervisor:
 
 from __future__ import annotations
 
+import json
 import os
-import queue
 import re
 import signal
 import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ..obs import log as obs_log
+from ..service.config import ServeConfig
 from ..service.wire import PipelinedClient
 
 _LISTENING = re.compile(r"listening on ([\d.]+):(\d+)")
 
 _LOG = obs_log.get_logger("supervisor")
+_WORKER_LOG = obs_log.get_logger("worker")
+
+
+def _relay(line: str, shard: int, slot: int | None) -> None:
+    """Log one line of a worker's output under its shard and slot, at the
+    level the worker logged it."""
+    fields = {"shard": shard, "slot": slot, "line": line.rstrip()}
+    try:
+        _WORKER_LOG.log(json.loads(line)["level"], "worker_output", **fields)
+    except (ValueError, TypeError, KeyError):
+        # Not one of obs.log's lines: a traceback, usually.
+        _WORKER_LOG.warning("worker_output", **fields)
 
 
 def _repro_src_dir() -> str:
@@ -70,39 +89,23 @@ class ShardSupervisor:
     def __init__(
         self,
         data_dirs: list[Path | None],
+        worker: ServeConfig | None = None,
         host: str = "127.0.0.1",
-        partition_size: int | None = None,
-        checkpoint_interval: float = 30.0,
-        coalesce_delay: float = 0.0,
-        workers_per_shard: int = 2,
-        result_cache_size: int | None = None,
-        fsync: bool = False,
-        audit_sample: float = 0.0,
-        audit_interval: float | None = None,
-        workload_capacity: int | None = None,
         startup_timeout: float = 120.0,
         python: str = sys.executable,
         crash_point: str | None = None,
         replicas: int = 0,
         replica_data_dirs: list[list[Path]] | None = None,
         epoch_files: list[Path] | None = None,
-        ack_replicas: int | None = None,
         stop_grace_timeout: float = 30.0,
         extra_env: dict[str, str] | None = None,
     ) -> None:
         self.data_dirs = [None if d is None else Path(d) for d in data_dirs]
+        #: What every worker runs with: the front end's own config (or the
+        #: defaults), of which each spawn takes ``for_worker(...)``.
+        #: ``replicas`` rides along because it decides the ack default.
+        self.worker = replace(worker or ServeConfig(), replicas=replicas)
         self.host = host
-        self.partition_size = partition_size
-        self.checkpoint_interval = checkpoint_interval
-        self.coalesce_delay = coalesce_delay
-        self.workers_per_shard = workers_per_shard
-        self.result_cache_size = result_cache_size
-        self.fsync = fsync
-        #: Per-worker accuracy-auditing knobs: workers own the rows, so the
-        #: auditor daemon runs inside each worker, not the front end.
-        self.audit_sample = audit_sample
-        self.audit_interval = audit_interval
-        self.workload_capacity = workload_capacity
         self.startup_timeout = startup_timeout
         self.python = python
         #: When set, workers spawn with ``REPRO_CRASH_POINT`` armed at this
@@ -121,11 +124,6 @@ class ShardSupervisor:
         self.epoch_files = (
             None if epoch_files is None else [Path(p) for p in epoch_files]
         )
-        #: How many follower acks a primary's mutation ack waits for;
-        #: defaults to 1 whenever replicas exist (semi-sync replication).
-        self.ack_replicas = (
-            (1 if replicas > 0 else 0) if ack_replicas is None else ack_replicas
-        )
         #: SIGTERM→SIGKILL escalation grace for :meth:`stop`.
         self.stop_grace_timeout = stop_grace_timeout
         #: Extra environment variables for every spawned worker (drills).
@@ -139,79 +137,45 @@ class ShardSupervisor:
     # ------------------------------------------------------------------ #
     # Spawning
 
-    def _base_argv(self, data_dir: Path | None) -> list[str]:
-        argv = [
-            self.python,
-            "-m",
-            "repro.service",
-            "--host",
-            self.host,
-            "--port",
-            "0",
-            "--workers",
-            str(self.workers_per_shard),
-            "--coalesce-delay",
-            str(self.coalesce_delay),
-        ]
-        if self.partition_size is not None:
-            argv += ["--partition-size", str(self.partition_size)]
-        if self.result_cache_size is not None:
-            argv += ["--result-cache-size", str(self.result_cache_size)]
-        if self.audit_sample:
-            argv += ["--audit-sample", str(self.audit_sample)]
-            if self.audit_interval is not None:
-                argv += ["--audit-interval", str(self.audit_interval)]
-        if self.workload_capacity is not None:
-            argv += ["--workload-capacity", str(self.workload_capacity)]
-        if data_dir is not None:
-            argv += [
-                "--data-dir",
-                str(data_dir),
-                "--checkpoint-interval",
-                str(self.checkpoint_interval),
-            ]
-            if self.fsync:
-                argv.append("--fsync")
-        return argv
-
-    def _epoch_argv(self, index: int) -> list[str]:
-        """Fencing/semi-sync flags, with the epoch read live from the file
-        so a restarted worker rejoins at the *current* epoch."""
-        if self.epoch_files is None:
-            return []
-        from ..replication.fence import read_epoch
-
-        path = self.epoch_files[index]
-        argv = ["--epoch-file", str(path), "--epoch", str(read_epoch(path).epoch)]
-        if self.ack_replicas:
-            argv += ["--ack-replicas", str(self.ack_replicas)]
-        return argv
-
-    def _argv(self, index: int) -> list[str]:
-        return self._base_argv(self.data_dirs[index]) + self._epoch_argv(index)
-
-    def _replica_argv(self, index: int, replica: int) -> list[str]:
-        primary = self.handles.get(index)
-        if primary is None:
-            raise RuntimeError(
-                f"cannot spawn replica {replica} of shard {index}: "
-                "the primary has no handle to subscribe to"
+    def _argv(self, index: int, replica: int | None = None) -> list[str]:
+        """The command line of shard ``index``'s primary, or of its follower
+        in slot ``replica``: the shared worker config plus where this one
+        lives, whom it follows and the shard's fencing epoch."""
+        data_dir = self.data_dirs[index]
+        spawn: dict = {"host": self.host}
+        if replica is not None:
+            primary = self.handles.get(index)
+            if primary is None:
+                raise RuntimeError(
+                    f"cannot spawn replica {replica} of shard {index}: "
+                    "the primary has no handle to subscribe to"
+                )
+            data_dir = self.replica_data_dirs[index][replica]
+            spawn.update(
+                replica_of=f"{self.host}:{primary.port}",
+                follower_id=f"shard{index}-r{replica}",
             )
-        assert self.replica_data_dirs is not None
-        return (
-            self._base_argv(self.replica_data_dirs[index][replica])
-            + [
-                "--replica-of",
-                f"{self.host}:{primary.port}",
-                "--follower-id",
-                f"shard{index}-r{replica}",
-            ]
-            + self._epoch_argv(index)
-        )
+        if self.epoch_files is not None:
+            from ..replication.fence import read_epoch
 
-    def _spawn_process(
-        self, argv: list[str], key: int | tuple[int, int]
-    ) -> subprocess.Popen:
+            # Read live, so a restarted worker rejoins at the *current* epoch.
+            path = self.epoch_files[index]
+            spawn.update(epoch_file=str(path), epoch=read_epoch(path).epoch)
+        if data_dir is not None:
+            spawn["data_dir"] = str(data_dir)
+        config = self.worker.for_worker(**spawn)
+        return [self.python, "-m", "repro.service"] + config.argv()
+
+    def spawn(self, index: int, replica: int | None = None) -> WorkerHandle:
+        """Start shard ``index``'s primary, or its follower in slot
+        ``replica`` (the primary must be up); blocks until it reports its port.
+
+        A worker with a populated data directory recovers before it prints
+        ``listening on``, so a handle returned from here is already serving
+        its recovered tables.  A follower then subscribes to the primary
+        from its recovered LSN — catch-up happens in the background.
+        """
+        argv = self._argv(index, replica)
         env = dict(os.environ, PYTHONUNBUFFERED="1")
         src = _repro_src_dir()
         existing = env.get("PYTHONPATH")
@@ -221,86 +185,61 @@ class ShardSupervisor:
             env["REPRO_CRASH_POINT"] = self.crash_point
         if self.extra_env:
             env.update(self.extra_env)
-        return subprocess.Popen(
-            argv,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            env=env,
+        process = subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env
         )
-
-    def _spawn(self, index: int, replica: int | None, argv: list[str]) -> WorkerHandle:
-        """Start one worker; blocks until it reports its port."""
-        key = index if replica is None else (index, replica)
-        what = (
-            f"shard worker {index}"
-            if replica is None
-            else f"replica {replica} of shard {index}"
-        )
-        process = self._spawn_process(argv, key)
-        port, banner = self._await_port(process)
+        port, banner = self._await_port(process, index, replica)
         if port is None:
             process.kill()
             process.wait(timeout=30)
+            what = (
+                f"shard worker {index}"
+                if replica is None
+                else f"replica {replica} of shard {index}"
+            )
             raise RuntimeError(
                 f"{what} never reported a port within "
                 f"{self.startup_timeout:.0f}s; output:\n" + "".join(banner)
             )
         handle = WorkerHandle(index=index, process=process, port=port, replica=replica)
-        self.handles[key] = handle
+        self.handles[index if replica is None else (index, replica)] = handle
         event = "worker_spawned" if replica is None else "replica_spawned"
         _LOG.info(event, shard=index, slot=replica, port=port, pid=process.pid)
         return handle
 
-    def spawn(self, index: int) -> WorkerHandle:
-        """Start the primary of shard ``index``.
-
-        A worker with a populated data directory recovers before it prints
-        ``listening on``, so a handle returned from here is already serving
-        its recovered tables.
-        """
-        return self._spawn(index, None, self._argv(index))
-
-    def spawn_replica(self, index: int, replica: int) -> WorkerHandle:
-        """Start follower ``replica`` of shard ``index`` (primary must be up).
-
-        The follower recovers its own data directory first, then subscribes
-        to the primary from its recovered LSN — catch-up happens in the
-        background after the handle is returned.
-        """
-        return self._spawn(index, replica, self._replica_argv(index, replica))
-
-    def _await_port(self, process) -> tuple[int | None, list[str]]:
+    def _await_port(
+        self, process, index: int, replica: int | None
+    ) -> tuple[int | None, list[str]]:
         """Scrape the ``listening on`` banner, honouring the startup timeout.
 
         The pipe is read on a daemon thread so a worker that hangs
         *silently* (wedged before printing anything) cannot block the
         caller past the deadline — ``readline`` on a live pipe has no
-        timeout of its own.
+        timeout of its own.  The thread outlives the banner: what the
+        worker prints afterwards (its ``obs.log`` lines, a dying worker's
+        traceback) is relayed through this process's logger as it comes —
+        JSON lines, so never a bare ``listening on`` — and nothing is kept.
         """
-        lines: queue.Queue = queue.Queue()
+        banner: list[str] = []
+        port: int | None = None
+        settled = threading.Event()  # banner seen, or the pipe closed
 
         def _pump() -> None:
+            nonlocal port
             for line in process.stdout:
-                lines.put(line)
-            lines.put(None)  # EOF (process died or closed stdout)
+                if settled.is_set():
+                    _relay(line, index, replica)
+                    continue
+                banner.append(line)
+                match = _LISTENING.search(line)
+                if match:
+                    port = int(match.group(2))
+                    settled.set()
+            settled.set()
 
         threading.Thread(target=_pump, daemon=True).start()
-        banner: list[str] = []
-        deadline = time.monotonic() + self.startup_timeout
-        while True:
-            try:
-                line = lines.get(timeout=max(0.05, deadline - time.monotonic()))
-            except queue.Empty:
-                return None, banner
-            if line is None:
-                return None, banner
-            banner.append(line)
-            match = _LISTENING.search(line)
-            if match:
-                return int(match.group(2)), banner
-            if time.monotonic() > deadline:
-                return None, banner
+        settled.wait(timeout=self.startup_timeout)
+        return port, banner
 
     def start(self) -> list[WorkerHandle]:
         """Spawn every primary, then every replica; tears the fleet down
@@ -309,7 +248,7 @@ class ShardSupervisor:
             primaries = [self.spawn(index) for index in range(self.num_shards)]
             for index in range(self.num_shards):
                 for replica in range(self.replicas):
-                    self.spawn_replica(index, replica)
+                    self.spawn(index, replica)
             return primaries
         except BaseException:
             self.stop(graceful=False)
@@ -366,7 +305,7 @@ class ShardSupervisor:
 
         Swaps the shard's primary data dir with the replica's — from now
         on ``spawn(index)`` restarts the promoted worker on the directory
-        it actually owns, and ``spawn_replica(index, replica)`` reuses the
+        it actually owns, and ``spawn(index, replica)`` reuses the
         old primary's directory for a fresh follower.  Returns the
         deposed primary's handle (usually a corpse), or ``None``.
         """
@@ -420,7 +359,7 @@ class ShardSupervisor:
                 quarantine=str(quarantine),
             )
         _LOG.info("replica_respawning", shard=index, slot=replica, fresh=fresh)
-        return self.spawn_replica(index, replica)
+        return self.spawn(index, replica)
 
     # ------------------------------------------------------------------ #
     # Shutdown

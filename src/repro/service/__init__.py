@@ -10,10 +10,14 @@ serves it over TCP: the binary pipelined protocol
 (:mod:`repro.service.framing`, spoken by :class:`PipelinedClient`) plus a
 newline-delimited-JSON shim for ``nc`` and scripts (spoken by
 :class:`AsyncQueryClient`).  Every op either speaks is one row of the op
-table in :mod:`repro.service.ops`.
+table in :mod:`repro.service.ops`, and every flag of the
+``python -m repro.service`` process that serves them is one field of
+:class:`ServeConfig` (:mod:`repro.service.config`), from which the
+parser and a cluster worker's command line are derived.
 """
 
 from .concurrency import ConcurrentQueryService, ReadWriteLock
+from .config import ServeConfig
 from .database import (
     Database,
     IngestResult,
@@ -37,5 +41,6 @@ __all__ = [
     "QueryServer",
     "QueryService",
     "ReadWriteLock",
+    "ServeConfig",
     "StagedIngest",
 ]

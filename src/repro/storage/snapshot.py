@@ -12,22 +12,18 @@ whose manifest validates, so a crash mid-checkpoint (partial temp dir,
 missing manifest, torn file) silently falls back to the previous
 checkpoint plus WAL replay.
 
-Two partition layouts exist on disk:
-
-* **v1** — one ``table-NNNNN.partitions`` file framing every partition
-  blob.  No longer written; the loader still reads it.
-* **v2** — one content-addressed ``part-<digest>.blob`` file
-  per partition plus a small ``table-NNNNN.parts`` index listing the
-  blob names in partition order.  Sealed partitions are immutable, so a
-  checkpoint **hard-links** their blob files from the previous snapshot
-  directory (copying on filesystems without link support) and only
-  serializes partitions it has never persisted — typically just the
-  tail.  Checkpoint cost becomes O(tail), not O(table).  Garbage
-  collection stays safe because the link keeps the blob's bytes alive
-  until the last snapshot directory referencing it is removed.
-
-The loader accepts both layouts, so a v1 data directory opens unchanged
-and its next checkpoint writes v2.
+Partitions are stored one content-addressed ``part-<digest>.blob`` file
+each, plus a small ``table-NNNNN.parts`` index listing the blob names in
+partition order (format **v2**, the only one read or written).  Sealed
+partitions are immutable, so a checkpoint **hard-links** their blob
+files from the previous snapshot directory (copying on filesystems
+without link support) and only serializes partitions it has never
+persisted — typically just the tail.  Checkpoint cost becomes O(tail),
+not O(table).  Garbage collection stays safe because the link keeps the
+blob's bytes alive until the last snapshot directory referencing it is
+removed.  A snapshot directory without a ``.parts`` index (the retired
+v1 layout) does not load: recovery falls back past it like any other
+unreadable snapshot.
 """
 
 from __future__ import annotations
@@ -201,11 +197,6 @@ def _decode_table_meta(payload: bytes):
     schema, offset = codec.decode_schema(buffer, offset)
     preprocessor, offset = codec.decode_preprocessor(buffer, offset)
     return name, int(partition_size), int(synopsis_builds), params, gd_config, schema, preprocessor
-
-
-def _unframe_blobs(payload: bytes) -> list[bytes]:
-    blobs, _ = codec.unframe_blobs(payload)
-    return blobs
 
 
 # --------------------------------------------------------------------------- #
@@ -457,24 +448,14 @@ def _load(
         name, partition_size, builds, params, gd_config, schema, preprocessor = (
             _decode_table_meta(entry)
         )
-        parts_index = payloads.get(f"table-{index:05d}.parts")
-        if parts_index is not None:  # v2: per-partition blob files
-            blob_names = _decode_parts_index(parts_index)
-            blobs = [payloads[blob_name] for blob_name in blob_names]
-        else:  # v1: one monolithic framed file per table
-            blob_names = None
-            blobs = _unframe_blobs(payloads[f"table-{index:05d}.partitions"])
+        blob_names = _decode_parts_index(payloads[f"table-{index:05d}.parts"])
+        blobs = [payloads[blob_name] for blob_name in blob_names]
         partitions = [load_partition(b, name, schema, preprocessor) for b in blobs]
-        if blob_names is not None:
-            # Remember each partition's on-disk identity so the first
-            # checkpoint after this restart hard-links the sealed blobs
-            # instead of rewriting them.
-            for partition, blob_name, blob in zip(partitions, blob_names, blobs):
-                setattr(
-                    partition,
-                    _BLOB_ATTR,
-                    (blob_name, len(blob), zlib.crc32(blob)),
-                )
+        # Remember each partition's on-disk identity so the first
+        # checkpoint after this restart hard-links the sealed blobs
+        # instead of rewriting them.
+        for partition, blob_name, blob in zip(partitions, blob_names, blobs):
+            setattr(partition, _BLOB_ATTR, (blob_name, len(blob), zlib.crc32(blob)))
         # Per-partition synopses hydrate on first ingest touch (queries run
         # off the merged payload), keeping query-only restarts fast.
         synopses = LazyPartitionSynopses(payloads[f"table-{index:05d}.synopses"])

@@ -24,7 +24,6 @@ What is pinned here:
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import io
 import json
@@ -61,6 +60,7 @@ from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
 from repro.obs.exposition import MetricsHTTPServer
+from repro.service.config import ServeConfig
 from repro.service.database import Database
 from repro.service.wire import PipelinedClient
 
@@ -669,10 +669,10 @@ class TestServerWiring:
         service.register_table(
             make_simple_table(rows=300, seed=1, name="t"), params=PARAMS
         )
-        args = argparse.Namespace(
+        config = ServeConfig(
             workload_capacity=8, audit_sample=0.5, audit_interval=3600.0
         )
-        auditor = _attach_answer_quality(service, args)
+        auditor = _attach_answer_quality(service, config)
         try:
             assert service.workload_log is not None
             assert service.workload_log.capacity == 8
@@ -689,10 +689,8 @@ class TestServerWiring:
         from repro.service.cli import _attach_answer_quality
 
         service = QueryService()
-        args = argparse.Namespace(
-            workload_capacity=0, audit_sample=0.0, audit_interval=5.0
-        )
-        assert _attach_answer_quality(service, args) is None
+        config = ServeConfig(workload_capacity=0)
+        assert _attach_answer_quality(service, config) is None
         assert service.workload_log is None and service.auditor is None
 
     def test_supervisor_propagates_audit_flags_to_worker_argv(self):
@@ -700,16 +698,16 @@ class TestServerWiring:
 
         supervisor = ShardSupervisor(
             data_dirs=[None],
-            audit_sample=0.25,
-            audit_interval=1.5,
-            workload_capacity=64,
+            worker=ServeConfig(
+                audit_sample=0.25, audit_interval=1.5, workload_capacity=64
+            ),
         )
-        argv = supervisor._base_argv(None)
+        argv = supervisor._argv(0)
         assert argv[argv.index("--audit-sample") + 1] == "0.25"
         assert argv[argv.index("--audit-interval") + 1] == "1.5"
         assert argv[argv.index("--workload-capacity") + 1] == "64"
         # Off by default: no audit daemon burning worker CPU unasked.
-        quiet = ShardSupervisor(data_dirs=[None])._base_argv(None)
+        quiet = ShardSupervisor(data_dirs=[None])._argv(0)
         assert "--audit-sample" not in quiet
 
 
@@ -821,12 +819,12 @@ class TestProcessClusterAuditEndToEnd:
             path=tmp_path / "cluster",
             mode="process",
             partition_size=200,
-            worker_options={
-                "checkpoint_interval": 3600.0,
-                "audit_sample": 1.0,
-                "audit_interval": 0.2,
-                "workload_capacity": 64,
-            },
+            worker=ServeConfig(
+                checkpoint_interval=3600.0,
+                audit_sample=1.0,
+                audit_interval=0.2,
+                workload_capacity=64,
+            ),
         )
         try:
             cluster.register_table(

@@ -557,7 +557,7 @@ class TestProcessClusterSmoke:
             path=root,
             mode="process",
             partition_size=PARTITION_SIZE,
-            worker_options={"crash_point": "server.ingest.before_ack"},
+            crash_point="server.ingest.before_ack",
         )
         try:
             cluster.register_table(sensors(), params=PARAMS)

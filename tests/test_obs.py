@@ -44,6 +44,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
 from repro.obs.exposition import CONTENT_TYPE, MetricsHTTPServer, render_prometheus
 from repro.obs.metrics import MetricsRegistry, merge_snapshot
+from repro.service.config import ServeConfig
 from repro.service.wire import PipelinedClient
 
 PARAMS = PairwiseHistParams.with_defaults(sample_size=None, seed=1)
@@ -488,7 +489,7 @@ class TestClusterObservabilityEndToEnd:
             path=tmp_path / "cluster",
             mode="process",
             partition_size=200,
-            worker_options={"checkpoint_interval": 3600.0},
+            worker=ServeConfig(checkpoint_interval=3600.0),
         )
         try:
             cluster.register_table(
@@ -539,7 +540,7 @@ class TestClusterObservabilityEndToEnd:
             path=tmp_path / "cluster",
             mode="process",
             partition_size=200,
-            worker_options={"checkpoint_interval": 3600.0},
+            worker=ServeConfig(checkpoint_interval=3600.0),
         )
         try:
             cluster.register_table(
@@ -583,12 +584,9 @@ class TestClusterObservabilityEndToEnd:
             mode="process",
             partition_size=200,
             replicas=1,
-            worker_options={
-                "checkpoint_interval": 3600.0,
-                # Async replication: ingest acks must not block on the
-                # dead replica during the drill.
-                "ack_replicas": 0,
-            },
+            # Async replication: ingest acks must not block on the
+            # dead replica during the drill.
+            worker=ServeConfig(checkpoint_interval=3600.0, ack_replicas=0),
         )
         try:
             cluster.register_table(

@@ -11,15 +11,12 @@ idempotency) — plus a real ``kill -9`` of a ``QueryServer`` subprocess.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import re
-import shutil
 import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,8 +43,6 @@ QUERIES = [
 
 PARAMS = PairwiseHistParams.with_defaults(sample_size=5_000)
 PARTITION_SIZE = 400
-
-V1_FIXTURE = Path(__file__).parent / "fixtures" / "snapshot-v1"
 
 
 @pytest.fixture(autouse=True)
@@ -306,40 +301,6 @@ class TestRecovery:
         assert recovered.recovery_info.replayed_records == 0
         assert answers(recovered) == expected
         recovered.close()
-
-    def test_v1_snapshot_recovers_and_next_checkpoint_upgrades(self, tmp_path):
-        """A data dir written by the v1 (monolithic) snapshot format must
-        recover under the v2 code, and the next checkpoint upgrades it to
-        the blob layout without disturbing answers.
-
-        The directory is the committed fixture (register 900 rows, ingest
-        batch 1, checkpoint, ingest batch 2 — written once by the last
-        commit that could write v1), with the answers that commit gave.
-        """
-        shutil.copytree(V1_FIXTURE / "data", tmp_path / "data")
-        golden = json.loads((V1_FIXTURE / "expected.json").read_text())
-        expected = [
-            tuple(float.fromhex(v) for v in row) for row in golden["answers"]
-        ]
-        snapshots = tmp_path / "data" / "snapshots"
-        newest = sorted(p for p in snapshots.iterdir() if p.name.startswith("snap-"))[-1]
-        assert (newest / "table-00000.partitions").is_file()
-
-        recovered = durable(tmp_path)
-        assert recovered.recovery_info.snapshot_lsn == 2
-        assert recovered.table("sensors").num_rows == golden["rows"]
-        assert answers(recovered) == expected
-        recovered.checkpoint()
-        newest = sorted(p for p in snapshots.iterdir() if p.name.startswith("snap-"))[-1]
-        blobs = list(newest.glob("part-*.blob"))
-        assert blobs  # upgraded to v2
-        # Nothing to link from a v1 directory: every blob is a fresh file.
-        assert all(blob.stat().st_nlink == 1 for blob in blobs)
-        recovered.close()
-        again = durable(tmp_path)
-        assert again.recovery_info.snapshot_lsn == 3
-        assert answers(again) == expected
-        again.close()
 
     def test_commit_after_drop_raises_without_phantom_wal_record(self, tmp_path):
         """Committing a staged ingest against a table dropped in between

@@ -53,6 +53,7 @@ from repro.replication import (
 from repro.replication.fence import FENCED_ERROR_TYPE
 from repro.service import framing
 from repro.service.concurrency import ConcurrentQueryService
+from repro.service.config import ServeConfig
 from repro.service.database import Database
 from repro.storage.cluster import (
     ClusterLayout,
@@ -499,7 +500,7 @@ class TestReplicaLayout:
         assert argv[argv.index("--epoch") + 1] == "5"
         assert argv[argv.index("--ack-replicas") + 1] == "1"  # semi-sync default
         with pytest.raises(RuntimeError):
-            sup._replica_argv(0, 0)  # primary not spawned yet: no port to follow
+            sup._argv(0, replica=0)  # primary not spawned yet: no port to follow
 
 
 # --------------------------------------------------------------------------- #
@@ -513,7 +514,7 @@ def _boot(path, *, shards=1, replicas=2, **kwargs) -> ClusterQueryService:
         mode="process",
         partition_size=PARTITION_SIZE,
         replicas=replicas,
-        worker_options={"checkpoint_interval": 3600.0, **kwargs.pop("worker", {})},
+        worker=ServeConfig(checkpoint_interval=3600.0),
         **kwargs,
     )
 
@@ -794,7 +795,7 @@ def test_stop_escalates_sigterm_to_sigkill_for_wedged_worker(tmp_path):
     SIGKILLed after the grace window — stop() always terminates."""
     sup = ShardSupervisor(
         data_dirs=[tmp_path / "shard"],
-        checkpoint_interval=3600.0,
+        worker=ServeConfig(checkpoint_interval=3600.0),
         stop_grace_timeout=1.5,
         extra_env={"REPRO_HANG_ON_SIGTERM": "1"},
     )

@@ -8,7 +8,6 @@ lives in ``test_recovery.py``.
 
 from __future__ import annotations
 
-import shutil
 import struct
 import zlib
 from pathlib import Path
@@ -308,10 +307,6 @@ class TestPartitionDumpLoad:
 # Snapshots
 
 
-#: A snapshots directory in the v1 layout (see tests/fixtures/snapshot-v1).
-V1_SNAPSHOTS = Path(__file__).parent / "fixtures" / "snapshot-v1" / "data" / "snapshots"
-
-
 def _make_state(checkpoint_lsn: int, seed: int = 0) -> SnapshotState:
     from repro.core.builder import build_partition_synopses, snapshot_partition_input
 
@@ -369,6 +364,23 @@ class TestSnapshots:
         data[len(data) // 2] ^= 0xFF
         victim.write_bytes(bytes(data))
         assert load_latest_snapshot(tmp_path).checkpoint_lsn == 3
+
+    def test_snapshot_without_parts_index_falls_back_to_previous(self, tmp_path):
+        """The retired v1 layout had no ``.parts`` index; a checksum-clean
+        snapshot without one is skipped like any other unreadable one."""
+
+        def drop_parts_index(snapshot: Path) -> None:
+            lsn, files = deserialize_manifest((snapshot / "MANIFEST").read_bytes())
+            kept = [entry for entry in files if entry[0] != "table-00000.parts"]
+            assert len(kept) == len(files) - 1
+            (snapshot / "MANIFEST").write_bytes(serialize_manifest(lsn, kept))
+
+        older = write_snapshot(tmp_path, _make_state(checkpoint_lsn=3), keep=5)
+        newest = write_snapshot(tmp_path, _make_state(checkpoint_lsn=9, seed=1), keep=5)
+        drop_parts_index(newest)
+        assert load_latest_snapshot(tmp_path).checkpoint_lsn == 3
+        drop_parts_index(older)
+        assert load_latest_snapshot(tmp_path) is None  # recovery replays the WAL
 
     def test_crash_before_publish_leaves_no_snapshot(self, tmp_path):
         def crash(point):
@@ -593,28 +605,6 @@ class TestIncrementalSnapshots:
         write_snapshot(tmp_path, _state_from_store(store, params, 2), keep=5)
         assert load_latest_snapshot(tmp_path).checkpoint_lsn == 2
         assert not list(tmp_path.glob("tmp-*"))
-
-    def test_v1_format_is_still_loaded(self):
-        """The v1 (monolithic) layout is no longer written; the committed
-        fixture — written once by the last commit that could — must load."""
-        (path,) = V1_SNAPSHOTS.glob("snap-*")
-        assert (path / "table-00000.partitions").is_file()
-        assert not _blob_names(path)
-        loaded = load_latest_snapshot(V1_SNAPSHOTS)
-        assert loaded.checkpoint_lsn == 2
-        assert loaded.tables[0].to_store().num_rows == 1200
-
-    def test_v1_chain_upgrades_to_v2_on_next_write(self, tmp_path):
-        shutil.copytree(V1_SNAPSHOTS, tmp_path, dirs_exist_ok=True)
-        loaded = load_latest_snapshot(tmp_path)
-        restored = loaded.tables[0].to_store()
-        params = loaded.tables[0].params
-        snap2 = write_snapshot(tmp_path, _state_from_store(restored, params, 3), keep=5)
-        assert _blob_names(snap2)  # v2 layout now
-        assert load_latest_snapshot(tmp_path).checkpoint_lsn == 3
-        # The v2 blobs are brand new files (nothing to link from a v1 dir).
-        for name in _blob_names(snap2):
-            assert (snap2 / name).stat().st_nlink == 1
 
 
 # --------------------------------------------------------------------------- #
