@@ -3,8 +3,8 @@
 The paper pitches PairwiseHist for interactive AQP under dashboard-style
 load.  This example stands up the full concurrent stack:
 
-* a :class:`~repro.service.ConcurrentQueryService` (per-table
-  reader-writer locks, copy-on-write synopsis refresh),
+* a :class:`~repro.service.QueryService` (lock-free reads over
+  immutable published engines, copy-on-write synopsis refresh),
 * the :class:`~repro.service.AsyncQueryService` coroutine front end with
   its coalescing ingest queue,
 * a :class:`~repro.service.QueryServer` speaking both negotiated wire
@@ -16,8 +16,9 @@ over the wire while a writer task streams new rows in.  Half the
 sessions use the legacy JSON client, half the binary
 :class:`~repro.service.PipelinedClient` — the server sniffs each
 connection's first bytes, so both coexist transparently.  Queries keep
-answering at full speed through the ingest stream — the writer only takes
-each table's write lock for the final synopsis swap.
+answering at full speed through the ingest stream — they take no lock,
+and each ingest publishes a new engine instead of changing the one a
+query is running on.
 
 Run with:  python examples/concurrent_dashboard.py
 """

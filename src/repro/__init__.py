@@ -53,7 +53,6 @@ from .exactdb.executor import ExactQueryEngine
 from .service import (
     AsyncQueryClient,
     AsyncQueryService,
-    ConcurrentQueryService,
     Database,
     IngestResult,
     ManagedTable,
@@ -61,8 +60,9 @@ from .service import (
     PipelinedClient,
     QueryServer,
     QueryService,
-    ReadWriteLock,
 )
+# Re-exported only for benchmarks/e2e/layers.py, which imports and times both.
+from .service import ConcurrentQueryService, ReadWriteLock
 from .cluster import ClusterQueryService, ShardRouter, ShardSupervisor
 from .audit import AccuracyAuditor, WorkloadLog
 from .sql.parser import parse_query

@@ -4,7 +4,7 @@ A shard is one full durable engine owning a disjoint, hash-routed subset
 of every table's rows.  The cluster front end talks to shards through one
 small interface so the same scatter-gather code drives both flavours:
 
-* :class:`LocalShard` — a :class:`~repro.service.concurrency.ConcurrentQueryService`
+* :class:`LocalShard` — a :class:`~repro.service.database.QueryService`
   (optionally over a :class:`~repro.storage.durable.DurableDatabase` data
   directory) living in the front end's process.  No serialization, no
   sockets: the configuration unit tests use to pin cluster semantics.
@@ -33,8 +33,7 @@ from pathlib import Path
 
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
-from ..service.concurrency import ConcurrentQueryService
-from ..service.database import Database
+from ..service.database import Database, QueryService
 from ..service.ops import OPS
 from ..service.wire import PipelinedClient, WireError
 from ..sql.ast import UnsupportedQueryError
@@ -73,7 +72,7 @@ def _raise_wire_error(error: WireError):
 
 
 class LocalShard:
-    """An in-process worker shard (thread-safe concurrent service)."""
+    """An in-process worker shard (one thread-safe :class:`QueryService`)."""
 
     def __init__(
         self,
@@ -87,7 +86,7 @@ class LocalShard:
             database = Database.open(self.data_dir, **database_kwargs)
         else:
             database = Database(**database_kwargs)
-        self.service = ConcurrentQueryService(database=database)
+        self.service = QueryService(database=database)
 
     def call(self, name: str, *args):
         """The op's handler + reply encoder, in-process: the same payload a

@@ -304,8 +304,8 @@ def snapshot_partition_input(store, partition) -> PartitionInput:
 
     The returned :class:`PartitionInput` references only the (immutable,
     sealed) partition — not the store's mutable partition *list* — so the
-    expensive synopsis build can run off-lock while a concurrent service
-    keeps answering queries and even swaps that list underneath us.
+    expensive synopsis build can run while queries keep answering from the
+    published engine and that list is swapped underneath us.
     """
     codes, nulls = partition.decoded_codes()
     initial_edges = {

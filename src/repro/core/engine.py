@@ -94,7 +94,12 @@ class AqpResult:
 
 @dataclass
 class PairwiseHistEngine:
-    """Approximate query engine backed by a PairwiseHist synopsis."""
+    """Approximate query engine backed by a PairwiseHist synopsis.
+
+    Not mutated once built: a new synopsis is a new engine
+    (``dataclasses.replace(engine, synopsis=...)``), so a query running on
+    one sees one synopsis throughout.
+    """
 
     synopsis: PairwiseHist
     preprocessor: Preprocessor
@@ -181,11 +186,6 @@ class PairwiseHistEngine:
     def synopsis_bytes(self) -> int:
         """Serialized synopsis size (the Fig. 8 / Fig. 11 storage metric)."""
         return synopsis_size_bytes(self.synopsis)
-
-    def refresh_synopsis(self, synopsis: PairwiseHist) -> None:
-        """Swap in a new synopsis (e.g. re-merged after an incremental
-        append).  The pointer is the engine's only mutable query state."""
-        self.synopsis = synopsis
 
     def serialize_synopsis(self) -> bytes:
         return serialize(self.synopsis)

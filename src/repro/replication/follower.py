@@ -2,7 +2,8 @@
 
 :class:`ReplicaApplier` replays each shipped record with the *same*
 public service calls a primary's clients use (``register_table`` /
-``ingest`` / ``drop_table`` on the thread-safe service), so:
+``ingest`` / ``drop_table`` on the :class:`~repro.service.database.QueryService`),
+so:
 
 * every applied record goes through the durable commit path and lands in
   the follower's own WAL with the **same LSN** the primary assigned (the
@@ -11,8 +12,8 @@ public service calls a primary's clients use (``register_table`` /
 * the follower's synopses are rebuilt by the identical code with the
   identical row totals, making its state bit-identical to a primary that
   stopped at the same LSN — the property the failover drill pins;
-* concurrent replica *queries* are already safe: they share the
-  service's per-table reader-writer locks with the apply loop.
+* concurrent replica *queries* are already safe: each runs on the
+  immutable engine it read, and the apply loop publishes new ones.
 
 A follower that has fallen behind the primary's WAL truncation horizon
 receives a snapshot seed instead: :meth:`ReplicaApplier.reseed` installs
@@ -139,19 +140,10 @@ class ReplicaApplier:
         final = snapshots_dir / dir_name
         shutil.rmtree(final, ignore_errors=True)
         os.replace(tmp, final)
-        # Retire the current catalog under the same locks drop_table takes,
-        # so in-flight replica queries either finish against the old table
-        # or retry cleanly against the reseeded one.
+        # Retire the current catalog (each table under its writer mutex, as
+        # a drop): in-flight replica queries finish on the engine they hold.
         for name in list(db.table_names):
-            mutex = self.service._acquire_current_ingest_mutex(name)
-            try:
-                with self.service.lock_for(name).write_locked():
-                    db.uninstall_table(name)
-                with self.service._registry_mutex:
-                    self.service._table_locks.pop(name, None)
-                    self.service._ingest_mutexes.pop(name, None)
-            finally:
-                mutex.release()
+            db.uninstall_table(name)
         db.wal.reset_to(checkpoint_lsn)
         snapshot = load_latest_snapshot(snapshots_dir)
         if snapshot is None or snapshot.checkpoint_lsn != checkpoint_lsn:

@@ -2,11 +2,13 @@
 
 :class:`Database` owns registration, partitioned compression, parallel
 synopsis construction and streaming ingestion; :class:`QueryService` is the
-SQL front end routing queries by table name.  For parallel clients,
-:class:`ConcurrentQueryService` adds per-table reader-writer locks with
-copy-on-write ingestion, :class:`AsyncQueryService` exposes the same API
-as coroutines (with a coalescing ingest queue), and :class:`QueryServer`
-serves it over TCP: the binary pipelined protocol
+SQL front end routing queries by table name, safe under parallel clients:
+each published table is an immutable engine that queries read without a
+lock, and the database serialises its own writers (a catalog mutex for
+register, a writer mutex per table for ingest and drop).
+:class:`AsyncQueryService` exposes the same API as coroutines (with a
+coalescing ingest queue), and :class:`QueryServer` serves it over TCP:
+the binary pipelined protocol
 (:mod:`repro.service.framing`, spoken by :class:`PipelinedClient`) plus a
 newline-delimited-JSON shim for ``nc`` and scripts (spoken by
 :class:`AsyncQueryClient`).  Every op either speaks is one row of the op
@@ -16,6 +18,7 @@ table in :mod:`repro.service.ops`, and every flag of the
 parser and a cluster worker's command line are derived.
 """
 
+# Exported only for repro to re-export to benchmarks/e2e/layers.py, which times both.
 from .concurrency import ConcurrentQueryService, ReadWriteLock
 from .config import ServeConfig
 from .database import (

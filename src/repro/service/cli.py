@@ -25,9 +25,8 @@ from typing import Callable
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from ..storage.checkpointer import BackgroundCheckpointer
-from .concurrency import ConcurrentQueryService
 from .config import ServeConfig
-from .database import Database
+from .database import Database, QueryService
 from .server import AsyncFacade, AsyncQueryService, QueryServer
 
 
@@ -167,9 +166,7 @@ def _open_node(config: ServeConfig) -> _Deployment:
         database = Database.open(
             config.data_dir, fsync=config.fsync, partition_size=config.partition_size
         )
-    service = ConcurrentQueryService(
-        database=database, result_cache_size=config.result_cache_size
-    )
+    service = QueryService(database=database, result_cache_size=config.result_cache_size)
     node = _Deployment(
         front=AsyncQueryService(
             service=service, max_workers=config.workers, max_batch_delay=config.coalesce_delay

@@ -9,9 +9,14 @@ service here:
   the queryable synopsis.  :meth:`Database.ingest` streams new rows in:
   only the tail partition's store and synopsis are rebuilt, the merged
   synopsis is recomposed from the (mostly untouched) per-partition parts
-  and swapped into the live engine.
+  and published as a new engine.
 * :class:`QueryService` is the SQL front end: it parses queries, routes
   them by table name to the owning engine and exposes streaming ingestion.
+  It is safe under parallel clients without a lock on the read path: a
+  published engine is never mutated, so a query reads ``managed.engine``
+  once and runs on that object while writers publish the next one.
+  Writers serialise on the catalog mutex (register) and on each table's
+  writer mutex (ingest, drop).
 
 This is the Fig. 2 pipeline including the red incremental-update arrows,
 generalised to many tables with bounded-cost appends.
@@ -23,7 +28,8 @@ import itertools
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 
 from ..core.builder import build_partition_synopses, snapshot_partition_input
 from ..core.engine import AqpResult, PairwiseHistEngine
@@ -84,12 +90,14 @@ class IngestResult:
 class StagedIngest:
     """An ingest whose rebuild is done but whose results are unpublished.
 
-    Produced by :meth:`Database.stage_ingest` (the expensive, off-lock
-    phase) and consumed by :meth:`Database.commit_ingest` (the cheap swap
-    that a concurrent front end runs under the table's write lock).
+    Produced by :meth:`Database.stage_ingest` (the expensive phase) and
+    consumed by :meth:`Database.commit_ingest` (the cheap publish), both
+    under the table's writer mutex when driven by :meth:`Database.ingest`.
     """
 
-    table_name: str
+    #: The table this ingest was staged against; the commit publishes
+    #: into it only while it is still the one registered under its name.
+    table: ManagedTable
     appended_rows: int
     affected: list[int]
     #: Full replacement partition-synopsis list (``None`` for a no-op append).
@@ -119,8 +127,8 @@ class ManagedTable:
     #: partitions per ingest, not by the partition count).
     synopsis_builds: int = 0
     #: The partition list as of the last *committed* ingest.  The store's
-    #: own list advances during :meth:`Database.stage_ingest` (off-lock,
-    #: before the commit publishes synopses and the WAL record), so a
+    #: own list advances during :meth:`Database.stage_ingest` (before the
+    #: commit publishes synopses and the WAL record), so a
     #: checkpoint capturing mid-ingest state must snapshot this list, not
     #: ``store.partitions`` — otherwise it would persist rows whose WAL
     #: record does not exist yet and recovery would apply them twice.
@@ -132,6 +140,21 @@ class ManagedTable:
     #: and a drop + re-register under the same name can never collide
     #: with stale entries (the counter never repeats).
     synopsis_version: int = 0
+    #: Serialises this table's writers (ingest, drop, a replica's
+    #: uninstall); queries never take it.
+    writer: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+
+    def publish(self, synopsis: PairwiseHist) -> None:
+        """Make ``synopsis`` the queryable one: a new engine, then a new version.
+
+        The published engine is never mutated, so a query already holding
+        it finishes on it.  The version is drawn after the engine is
+        assigned, so a reader that sees the new version sees the new
+        engine; an answer cached under the superseded version is never
+        looked up again.
+        """
+        self.engine = replace(self.engine, synopsis=synopsis)
+        self.synopsis_version = next(Database._version_counter)
 
     @property
     def num_rows(self) -> int:
@@ -183,6 +206,8 @@ class Database:
         self.executor = executor
         self.gd_config = gd_config
         self._tables: dict[str, ManagedTable] = {}
+        #: Guards register's duplicate check + insert.
+        self._catalog_mutex = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Catalog
@@ -204,9 +229,24 @@ class Database:
     def engine(self, name: str) -> PairwiseHistEngine:
         return self.table(name).engine
 
+    @contextmanager
+    def writing(self, name: str):
+        """Hold the writer mutex of the table registered as ``name``.
+
+        While it is held the table can be neither dropped nor replaced
+        under its name, so the yielded :class:`ManagedTable` stays the
+        catalog's.  Lock order: writer mutex, then any database-internal
+        mutex (the durable subclass's).
+        """
+        managed = self.table(name)
+        with managed.writer:
+            if self._tables.get(name) is not managed:
+                raise KeyError(f"table {name!r} was dropped while waiting to write")
+            yield managed
+
     def drop(self, name: str) -> None:
-        self.table(name)
-        del self._tables[name]
+        with self.writing(name):
+            del self._tables[name]
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -268,9 +308,10 @@ class Database:
         The durable subclass overrides this to WAL-log the source rows
         atomically with the insert; ``source`` is the raw registered table.
         """
-        if managed.name in self._tables:
-            raise ValueError(f"table {managed.name!r} is already registered")
-        self._tables[managed.name] = managed
+        with self._catalog_mutex:
+            if managed.name in self._tables:
+                raise ValueError(f"table {managed.name!r} is already registered")
+            self._tables[managed.name] = managed
 
     def _build_synopses(
         self,
@@ -323,8 +364,7 @@ class Database:
         the partition list is swapped atomically), then only the affected
         partitions' synopses are rebuilt and re-merged — into *fresh*
         objects that no reader can see yet.  Queries running concurrently
-        keep using the table's published synopsis untouched; a concurrent
-        front end runs this phase without holding the table's write lock.
+        keep using the table's published engine untouched.
         """
         start = time.perf_counter()
         managed = self.validate_ingest(table_name, rows)
@@ -352,7 +392,7 @@ class Database:
             managed.store.partitions = partitions_before
             raise
         return StagedIngest(
-            table_name=table_name,
+            table=managed,
             appended_rows=rows.num_rows,
             affected=affected,
             synopses=synopses,
@@ -367,36 +407,43 @@ class Database:
         """Phase 2 of an ingest: publish the staged synopses (cheap swap).
 
         Everything expensive happened in :meth:`stage_ingest`; this only
-        swaps the partition-synopsis list and the engine's merged synopsis,
-        so a concurrent front end holds the table's write lock for
-        microseconds, not for the rebuild.
+        swaps the partition-synopsis list and publishes a new engine over
+        the merged synopsis (:meth:`ManagedTable.publish`, which also
+        invalidates every cached result for the table).  Raises
+        :class:`KeyError` if the table was dropped (or dropped and
+        re-registered) since staging.
         """
-        managed = self.table(staged.table_name)
+        managed = self._staged_table(staged)
         if staged.synopses is not None:
             managed.partition_synopses = staged.synopses
             managed.committed_partitions = staged.partitions
             managed.synopsis_builds += len(staged.affected)
-            _SYNOPSIS_BUILDS.inc(len(staged.affected), table=staged.table_name)
-            managed.engine.refresh_synopsis(staged.merged)
-            # The swap invalidates every cached result for this table:
-            # caches key on (table, version), and this version is fresh.
-            managed.synopsis_version = next(self._version_counter)
+            _SYNOPSIS_BUILDS.inc(len(staged.affected), table=managed.name)
+            managed.publish(staged.merged)
         return IngestResult(
-            table_name=staged.table_name,
+            table_name=managed.name,
             appended_rows=staged.appended_rows,
             rebuilt_partitions=staged.affected,
             total_partitions=staged.total_partitions,
             seconds=time.perf_counter() - staged.started,
         )
 
+    def _staged_table(self, staged: StagedIngest) -> ManagedTable:
+        """The table a staged ingest publishes into, if it is still registered."""
+        managed = staged.table
+        if self._tables.get(managed.name) is not managed:
+            raise KeyError(f"table {managed.name!r} was dropped after this ingest was staged")
+        return managed
+
     def ingest(self, table_name: str, rows: Table) -> IngestResult:
         """Append rows to a registered table, refreshing only what changed.
 
-        Equivalent to :meth:`stage_ingest` followed immediately by
-        :meth:`commit_ingest`; concurrent front ends interleave the two
-        phases with the table's write lock.
+        :meth:`stage_ingest` then :meth:`commit_ingest`, both under the
+        table's writer mutex; queries keep answering from the published
+        engine throughout.
         """
-        return self.commit_ingest(self.stage_ingest(table_name, rows))
+        with self.writing(table_name):
+            return self.commit_ingest(self.stage_ingest(table_name, rows))
 
     # ------------------------------------------------------------------ #
     # Durability
@@ -431,6 +478,9 @@ class QueryService:
     the end of every ingest *is* the invalidation — a hit is always the
     exact object an uncached execution of the same SQL would return.
     ``result_cache_size=0`` disables the cache.
+
+    Safe to share between threads: queries take no lock (see the module
+    docstring) and writers serialise inside the :class:`Database`.
 
     >>> service = QueryService()
     >>> service.register_table(table)            # doctest: +SKIP
@@ -519,10 +569,6 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # Query execution
 
-    def _execute_engine(self, query: Query, scalar: bool):
-        engine = self.database.engine(query.table)
-        return engine.execute_scalar(query) if scalar else engine.execute(query)
-
     def _parse(self, query: Query | str) -> tuple[str, Query]:
         """``(sql text, parsed query)`` — the one parse-cache lookup a
         statement pays; everything downstream takes the pair."""
@@ -559,15 +605,20 @@ class QueryService:
 
         The key is ``(table, synopsis_version, scalar, sql_text)``; the
         raw SQL string keys directly (no canonicalisation — dashboards
-        re-send byte-identical text).  A result written under version v
-        after a concurrent commit bumped to v+1 is harmless: lookups use
-        the current version, so the stale entry can never be served and
-        simply ages out of the LRU.
+        re-send byte-identical text).  The table's engine is read once,
+        after its version (the order :meth:`ManagedTable.publish` writes
+        them in reverse), and the whole query runs on that object.  A
+        result written under version v after a concurrent commit bumped to
+        v+1 is harmless: lookups use the current version, so the stale
+        entry can never be served and simply ages out of the LRU.
         """
+        managed = self.database.table(parsed.table)
+        version = managed.synopsis_version
+        engine = managed.engine
+        run = engine.execute_scalar if scalar else engine.execute
         if self.result_cache_size <= 0:
             with obs_tracing.child_span("execute", attrs={"table": parsed.table}):
-                return self._execute_engine(parsed, scalar)
-        version = self.database.table(parsed.table).synopsis_version
+                return run(parsed)
         key = (parsed.table, version, scalar, sql)
         stats = self.cache_stats.setdefault(parsed.table, {"hits": 0, "misses": 0})
         cells = self._cache_cells.get(parsed.table)
@@ -592,7 +643,7 @@ class QueryService:
             if lookup is not None:
                 lookup.set_attr("outcome", "miss")
         with obs_tracing.child_span("execute", attrs={"table": parsed.table}):
-            result = self._execute_engine(parsed, scalar)
+            result = run(parsed)
         with self._result_cache_lock:
             stats["misses"] += 1
             self._result_cache[key] = result

@@ -53,7 +53,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from ..storage.faults import maybe_crash
 from . import framing, ops
-from .concurrency import ConcurrentQueryService
+from .database import QueryService
 from .ops import encode_result  # noqa: F401  (part of this module's surface)
 
 #: Coalesce at most this many rows into one batched tail recompression.
@@ -143,7 +143,7 @@ class AsyncFacade:
 
 
 class AsyncQueryService(AsyncFacade):
-    """Coroutine face of a :class:`ConcurrentQueryService`.
+    """Coroutine face of a :class:`~repro.service.database.QueryService`.
 
     ``query`` / ``query_scalar`` / ``register_table`` (and every op row)
     dispatch straight to the bounded executor; ``ingest`` goes through a
@@ -153,7 +153,7 @@ class AsyncQueryService(AsyncFacade):
 
     def __init__(
         self,
-        service: ConcurrentQueryService | None = None,
+        service: QueryService | None = None,
         max_workers: int = 4,
         max_batch_rows: int = DEFAULT_MAX_BATCH_ROWS,
         max_batch_delay: float = DEFAULT_MAX_BATCH_DELAY,
@@ -161,7 +161,7 @@ class AsyncQueryService(AsyncFacade):
     ) -> None:
         if service is not None and service_kwargs:
             raise ValueError("pass either a service or its constructor arguments")
-        super().__init__(service or ConcurrentQueryService(**service_kwargs), max_workers)
+        super().__init__(service or QueryService(**service_kwargs), max_workers)
         self.service = self.inner
         self.max_batch_rows = max_batch_rows
         self.max_batch_delay = max_batch_delay

@@ -19,17 +19,19 @@ checkpoints:
   last touched it, so the recovered synopses are bit-identical to an
   uninterrupted run — and drop obsolete segments.
 
-The lock ordering is ``table write lock -> _durable_mutex`` (the
-concurrent front end commits under the table's write lock); the capture
-path takes only ``_durable_mutex``, so checkpoints cannot deadlock with
-ingest and never touch the reader-writer locks at all.
+The lock ordering is ``table writer mutex -> _durable_mutex`` (ingest,
+drop and a replica's uninstall hold the table's writer mutex when they
+publish; register takes the catalog mutex first instead).  The capture
+path takes only ``_durable_mutex``, so checkpoints cannot deadlock with a
+writer, and queries take no lock at all: they run on the immutable engine
+they read once.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..core.engine import PairwiseHistEngine
@@ -166,7 +168,7 @@ class DurableDatabase(Database):
         payload = codec.encode_register_payload(
             source, managed.params, managed.store.partition_size
         )
-        with self._durable_mutex:
+        with self._catalog_mutex, self._durable_mutex:
             if managed.name in self._tables:
                 raise ValueError(f"table {managed.name!r} is already registered")
             self.wal.append(WAL_REGISTER, payload)
@@ -177,14 +179,14 @@ class DurableDatabase(Database):
             # Nothing was appended (or a replay-internal commit); nothing
             # to make durable.
             return super().commit_ingest(staged)
-        payload = codec.encode_ingest_payload(staged.table_name, staged.rows)
+        payload = codec.encode_ingest_payload(staged.table.name, staged.rows)
         with self._durable_mutex:
             # Validate everything the in-memory commit can reject *before*
             # the WAL append: a record whose commit then failed would be
             # replayed on recovery (or, staged against a dropped table,
             # crash recovery outright), diverging recovered state from
             # the live run.
-            self.table(staged.table_name)
+            self._staged_table(staged)
             lsn = self.wal.append(WAL_INGEST, payload)
             try:
                 return super().commit_ingest(staged)
@@ -195,8 +197,7 @@ class DurableDatabase(Database):
                 raise
 
     def drop(self, name: str) -> None:
-        with self._durable_mutex:
-            self.table(name)  # KeyError naming the catalog, before logging
+        with self.writing(name), self._durable_mutex:
             self.wal.append(WAL_DROP, codec.encode_drop_payload(name))
             del self._tables[name]
 
@@ -230,10 +231,11 @@ class DurableDatabase(Database):
         Replication reseed only: the follower is about to replace its
         entire catalog with the primary's snapshot, and its WAL is reset
         alongside, so a logged drop would be both wrong (the primary never
-        dropped it) and unreplayable.
+        dropped it) and unreplayable.  Takes the table's writer mutex, as
+        a drop does, so an in-flight ingest finishes first.
         """
-        with self._durable_mutex:
-            self._tables.pop(name, None)
+        with self.writing(name), self._durable_mutex:
+            del self._tables[name]
 
     # ------------------------------------------------------------------ #
     # Checkpoints
@@ -392,8 +394,6 @@ class DurableDatabase(Database):
         payload is merged once after replay settles
         (``_finalize_recovery``).
         """
-        from dataclasses import replace
-
         store = loaded.to_store()
         merged = loaded.merged
         if merged is not None and merged.params != loaded.params:
@@ -415,6 +415,9 @@ class DurableDatabase(Database):
             engine=engine,
             synopsis_builds=loaded.synopsis_builds,
             committed_partitions=store.partitions,
+            # A reseed replaces a table under its name: a fresh version
+            # keeps the old table's cached answers from aliasing.
+            synopsis_version=next(self._version_counter),
         )
 
     def _replay(self, checkpoint_lsn: int) -> tuple[int, int, int]:
@@ -491,9 +494,7 @@ class DurableDatabase(Database):
                 rebuilt += len(indices)
             managed.partition_synopses = synopses
             managed.synopsis_builds += pending_builds.get(name, len(touched))
-            managed.engine.refresh_synopsis(
-                PairwiseHist.merge(list(synopses), params=managed.params)
-            )
+            managed.publish(PairwiseHist.merge(list(synopses), params=managed.params))
             managed.committed_partitions = managed.store.partitions
         return rebuilt
 
@@ -501,8 +502,6 @@ class DurableDatabase(Database):
         """Compose the queryable synopsis for tables replay left untouched."""
         for managed in self._tables.values():
             if managed.engine.synopsis is None:
-                managed.engine.refresh_synopsis(
-                    PairwiseHist.merge(
-                        list(managed.partition_synopses), params=managed.params
-                    )
+                managed.publish(
+                    PairwiseHist.merge(list(managed.partition_synopses), params=managed.params)
                 )

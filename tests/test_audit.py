@@ -61,7 +61,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
 from repro.obs.exposition import MetricsHTTPServer
 from repro.service.config import ServeConfig
-from repro.service.database import Database
 from repro.service.wire import PipelinedClient
 
 PARAMS = PairwiseHistParams.with_defaults(sample_size=None, seed=1)
@@ -89,15 +88,14 @@ def corrupt_synopsis(service, table_name: str, column: str = "x") -> None:
 
     The GD store (the auditor's ground truth) is untouched, so estimates
     drift while exact recomputation stays correct — exactly the failure
-    the auditor exists to catch.  The version bump mirrors an ingest
-    commit so the result cache and the auditor's truth cache both see a
-    new synopsis generation.
+    the auditor exists to catch.  Publishing it the way an ingest commit
+    does (a new engine, then a new version) makes the result cache and
+    the auditor's truth cache both see a new synopsis generation.
     """
     managed = service.table(table_name)
-    engine = managed.engine
-    engine.synopsis.hist1d[column].counts *= 3.0
-    engine.refresh_synopsis(engine.synopsis)  # drop evaluator caches
-    managed.synopsis_version = next(Database._version_counter)
+    synopsis = managed.engine.synopsis
+    synopsis.hist1d[column].counts *= 3.0
+    managed.publish(synopsis)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,16 +1,20 @@
-"""Concurrency stress tests: locks, torn reads, starvation, async front end.
+"""Concurrency tests: immutable published engines, writer mutexes, async front end.
 
-The contract under test (see ``repro.service.concurrency``):
+The contract under test (see ``repro.service.database``):
 
-* queries hold a per-table read lock for the whole engine call, so every
+* a query reads its table's engine once and runs on it, and a commit
+  publishes a new engine instead of mutating the held one, so every
   answer reflects exactly one published synopsis — pre- or post-ingest,
   never a torn mix;
-* ingest stages its rebuild off-lock (reads keep flowing) and commits
-  under the write lock;
-* the reader-writer lock prefers writers, so a steady query stream cannot
-  starve ingestion;
+* queries take no lock: an ingest never waits for a reader, and reads
+  keep answering while an ingest rebuilds;
+* writers serialise per table (ingest, drop) and on the catalog
+  (register); unknown names raise instead of leaving state behind;
+* ``ReadWriteLock`` (kept for the benchmark probe) prefers writers;
 * the asyncio front end coalesces small concurrent appends into one tail
   recompression.
+
+The service-level tests synchronise on events, never on sleeps.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import sys
 import threading
 import time
 
@@ -28,9 +33,10 @@ from conftest import make_simple_table
 from repro import (
     AsyncQueryClient,
     AsyncQueryService,
-    ConcurrentQueryService,
+    PairwiseHistEngine,
     PairwiseHistParams,
     QueryServer,
+    QueryService,
     ReadWriteLock,
 )
 
@@ -41,8 +47,10 @@ def exact_params() -> PairwiseHistParams:
     return PairwiseHistParams.with_defaults(sample_size=None, seed=1)
 
 
-def make_service(rows: int = 1200, partition_size: int = 600, name: str = "stream"):
-    service = ConcurrentQueryService(partition_size=partition_size)
+def make_service(
+    rows: int = 1200, partition_size: int = 600, name: str = "stream", **service_kwargs
+):
+    service = QueryService(partition_size=partition_size, **service_kwargs)
     service.register_table(
         make_simple_table(rows=rows, seed=50, name=name), params=exact_params()
     )
@@ -171,6 +179,18 @@ class TestReadWriteLock:
             lock.release_write()
 
 
+@pytest.fixture
+def tiny_switch_interval():
+    """Switch threads every microsecond: a reader that re-read its table
+    mid-query would interleave with a commit and be caught."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
+
+
 # --------------------------------------------------------------------------- #
 # Service-level stress
 
@@ -204,14 +224,17 @@ class TestConcurrentService:
         )
 
     @pytest.mark.slow
-    def test_no_torn_reads_while_ingest_streams(self):
+    def test_no_torn_reads_while_ingest_streams(self, tiny_switch_interval):
         sql_list = [
             "SELECT COUNT(*) FROM stream",
-            "SELECT AVG(x) FROM stream",
-            "SELECT SUM(w) FROM stream",
+            # Predicates keep the engine between its synopsis reads long
+            # enough for a commit to land there, were the engine mutable.
+            "SELECT AVG(x) FROM stream WHERE y > 30",
+            "SELECT SUM(w) FROM stream WHERE x < 60 AND z > 10",
         ]
         valid = self.reference_values(sql_list)
-        service = make_service()
+        # Uncached, so every read runs the engine while commits land.
+        service = make_service(result_cache_size=0)
         stop = threading.Event()
         observed: dict[str, list[float]] = {sql: [] for sql in sql_list}
         failures: list[BaseException] = []
@@ -248,52 +271,69 @@ class TestConcurrentService:
         assert math.isclose(final, valid["SELECT COUNT(*) FROM stream"][-1], rel_tol=1e-9)
 
     @pytest.mark.slow
-    def test_reads_flow_while_ingest_is_staging(self):
-        """Copy-on-write: reads complete *during* an in-flight ingest."""
+    def test_reads_flow_while_ingest_is_staging(self, monkeypatch):
+        """Copy-on-write: a query runs to completion while an ingest is
+        parked mid-rebuild, and answers from the pre-ingest engine."""
         service = make_service(rows=2400, partition_size=600)
-        big_batch = make_simple_table(rows=2400, seed=70, name="stream")
-        intervals: list[tuple[float, float]] = []
-        stop = threading.Event()
+        staging, release = threading.Event(), threading.Event()
+        real_build = service.database._build_synopses
 
-        def reader() -> None:
-            while not stop.is_set():
-                began = time.perf_counter()
-                service.execute_scalar("SELECT AVG(x) FROM stream")
-                intervals.append((began, time.perf_counter()))
+        def parked_build(*args, **kwargs):
+            staging.set()
+            assert release.wait(JOIN_TIMEOUT)
+            return real_build(*args, **kwargs)
 
-        thread = threading.Thread(target=reader, daemon=True)
-        thread.start()
-        time.sleep(0.05)
-        ingest_start = time.perf_counter()
-        service.ingest("stream", big_batch)
-        ingest_end = time.perf_counter()
-        stop.set()
-        join_all([thread])
-        inside = [
-            (a, b) for a, b in intervals if a >= ingest_start and b <= ingest_end
-        ]
-        assert inside, (
-            "no query started and finished inside the ingest window — "
-            "reads are blocking on the rebuild instead of the final swap"
+        monkeypatch.setattr(service.database, "_build_synopses", parked_build)
+        ingested = []
+        writer = threading.Thread(
+            target=lambda: ingested.append(
+                service.ingest("stream", make_simple_table(rows=2400, seed=70, name="stream"))
+            ),
+            daemon=True,
         )
+        writer.start()
+        assert staging.wait(JOIN_TIMEOUT)
+        answers = []
+        reader = threading.Thread(
+            target=lambda: answers.append(
+                service.execute_scalar("SELECT COUNT(*) FROM stream").value
+            ),
+            daemon=True,
+        )
+        reader.start()
+        reader.join(JOIN_TIMEOUT)
+        finished_while_staging = not reader.is_alive()
+        release.set()
+        join_all([reader, writer])
+        assert finished_while_staging, "the query waited for the ingest's rebuild"
+        assert answers == [pytest.approx(2400, rel=1e-9)]
+        assert ingested[0].appended_rows == 2400
+        total = service.execute_scalar("SELECT COUNT(*) FROM stream").value
+        assert total == pytest.approx(4800, rel=1e-9)
 
     @pytest.mark.slow
     def test_ingest_not_starved_by_query_hammering(self):
         service = make_service()
         stop = threading.Event()
         failures: list[BaseException] = []
+        answered = [threading.Event() for _ in range(4)]
 
-        def reader() -> None:
+        def reader(first_answer: threading.Event) -> None:
             try:
                 while not stop.is_set():
                     service.execute_scalar("SELECT COUNT(*) FROM stream")
+                    first_answer.set()
             except BaseException as exc:  # pragma: no cover
                 failures.append(exc)
 
-        readers = [threading.Thread(target=reader, daemon=True) for _ in range(4)]
+        readers = [
+            threading.Thread(target=reader, args=(event,), daemon=True)
+            for event in answered
+        ]
         for t in readers:
             t.start()
-        time.sleep(0.05)
+        for event in answered:
+            assert event.wait(JOIN_TIMEOUT), "a reader never answered"
         result = service.ingest(
             "stream", make_simple_table(rows=400, seed=80, name="stream")
         )
@@ -305,8 +345,55 @@ class TestConcurrentService:
             service.table("stream").engine.synopsis.population_rows == 1600
         )
 
+    def test_commit_leaves_the_engine_a_reader_holds_untouched(self):
+        service = make_service()
+        table = service.table("stream")
+        old = table.engine
+        before = old.synopsis
+        service.ingest("stream", make_simple_table(rows=300, seed=55, name="stream"))
+        assert old.synopsis is before
+        assert table.engine is not old
+        assert table.engine.synopsis.population_rows == 1500
+
+    def test_writer_never_waits_on_a_reader(self, monkeypatch):
+        service = make_service()
+        sql = "SELECT AVG(x) FROM stream WHERE y > 20"
+        expected = service.table("stream").engine.execute_scalar(sql).value
+        entered, release = threading.Event(), threading.Event()
+        real_execute = PairwiseHistEngine.execute
+        parked: list[PairwiseHistEngine] = []
+
+        def parked_execute(engine, query):
+            if not parked:  # park the first query only
+                parked.append(engine)
+                entered.set()
+                assert release.wait(JOIN_TIMEOUT)
+            return real_execute(engine, query)
+
+        monkeypatch.setattr(PairwiseHistEngine, "execute", parked_execute)
+        answers = []
+        reader = threading.Thread(
+            target=lambda: answers.append(service.execute_scalar(sql).value), daemon=True
+        )
+        reader.start()
+        assert entered.wait(JOIN_TIMEOUT)
+        writer = threading.Thread(
+            target=service.ingest,
+            args=("stream", make_simple_table(rows=300, seed=56, name="stream")),
+            daemon=True,
+        )
+        writer.start()
+        writer.join(JOIN_TIMEOUT)
+        ingest_finished = not writer.is_alive()
+        release.set()
+        join_all([reader, writer])
+        assert ingest_finished, "ingest waited for a reader"
+        # The parked reader finished on the engine it held: the pre-ingest one.
+        assert answers == [expected]
+        assert service.table("stream").num_rows == 1500
+
     def test_parallel_ingest_on_independent_tables(self):
-        service = ConcurrentQueryService(partition_size=500)
+        service = QueryService(partition_size=500)
         for name in ("alpha_t", "beta_t"):
             service.register_table(
                 make_simple_table(rows=1000, seed=90, name=name),
@@ -344,7 +431,7 @@ class TestConcurrentService:
                 service.ingest(f"junk{i}", make_simple_table(rows=5, seed=0))
             with pytest.raises(KeyError):
                 service.drop_table(f"junk{i}")
-        assert set(service._table_locks) == {"stream"}
+        assert service.table_names == ["stream"]
 
     def test_failed_registration_does_not_leak_locks(self):
         service = make_service()
@@ -353,33 +440,32 @@ class TestConcurrentService:
                 make_simple_table(rows=100, seed=0, name="broken"),
                 partition_size=-1,
             )
-        assert "broken" not in service._table_locks
-        assert "broken" not in service._ingest_mutexes
-        # A duplicate-name failure keeps the live table's locks.
+        assert "broken" not in service
+        # A duplicate-name failure keeps the live table.
         with pytest.raises(ValueError):
             service.register_table(make_simple_table(rows=100, seed=0, name="stream"))
-        assert "stream" in service._table_locks
+        assert service.table("stream").num_rows == 1200
 
     def test_drop_table_retires_its_locks(self):
         service = make_service()
         service.drop_table("stream")
         assert "stream" not in service
-        assert "stream" not in service._table_locks
-        assert "stream" not in service._ingest_mutexes
-        # Queries after the drop raise and must not resurrect the entry.
+        # Queries, ingests and drops after the drop raise.
         with pytest.raises(KeyError):
             service.execute_scalar("SELECT COUNT(*) FROM stream")
-        assert "stream" not in service._table_locks
+        with pytest.raises(KeyError):
+            service.ingest("stream", make_simple_table(rows=5, seed=0, name="stream"))
+        with pytest.raises(KeyError):
+            service.drop_table("stream")
+        assert "stream" not in service
 
     def test_drop_then_reregister_same_name(self):
         service = make_service()
-        old_lock = service.lock_for("stream")
         service.drop_table("stream")
         service.register_table(
             make_simple_table(rows=800, seed=51, name="stream"),
             params=exact_params(),
         )
-        assert service.lock_for("stream") is not old_lock
         total = service.execute_scalar("SELECT COUNT(*) FROM stream").value
         assert total == pytest.approx(800, rel=1e-9)
         service.ingest("stream", make_simple_table(rows=200, seed=52, name="stream"))

@@ -24,7 +24,6 @@ from conftest import make_simple_table
 
 from repro.core.params import PairwiseHistParams
 from repro.core.serialization import LazyPartitionSynopses
-from repro.service.concurrency import ConcurrentQueryService
 from repro.service.database import Database, QueryService
 from repro.storage import (
     BackgroundCheckpointer,
@@ -511,7 +510,7 @@ class TestCheckpointIntegration:
     def test_background_checkpointer_writes_and_skips(self, tmp_path):
         db = durable(tmp_path)
         db.register(batch(0, rows=900))
-        service = ConcurrentQueryService(database=db)
+        service = QueryService(database=db)
         checkpointer = BackgroundCheckpointer(service, interval_seconds=0.05)
         with checkpointer:
             deadline = time.time() + 5.0
@@ -536,7 +535,7 @@ class TestCheckpointIntegration:
 
         db = durable(tmp_path)
         db.register(batch(0, rows=900))
-        service = ConcurrentQueryService(database=db)
+        service = QueryService(database=db)
         stop = threading.Event()
         errors: list[Exception] = []
 

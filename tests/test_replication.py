@@ -52,9 +52,8 @@ from repro.replication import (
 )
 from repro.replication.fence import FENCED_ERROR_TYPE
 from repro.service import framing
-from repro.service.concurrency import ConcurrentQueryService
 from repro.service.config import ServeConfig
-from repro.service.database import Database
+from repro.service.database import Database, QueryService
 from repro.storage.cluster import (
     ClusterLayout,
     epoch_file_name,
@@ -409,8 +408,8 @@ class TestReplicationHub:
 # Follower-side applier
 
 
-def _durable_service(path) -> ConcurrentQueryService:
-    return ConcurrentQueryService(database=Database.open(path))
+def _durable_service(path) -> QueryService:
+    return QueryService(database=Database.open(path))
 
 
 class TestReplicaApplier:

@@ -156,6 +156,30 @@ class TestIngest:
             assert estimate.value == pytest.approx(truth, rel=0.08)
             assert estimate.lower <= estimate.value <= estimate.upper
 
+    @pytest.mark.parametrize("durable", [False, True], ids=["Database", "DurableDatabase"])
+    def test_staged_ingest_publishes_only_into_the_table_it_was_staged_against(
+        self, tmp_path, durable
+    ):
+        if durable:
+            db = Database.open(tmp_path / "db", partition_size=2000)
+        else:
+            db = Database(partition_size=2000)
+        params = PairwiseHistParams.with_defaults(sample_size=None, seed=1)
+        db.register(make_simple_table(rows=1000, seed=37, name="t"), params=params)
+        staged = db.stage_ingest("t", make_simple_table(rows=300, seed=38, name="t"))
+        db.drop("t")
+        db.register(make_simple_table(rows=200, seed=39, name="t"), params=params)
+        service = QueryService(database=db, result_cache_size=0)
+        count = service.execute_scalar("SELECT COUNT(*) FROM t").value
+        lsn = db.wal.last_lsn if durable else None
+        with pytest.raises(KeyError):
+            db.commit_ingest(staged)
+        assert db.table("t").num_rows == 200
+        assert service.execute_scalar("SELECT COUNT(*) FROM t").value == count
+        if durable:
+            assert db.wal.last_lsn == lsn == 3  # register, drop, register
+            db.close()
+
     def test_ingest_into_unknown_table_raises(self, service):
         with pytest.raises(KeyError):
             service.ingest("missing", make_simple_table(rows=10, seed=0))

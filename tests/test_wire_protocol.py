@@ -18,6 +18,7 @@ The contract under test (see ``repro.service.framing`` / ``wire`` /
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -25,7 +26,6 @@ from conftest import JsonLinesClient, make_simple_table
 
 from repro import (
     AsyncQueryService,
-    ConcurrentQueryService,
     PairwiseHistParams,
     QueryServer,
     QueryService,
@@ -311,10 +311,10 @@ class TestParseCache:
         assert "SELECT COUNT(*) FROM stream WHERE y > 0" not in sql_parser._parse_cache
 
     def test_one_statement_is_one_parse_cache_lookup(self):
-        """Regression: the concurrent service looked a statement up once to
-        find its table lock and handed the *string* on to be looked up
-        again, so a stream that never repeats read as a 50% hit ratio."""
-        service = make_cached_service(ConcurrentQueryService)
+        """Regression: a statement was once looked up to find its table
+        and the *string* handed on to be looked up again, so a stream that
+        never repeats read as a 50% hit ratio."""
+        service = make_cached_service()
 
         def lookups() -> dict[str, float]:
             series = obs_metrics.REGISTRY.snapshot()["aqp_parse_cache_lookups_total"]["series"]
@@ -331,7 +331,7 @@ class TestParseCache:
     def test_parse_span_of_an_uncached_traced_query_encloses_the_parse(
         self, monkeypatch
     ):
-        service = make_cached_service(ConcurrentQueryService)
+        service = make_cached_service()
         active_spans = []
         real_parse = sql_parser.parse_query
 
@@ -356,8 +356,8 @@ class TestParseCache:
 # Synopsis-version result cache
 
 
-def make_cached_service(service_cls=QueryService, **kwargs):
-    service = service_cls(partition_size=600, **kwargs)
+def make_cached_service(**kwargs):
+    service = QueryService(partition_size=600, **kwargs)
     service.register_table(
         make_simple_table(rows=1200, seed=50, name="stream"),
         params=exact_params(),
@@ -412,7 +412,14 @@ class TestResultCache:
         assert not service.cache_stats
 
     def test_concurrent_service_reuses_the_cache_under_its_read_lock(self):
-        service = make_cached_service(service_cls=ConcurrentQueryService)
+        """One service shared by threads: the result one thread cached is
+        the object another thread's lookup returns (queries take no lock)."""
+        service = make_cached_service()
         sql = "SELECT AVG(y) FROM stream"
-        assert service.execute_scalar(sql) is service.execute_scalar(sql)
-        assert service.cache_stats["stream"]["hits"] == 1
+        first = []
+        thread = threading.Thread(target=lambda: first.append(service.execute_scalar(sql)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert service.execute_scalar(sql) is first[0]
+        assert service.cache_stats["stream"] == {"hits": 1, "misses": 1}
