@@ -264,15 +264,16 @@ class _SlowWatch:
     every slow query without taxing the fast ones.
     """
 
-    __slots__ = ("name", "attrs_fn", "_start", "_t0")
+    __slots__ = ("name", "attrs_fn", "_t0")
 
-    def __init__(self, name: str, attrs_fn) -> None:
+    def __init__(self, name: str, attrs_fn, since: float | None = None) -> None:
         self.name = name
         self.attrs_fn = attrs_fn
+        self._t0 = since
 
     def __enter__(self) -> None:
-        self._start = time.time()
-        self._t0 = time.perf_counter()
+        if self._t0 is None:
+            self._t0 = time.perf_counter()
         return None
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -291,21 +292,24 @@ class _SlowWatch:
             root=True,
             propagate=False,
         )
-        span.start = self._start
+        span.start = time.time() - elapsed
         span.duration = elapsed
         TRACER.record(span)
 
 
-def slow_watch(name: str, attrs_fn=None):
+def slow_watch(name: str, attrs_fn=None, since: float | None = None):
     """Watch an untraced request; see :class:`_SlowWatch`.
 
     ``attrs_fn`` is only called when the request is actually slow, so
-    attribute building costs nothing on the fast path.  Returns a no-op
-    context when observability is off or no slow threshold is set.
+    attribute building costs nothing on the fast path.  ``since`` (a
+    :func:`time.perf_counter` reading) backdates the watch to when the
+    request's work began, for a request that learns only part-way
+    through that it is the one to watch.  Returns a no-op context when
+    observability is off or no slow threshold is set.
     """
     if TRACER.slow_threshold_seconds is None or not _metrics.REGISTRY.enabled:
         return _NULL_SPAN
-    return _SlowWatch(name, attrs_fn)
+    return _SlowWatch(name, attrs_fn, since)
 
 
 def root_span(

@@ -42,7 +42,7 @@ from ..gd.partitioned import DEFAULT_PARTITION_SIZE, PartitionedStore
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..sql.ast import Query
-from ..sql.parser import parse_query_cached
+from ..sql.parser import parse_cache_peek, parse_query_cached
 
 _RESULT_CACHE_LOOKUPS = obs_metrics.counter(
     "aqp_result_cache_lookups_total",
@@ -477,7 +477,9 @@ class QueryService:
     :attr:`ManagedTable.synopsis_version`, so the commit pointer swap at
     the end of every ingest *is* the invalidation — a hit is always the
     exact object an uncached execution of the same SQL would return.
-    ``result_cache_size=0`` disables the cache.
+    ``result_cache_size=0`` disables the cache.  :meth:`cached` is the
+    hit-only lookup an event loop answers hits with before it hands a
+    miss to a thread pool.
 
     Safe to share between threads: queries take no lock (see the module
     docstring) and writers serialise inside the :class:`Database`.
@@ -577,23 +579,23 @@ class QueryService:
                 return query, parse_query_cached(query)
         return str(query), query
 
-    def _cached_execute(self, sql: str, parsed: Query, scalar: bool = False):
-        """Execute, feeding the answer-quality hooks when attached.
+    def _observed(self, sql: str, serve, *args):
+        """``serve(*args)``, feeding the answer-quality hooks when attached.
 
         With no workload log or auditor attached (the default) this is a
-        two-attribute check on top of :meth:`_serve_cached`.  The
-        auditor's own re-executions bypass the hooks (``in_audit``), so
-        audit traffic never pollutes the workload log or re-samples
-        itself into a feedback loop.
+        two-attribute check on top of ``serve``.  The auditor's own
+        re-executions bypass the hooks (``in_audit``), so audit traffic
+        never pollutes the workload log or re-samples itself into a
+        feedback loop.
         """
         workload = self.workload_log
         auditor = self.auditor
         if workload is None and auditor is None:
-            return self._serve_cached(sql, parsed, scalar)
+            return serve(*args)
         if auditor is not None and auditor.in_audit:
-            return self._serve_cached(sql, parsed, scalar)
+            return serve(*args)
         started = time.perf_counter()
-        result = self._serve_cached(sql, parsed, scalar)
+        result = serve(*args)
         if workload is not None:
             workload.observe(sql, time.perf_counter() - started)
         if auditor is not None:
@@ -620,28 +622,12 @@ class QueryService:
             with obs_tracing.child_span("execute", attrs={"table": parsed.table}):
                 return run(parsed)
         key = (parsed.table, version, scalar, sql)
-        stats = self.cache_stats.setdefault(parsed.table, {"hits": 0, "misses": 0})
-        cells = self._cache_cells.get(parsed.table)
-        if cells is None:
-            cells = self._cache_cells[parsed.table] = (
-                _RESULT_CACHE_LOOKUPS.labels(table=parsed.table, outcome="hit"),
-                _RESULT_CACHE_LOOKUPS.labels(table=parsed.table, outcome="miss"),
-            )
-        with obs_tracing.child_span(
-            "cache_lookup", attrs={"table": parsed.table}
-        ) as lookup:
-            with self._result_cache_lock:
-                cached = self._result_cache.get(key)
-                if cached is not None:
-                    self._result_cache.move_to_end(key)
-                    stats["hits"] += 1
-            if cached is not None:
-                cells[0].inc()
-                if lookup is not None:
-                    lookup.set_attr("outcome", "hit")
-                return cached
-            if lookup is not None:
-                lookup.set_attr("outcome", "miss")
+        # Peeks read without the lock: a dict read is atomic under the GIL,
+        # and writers hold the lock only against each other.
+        cached = self._lookup(key, self._result_cache.get(key))
+        if cached is not None:
+            return cached
+        stats, cells = self._accounts(parsed.table)
         with obs_tracing.child_span("execute", attrs={"table": parsed.table}):
             result = run(parsed)
         with self._result_cache_lock:
@@ -653,6 +639,69 @@ class QueryService:
         cells[1].inc()
         return result
 
+    def _lookup(self, key: tuple, cached):
+        """Account one result-cache lookup whose outcome the caller's peek
+        decided (``cached`` is ``None`` on a miss); returns ``cached``.
+
+        The one copy of the hit accounting, shared by :meth:`execute` and
+        :meth:`cached`: LRU touch, ``cache_stats``, the registry's hit
+        cell and the ``cache_lookup`` span.  A miss is only marked on the
+        span — the caller counts it once the answer is cached.  A hit an
+        executor thread evicted since the peek is still served and counted.
+        """
+        table = key[0]
+        with obs_tracing.child_span("cache_lookup", attrs={"table": table}) as span:
+            if cached is not None:
+                stats, cells = self._accounts(table)
+                with self._result_cache_lock:
+                    if key in self._result_cache:
+                        self._result_cache.move_to_end(key)
+                    stats["hits"] += 1
+                cells[0].inc()
+            if span is not None:
+                span.set_attr("outcome", "miss" if cached is None else "hit")
+        return cached
+
+    def _accounts(self, table: str) -> tuple[dict, tuple]:
+        """One table's ``cache_stats`` entry and pre-bound hit / miss
+        registry cells (the lookup path must not pay label resolution)."""
+        cells = self._cache_cells.get(table)
+        if cells is None:
+            cells = self._cache_cells[table] = (
+                _RESULT_CACHE_LOOKUPS.labels(table=table, outcome="hit"),
+                _RESULT_CACHE_LOOKUPS.labels(table=table, outcome="miss"),
+            )
+        return self.cache_stats.setdefault(table, {"hits": 0, "misses": 0}), cells
+
+    def cached(self, sql: str, scalar: bool = False):
+        """The result cache's answer to ``sql``, or ``None`` — hit-only.
+
+        Never executes, and decides without parsing, so it is cheap and
+        safe to call on an event loop: the statement must already be in
+        the parse cache (a non-counting peek), its table registered, and
+        ``(table, synopsis_version, scalar, sql)`` in the result cache.
+        A hit is accounted exactly as a hit through :meth:`execute` is
+        (parse-cache hit and LRU touch, :meth:`_lookup`, the workload log
+        and the auditor); a miss counts nothing, so the caller's
+        :meth:`execute` counts it once.  An unknown table is a miss too:
+        :meth:`execute` raises the real error.
+        """
+        if self.result_cache_size <= 0 or not isinstance(sql, str):
+            return None
+        parsed = parse_cache_peek(sql)
+        if parsed is None:
+            return None
+        try:
+            version = self.database.table(parsed.table).synopsis_version
+        except KeyError:
+            return None
+        key = (parsed.table, version, scalar, sql)
+        cached = self._result_cache.get(key)
+        if cached is None:
+            return None
+        self._parse(sql)  # the parse span, hit counter and LRU touch
+        return self._observed(sql, self._lookup, key, cached)
+
     def _purge_cache(self, table_name: str) -> None:
         with self._result_cache_lock:
             for key in [k for k in self._result_cache if k[0] == table_name]:
@@ -661,11 +710,13 @@ class QueryService:
 
     def execute(self, query: Query | str) -> list[AqpResult] | dict[str, list[AqpResult]]:
         """Execute a query against the table it names."""
-        return self._cached_execute(*self._parse(query), scalar=False)
+        sql, parsed = self._parse(query)
+        return self._observed(sql, self._serve_cached, sql, parsed, False)
 
     def execute_scalar(self, query: Query | str) -> AqpResult:
         """Execute a non-GROUP BY query, returning the first aggregation."""
-        return self._cached_execute(*self._parse(query), scalar=True)
+        sql, parsed = self._parse(query)
+        return self._observed(sql, self._serve_cached, sql, parsed, True)
 
     def query(self, query: Query | str) -> list[AqpResult] | dict[str, list[AqpResult]]:
         """Alias for :meth:`execute` matching the async front end's verb."""

@@ -9,7 +9,10 @@ list:
   opcode), admits it under ``kind``, validates it with ``extract``, runs
   ``handler`` on the executor (or ``serve`` on the event loop), brackets
   ``mutating`` rows with the replica gate and the commit gate, and
-  answers ``encode(result)``.
+  answers ``encode(result)``.  A ``query`` the single node's result
+  cache holds never reaches the executor: the async face answers it on
+  the event loop, and an untraced ``QUERY`` frame is answered in the
+  connection's read loop itself.
 * :class:`~repro.service.wire.PipelinedClient` and
   :class:`~repro.service.wire.AsyncQueryClient` answer ``client.<name>(...)``
   for every row: ``request`` builds the request object, ``key`` unwraps

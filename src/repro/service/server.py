@@ -1,13 +1,15 @@
 """Asyncio front end and TCP server for the query service.
 
 :class:`AsyncFacade` is the coroutine face of a synchronous service:
-every call hops onto a bounded thread-pool executor, so the event loop
-stays responsive while hundreds of dashboard clients multiplex onto a
-handful of worker threads.  :class:`AsyncQueryService` adds what a
-single node needs on top — ingest coalescing: each table gets an ingest
-queue whose drain task batches everything pending into a single
-tail-partition recompression, amortising the synopsis rebuild across
-writers (the paper's bounded-cost update, amortised once more).
+calls hop onto a bounded thread-pool executor, so the event loop stays
+responsive while hundreds of dashboard clients multiplex onto a handful
+of worker threads.  :class:`AsyncQueryService` adds what a single node
+needs on top.  A query its result cache already holds is answered on the
+event loop (:meth:`QueryService.cached` is a few dict lookups), and only
+misses hop.  Ingests coalesce: each table gets an ingest queue whose
+drain task batches everything pending into a single tail-partition
+recompression, amortising the synopsis rebuild across writers (the
+paper's bounded-cost update, amortised once more).
 
 :class:`QueryServer` puts a TCP protocol in front of it
 (``asyncio.start_server``).  **The** protocol is the length-prefixed
@@ -70,6 +72,11 @@ DEFAULT_MAX_BATCH_DELAY = 0.0
 DEFAULT_MAX_INFLIGHT_QUERIES = 256
 DEFAULT_MAX_INFLIGHT_INGESTS = 64
 
+#: Result-cache hits one binary connection's read loop answers back to
+#: back before it yields to the event loop, so a client pipelining
+#: thousands of hits cannot hold the loop from every other connection.
+INLINE_ANSWERS_PER_YIELD = 64
+
 _REQUEST_LATENCY = obs_metrics.histogram(
     "aqp_request_latency_seconds",
     "Wall time serving one admitted request, by admission class.",
@@ -96,8 +103,11 @@ class AsyncFacade:
 
     :meth:`call` runs an op-table row's handler against the wrapped
     service on a bounded executor — the one executor hop every async face
-    shares.  Use as an async context manager (or call :meth:`close`) so
-    the executor shuts down cleanly.
+    shares.  This face has no result cache of its own (a cluster front
+    end's caches live in its workers), so every call hops;
+    :class:`AsyncQueryService` answers cache hits without it.  Use as an
+    async context manager (or call :meth:`close`) so the executor shuts
+    down cleanly.
     """
 
     def __init__(self, inner, max_workers: int = 4) -> None:
@@ -141,14 +151,20 @@ class AsyncFacade:
         """Awaitable: one op-table row's handler against the wrapped service."""
         return self._dispatch(op.handler, self.inner, *args)
 
+    def cached(self, sql, scalar: bool = False):
+        """An answer to serve on the event loop without the hop, or
+        ``None``: this face has none, so every query hops."""
+        return None
+
 
 class AsyncQueryService(AsyncFacade):
     """Coroutine face of a :class:`~repro.service.database.QueryService`.
 
-    ``query`` / ``query_scalar`` / ``register_table`` (and every op row)
-    dispatch straight to the bounded executor; ``ingest`` goes through a
-    per-table coalescing queue unless ``coalesce=False`` (and
-    ``drop_table`` retires that queue).
+    ``query`` / ``query_scalar`` (and the ``query`` op row) answer a
+    result-cache hit on the event loop (:meth:`cached`) and dispatch only
+    misses to the bounded executor, as ``register_table`` and every other
+    op row are; ``ingest`` goes through a per-table coalescing queue
+    unless ``coalesce=False`` (and ``drop_table`` retires that queue).
     """
 
     def __init__(
@@ -168,7 +184,7 @@ class AsyncQueryService(AsyncFacade):
         self._ingest_queues: dict[str, asyncio.Queue] = {}
         self._drain_tasks: dict[str, asyncio.Task] = {}
         #: Ops this face answers itself instead of hopping the row's handler.
-        self._own_ops = {"ingest": self.ingest, "drop": self._drop}
+        self._own_ops = {"query": self.query, "ingest": self.ingest, "drop": self._drop}
 
     async def close(self) -> None:
         """Cancel drain tasks, fail queued ingests and release the executor."""
@@ -185,13 +201,24 @@ class AsyncQueryService(AsyncFacade):
             return own(*args)
         return self._dispatch(op.handler, self.inner, *args)
 
-    def query(self, query):
-        """Execute a query (list of results, or a dict for GROUP BY)."""
-        return self._dispatch(self.service.execute, query)
+    def cached(self, sql, scalar: bool = False):
+        """The result cache's answer to ``sql`` (see
+        :meth:`QueryService.cached`), or ``None`` on a miss or once closed."""
+        return None if self._closed else self.service.cached(sql, scalar)
 
-    def query_scalar(self, query):
+    async def query(self, query):
+        """Execute a query (list of results, or a dict for GROUP BY)."""
+        result = self.cached(query)
+        if result is None:
+            result = await self._dispatch(self.service.execute, query)
+        return result
+
+    async def query_scalar(self, query):
         """Execute a non-GROUP BY query, returning the first aggregation."""
-        return self._dispatch(self.service.execute_scalar, query)
+        result = self.cached(query, scalar=True)
+        if result is None:
+            result = await self._dispatch(self.service.execute_scalar, query)
+        return result
 
     def register_table(self, table: Table, params=None, partition_size=None):
         return self._dispatch(
@@ -527,7 +554,9 @@ class QueryServer:
             "server_role": rep.role if rep is not None else "standalone",
         }
 
-    def query_span(self, sql, trace: tuple[str, str] | None):
+    def query_span(
+        self, sql, trace: tuple[str, str] | None, since: float | None = None
+    ):
         """Root span for one query request.
 
         When the client supplied trace ids (binary trailer / JSON
@@ -538,7 +567,7 @@ class QueryServer:
         :func:`~repro.obs.tracing.slow_watch` path: no span tree is
         built unless the query crosses the slow-query threshold, in
         which case a completed root span is synthesised for the log and
-        the ring buffer.
+        the ring buffer; ``since`` backdates that watch.
         """
         if trace is not None:
             return tracing.root_span(
@@ -547,7 +576,7 @@ class QueryServer:
                 parent_id=trace[1],
                 attrs=self._query_attrs(sql),
             )
-        return tracing.slow_watch("query", lambda: self._query_attrs(sql))
+        return tracing.slow_watch("query", lambda: self._query_attrs(sql), since)
 
     # ------------------------------------------------------------------ #
     # Connections
@@ -662,18 +691,26 @@ class QueryServer:
     async def _serve_binary(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """The pipelined binary loop: one task per frame, answers by id.
+        """The pipelined binary loop: frames admitted in order, answers by id.
 
-        Frames are admitted (or shed) synchronously in arrival order, then
-        executed concurrently; each response is written as a single
+        Frames are admitted (or shed) synchronously in arrival order.  An
+        untraced ``OP_QUERY`` the result cache holds is answered right
+        here (:meth:`_answer_cached`); every other frame becomes a task
+        and runs concurrently.  Each response is written as a single
         ``write()`` as soon as its work completes, in whatever order that
-        happens — clients match responses to requests by id.
+        happens — clients match responses to requests by id.  The loop
+        yields every :data:`INLINE_ANSWERS_PER_YIELD` inline answers and
+        waits for the transport to drain past its high-water mark, so a
+        client that pipelines hits without reading holds neither the
+        event loop nor unbounded reply memory.
         """
         tasks: set[asyncio.Task] = set()
         #: follower_id of the subscription (if any) living on this
         #: connection — OP_WAL_ACK frames carry only an LSN and are
         #: attributed to it.
         subscriber_id: str | None = None
+        high_water = writer.transport.get_write_buffer_limits()[1]
+        inline = 0
 
         def spawn(coroutine) -> None:
             task = asyncio.ensure_future(coroutine)
@@ -748,12 +785,54 @@ class QueryServer:
                     )
                     await writer.drain()
                     continue
+                if (
+                    op is ops.QUERY
+                    and request is None
+                    and trace is None
+                    and self._answer_cached(writer, op, request_id, payload)
+                ):
+                    inline += 1
+                    if writer.transport.get_write_buffer_size() > high_water:
+                        await writer.drain()
+                    elif inline % INLINE_ANSWERS_PER_YIELD == 0:
+                        await asyncio.sleep(0)
+                    continue
                 spawn(self._serve_frame(writer, op, request_id, request, payload, trace))
         finally:
             if tasks:
                 for task in tasks:
                     task.cancel()
                 await asyncio.gather(*tasks, return_exceptions=True)
+
+    def _answer_cached(
+        self, writer: asyncio.StreamWriter, op: ops.Op, request_id: int, payload: bytes
+    ) -> bool:
+        """Answer an admitted, untraced ``OP_QUERY`` frame from the result
+        cache in the read loop: no task, no executor hop.
+
+        The reply, the admission release and the slow-query watch are the
+        ones :meth:`_serve_frame` gives the same frame.  Returns ``False``
+        on a miss (or a payload that does not decode) with the admission
+        slot still held; the frame then takes :meth:`_serve_frame`, which
+        reports any error.
+        """
+        started = time.perf_counter()
+        try:
+            (sql,) = op.binary.decode_request(payload)
+        except (ValueError, struct.error):
+            return False
+        try:
+            result = self.service.cached(sql)
+            if result is None:
+                return False
+            with self.query_span(sql, None, since=started):
+                reply = op.binary.encode_reply(op.encode(result))
+            frame = framing.encode_frame(framing.STATUS_OK, request_id, reply)
+        except Exception as exc:
+            frame = _error_frame(request_id, exc)
+        writer.write(frame)
+        self._release(op.kind, started)
+        return True
 
     async def _serve_frame(
         self,

@@ -241,6 +241,15 @@ def parse_query_cached(sql: str) -> Query:
     return query
 
 
+def parse_cache_peek(sql: str) -> Query | None:
+    """Non-perturbing lookup: the cached AST of this exact SQL text, or
+    ``None``.  Touches neither LRU order nor the hit/miss counters — the
+    result-cache hit path decides with it, then counts through
+    :func:`parse_query_cached` only once it knows it has a hit."""
+    with _parse_cache_lock:
+        return _parse_cache.get(sql)
+
+
 def parse_cache_contains(sql: str) -> bool:
     """Non-perturbing peek: is this exact SQL text cached?
 
@@ -248,8 +257,7 @@ def parse_cache_contains(sql: str) -> bool:
     hit/miss counters, so explaining a query never changes the plan it
     reports.
     """
-    with _parse_cache_lock:
-        return sql in _parse_cache
+    return parse_cache_peek(sql) is not None
 
 
 def clear_parse_cache() -> None:

@@ -609,24 +609,43 @@ class TestAsyncQueryService:
 
         run_async(scenario())
 
-    def test_close_cancels_queued_ingests_instead_of_hanging(self):
+    def test_close_cancels_queued_ingests_instead_of_hanging(self, monkeypatch):
         async def scenario():
             svc = AsyncQueryService(partition_size=600, max_workers=1)
             await svc.register_table(
                 make_simple_table(rows=600, seed=50, name="stream"),
                 params=exact_params(),
             )
-            # First ingest occupies the single worker; the second sits in
-            # the coalescing queue when close() runs.
+            inside, release = threading.Event(), threading.Event()
+            stage_ingest = svc.service.database.stage_ingest
+
+            def parked(table_name, rows):
+                inside.set()
+                release.wait(JOIN_TIMEOUT)
+                return stage_ingest(table_name, rows)
+
+            monkeypatch.setattr(svc.service.database, "stage_ingest", parked)
+
+            async def until(condition) -> None:
+                while not condition():
+                    await asyncio.sleep(0)  # one loop iteration, not a delay
+
+            # First ingest is parked in the single worker; the second sits
+            # in the coalescing queue when close() runs.
             first = asyncio.ensure_future(
                 svc.ingest("stream", make_simple_table(rows=400, seed=1, name="stream"))
             )
-            await asyncio.sleep(0.01)
+            assert await asyncio.to_thread(inside.wait, JOIN_TIMEOUT)
             second = asyncio.ensure_future(
                 svc.ingest("stream", make_simple_table(rows=400, seed=2, name="stream"))
             )
-            await asyncio.sleep(0.01)
-            await svc.close()
+            queue = svc._ingest_queues["stream"]
+            await asyncio.wait_for(until(lambda: not queue.empty()), JOIN_TIMEOUT)
+            closing = asyncio.ensure_future(svc.close())
+            # close() pops the drain task and cancels it in one step.
+            await asyncio.wait_for(until(lambda: not svc._drain_tasks), JOIN_TIMEOUT)
+            release.set()
+            await closing
             # Neither awaiter may hang forever; cancelled or completed both count.
             done, pending = await asyncio.wait({first, second}, timeout=5.0)
             assert not pending, "a queued ingest future was abandoned by close()"

@@ -12,12 +12,17 @@ The contract under test (see ``repro.service.framing`` / ``wire`` /
 * admission control sheds requests over the in-flight limit with an
   explicit ``Overloaded`` response instead of queueing without bound;
 * the SQL parse cache and the synopsis-version-keyed result cache are
-  invisible to callers: identical answers, invalidated by ingest.
+  invisible to callers: identical answers, invalidated by ingest;
+* a result-cache hit is answered on the event loop, never waiting on the
+  executor, and is accounted exactly like a hit through ``execute``; one
+  connection pipelining hits holds neither the loop nor unbounded reply
+  memory.
 """
 
 from __future__ import annotations
 
 import asyncio
+import socket
 import threading
 
 import pytest
@@ -25,13 +30,19 @@ import pytest
 from conftest import JsonLinesClient, make_simple_table
 
 from repro import (
+    AccuracyAuditor,
     AsyncQueryService,
+    PairwiseHistEngine,
     PairwiseHistParams,
     QueryServer,
     QueryService,
+    WorkloadLog,
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
+from repro.service import framing
+from repro.service.ops import encode_result
+from repro.service.server import AsyncFacade
 from repro.service.wire import OverloadedError, PipelinedClient, WireError
 from repro.sql import parser as sql_parser
 from repro.sql.parser import (
@@ -423,3 +434,297 @@ class TestResultCache:
         assert not thread.is_alive()
         assert service.execute_scalar(sql) is first[0]
         assert service.cache_stats["stream"] == {"hits": 1, "misses": 1}
+
+
+# --------------------------------------------------------------------------- #
+# The hit path: result-cache hits answered on the event loop
+
+DEADLINE = 60.0
+HOT = "SELECT AVG(x) FROM stream WHERE y > 50"
+
+
+async def serve_service(service, scenario, face=AsyncQueryService, max_workers=2):
+    """Serve an already-registered ``service`` through ``face`` and run the
+    blocking ``scenario(address, server, loop)`` in a worker thread."""
+    async with face(service, max_workers=max_workers) as front:
+        async with QueryServer(front) as server:
+            loop = asyncio.get_running_loop()
+            return await asyncio.to_thread(scenario, server.address, server, loop)
+
+
+def on_loop(loop, fn):
+    """``fn()`` evaluated on the server's event loop from a scenario
+    thread, once the loop has finished the step it is in."""
+
+    async def call():
+        return fn()
+
+    return asyncio.run_coroutine_threadsafe(call(), loop).result(DEADLINE)
+
+
+def query_frame(request_id: int, sql: str = HOT) -> bytes:
+    return framing.encode_frame(framing.OP_QUERY, request_id, framing.encode_query(sql))
+
+
+class RawConnection:
+    """A binary-protocol socket driven frame by frame: it can send without
+    reading and read on its own schedule."""
+
+    def __init__(self, address) -> None:
+        self.sock = socket.create_connection(address, timeout=DEADLINE)
+        self.sock.sendall(framing.MAGIC)
+        self.rfile = self.sock.makefile("rb")
+
+    def send(self, *frames: bytes) -> None:
+        self.sock.sendall(b"".join(frames))
+
+    def read(self) -> tuple[int, int, bytes]:
+        header = self.rfile.read(framing.HEADER_SIZE)
+        status, request_id, length = framing.decode_header(header)
+        return status, request_id, self.rfile.read(length)
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+
+class TestHitPath:
+    def test_hits_answer_while_the_only_worker_is_parked(self, monkeypatch):
+        """One executor thread, parked inside the engine: a cached statement
+        still answers over binary QUERY, OP_JSON, the JSON-lines shim and
+        QUERY_BATCH, because no hit waits for the executor."""
+        cold = "SELECT SUM(z) FROM stream WHERE x < 40"
+        cold_answer = encode_result(make_cached_service(result_cache_size=0).execute(cold))
+        inside, release = threading.Event(), threading.Event()
+        execute = PairwiseHistEngine.execute
+
+        def parked(engine, query):
+            inside.set()
+            release.wait(DEADLINE)
+            return execute(engine, query)
+
+        def scenario(address, server, loop):
+            with PipelinedClient(*address, timeout=10.0) as client, JsonLinesClient(
+                *address
+            ) as shim:
+                hot = client.query(HOT)  # a miss: executed, then cached
+                monkeypatch.setattr(PairwiseHistEngine, "execute", parked)
+                parked_query = client.submit("query", cold)
+                assert inside.wait(DEADLINE)
+                try:
+                    assert client.query(HOT) == hot
+                    tunnelled = client._submit(
+                        framing.OP_JSON,
+                        framing.encode_json({"op": "query", "sql": HOT}),
+                        framing.decode_json,
+                    )
+                    assert tunnelled.result(timeout=10.0) == hot
+                    assert shim.query(HOT) == hot
+                    items = client.query_batch([HOT, HOT])
+                    assert [(item["ok"], item["result"]) for item in items] == [(True, hot)] * 2
+                    assert not parked_query.done()
+                finally:
+                    release.set()
+                assert parked_query.result(timeout=DEADLINE) == cold_answer
+
+        run_async(serve_service(make_cached_service(), scenario, max_workers=1))
+
+    def test_an_inline_hit_is_accounted_like_one_through_execute(self):
+        """The same miss, hit, hit sequence served by ``AsyncFacade`` (every
+        query hops to ``execute``) and by ``AsyncQueryService`` (hits
+        answered in the read loop) moves every counter by the same amount,
+        and answers bit-identically to a service with no result cache."""
+
+        def counters(service) -> dict:
+            snapshot = obs_metrics.REGISTRY.snapshot()
+
+            def total(name, field="value", **labels):
+                return sum(
+                    series[field]
+                    for series in snapshot[name]["series"]
+                    if labels.items() <= series["labels"].items()
+                )
+
+            stats = service.cache_stats.get("stream", {})
+            return {
+                "cache_hits": stats.get("hits", 0),
+                "cache_misses": stats.get("misses", 0),
+                "parse_hits": total("aqp_parse_cache_lookups_total", outcome="hit"),
+                "parse_misses": total("aqp_parse_cache_lookups_total", outcome="miss"),
+                "result_hits": total(
+                    "aqp_result_cache_lookups_total", table="stream", outcome="hit"
+                ),
+                "result_misses": total(
+                    "aqp_result_cache_lookups_total", table="stream", outcome="miss"
+                ),
+                "templates": sum(
+                    t["count"] for t in service.workload_log.snapshot()["templates"]
+                ),
+                "audit_seen": service.auditor._seen,
+                "requests": total("aqp_request_latency_seconds", "count", kind="query"),
+            }
+
+        def serve_sequence(face) -> list:
+            clear_parse_cache()
+            service = make_cached_service()
+            service.workload_log = WorkloadLog()
+            service.auditor = AccuracyAuditor(
+                service, sample_rate=1.0, interval_seconds=3600.0, workload=service.workload_log
+            )
+
+            def scenario(address, server, loop):
+                steps = []
+                with PipelinedClient(*address) as client:
+                    for _ in range(3):
+                        before = on_loop(loop, lambda: counters(service))
+                        answer = client.query(HOT)
+                        # Read on the loop: the reply's admission release is done.
+                        after = on_loop(loop, lambda: counters(service))
+                        steps.append((answer, {k: after[k] - before[k] for k in after}))
+                return steps
+
+            return run_async(serve_service(service, scenario, face=face))
+
+        inline = serve_sequence(AsyncQueryService)
+        assert inline == serve_sequence(AsyncFacade)
+        # A miss's one parse-cache hit is the workload log templating the
+        # statement the first time it sees it (memoized after that).
+        miss = dict.fromkeys(inline[0][1], 1) | {"cache_hits": 0, "result_hits": 0}
+        hit = dict.fromkeys(inline[0][1], 1) | {
+            "cache_misses": 0, "parse_misses": 0, "result_misses": 0
+        }
+        assert [delta for _, delta in inline] == [miss, hit, hit]
+        reference = encode_result(make_cached_service(result_cache_size=0).execute(HOT))
+        assert [answer for answer, _ in inline] == [reference] * 3
+
+    def test_an_ingest_between_two_sends_is_answered_after_it(self):
+        sql = "SELECT COUNT(*) FROM stream"
+        service = make_cached_service()
+
+        def scenario(address, server, loop):
+            with PipelinedClient(*address) as client:
+                counts = [client.query(sql)["results"][0]["value"] for _ in range(2)]
+                client.ingest("stream", make_simple_table(rows=80, seed=7, name="stream"))
+                counts += [client.query(sql)["results"][0]["value"] for _ in range(2)]
+            return counts
+
+        counts = run_async(serve_service(service, scenario))
+        assert counts == pytest.approx([1200, 1200, 1280, 1280], rel=1e-9)
+        assert service.cache_stats["stream"] == {"hits": 2, "misses": 2}
+
+    def test_one_pipelining_connection_cannot_hold_the_loop(self, monkeypatch):
+        """Connection A's burst of hits sits whole in the server's buffer; a
+        ping on connection B is answered before A's last reply.  Ordered
+        by events: the loop is held inside A's first hit until the rest of
+        A's burst and B's ping have been sent."""
+        burst, ping_id = 1_000, 10**6
+        held, go = threading.Event(), threading.Event()
+        order: list[int] = []
+        encode_frame = framing.encode_frame
+
+        def recording(tag, request_id, payload=b"", trace=None):
+            order.append(request_id)
+            return encode_frame(tag, request_id, payload, trace)
+
+        def scenario(address, server, loop):
+            service = server.service.service
+            a, b = RawConnection(address), RawConnection(address)
+            try:
+                b.send(query_frame(1))
+                assert b.read()[0] == framing.STATUS_OK  # HOT is cached now
+                cached = service.cached
+
+                def holding(sql, scalar=False):
+                    if not held.is_set():
+                        held.set()
+                        go.wait(DEADLINE)
+                    return cached(sql, scalar)
+
+                frames = [query_frame(i) for i in range(1, burst + 1)]
+                ping = framing.encode_frame(framing.OP_PING, ping_id)
+                monkeypatch.setattr(service, "cached", holding)
+                monkeypatch.setattr(framing, "encode_frame", recording)
+                a.send(frames[0])
+                assert held.wait(DEADLINE)  # the loop is inside A's first hit
+                a.send(*frames[1:])
+                b.send(ping)
+                go.set()
+                assert b.read()[:2] == (framing.STATUS_OK, ping_id)
+                return [a.read() for _ in range(burst)]
+            finally:
+                go.set()
+                a.close()
+                b.close()
+
+        replies = run_async(serve_service(make_cached_service(), scenario))
+        assert sorted(request_id for _, request_id, _ in replies) == list(range(1, burst + 1))
+        assert {status for status, _, _ in replies} == {framing.STATUS_OK}
+        assert order.index(ping_id) < order.index(burst)
+
+    def test_unread_replies_leave_the_transport_paused_not_growing(self, monkeypatch):
+        """A client that pipelines hits and never reads: the server stops
+        reading its frames once the transport passes its high-water mark,
+        instead of buffering every reply."""
+        grouped = "SELECT COUNT(x) FROM stream GROUP BY category"
+        burst = 2_000
+        paused = threading.Event()
+        pause_writing = asyncio.streams.FlowControlMixin.pause_writing
+
+        def noting_pause(protocol):
+            pause_writing(protocol)
+            paused.set()
+
+        def scenario(address, server, loop):
+            service = server.service.service
+            a = RawConnection(address)
+            try:
+                a.send(query_frame(0, grouped))
+                status, _, payload = a.read()  # a miss: executed, then cached
+                assert status == framing.STATUS_OK
+                reply_size = framing.HEADER_SIZE + len(payload)
+                (writer,) = [
+                    w
+                    for w in server._connections
+                    if w.get_extra_info("peername") == a.sock.getsockname()
+                ]
+
+                def kernel_buffers(size: int) -> None:
+                    a.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, size)
+                    on_loop(
+                        loop,
+                        lambda: writer.get_extra_info("socket").setsockopt(
+                            socket.SOL_SOCKET, socket.SO_SNDBUF, size
+                        ),
+                    )
+
+                # Small kernel buffers on both ends, so the transport's own
+                # buffer is what fills.
+                kernel_buffers(4096)
+                monkeypatch.setattr(
+                    asyncio.streams.FlowControlMixin, "pause_writing", noting_pause
+                )
+                a.send(*(query_frame(i, grouped) for i in range(1, burst + 1)))
+                assert paused.wait(DEADLINE)
+                high = writer.transport.get_write_buffer_limits()[1]
+                buffered, answered, inflight = on_loop(
+                    loop,
+                    lambda: (
+                        writer.transport.get_write_buffer_size(),
+                        service.cache_stats["stream"]["hits"],
+                        server._inflight["query"],
+                    ),
+                )
+                assert high < buffered <= high + reply_size
+                assert answered < burst  # the rest wait, unread, in the stream
+                assert inflight == 0  # and nothing was queued as tasks
+                assert on_loop(loop, writer.transport.get_write_buffer_size) == buffered
+                kernel_buffers(1 << 20)  # tiny windows would make the read-back crawl
+                replies = [a.read() for _ in range(burst)]
+            finally:
+                a.close()
+            assert [request_id for _, request_id, _ in replies] == list(range(1, burst + 1))
+            assert {(status, body) for status, _, body in replies} == {
+                (framing.STATUS_OK, payload)
+            }
+
+        run_async(serve_service(make_cached_service(), scenario))
