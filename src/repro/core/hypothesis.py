@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
+
+from .chi2_table import CHI2_999, CHI2_QUANTILE
 
 
 def terrell_scott_bins(unique_count: int) -> int:
@@ -32,9 +33,17 @@ def chi2_critical_value(alpha: float, sub_bins: int) -> float:
 
     Defined such that ``Pr(chi2 > chi2_alpha) = alpha`` under the null
     hypothesis.  Cached because the same (alpha, s) pairs recur for every
-    bin of every histogram.
+    bin of every histogram.  The paper's ``alpha = 0.001`` reads the
+    committed :mod:`~repro.core.chi2_table`; any other ``(alpha, dof)``
+    asks scipy, imported here so that a process which never leaves the
+    table never loads it.  Both give scipy's value bit for bit.
     """
     dof = max(1, sub_bins - 1)
+    # Keyed on scipy's argument, so every alpha it would see as 0.999 hits.
+    if 1.0 - alpha == CHI2_QUANTILE and dof <= len(CHI2_999):
+        return CHI2_999[dof - 1]
+    from scipy import stats
+
     return float(stats.chi2.ppf(1.0 - alpha, dof))
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.chi2_table import CHI2_999
 from repro.core.hypothesis import (
     chi2_critical_value,
     is_uniform,
@@ -10,6 +11,7 @@ from repro.core.hypothesis import (
     uniformity_test,
 )
 from repro.core.params import PairwiseHistParams
+from repro.core.weightings import Z_98
 
 
 class TestParams:
@@ -64,11 +66,32 @@ class TestTerrellScott:
         assert values == sorted(values)
 
 
+class TestScipyFreeConstants:
+    """The literals that keep scipy out of a server are scipy's values, bit for bit."""
+
+    def test_z_98_is_the_normal_quantile(self):
+        stats = pytest.importorskip("scipy.stats")
+        assert Z_98 == float(stats.norm.ppf(0.99))
+
+    def test_chi2_table_is_the_paper_alpha_quantile(self):
+        stats = pytest.importorskip("scipy.stats")
+        assert len(CHI2_999) == 255
+        for dof, value in enumerate(CHI2_999, start=1):
+            assert value == float(stats.chi2.ppf(0.999, dof)), dof
+
+    def test_paper_alpha_reads_the_table_up_to_256_sub_bins(self):
+        stats = pytest.importorskip("scipy.stats")
+        for sub_bins in (1, 2, 3, 127, 256):
+            dof = max(1, sub_bins - 1)
+            assert chi2_critical_value(0.001, sub_bins) == CHI2_999[dof - 1]
+        assert chi2_critical_value(0.001, 300) == float(stats.chi2.ppf(0.999, 299))
+
+
 class TestChiSquaredCritical:
     def test_matches_scipy(self):
         from scipy import stats
 
-        assert chi2_critical_value(0.05, 10) == pytest.approx(stats.chi2.ppf(0.95, 9))
+        assert chi2_critical_value(0.05, 10) == float(stats.chi2.ppf(0.95, 9))
 
     def test_smaller_alpha_means_larger_critical_value(self):
         assert chi2_critical_value(0.001, 5) > chi2_critical_value(0.1, 5)
