@@ -18,6 +18,9 @@ like the per-partition synopses recombine inside one node:
 * ``MIN`` / ``MAX`` take the min / max of values and of both bounds;
 * bounds combine conservatively: additive aggregates add them, convex
   combinations (``AVG``) take the envelope ``[min lower, max upper]``;
+* a weighted value (``AVG`` / ``MEDIAN`` / ``VAR``) is clamped into its
+  gathered interval, which rounding in the weighted sum can step out of;
+  the bounds themselves are never moved;
 * ``GROUP BY`` unions the per-shard group dictionaries, recombining each
   group's aggregates over the shards where the group appears.
 
@@ -51,25 +54,18 @@ _WEIGHTED = (
 )
 
 
-@dataclass(frozen=True)
-class ShardAnswer:
-    """One aggregation's answer from one shard (or gathered)."""
+#: A shard's answer is an :class:`AqpEstimate`.  The name stays because
+#: ``benchmarks/e2e/layers.py`` imports it and builds one with keywords.
+ShardAnswer = AqpEstimate
 
-    value: float
-    lower: float
-    upper: float
-
-    @classmethod
-    def from_result(cls, result: AqpResult) -> "ShardAnswer":
-        return cls(value=result.value, lower=result.lower, upper=result.upper)
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "ShardAnswer":
-        def _float(key: str) -> float:
-            value = payload.get(key)
-            return float("nan") if value is None else float(value)
-
-        return cls(value=_float("value"), lower=_float("lower"), upper=_float("upper"))
+#: Aggregations whose answers recombine field by field: the reducer is
+#: applied to the values, to the lower bounds and to the upper bounds.
+_REDUCERS = {
+    AggregateFunction.COUNT: sum,
+    AggregateFunction.SUM: sum,
+    AggregateFunction.MIN: min,
+    AggregateFunction.MAX: max,
+}
 
 
 @dataclass(frozen=True)
@@ -195,21 +191,22 @@ def predicate_range(query: Query, column: str | None) -> tuple[float, float]:
     return lo, hi
 
 
-def _clamp(answer: ShardAnswer, lo: float, hi: float) -> ShardAnswer:
+def _clamp(answer: AqpEstimate, lo: float, hi: float) -> AqpEstimate:
     if lo == -math.inf and hi == math.inf:
         return answer
+    return answer.map(lambda v: min(max(v, lo), hi) if math.isfinite(v) else v)
 
-    def _c(v: float) -> float:
-        return min(max(v, lo), hi) if math.isfinite(v) else v
 
-    return ShardAnswer(value=_c(answer.value), lower=_c(answer.lower), upper=_c(answer.upper))
+def _within(value: float, lower: float, upper: float) -> AqpEstimate:
+    """``value`` clamped into ``[lower, upper]``; the bounds stay as they are."""
+    return AqpEstimate(value=min(max(value, lower), upper), lower=lower, upper=upper)
 
 
 # --------------------------------------------------------------------------- #
 # Recombination
 
 
-def _weights(counts: list[ShardAnswer | None]) -> list[float]:
+def _weights(counts: list[AqpEstimate | None]) -> list[float]:
     out = []
     for count in counts:
         weight = 0.0 if count is None else count.value
@@ -219,48 +216,33 @@ def _weights(counts: list[ShardAnswer | None]) -> list[float]:
 
 def _combine(
     func: AggregateFunction,
-    answers: list[ShardAnswer],
-    counts: list[ShardAnswer | None],
-    means: list[ShardAnswer | None],
-) -> ShardAnswer:
+    answers: list[AqpEstimate],
+    counts: list[AqpEstimate | None],
+    means: list[AqpEstimate | None],
+) -> AqpEstimate:
     """Recombine one aggregation's per-shard answers (see module docstring)."""
     if len(answers) == 1:
         return answers[0]  # single contributor: bit-identical passthrough
-    if func in (AggregateFunction.COUNT, AggregateFunction.SUM):
-        return ShardAnswer(
-            value=sum(a.value for a in answers),
-            lower=sum(a.lower for a in answers),
-            upper=sum(a.upper for a in answers),
-        )
-    if func is AggregateFunction.MIN:
-        return ShardAnswer(
-            value=min(a.value for a in answers),
-            lower=min(a.lower for a in answers),
-            upper=min(a.upper for a in answers),
-        )
-    if func is AggregateFunction.MAX:
-        return ShardAnswer(
-            value=max(a.value for a in answers),
-            lower=max(a.lower for a in answers),
-            upper=max(a.upper for a in answers),
-        )
+    reduce = _REDUCERS.get(func)
+    if reduce is not None:
+        return AqpEstimate(*map(reduce, zip(*answers)))
     weights = _weights(counts)
     total = sum(weights)
     if total <= 0:
         # No usable counts: fall back to an unweighted mean with the
         # conservative envelope (still correct for equal-size shards).
-        return ShardAnswer(
-            value=sum(a.value for a in answers) / len(answers),
-            lower=min(a.lower for a in answers),
-            upper=max(a.upper for a in answers),
+        return _within(
+            sum(a.value for a in answers) / len(answers),
+            min(a.lower for a in answers),
+            max(a.upper for a in answers),
         )
     if func in (AggregateFunction.AVG, AggregateFunction.MEDIAN):
         value = sum(w * a.value for w, a in zip(weights, answers)) / total
         contributing = [a for w, a in zip(weights, answers) if w > 0]
-        return ShardAnswer(
-            value=value,
-            lower=min(a.lower for a in contributing),
-            upper=max(a.upper for a in contributing),
+        return _within(
+            value,
+            min(a.lower for a in contributing),
+            max(a.upper for a in contributing),
         )
     if func is AggregateFunction.VAR:
         shard_means = [
@@ -277,19 +259,19 @@ def _combine(
             sum(w * a.value for w, a in zip(weights, answers)) / total + between
         )
         contributing = [a for w, a in zip(weights, answers) if w > 0]
-        return ShardAnswer(
-            value=value,
-            lower=min(a.lower for a in contributing),
+        return _within(
+            value,
+            min(a.lower for a in contributing),
             # The between-shard term raises the point estimate above the
             # per-shard variances, so it widens the upper bound too.
-            upper=max(a.upper for a in contributing) + between,
+            max(a.upper for a in contributing) + between,
         )
     raise ValueError(f"unsupported aggregation function {func}")  # pragma: no cover
 
 
 def _gather_row(
-    plan: GatherPlan, shard_rows: list[list[ShardAnswer] | None]
-) -> list[ShardAnswer] | None:
+    plan: GatherPlan, shard_rows: list[list[AqpEstimate] | None]
+) -> list[AqpEstimate] | None:
     """Recombine one result row (scalar query, or one GROUP BY group).
 
     ``shard_rows`` holds, per shard, the scattered-aggregation answers —
@@ -300,7 +282,7 @@ def _gather_row(
     present = [row for row in shard_rows if row is not None]
     if not present:
         return None
-    gathered: list[ShardAnswer] = []
+    gathered: list[AqpEstimate] = []
     for position, aggregation in enumerate(plan.aggregations):
         answers = [row[position] for row in present]
         count_at = plan.count_index[position]
@@ -319,7 +301,7 @@ def _gather_row(
 
 
 def gather_scalar(
-    plan: GatherPlan, shard_rows: list[list[ShardAnswer] | None]
+    plan: GatherPlan, shard_rows: list[list[AqpEstimate] | None]
 ) -> list[AqpResult]:
     """Gather a non-GROUP BY query's per-shard answers into final results."""
     gathered = _gather_row(plan, shard_rows)
@@ -328,11 +310,8 @@ def gather_scalar(
             f"no shard could answer the query over {plan.original.table!r}"
         )
     return [
-        AqpResult(
-            aggregation=aggregation,
-            estimate=AqpEstimate(value=a.value, lower=a.lower, upper=a.upper),
-        )
-        for aggregation, a in zip(plan.aggregations, gathered)
+        AqpResult(aggregation=aggregation, estimate=estimate)
+        for aggregation, estimate in zip(plan.aggregations, gathered)
     ]
 
 
@@ -354,11 +333,7 @@ def gather_groups(
         if gathered is None:  # pragma: no cover - labels come from present rows
             continue
         results[label] = [
-            AqpResult(
-                aggregation=aggregation,
-                estimate=AqpEstimate(value=a.value, lower=a.lower, upper=a.upper),
-                group=label,
-            )
-            for aggregation, a in zip(plan.aggregations, gathered)
+            AqpResult(aggregation=aggregation, estimate=estimate, group=label)
+            for aggregation, estimate in zip(plan.aggregations, gathered)
         ]
     return results

@@ -19,8 +19,8 @@ Every flavour answers ``call(name, *args)`` for the rows of the op table
 (:mod:`repro.service.ops`) with the payload that op has over the wire, so
 the front end never cares which flavour it is talking to.  ``execute``
 (the scatter path) returns shard answers normalised to
-(:data:`"scalar"`, ``[ShardAnswer, ...]``) or (:data:`"groups"`,
-``{label: [ShardAnswer, ...]}``) for the gather layer.
+(:data:`"scalar"`, ``[AqpEstimate, ...]``) or (:data:`"groups"`,
+``{label: [AqpEstimate, ...]}``) for the gather layer.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from pathlib import Path
 
+from ..core.aggregation import AqpEstimate
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from ..service.database import Database, QueryService
@@ -38,7 +39,6 @@ from ..service.ops import OPS
 from ..service.wire import PipelinedClient, WireError
 from ..sql.ast import UnsupportedQueryError
 from ..sql.parser import ParseError
-from .gather import ShardAnswer
 
 _REPLICA_READ_LAG = obs_metrics.gauge(
     "aqp_replica_read_lag_records",
@@ -62,6 +62,16 @@ _WIRE_ERROR_TYPES = {
     "ParseError": ParseError,
     "UnsupportedQueryError": UnsupportedQueryError,
 }
+
+
+def from_wire(payload: dict) -> AqpEstimate:
+    """One wire result (``None`` for a NaN field) as an :class:`AqpEstimate`."""
+
+    def _float(key: str) -> float:
+        value = payload.get(key)
+        return float("nan") if value is None else float(value)
+
+    return AqpEstimate(value=_float("value"), lower=_float("lower"), upper=_float("upper"))
 
 
 def _raise_wire_error(error: WireError):
@@ -100,10 +110,9 @@ class LocalShard:
         result = self.service.execute(sql)
         if isinstance(result, dict):
             return "groups", {
-                label: [ShardAnswer.from_result(r) for r in results]
-                for label, results in result.items()
+                label: [r.estimate for r in results] for label, results in result.items()
             }
-        return "scalar", [ShardAnswer.from_result(r) for r in result]
+        return "scalar", [r.estimate for r in result]
 
     def workers(self) -> list[tuple[dict, "LocalShard"]]:
         return [({"role": "primary"}, self)]
@@ -287,10 +296,10 @@ class ProcessShard:
     def _normalize(payload: dict):
         if "groups" in payload:
             return "groups", {
-                label: [ShardAnswer.from_wire(r) for r in results]
+                label: [from_wire(r) for r in results]
                 for label, results in payload["groups"].items()
             }
-        return "scalar", [ShardAnswer.from_wire(r) for r in payload["results"]]
+        return "scalar", [from_wire(r) for r in payload["results"]]
 
     def close(self) -> None:
         with self._mutex:

@@ -21,7 +21,6 @@ from .builder import (
     partition_params,
 )
 from .coverage import (
-    CoverageResult,
     condition_coverage,
     consolidate_and,
     consolidate_or,
@@ -29,7 +28,7 @@ from .coverage import (
     coverage_estimate,
     partial_count_bounds,
 )
-from .weightings import PredicateEvaluator, WeightingResult
+from .weightings import PredicateEvaluator
 from .aggregation import AqpEstimate, aggregate
 from .serialization import (
     deserialize,
@@ -69,7 +68,6 @@ __all__ = [
     "build_partition_synopses",
     "build_partitioned_hist",
     "partition_params",
-    "CoverageResult",
     "condition_coverage",
     "consolidate_and",
     "consolidate_or",
@@ -77,7 +75,6 @@ __all__ = [
     "coverage_estimate",
     "partial_count_bounds",
     "PredicateEvaluator",
-    "WeightingResult",
     "AqpEstimate",
     "aggregate",
     "serialize",

@@ -2,10 +2,10 @@
 
 All seven aggregation functions supported by PairwiseHist — COUNT, SUM,
 AVG, MIN, MAX, MEDIAN and VAR — are computed from the aggregation column's
-1-d histogram metadata and the bin weightings produced by
-:class:`~repro.core.weightings.PredicateEvaluator`.  Values are in the
-pre-processed (compressed) domain; the engine converts them back to the
-original domain afterwards.
+1-d histogram metadata and the ``(3, bins)`` bin weightings (estimate,
+lower, upper) produced by :class:`~repro.core.weightings.PredicateEvaluator`.
+Values are in the pre-processed (compressed) domain; the engine converts
+them back to the original domain afterwards.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import numpy as np
 from ..sql.ast import AggregateFunction
 from .histogram1d import Histogram1D
 from .hypothesis import terrell_scott_bins
-from .weightings import WeightingResult
 
 
-@dataclass
+@dataclass(frozen=True)
 class AqpEstimate:
-    """An approximate aggregate with lower / upper bounds."""
+    """An approximate aggregate with lower / upper bounds: one answer of the
+    engine, of one shard, or gathered over shards."""
 
     value: float
     lower: float
@@ -30,7 +30,13 @@ class AqpEstimate:
 
     def __post_init__(self) -> None:
         if np.isfinite(self.lower) and np.isfinite(self.upper) and self.lower > self.upper:
-            self.lower, self.upper = self.upper, self.lower
+            lower, upper = self.upper, self.lower
+            object.__setattr__(self, "lower", lower)
+            object.__setattr__(self, "upper", upper)
+
+    def __iter__(self):
+        """``value, lower, upper = estimate``."""
+        return iter((self.value, self.lower, self.upper))
 
     def map(self, formula) -> "AqpEstimate":
         """``formula`` applied to the value and to each bound."""
@@ -52,15 +58,15 @@ _EMPTY = AqpEstimate(float("nan"), float("nan"), float("nan"))
 def aggregate(
     func: AggregateFunction,
     hist: Histogram1D,
-    weights: WeightingResult,
+    weights: np.ndarray,
     sampling_ratio: float,
     min_points: int,
     single_column: bool = False,
 ) -> AqpEstimate:
     """Dispatch to the Table 3 formulation of one aggregation function."""
     if func is AggregateFunction.COUNT:
-        return _count(weights, sampling_ratio)
-    if weights.is_empty:
+        return weighted_count(weights, sampling_ratio)
+    if weights[0].sum() <= 0.0:
         return _EMPTY
     if func is AggregateFunction.SUM:
         return _sum(hist, weights, sampling_ratio)
@@ -79,19 +85,17 @@ def aggregate(
 # COUNT / SUM / AVG
 
 
-def _count(weights: WeightingResult, rho: float) -> AqpEstimate:
-    return AqpEstimate(
-        value=float(weights.estimate.sum() / rho),
-        lower=float(weights.lower.sum() / rho),
-        upper=float(weights.upper.sum() / rho),
-    )
+def weighted_count(weights: np.ndarray, rho: float) -> AqpEstimate:
+    """COUNT: each weighting row's total over the sampling ratio."""
+    return AqpEstimate(*(weights.sum(axis=1) / rho).tolist())
 
 
-def _sum(hist: Histogram1D, weights: WeightingResult, rho: float) -> AqpEstimate:
-    midpoints = hist.midpoints
-    value = float(weights.estimate @ midpoints / rho)
-    lower = float(weights.lower @ hist.centre_lower / rho)
-    upper = float(weights.upper @ hist.centre_upper / rho)
+def _sum(hist: Histogram1D, weights: np.ndarray, rho: float) -> AqpEstimate:
+    # Three dots, not one stacked product: a matmul rounds differently.
+    estimate, low, high = weights
+    value = float(estimate @ hist.midpoints / rho)
+    lower = float(low @ hist.centre_lower / rho)
+    upper = float(high @ hist.centre_upper / rho)
     return AqpEstimate(value=value, lower=min(lower, value), upper=max(upper, value))
 
 
@@ -102,14 +106,14 @@ def _weighted_mean(weights: np.ndarray, values: np.ndarray) -> float:
     return float(weights @ values / total)
 
 
-def _bound_weightings(weights: WeightingResult) -> list[np.ndarray]:
+def _bound_weightings(weights: np.ndarray) -> list[np.ndarray]:
     """The non-empty weighting bounds a ratio aggregate's bounds range over."""
-    candidates = [w for w in (weights.lower, weights.upper) if w.sum() > 0]
-    return candidates or [weights.estimate]
+    candidates = [w for w in weights[1:] if w.sum() > 0]
+    return candidates or [weights[0]]
 
 
-def _avg(hist: Histogram1D, weights: WeightingResult) -> AqpEstimate:
-    estimate = _weighted_mean(weights.estimate, hist.midpoints)
+def _avg(hist: Histogram1D, weights: np.ndarray) -> AqpEstimate:
+    estimate = _weighted_mean(weights[0], hist.midpoints)
     candidates = _bound_weightings(weights)
     lower = min(_weighted_mean(w, hist.centre_lower) for w in candidates)
     upper = max(_weighted_mean(w, hist.centre_upper) for w in candidates)
@@ -124,7 +128,7 @@ def _avg(hist: Histogram1D, weights: WeightingResult) -> AqpEstimate:
 
 def _extremum(
     hist: Histogram1D,
-    weights: WeightingResult,
+    weights: np.ndarray,
     min_points: int,
     single_column: bool,
     is_max: bool,
@@ -149,17 +153,18 @@ def _extremum(
         mostly_excluded = w[t] < hist.counts[t] / divisor
         return float(far[t] if single_column and hist.unique[t] == 2 and mostly_excluded else near[t])
 
-    t_est = outermost(weights.estimate > 0, None)
+    estimate, low, high = weights
+    t_est = outermost(estimate > 0, None)
     if t_est is None:
         return _EMPTY
-    value = outer(weights.estimate, t_est, 2)
-    outer_bound = outer(weights.upper, outermost(weights.upper > 0, t_est), 5)
+    value = outer(estimate, t_est, 2)
+    outer_bound = outer(high, outermost(high > 0, t_est), 5)
 
-    t = outermost(weights.lower > 0.5, t_est)
+    t = outermost(low > 0.5, t_est)
     inner_bound = float(far[t])
     if single_column and hist.unique[t] > 2 and hist.counts[t] > min_points:
         s = terrell_scott_bins(int(hist.unique[t]))
-        covered = int(np.floor(s * weights.lower[t] / max(hist.counts[t], 1.0)))
+        covered = int(np.floor(s * low[t] / max(hist.counts[t], 1.0)))
         sub_bin_width = (hist.v_plus[t] - hist.v_minus[t]) / s
         inner_bound = float(far[t] + towards_near * covered * sub_bin_width)
     lower, upper = (inner_bound, outer_bound) if is_max else (outer_bound, inner_bound)
@@ -178,14 +183,15 @@ def _median_bin(weights: np.ndarray) -> int | None:
     return int(np.searchsorted(cumulative, total / 2.0))
 
 
-def _median(hist: Histogram1D, weights: WeightingResult) -> AqpEstimate:
-    t_est = _median_bin(weights.estimate)
+def _median(hist: Histogram1D, weights: np.ndarray) -> AqpEstimate:
+    estimate = weights[0]
+    t_est = _median_bin(estimate)
     if t_est is None:
         return _EMPTY
     t_est = min(t_est, hist.num_bins - 1)
-    total = weights.estimate.sum()
-    below = weights.estimate[:t_est].sum()
-    w_t = weights.estimate[t_est]
+    total = estimate.sum()
+    below = estimate[:t_est].sum()
+    w_t = estimate[t_est]
     fraction = 0.5 if w_t <= 0 else float((total / 2.0 - below) / w_t)
     fraction = float(np.clip(fraction, 0.0, 1.0))
     if hist.unique[t_est] == 2:
@@ -195,7 +201,7 @@ def _median(hist: Histogram1D, weights: WeightingResult) -> AqpEstimate:
         value = float(hist.v_minus[t_est] + width * fraction)
 
     candidate_bins = []
-    for w in (weights.lower, weights.upper):
+    for w in weights[1:]:
         t = _median_bin(w)
         if t is not None:
             candidate_bins.append(min(t, hist.num_bins - 1))
@@ -210,14 +216,14 @@ def _median(hist: Histogram1D, weights: WeightingResult) -> AqpEstimate:
 # VAR
 
 
-def _var(hist: Histogram1D, weights: WeightingResult) -> AqpEstimate:
+def _var(hist: Histogram1D, weights: np.ndarray) -> AqpEstimate:
     midpoints = hist.midpoints
-    mean = _weighted_mean(weights.estimate, midpoints)
-    mean_square = _weighted_mean(weights.estimate, midpoints ** 2)
+    mean = _weighted_mean(weights[0], midpoints)
+    mean_square = _weighted_mean(weights[0], midpoints ** 2)
     # Between-bin variance of midpoints plus the within-bin variance of a
     # uniform distribution over [v-, v+]; the same per-bin uniformity
     # assumption that drives every other estimator in §5.
-    within_bin = _weighted_mean(weights.estimate, hist.widths ** 2 / 12.0)
+    within_bin = _weighted_mean(weights[0], hist.widths ** 2 / 12.0)
     estimate = max(0.0, mean_square - mean ** 2 + within_bin)
 
     # xi- / xi+ (Eq. 38-39): per-bin representative points that are as close

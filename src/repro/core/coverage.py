@@ -5,42 +5,19 @@ point in the bin satisfies a predicate condition.  It is computed from the
 bin metadata only (extrema, unique count) — never from the data — and its
 bounds come from Theorem 2 for bins that passed the uniformity test and
 from a worst-case argument for bins that did not.
+
+A coverage with its bounds is one float ``(3, bins)`` array clipped to
+``[0, 1]``: row 0 the estimate, row 1 the lower bound, row 2 the upper
+bound (``estimate, lower, upper = coverage``).  Weightings
+(:mod:`repro.core.weightings`) keep the same row order.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..sql.ast import ComparisonOp
 from .hypothesis import sub_bins_and_critical_values
-
-_MEMBERS = ("estimate", "lower", "upper")
-
-
-@dataclass
-class CoverageResult:
-    """Per-bin probability that a condition (or sub-predicate) holds, with
-    bounds: one entry per histogram bin, each clipped to [0, 1]."""
-
-    estimate: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in _MEMBERS:
-            setattr(self, name, np.clip(np.asarray(getattr(self, name), dtype=float), 0.0, 1.0))
-
-    @classmethod
-    def each(cls, formula, *results: "CoverageResult") -> "CoverageResult":
-        """``formula`` applied to the estimates, then the lowers, then the uppers."""
-        return cls(*(formula(*(getattr(r, name) for r in results)) for name in _MEMBERS))
-
-    @property
-    def num_bins(self) -> int:
-        return len(self.estimate)
-
 
 _COMPARE = {
     ComparisonOp.LT: np.less,
@@ -140,11 +117,18 @@ def condition_coverage(
     counts: np.ndarray,
     min_points: int,
     alpha: float,
-) -> CoverageResult:
+) -> np.ndarray:
     """Coverage estimate plus bounds for one condition over one set of bins."""
     beta = coverage_estimate(op, literal, v_minus, v_plus, unique)
+    return with_bounds(beta, counts, unique, min_points, alpha)
+
+
+def with_bounds(
+    beta: np.ndarray, counts: np.ndarray, unique: np.ndarray, min_points: int, alpha: float
+) -> np.ndarray:
+    """``beta`` stacked over its :func:`coverage_bounds` as one ``(3, bins)`` coverage."""
     lower, upper = coverage_bounds(beta, counts, unique, min_points, alpha)
-    return CoverageResult(estimate=beta, lower=lower, upper=upper)
+    return np.clip(np.stack((beta, lower, upper)), 0.0, 1.0)
 
 
 def interval_coverage(
@@ -176,24 +160,23 @@ def interval_coverage(
     return np.clip(beta, 0.0, 1.0)
 
 
-def consolidate_and(results: list[CoverageResult]) -> CoverageResult:
+def consolidate_and(coverages: list[np.ndarray]) -> np.ndarray:
     """Delayed-transformation consolidation of same-column conditions under AND.
 
     For nested / overlapping range conditions on the same column the
     satisfied fraction of a bin is the overlap, i.e. the element-wise
     minimum of the individual coverages (Fig. 7: beta_12 = min(beta_1, beta_2)).
     """
-    return CoverageResult.each(lambda *betas: np.minimum.reduce(betas), *results)
+    return np.minimum.reduce(coverages)
 
 
-def consolidate_or(results: list[CoverageResult]) -> CoverageResult:
+def consolidate_or(coverages: list[np.ndarray]) -> np.ndarray:
     """Same-column consolidation under OR: capped element-wise sum.
 
     Exact when the conditions cover disjoint parts of the bin (the common
-    case for generated workloads) and an upper bound otherwise.
+    case for generated workloads) and an upper bound otherwise; the lower
+    bound is the largest single lower bound.
     """
-    return CoverageResult(
-        estimate=np.add.reduce([r.estimate for r in results]),
-        lower=np.maximum.reduce([r.lower for r in results]),
-        upper=np.add.reduce([r.upper for r in results]),
-    )
+    combined = np.add.reduce(coverages)
+    combined[1] = np.maximum.reduce([coverage[1] for coverage in coverages])
+    return np.clip(combined, 0.0, 1.0)

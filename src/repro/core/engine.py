@@ -17,6 +17,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..data.table import Table
 from ..gd.greedygd import GreedyGDConfig
 from ..gd.preprocessor import Preprocessor
@@ -35,13 +37,13 @@ from ..sql.ast import (
     predicate_conditions,
 )
 from ..sql.parser import parse_query
-from .aggregation import AqpEstimate, aggregate
+from .aggregation import AqpEstimate, aggregate, weighted_count
 from .builder import build_pairwise_hist
 from .groupby import group_predicates
 from .params import PairwiseHistParams
 from .serialization import serialize, synopsis_size_bytes
 from .synopsis import PairwiseHist
-from .weightings import PredicateEvaluator, WeightingResult
+from .weightings import PredicateEvaluator
 
 
 #: Aggregate function -> the inverse "aggregation transform" (Fig. 2) that
@@ -348,7 +350,7 @@ class PairwiseHistEngine:
         return AqpResult(aggregation=aggregation, estimate=estimate, group=group)
 
     def _inverse_transform(
-        self, method: str, column: str, estimate: AqpEstimate, weights: WeightingResult
+        self, method: str, column: str, estimate: AqpEstimate, weights: np.ndarray
     ) -> AqpEstimate:
         """Fig. 2 "Aggregation Transform": map results back to the original domain."""
         if not _INVERSE_INPUTS[method]:
@@ -360,10 +362,7 @@ class PairwiseHistEngine:
         if method == "scale_squared":
             return estimate.map(lambda code: code / (scale * scale))
         # sum_with_count_bounds: SUM(x) = SUM(code) / scale + offset * COUNT.
-        rho = self.synopsis.sampling_ratio
-        count_value = weights.estimate.sum() / rho
-        count_lower = weights.lower.sum() / rho
-        count_upper = weights.upper.sum() / rho
+        count_value, count_lower, count_upper = weighted_count(weights, self.synopsis.sampling_ratio)
         if offset < 0:
             count_lower, count_upper = count_upper, count_lower
         return AqpEstimate(

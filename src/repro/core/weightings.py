@@ -9,22 +9,23 @@ pairwise histogram ``H(ij)`` (Eq. 27); conditions on ``i`` itself use the
 conditional-independence assumption (Eq. 28); and same-column condition
 groups are consolidated *before* the transformation ("delayed
 transformation", Fig. 7).
+
+Weightings, like coverages (:mod:`repro.core.coverage`), are one float
+``(3, bins)`` array: row 0 the estimate, row 1 the lower bound, row 2 the
+upper bound.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..sql.ast import ComparisonOp, Condition, LogicalOp, Predicate, PredicateNode
 from .coverage import (
-    CoverageResult,
     condition_coverage,
     consolidate_and,
     consolidate_or,
-    coverage_bounds,
     interval_coverage,
+    with_bounds,
 )
 from .histogram1d import Histogram1D
 from .histogram2d import AxisMetadata
@@ -34,29 +35,6 @@ from .synopsis import PairwiseHist
 #: ``float(scipy.stats.norm.ppf(0.99))`` as an exact literal, pinned by
 #: ``tests/test_core_params_hypothesis.py``.
 Z_98 = 2.3263478740408408
-
-
-@dataclass
-class WeightingResult:
-    """Estimated weightings and their bounds over the aggregation column's bins."""
-
-    estimate: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.estimate = np.asarray(self.estimate, dtype=float)
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-
-    @property
-    def total(self) -> float:
-        """``||w||_1`` — estimated number of sampled rows matching the predicate."""
-        return float(self.estimate.sum())
-
-    @property
-    def is_empty(self) -> bool:
-        return self.total <= 0.0
 
 
 class PredicateEvaluator:
@@ -73,27 +51,24 @@ class PredicateEvaluator:
     def aggregation_column(self) -> str:
         return self._column
 
-    def weightings(self, predicate: Predicate | None) -> WeightingResult:
-        """Eq. 24–29: weightings (and bounds) for an arbitrary predicate tree."""
+    def weightings(self, predicate: Predicate | None) -> np.ndarray:
+        """Eq. 24–29: the ``(3, bins)`` weightings of an arbitrary predicate tree."""
         counts = self._hist.counts
         if predicate is None:
-            return WeightingResult(counts.copy(), counts.copy(), counts.copy())
-        probabilities = self._evaluate(predicate)
-        estimate = counts * probabilities.estimate
-        lower, upper = self._widen_for_sampling(
-            counts, counts * probabilities.lower, counts * probabilities.upper
-        )
-        return WeightingResult(estimate, np.minimum(lower, estimate), np.maximum(upper, estimate))
+            return np.stack((counts,) * 3)
+        estimate, lower, upper = counts * self._evaluate(predicate)
+        lower, upper = self._widen_for_sampling(counts, lower, upper)
+        return np.stack((estimate, np.minimum(lower, estimate), np.maximum(upper, estimate)))
 
     # ------------------------------------------------------------------ #
     # Predicate tree evaluation
 
-    def _evaluate(self, predicate: Predicate) -> CoverageResult:
+    def _evaluate(self, predicate: Predicate) -> np.ndarray:
         if isinstance(predicate, Condition):
             return self._leaf_group(predicate.column, [predicate], LogicalOp.AND)
         if not isinstance(predicate, PredicateNode):
             raise TypeError(f"unsupported predicate node type {type(predicate)!r}")
-        parts: list[CoverageResult] = []
+        parts: list[np.ndarray] = []
         leaf_groups: dict[str, list[Condition]] = {}
         for child in predicate.children:
             if isinstance(child, Condition):
@@ -104,22 +79,21 @@ class PredicateEvaluator:
             parts.append(self._leaf_group(column, conditions, predicate.op))
         return self._combine(parts, predicate.op)
 
-    def _combine(self, parts: list[CoverageResult], op: LogicalOp) -> CoverageResult:
-        """Eq. 28: conjunction / disjunction under conditional independence."""
+    def _combine(self, parts: list[np.ndarray], op: LogicalOp) -> np.ndarray:
+        """Eq. 28: conjunction / disjunction under conditional independence
+        (both stay in ``[0, 1]`` when every part does)."""
         if len(parts) == 1:
             return parts[0]
         if op is LogicalOp.AND:
-            return CoverageResult.each(lambda *probs: np.prod(probs, axis=0), *parts)
-        return CoverageResult.each(
-            lambda *probs: 1.0 - np.prod([1.0 - p for p in probs], axis=0), *parts
-        )
+            return np.prod(parts, axis=0)
+        return 1.0 - np.prod([1.0 - p for p in parts], axis=0)
 
     # ------------------------------------------------------------------ #
     # Leaves
 
     def _leaf_group(
         self, column: str, conditions: list[Condition], op: LogicalOp
-    ) -> CoverageResult:
+    ) -> np.ndarray:
         """Coverage of same-column conditions, consolidated then transformed."""
         if column == self._column:
             return self._group_coverage(conditions, op, self._hist, self._hist.counts)
@@ -136,12 +110,8 @@ class PredicateEvaluator:
         hist_j = self._synopsis.histogram(column)
         coverage = self._group_coverage(conditions, op, hist_j, hist_j.counts)
         total = hist_j.total_count
-
-        def selectivity(beta: np.ndarray) -> np.ndarray:
-            fraction = (beta * hist_j.counts).sum() / total if total > 0 else 0.0
-            return np.full(self._hist.num_bins, fraction)
-
-        return CoverageResult.each(selectivity, coverage)
+        fractions = (coverage * hist_j.counts).sum(axis=1) / total if total > 0 else np.zeros(3)
+        return np.clip(np.repeat(fractions[:, None], self._hist.num_bins, axis=1), 0.0, 1.0)
 
     def _group_coverage(
         self,
@@ -149,7 +119,7 @@ class PredicateEvaluator:
         op: LogicalOp,
         bins: Histogram1D | AxisMetadata,
         counts: np.ndarray,
-    ) -> CoverageResult:
+    ) -> np.ndarray:
         """Coverage of a same-column condition group over one set of bins
         (``bins`` supplies the per-bin extrema and unique counts).
 
@@ -170,8 +140,7 @@ class PredicateEvaluator:
                 min([np.inf] + [float(c.literal) for c in conditions if c.op in ceiling_ops]),
                 bins.v_minus, bins.v_plus, bins.unique,
             )
-            lower, upper = coverage_bounds(beta, counts, bins.unique, params.min_points, params.alpha)
-            return CoverageResult(beta, lower, upper)
+            return with_bounds(beta, counts, bins.unique, params.min_points, params.alpha)
         coverages = [
             condition_coverage(
                 cond.op, float(cond.literal), bins.v_minus, bins.v_plus, bins.unique, counts,
@@ -184,19 +153,19 @@ class PredicateEvaluator:
         return consolidate_and(coverages) if op is LogicalOp.AND else consolidate_or(coverages)
 
     def _transform_through_pair(
-        self, counts: np.ndarray, parent: np.ndarray, coverage: CoverageResult
-    ) -> CoverageResult:
-        """Eq. 27: fold ``H(ij) beta(j)`` back onto the 1-d bins of the aggregation column."""
+        self, counts: np.ndarray, parent: np.ndarray, coverage: np.ndarray
+    ) -> np.ndarray:
+        """Eq. 27: fold ``H(ij) beta(j)`` back onto the 1-d bins of the aggregation column.
+
+        One matvec per row: a stacked ``counts @ coverage.T`` rounds differently.
+        """
         k = self._hist.num_bins
         hist_counts = self._hist.counts
-
-        def fold(beta: np.ndarray) -> np.ndarray:
-            weighted = counts @ beta
-            folded = np.bincount(parent, weights=weighted, minlength=k)[:k]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(hist_counts > 0, folded / hist_counts, 0.0)
-
-        return CoverageResult.each(fold, coverage)
+        folded = np.stack(
+            [np.bincount(parent, weights=counts @ beta, minlength=k)[:k] for beta in coverage]
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.clip(np.where(hist_counts > 0, folded / hist_counts, 0.0), 0.0, 1.0)
 
     # ------------------------------------------------------------------ #
     # Sampling widening (Eq. 29)

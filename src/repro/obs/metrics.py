@@ -216,13 +216,9 @@ class Counter(_Metric):
         return _BoundCounter(self.registry, self._series_state(labels))
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
-        if not self.registry.enabled:
-            return
-        if amount < 0:
-            raise ValueError("counters can only increase")
-        state = self._series_state(labels)
-        with state.lock:
-            state.value += amount
+        # Checked before binding, so a disabled registry creates no series.
+        if self.registry.enabled:
+            self.labels(**labels).inc(amount)
 
     def value(self, **labels: str) -> float:
         state = self._series_state(labels)
@@ -247,18 +243,12 @@ class Gauge(_Metric):
         return _BoundGauge(self.registry, self._series_state(labels))
 
     def set(self, value: float, **labels: str) -> None:
-        if not self.registry.enabled:
-            return
-        state = self._series_state(labels)
-        with state.lock:
-            state.value = float(value)
+        if self.registry.enabled:
+            self.labels(**labels).set(value)
 
     def add(self, amount: float, **labels: str) -> None:
-        if not self.registry.enabled:
-            return
-        state = self._series_state(labels)
-        with state.lock:
-            state.value += amount
+        if self.registry.enabled:
+            self.labels(**labels).add(amount)
 
     def value(self, **labels: str) -> float:
         state = self._series_state(labels)
@@ -308,14 +298,8 @@ class Histogram(_Metric):
         )
 
     def observe(self, value: float, **labels: str) -> None:
-        if not self.registry.enabled:
-            return
-        state = self._series_state(labels)
-        index = bisect_left(self.buckets, value)
-        with state.lock:
-            state.counts[index] += 1
-            state.sum += value
-            state.count += 1
+        if self.registry.enabled:
+            self.labels(**labels).observe(value)
 
     def _state_dict(self, state: _HistogramState) -> dict:
         with state.lock:

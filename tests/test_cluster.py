@@ -20,6 +20,7 @@ import math
 import numpy as np
 import pytest
 from conftest import make_simple_table
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     ClusterQueryService,
@@ -29,7 +30,6 @@ from repro import (
 )
 from repro.cluster.gather import (
     GatherPlan,
-    ShardAnswer,
     gather_groups,
     gather_scalar,
     plan_query,
@@ -37,6 +37,7 @@ from repro.cluster.gather import (
 )
 from repro.cluster.router import ShardRouter
 from repro.cluster.service import shard_params
+from repro.core.aggregation import AqpEstimate
 from repro.data.table import Table
 from repro.sql.ast import AggregateFunction
 
@@ -121,7 +122,7 @@ class TestShardRouter:
 
 
 def answer(value, lower=None, upper=None):
-    return ShardAnswer(
+    return AqpEstimate(
         value=value,
         lower=value if lower is None else lower,
         upper=value if upper is None else upper,
@@ -278,6 +279,39 @@ class TestGatherAlgebra:
         assert groups["b"][0].value == 5  # single-shard passthrough
         assert groups["c"][0].value == 7
         assert all(r[0].group == label for label, r in groups.items())
+
+
+_FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+#: Ordered answers ``lower <= value <= upper``, zero-width ones included.
+_ORDERED = st.one_of(
+    _FINITE.map(answer),
+    st.lists(_FINITE, min_size=3, max_size=3).map(sorted).map(
+        lambda t: answer(t[1], t[0], t[2])
+    ),
+)
+_WEIGHT = st.one_of(
+    st.integers(min_value=0, max_value=5_000).map(float),
+    st.floats(min_value=0.0, max_value=5_000.0, allow_nan=False),
+)
+
+
+class TestGatheredValueInsideItsInterval:
+    @given(st.sampled_from(list(AggregateFunction)), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_value_between_bounds(self, func, data):
+        plan = plan_query(parse_query(f"SELECT {func.value}(x) FROM t"))
+        shards = data.draw(st.integers(min_value=2, max_value=4))
+        # Shards often send the same answer (hash routing makes them samples
+        # of one distribution); a weighted mean of equal values still rounds.
+        shared = [data.draw(_ORDERED) for _ in plan.scattered.aggregations]
+        rows = []
+        for _ in range(shards):
+            row = [data.draw(st.just(same) | _ORDERED) for same in shared]
+            if plan.count_index[0] is not None:
+                row[plan.count_index[0]] = answer(data.draw(_WEIGHT))
+            rows.append(row)
+        [gathered] = gather_scalar(plan, rows)
+        assert gathered.lower <= gathered.value <= gathered.upper
 
 
 class TestShardParams:

@@ -116,9 +116,10 @@ class TestCoverageBounds:
             ComparisonOp.LT, 25.0, bins["v_minus"], bins["v_plus"], bins["unique"],
             bins["counts"], min_points=50, alpha=0.001,
         )
-        assert result.num_bins == 5
-        assert (result.lower <= result.estimate).all()
-        assert (result.upper >= result.estimate).all()
+        estimate, lower, upper = result
+        assert result.shape[1] == 5
+        assert (lower <= estimate).all()
+        assert (upper >= estimate).all()
 
 
 class TestConsolidation:
@@ -128,17 +129,15 @@ class TestConsolidation:
         b = condition_coverage(ComparisonOp.LT, 35.0, bins["v_minus"], bins["v_plus"],
                                bins["unique"], bins["counts"], 50, 0.001)
         merged = consolidate_and([a, b])
-        np.testing.assert_allclose(merged.estimate, np.minimum(a.estimate, b.estimate))
+        np.testing.assert_allclose(merged[0], np.minimum(a[0], b[0]))
 
     def test_fig7_consolidation_example(self):
         # Fig. 7: beta_1 = <0.19, 1, 1, 1, 1>, beta_2 = <1, 1, 0.31, 0, 0>
         # consolidate to beta_12 = <0.19, 1, 0.31, 0, 0>.
-        from repro.core.coverage import CoverageResult
-
-        beta1 = CoverageResult(np.array([0.19, 1, 1, 1, 1]), np.zeros(5), np.ones(5))
-        beta2 = CoverageResult(np.array([1, 1, 0.31, 0, 0]), np.zeros(5), np.ones(5))
+        beta1 = np.array([[0.19, 1, 1, 1, 1], np.zeros(5), np.ones(5)])
+        beta2 = np.array([[1, 1, 0.31, 0, 0], np.zeros(5), np.ones(5)])
         merged = consolidate_and([beta1, beta2])
-        np.testing.assert_allclose(merged.estimate, [0.19, 1, 0.31, 0, 0])
+        np.testing.assert_allclose(merged[0], [0.19, 1, 0.31, 0, 0])
 
     def test_or_consolidation_caps_at_one(self, bins):
         a = condition_coverage(ComparisonOp.LT, 45.0, bins["v_minus"], bins["v_plus"],
@@ -146,8 +145,8 @@ class TestConsolidation:
         b = condition_coverage(ComparisonOp.GT, 5.0, bins["v_minus"], bins["v_plus"],
                                bins["unique"], bins["counts"], 50, 0.001)
         merged = consolidate_or([a, b])
-        assert (merged.estimate <= 1.0).all()
-        assert (merged.estimate >= np.maximum(a.estimate, b.estimate)).all()
+        assert (merged[0] <= 1.0).all()
+        assert (merged[0] >= np.maximum(a[0], b[0])).all()
 
     def test_or_of_disjoint_ranges_adds(self, bins):
         a = condition_coverage(ComparisonOp.LT, 5.0, bins["v_minus"], bins["v_plus"],
@@ -155,5 +154,5 @@ class TestConsolidation:
         b = condition_coverage(ComparisonOp.GT, 45.0, bins["v_minus"], bins["v_plus"],
                                bins["unique"], bins["counts"], 50, 0.001)
         merged = consolidate_or([a, b])
-        assert merged.estimate[0] == pytest.approx(a.estimate[0])
-        assert merged.estimate[4] == pytest.approx(b.estimate[4])
+        assert merged[0][0] == pytest.approx(a[0][0])
+        assert merged[0][4] == pytest.approx(b[0][4])

@@ -63,8 +63,8 @@ class TestRoundTrip:
         condition = Condition("y", ComparisonOp.GT, synopsis.hist1d["y"].midpoints.mean())
         original = PredicateEvaluator(synopsis, "x").weightings(condition)
         reloaded = PredicateEvaluator(restored, "x").weightings(condition)
-        np.testing.assert_allclose(reloaded.estimate, original.estimate)
-        np.testing.assert_allclose(reloaded.lower, original.lower)
+        np.testing.assert_allclose(reloaded[0], original[0])
+        np.testing.assert_allclose(reloaded[1], original[1])
 
 
 class TestSizeAccounting:

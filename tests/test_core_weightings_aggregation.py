@@ -40,18 +40,18 @@ def true_count(data, mask) -> float:
 class TestWeightings:
     def test_no_predicate_returns_bin_counts(self, synopsis, evaluator):
         weights = evaluator.weightings(None)
-        np.testing.assert_allclose(weights.estimate, synopsis.hist1d["x"].counts)
-        assert weights.total == pytest.approx(len(next(iter(synopsis.hist1d.values())).counts) and 8000)
+        np.testing.assert_allclose(weights[0], synopsis.hist1d["x"].counts)
+        assert weights[0].sum() == pytest.approx(len(next(iter(synopsis.hist1d.values())).counts) and 8000)
 
     def test_same_column_predicate(self, data, evaluator):
         condition = Condition("x", ComparisonOp.LT, 500.0)
         weights = evaluator.weightings(condition)
-        assert weights.total == pytest.approx(true_count(data, data["x"] < 500), rel=0.05)
+        assert weights[0].sum() == pytest.approx(true_count(data, data["x"] < 500), rel=0.05)
 
     def test_other_column_predicate_uses_pair_histogram(self, data, evaluator):
         condition = Condition("y", ComparisonOp.GT, 300.0)
         weights = evaluator.weightings(condition)
-        assert weights.total == pytest.approx(true_count(data, data["y"] > 300), rel=0.05)
+        assert weights[0].sum() == pytest.approx(true_count(data, data["y"] > 300), rel=0.05)
 
     def test_and_of_two_columns(self, data, evaluator):
         predicate = PredicateNode(
@@ -60,7 +60,7 @@ class TestWeightings:
         )
         weights = evaluator.weightings(predicate)
         truth = true_count(data, (data["y"] > 200) & (data["z"] < 50))
-        assert weights.total == pytest.approx(truth, rel=0.1)
+        assert weights[0].sum() == pytest.approx(truth, rel=0.1)
 
     def test_or_of_two_columns(self, data, evaluator):
         predicate = PredicateNode(
@@ -69,7 +69,7 @@ class TestWeightings:
         )
         weights = evaluator.weightings(predicate)
         truth = true_count(data, (data["x"] < 100) | (data["z"] > 90))
-        assert weights.total == pytest.approx(truth, rel=0.1)
+        assert weights[0].sum() == pytest.approx(truth, rel=0.1)
 
     def test_same_column_range_consolidation(self, data, evaluator):
         predicate = PredicateNode(
@@ -78,7 +78,7 @@ class TestWeightings:
         )
         weights = evaluator.weightings(predicate)
         truth = true_count(data, (data["x"] > 200) & (data["x"] < 400))
-        assert weights.total == pytest.approx(truth, rel=0.05)
+        assert weights[0].sum() == pytest.approx(truth, rel=0.05)
 
     def test_bounds_bracket_estimate(self, evaluator):
         predicate = PredicateNode(
@@ -86,9 +86,10 @@ class TestWeightings:
             [Condition("y", ComparisonOp.GT, 100.0), Condition("z", ComparisonOp.LT, 80.0)],
         )
         weights = evaluator.weightings(predicate)
-        assert (weights.lower <= weights.estimate + 1e-9).all()
-        assert (weights.upper >= weights.estimate - 1e-9).all()
-        assert (weights.lower >= 0).all()
+        estimate, lower, upper = weights
+        assert (lower <= estimate + 1e-9).all()
+        assert (upper >= estimate - 1e-9).all()
+        assert (lower >= 0).all()
 
     def test_impossible_predicate_gives_zero(self, evaluator):
         predicate = PredicateNode(
@@ -96,12 +97,11 @@ class TestWeightings:
             [Condition("x", ComparisonOp.GT, 5000.0), Condition("x", ComparisonOp.LT, -10.0)],
         )
         weights = evaluator.weightings(predicate)
-        assert weights.total == 0.0
-        assert weights.is_empty
+        assert weights[0].sum() == 0.0
 
     def test_empty_flag_false_for_matching_predicate(self, evaluator):
         weights = evaluator.weightings(Condition("x", ComparisonOp.GE, 0.0))
-        assert not weights.is_empty
+        assert weights[0].sum() > 0.0
 
 
 class TestAggregationFormulas:

@@ -2,14 +2,18 @@
 
 These check invariants over randomly generated inputs: bit-stream and
 Golomb round trips, coverage ranges, weighted-centre bound ordering,
-histogram count conservation and the bracketing of exact partial counts by
-the Theorem 2 bounds.
+histogram count conservation, the bracketing of exact partial counts by
+the Theorem 2 bounds and the ordering of per-bin weightings under generated
+predicate trees.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.builder import build_pairwise_hist
 from repro.core.centre_bounds import (
     non_passing_centre_bounds,
     passing_centre_bounds,
@@ -19,8 +23,10 @@ from repro.core.coverage import coverage_bounds, coverage_estimate, interval_cov
 from repro.core.golomb import decode_sequence, encode_sequence
 from repro.core.histogram1d import bin_indices
 from repro.core.hypothesis import terrell_scott_bins
+from repro.core.params import PairwiseHistParams
 from repro.core.refine import refine_bin_1d
-from repro.sql.ast import ComparisonOp
+from repro.core.weightings import PredicateEvaluator
+from repro.sql.ast import ComparisonOp, Condition, LogicalOp, PredicateNode, predicate_conditions
 from repro.util.bitstream import BitReader, BitWriter
 
 _SMALL_INTS = st.integers(min_value=0, max_value=10_000)
@@ -283,3 +289,46 @@ class TestBinIndexProperties:
         for value, t in zip(values, idx):
             assert edges[t] <= value or t == 0
             assert value <= edges[t + 1] or t == 9
+
+
+@lru_cache(maxsize=None)
+def _small_synopsis(build_pairs: bool):
+    """3,000 skewed rows sampled down to 1,500, so Eq. 29 widening applies."""
+    rng = np.random.default_rng(7)
+    x = np.round(np.clip(rng.gamma(2.0, 150.0, 3000), 0, 1000))
+    data = {
+        "x": x,
+        "y": np.round(np.clip(0.5 * x + rng.normal(0, 40, 3000), 0, None)),
+        "z": np.round(rng.uniform(0, 100, 3000)),
+    }
+    params = PairwiseHistParams(sample_size=1500, min_points=50, alpha=0.001, seed=0)
+    return build_pairwise_hist(data, params, build_pairs=build_pairs)
+
+
+_TREE_CONDITIONS = st.builds(
+    Condition,
+    st.sampled_from(["x", "y", "z"]),
+    st.sampled_from(list(ComparisonOp)),
+    st.floats(min_value=-10.0, max_value=1100.0, allow_nan=False).map(round),
+)
+_TREES = st.recursive(
+    _TREE_CONDITIONS,
+    lambda children: st.builds(
+        PredicateNode, st.sampled_from(list(LogicalOp)), st.lists(children, min_size=1, max_size=3)
+    ),
+    max_leaves=4,
+).filter(lambda tree: 1 <= len(predicate_conditions(tree)) <= 4)
+
+
+class TestWeightingProperties:
+    @given(_TREES, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_trees_keep_each_bin_ordered(self, tree, build_pairs):
+        synopsis = _small_synopsis(build_pairs)
+        evaluator = PredicateEvaluator(synopsis, "x")
+        counts = synopsis.hist1d["x"].counts
+        estimate, lower, upper = evaluator.weightings(tree)
+        assert (0.0 <= lower).all() and (lower <= estimate).all()
+        assert (estimate <= upper).all() and (upper <= counts).all()
+        for row in evaluator.weightings(None):
+            assert (row == counts).all()
