@@ -1,16 +1,16 @@
 """Head-to-head comparison of AQP systems on one workload (a mini Fig. 8/11).
 
 Builds PairwiseHist (a ``QueryService`` at the ``paper`` configuration: one
-partition, sampled synopsis), the DeepDB-like SPN baseline, the DBEst++-like
-density+regression baseline and a plain uniform-sampling baseline on the
-same dataset, runs an identical random workload against each and prints the
-accuracy / latency / storage / construction summary the paper reports.
+partition, sampled synopsis), the DeepDB-like SPN baseline and the
+DBEst++-like density+regression baseline on the same dataset, runs an
+identical random workload against each and prints the accuracy / latency /
+storage / construction summary the paper reports.
 
 Run with:  python examples/compare_aqp_systems.py
 """
 
 from repro import load_dataset
-from repro.baselines import DBEstPlusPlusLike, DeepDBLike, SamplingAQP
+from repro.baselines import DBEstPlusPlusLike, DeepDBLike
 from repro.bench.harness import ServedSystem, fmt, format_table, workload_templates
 from repro.workload import QueryGenerator, WorkloadSpec, run
 
@@ -28,7 +28,6 @@ def main() -> None:
         ServedSystem.serve(table, sample_size=sample),
         DeepDBLike.fit(table, sample_size=sample),
         DBEstPlusPlusLike.fit(table, sample_size=sample // 4, templates=templates),
-        SamplingAQP.fit(table, sample_size=sample),
     ]
 
     rows = []
@@ -47,8 +46,6 @@ def main() -> None:
     headers = ["system", "n", "median err (%)", "latency (ms)",
                "bounds ok (%)", "synopsis (MB)", "build (s)"]
     print(format_table(headers, rows, title=f"AQP systems on {len(queries)} random queries"))
-    print("\n(the sampling baseline stores the raw sample itself, which is what the paper's")
-    print(" Table 1 means by GB-scale synopses at production data sizes)")
 
 
 if __name__ == "__main__":

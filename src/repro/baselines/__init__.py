@@ -3,7 +3,6 @@
 from .base import AqpSystem, BaselineResult, UnsupportedQueryError
 from .deepdb import DeepDBLike
 from .dbest import DBEstPlusPlusLike
-from .sampling_aqp import SamplingAQP
 from .spn import HistogramLeaf, SpnLearnerConfig, SumProductNetwork
 from .density import BinnedRegression, GaussianMixture1D
 
@@ -13,7 +12,6 @@ __all__ = [
     "UnsupportedQueryError",
     "DeepDBLike",
     "DBEstPlusPlusLike",
-    "SamplingAQP",
     "HistogramLeaf",
     "SpnLearnerConfig",
     "SumProductNetwork",

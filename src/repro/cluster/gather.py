@@ -21,6 +21,10 @@ like the per-partition synopses recombine inside one node:
 * a weighted value (``AVG`` / ``MEDIAN`` / ``VAR``) is clamped into its
   gathered interval, which rounding in the weighted sum can step out of;
   the bounds themselves are never moved;
+* an empty shard (no row matches the predicate) answers NaN and is left
+  out before combining, so it cannot turn a sum, a weighted value or a
+  MIN / MAX into NaN; if every shard is empty the answer is NaN, as on
+  one node;
 * ``GROUP BY`` unions the per-shard group dictionaries, recombining each
   group's aggregates over the shards where the group appears.
 
@@ -221,6 +225,12 @@ def _combine(
     means: list[AqpEstimate | None],
 ) -> AqpEstimate:
     """Recombine one aggregation's per-shard answers (see module docstring)."""
+    present = [
+        row for row in zip(answers, counts, means) if not math.isnan(row[0].value)
+    ]
+    if not present:
+        return answers[0]  # every shard is empty: NaN, as on one node
+    answers, counts, means = (list(column) for column in zip(*present))
     if len(answers) == 1:
         return answers[0]  # single contributor: bit-identical passthrough
     reduce = _REDUCERS.get(func)

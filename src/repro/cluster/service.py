@@ -54,7 +54,7 @@ from ..storage.cluster import (
 )
 from .gather import gather_groups, gather_scalar, plan_query
 from .router import ShardRouter
-from .shard import LocalShard, ProcessShard, ReplicatedShard
+from .shard import LocalShard, ProcessShard, ReplicatedShard, decode_answers
 from .supervisor import ShardSupervisor
 
 #: Connection-level failures that trigger a worker restart.
@@ -728,23 +728,22 @@ class ClusterQueryService:
         plan = plan_query(query)
         sql = str(plan.scattered)
         indices = sorted(entry.registered)
+        grouped = query.group_by is not None
 
-        def _shard_execute(i: int, shard):
+        def _query_shard(i: int, shard):
             started = time.perf_counter()
             with tracing.child_span("shard_execute", attrs={"shard": i}):
-                result = shard.execute(sql)
+                answers = decode_answers(shard.call("query", sql), grouped)
             _roundtrip_cell(i).observe(time.perf_counter() - started)
-            return result
+            return answers
 
         with tracing.child_span(
             "scatter", attrs={"fanout": len(indices), "table": query.table}
         ):
             _SCATTER_FANOUT_CELL.observe(len(indices))
-            raw = self._scatter(indices, _shard_execute)
+            answers = self._scatter(indices, _query_shard)
         with tracing.child_span("gather"):
-            if query.group_by is None:
-                return gather_scalar(plan, [answers for _, answers in raw])
-            return gather_groups(plan, [groups for _, groups in raw])
+            return (gather_groups if grouped else gather_scalar)(plan, answers)
 
     def execute_scalar(self, query: Query | str) -> AqpResult:
         if isinstance(query, str):

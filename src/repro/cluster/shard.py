@@ -17,18 +17,15 @@ small interface so the same scatter-gather code drives both flavours:
 
 Every flavour answers ``call(name, *args)`` for the rows of the op table
 (:mod:`repro.service.ops`) with the payload that op has over the wire, so
-the front end never cares which flavour it is talking to.  ``execute``
-(the scatter path) returns shard answers normalised to
-(:data:`"scalar"`, ``[AqpEstimate, ...]``) or (:data:`"groups"`,
-``{label: [AqpEstimate, ...]}``) for the gather layer.
+the front end never cares which flavour it is talking to.  The scatter is
+``call("query", sql)`` like any other op; :func:`decode_answers` turns its
+payload into the :class:`AqpEstimate` lists the gather layer combines.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from pathlib import Path
 
 from ..core.aggregation import AqpEstimate
@@ -74,6 +71,17 @@ def from_wire(payload: dict) -> AqpEstimate:
     return AqpEstimate(value=_float("value"), lower=_float("lower"), upper=_float("upper"))
 
 
+def decode_answers(payload: dict, grouped: bool):
+    """A ``query`` reply as gather input: ``[AqpEstimate, ...]``, or
+    ``{label: [AqpEstimate, ...]}`` when the query has a GROUP BY."""
+    if grouped:
+        return {
+            label: [from_wire(r) for r in results]
+            for label, results in payload["groups"].items()
+        }
+    return [from_wire(r) for r in payload["results"]]
+
+
 def _raise_wire_error(error: WireError):
     raised = _WIRE_ERROR_TYPES.get(error.error_type)
     if raised is not None:
@@ -106,14 +114,6 @@ class LocalShard:
             raise ValueError(f"op {name!r} needs a worker process")
         return op.unwrap(op.encode(op.handler(self.service, *args)))
 
-    def execute(self, sql: str):
-        result = self.service.execute(sql)
-        if isinstance(result, dict):
-            return "groups", {
-                label: [r.estimate for r in results] for label, results in result.items()
-            }
-        return "scalar", [r.estimate for r in result]
-
     def workers(self) -> list[tuple[dict, "LocalShard"]]:
         return [({"role": "primary"}, self)]
 
@@ -123,81 +123,15 @@ class LocalShard:
             close()
 
 
-class _QueryBatcher:
-    """Coalesce concurrent queries to one shard into batch frames.
-
-    At most one ``OP_QUERY_BATCH`` frame is outstanding at a time;
-    queries arriving while it is in flight accumulate and ship as the
-    next frame the moment the current one completes.  Under concurrent
-    load this drives frames-per-query toward one per shard, while a lone
-    query still departs immediately (as a batch of one).
-    """
-
-    def __init__(self, channel: PipelinedClient) -> None:
-        self._channel = channel
-        self._mutex = threading.Lock()
-        self._pending: list[tuple[str, Future]] = []
-        self._inflight = False
-
-    def submit(self, sql: str) -> Future:
-        """Future of this query's per-item outcome dict."""
-        future: Future = Future()
-        with self._mutex:
-            self._pending.append((sql, future))
-            if self._inflight:
-                return future  # rides the next frame when the current lands
-            self._inflight = True
-        self._send_next()
-        return future
-
-    def _send_next(self) -> None:
-        with self._mutex:
-            batch, self._pending = self._pending, []
-            if not batch:
-                self._inflight = False
-                return
-        try:
-            frame = self._channel.submit("query_batch", [sql for sql, _ in batch])
-        except BaseException as exc:
-            with self._mutex:
-                self._inflight = False
-            for _, future in batch:
-                if not future.done():
-                    future.set_exception(exc)
-            return
-        # Completes on the channel's reader thread, which then ships
-        # whatever accumulated in the meantime.
-        frame.add_done_callback(lambda done: self._complete(batch, done))
-
-    def _complete(self, batch: list[tuple[str, Future]], frame: Future) -> None:
-        try:
-            items = frame.result()
-        except BaseException as exc:
-            for _, future in batch:
-                if not future.done():
-                    future.set_exception(exc)
-        else:
-            for (_, future), item in zip(batch, items):
-                if not future.done():
-                    future.set_result(item)
-            for _, future in batch[len(items) :]:
-                if not future.done():
-                    future.set_exception(
-                        ConnectionError("batch response was truncated")
-                    )
-        self._send_next()
-
-
 class ProcessShard:
     """A worker shard living in a supervised ``QueryServer`` subprocess.
 
     The shard is spoken to over two multiplexed binary channels
-    (:class:`~repro.service.wire.PipelinedClient`): a *query* channel
-    whose concurrent scatters coalesce into batch frames via
-    :class:`_QueryBatcher`, and a *bulk* channel for ingest/register —
+    (:class:`~repro.service.wire.PipelinedClient`), picked by the op
+    row's ``channel``: a *query* channel, where each scatter is one
+    pipelined ``QUERY`` frame, and a *bulk* channel for ingest/register —
     so an MB-sized row frame (or a slow tail recompression) never
-    head-of-line blocks the small query frames sharing the shard.  Two
-    sockets replace the old per-operation connection pool.
+    head-of-line blocks the small query frames sharing the shard.
     """
 
     def __init__(
@@ -212,7 +146,6 @@ class ProcessShard:
         # Connect eagerly so construction fails fast when the worker is
         # not listening.
         self._query_channel, self._bulk_channel = self._open_channels()
-        self._batcher = _QueryBatcher(self._query_channel)
 
     def _connect(self) -> PipelinedClient:
         return PipelinedClient(self.host, self.port, timeout=self.timeout).connect()
@@ -246,60 +179,31 @@ class ProcessShard:
             self._generation += 1
             stale = (self._query_channel, self._bulk_channel)
             self._query_channel, self._bulk_channel = query, bulk
-            self._batcher = _QueryBatcher(query)
         for channel in stale:
             channel.close()
 
-    def _channels(self) -> tuple[PipelinedClient, PipelinedClient, _QueryBatcher]:
+    def _channels(self) -> tuple[PipelinedClient, PipelinedClient]:
         with self._mutex:
-            return self._query_channel, self._bulk_channel, self._batcher
-
-    def _await(self, future: Future):
-        try:
-            return future.result(timeout=self.timeout)
-        except FutureTimeoutError:
-            raise ConnectionError(f"no shard response within {self.timeout}s") from None
+            return self._query_channel, self._bulk_channel
 
     def call(self, name: str, *args):
-        """One op over the row's channel, wire errors translated back."""
-        query_channel, bulk_channel, _ = self._channels()
+        """One op over the row's channel, wire errors translated back.
+
+        A ``query`` under a propagating span carries the trace trailer,
+        so the worker records its spans under the caller's trace id."""
+        query_channel, bulk_channel = self._channels()
         channel = bulk_channel if OPS[name].channel == "bulk" else query_channel
+        trace = None
+        span = tracing.current_span() if name == "query" else None
+        if span is not None and span.propagate:
+            trace = (bytes.fromhex(span.trace_id), bytes.fromhex(span.span_id))
         try:
-            return channel.call(name, *args)
+            return channel.call(name, *args, trace=trace)
         except WireError as error:
             _raise_wire_error(error)
 
     def workers(self) -> list[tuple[dict, "ProcessShard"]]:
         return [({"role": "primary"}, self)]
-
-    def execute(self, sql: str):
-        span = tracing.current_span()
-        if span is not None and span.propagate:
-            # A client-traced query bypasses the batcher: the single-query
-            # frame carries the trace trailer, so the worker records its
-            # span under the same trace id.  Untraced queries (the hot
-            # path) keep coalescing into batch frames.
-            query_channel, _, _ = self._channels()
-            trace = (bytes.fromhex(span.trace_id), bytes.fromhex(span.span_id))
-            try:
-                payload = query_channel.call("query", sql, trace=trace)
-            except WireError as error:
-                _raise_wire_error(error)
-            return self._normalize(payload)
-        _, _, batcher = self._channels()
-        item = self._await(batcher.submit(sql))
-        if not item["ok"]:
-            _raise_wire_error(WireError(str(item["error_type"]), str(item["error"])))
-        return self._normalize(item["result"])
-
-    @staticmethod
-    def _normalize(payload: dict):
-        if "groups" in payload:
-            return "groups", {
-                label: [from_wire(r) for r in results]
-                for label, results in payload["groups"].items()
-            }
-        return "scalar", [from_wire(r) for r in payload["results"]]
 
     def close(self) -> None:
         with self._mutex:
@@ -471,9 +375,6 @@ class ReplicatedShard:
             # replica-only trouble (lag, restart, promotion) is absorbed.
             self._demote(slot)
             return fn(self.primary)
-
-    def execute(self, sql: str):
-        return self._read(lambda worker: worker.execute(sql))
 
     def call(self, name: str, *args):
         """Route by the row's ``replicas`` column: ``any`` reads spread

@@ -35,8 +35,7 @@ Ops / payloads
 * ``OP_QUERY`` (2) — ``pack_string(sql)``; OK payload is a result block.
 * ``OP_QUERY_BATCH`` (3) — ``<I n>`` then n × ``pack_string(sql)``; OK
   payload is ``<I n>`` then n × (``<B ok>`` + result block | error
-  block).  One frame carries many queries — the cluster front end
-  coalesces concurrent scatters to the same shard into one of these.
+  block).  One frame carries many queries.
 * ``OP_INGEST`` (4) — ``<B coalesce>`` + ``pack_string(table)`` +
   ``codec.encode_table(rows)`` (the lossless binary table codec — no
   JSON round trip for row payloads); OK payload is a JSON object.

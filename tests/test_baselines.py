@@ -1,4 +1,4 @@
-"""Tests for the baseline AQP systems (DeepDB-like, DBEst++-like, sampling, adapter)."""
+"""Tests for the baseline AQP systems (DeepDB-like, DBEst++-like, adapter)."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.baselines import (
     DBEstPlusPlusLike,
     DeepDBLike,
     GaussianMixture1D,
-    SamplingAQP,
     UnsupportedQueryError,
 )
 from repro.baselines.spn import HistogramLeaf, SumProductNetwork
@@ -127,11 +126,6 @@ def dbest(simple_table):
 
 
 @pytest.fixture(scope="module")
-def sampling(simple_table):
-    return SamplingAQP.fit(simple_table, sample_size=1000)
-
-
-@pytest.fixture(scope="module")
 def adapter(simple_engine):
     return ServedSystem(backend=simple_engine, engine=simple_engine)
 
@@ -211,23 +205,6 @@ class TestDBEstPlusPlusLike:
         assert system.num_templates == numeric * (numeric - 1)
 
 
-class TestSamplingAQP:
-    def test_count_scales_to_population(self, sampling, simple_table):
-        query = parse_query("SELECT COUNT(x) FROM simple WHERE x > 50")
-        result = sampling.estimate(query)
-        truth = float((simple_table.column("x") > 50).sum())
-        assert result.value == pytest.approx(truth, rel=0.15)
-
-    def test_supports_all_aggregations(self, sampling):
-        for func in ("COUNT", "SUM", "AVG", "MIN", "MAX", "MEDIAN", "VAR"):
-            result = sampling.estimate(parse_query(f"SELECT {func}(x) FROM simple WHERE x > 10"))
-            assert np.isfinite(result.value)
-
-    def test_synopsis_is_the_sample(self, sampling):
-        assert sampling.synopsis_bytes() > 0
-        assert sampling.scale == pytest.approx(2.0, rel=0.01)
-
-
 class TestPairwiseHistAdapter:
     def test_estimate_matches_engine(self, adapter, simple_engine):
         query = parse_query("SELECT AVG(x) FROM simple WHERE y > 100")
@@ -258,7 +235,7 @@ class TestBaselineResult:
         assert BaselineResult(1.0, 0.0, 2.0).has_bounds
         assert not BaselineResult(1.0).has_bounds
 
-    def test_baselines_vs_exact_on_shared_queries(self, deepdb, sampling, adapter, simple_table):
+    def test_baselines_vs_exact_on_shared_queries(self, deepdb, adapter, simple_table):
         exact = ExactQueryEngine(simple_table)
         queries = [
             "SELECT COUNT(x) FROM simple WHERE y > 80",
@@ -267,6 +244,6 @@ class TestBaselineResult:
         for sql in queries:
             query = parse_query(sql)
             truth = exact.execute_scalar(query)
-            for system in (deepdb, sampling, adapter):
+            for system in (deepdb, adapter):
                 estimate = system.estimate(query).value
                 assert estimate == pytest.approx(truth, rel=0.25)

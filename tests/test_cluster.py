@@ -16,6 +16,9 @@ The invariants pinned here:
 from __future__ import annotations
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,10 +29,12 @@ from repro import (
     ClusterQueryService,
     PairwiseHistParams,
     QueryService,
+    load_dataset,
     parse_query,
 )
 from repro.cluster.gather import (
     GatherPlan,
+    _combine,
     gather_groups,
     gather_scalar,
     plan_query,
@@ -39,7 +44,9 @@ from repro.cluster.router import ShardRouter
 from repro.cluster.service import shard_params
 from repro.core.aggregation import AqpEstimate
 from repro.data.table import Table
+from repro.service.config import ServeConfig
 from repro.sql.ast import AggregateFunction
+from repro.workload import QueryGenerator, WorkloadSpec
 
 PARAMS = PairwiseHistParams.with_defaults(sample_size=None, seed=1)
 PARTITION_SIZE = 500
@@ -312,6 +319,50 @@ class TestGatheredValueInsideItsInterval:
             rows.append(row)
         [gathered] = gather_scalar(plan, rows)
         assert gathered.lower <= gathered.value <= gathered.upper
+
+
+class TestEmptyShardAnswers:
+    """A shard whose rows all miss the predicate answers NaN (COUNT: 0)."""
+
+    @given(st.sampled_from(list(AggregateFunction)), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_empty_answers_change_nothing(self, func, data):
+        shards = data.draw(st.integers(min_value=1, max_value=4))
+        answers = [data.draw(_ORDERED) for _ in range(shards)]
+        counts = [answer(data.draw(_WEIGHT)) for _ in range(shards)]
+        means = [answer(data.draw(_FINITE)) for _ in range(shards)]
+        expected = _combine(func, answers, counts, means)
+        empty = answer(math.nan)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            at = data.draw(st.integers(min_value=0, max_value=len(answers)))
+            answers.insert(at, empty)
+            counts.insert(at, answer(0.0))
+            means.insert(at, empty)
+        assert _combine(func, answers, counts, means) == expected
+
+    def test_every_shard_empty_answers_nan(self):
+        empty = answer(math.nan)
+        got = _combine(
+            AggregateFunction.AVG, [empty, empty], [answer(0.0)] * 2, [None] * 2
+        )
+        assert all(math.isnan(v) for v in got)
+
+    def test_shard_matching_nothing_leaves_the_single_node_answer(self):
+        # Only one row has voltage below 233.97; its shard answers it and
+        # the other shard matches nothing.
+        table = load_dataset("power", rows=20_000, seed=1)
+        params = PairwiseHistParams.with_defaults(sample_size=None, seed=1)
+        single = QueryService(partition_size=10_000)
+        single.register_table(table, params=params)
+        cluster = ClusterQueryService(num_shards=2, mode="local", partition_size=10_000)
+        try:
+            cluster.register_table(table, params=params)
+            for func in AggregateFunction:
+                sql = f"SELECT {func.value}(voltage) FROM power WHERE voltage < 233.97"
+                expected = single.execute_scalar(sql).estimate
+                assert cluster.execute_scalar(sql).estimate == expected, sql
+        finally:
+            cluster.close()
 
 
 class TestShardParams:
@@ -627,3 +678,38 @@ class TestProcessClusterSmoke:
                 assert (a.value, a.lower, a.upper) == (b.value, b.lower, b.upper), sql
         finally:
             process.close()
+
+    def test_concurrent_scatters_answer_like_serial_ones(self):
+        """Four threads scatter through the same two process shards at
+        once; every answer equals the one the statement gets alone."""
+        table = sensors()
+        spec = WorkloadSpec.scaled_experiments(num_queries=100, seed=7)
+        statements = [str(q) for q in QueryGenerator(table, spec).generate()]
+        cluster = ClusterQueryService(
+            num_shards=2,
+            mode="process",
+            partition_size=PARTITION_SIZE,
+            # Both runs execute every statement instead of one reading the
+            # other's cached answer.
+            worker=ServeConfig(result_cache_size=0),
+        )
+        try:
+            cluster.register_table(table, params=PARAMS)
+            serial = [repr(cluster.execute(sql)) for sql in statements]
+            start = threading.Barrier(4)
+
+            def run(chunk: list[str]) -> list[str]:
+                start.wait(timeout=60)
+                return [repr(cluster.execute(sql)) for sql in chunk]
+
+            chunks = [statements[i::4] for i in range(4)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave the threads finely
+            try:
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    answers = list(pool.map(run, chunks, timeout=300))
+            finally:
+                sys.setswitchinterval(interval)
+            assert answers == [serial[i::4] for i in range(4)]
+        finally:
+            cluster.close()
