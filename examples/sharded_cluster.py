@@ -10,13 +10,14 @@ mergeable (COUNT/SUM add, AVG via weighted sums, bounds conservatively).
 
 This example walks the whole lifecycle on a 2-shard subprocess cluster:
 
-1. boot the fleet (supervisor spawns the workers, scrapes their ports);
+1. boot the fleet (each shard spawns its worker through the supervisor,
+   which scrapes the port it listens on);
 2. register a table — rows fan out by row hash, each shard compresses
    and summarises only its share;
 3. stream batches in and query through the scatter-gather front end;
-4. ``kill -9`` one worker mid-flight: the next call revives it through
-   the supervisor and the replacement recovers from its own snapshot +
-   WAL before serving — the answer is identical;
+4. ``kill -9`` one worker mid-flight: the next call has the shard restart
+   it on its own data directory, and the replacement recovers from its
+   snapshot + WAL before serving — the answer is identical;
 5. shut down and reopen the whole cluster from the ``CLUSTER`` manifest.
 
 Run with:  python examples/sharded_cluster.py
@@ -46,7 +47,7 @@ def main() -> None:
     cluster = ClusterQueryService(
         num_shards=2, path=root, mode="process", partition_size=8_192
     )
-    ports = [h.port for h in cluster.supervisor.handles.values()]
+    ports = [shard.handle.port for shard in cluster.shards]
     print(f"booted {cluster.num_shards} worker(s) on ports {ports} "
           f"in {time.perf_counter() - boot_start:.2f}s")
 
@@ -71,7 +72,7 @@ def main() -> None:
 
     # ---- kill a worker, query through the failure ----------------------- #
     print("\nkill -9 shard 0 ...")
-    cluster.supervisor.kill(0)
+    cluster.shards[0].kill()
     revive_start = time.perf_counter()
     after = cluster.execute_scalar(QUERY)
     print(f"  next query revived + recovered the worker in "

@@ -5,10 +5,10 @@ The horizontal-scaling layer above the durable single-node service:
 * :mod:`repro.cluster.router` — deterministic row-hash placement of every
   row onto one of N worker shards;
 * :mod:`repro.cluster.shard` — worker backends: in-process
-  (:class:`LocalShard`) or supervised ``QueryServer`` subprocesses
-  (:class:`ProcessShard`) speaking the binary pipelined protocol;
-* :mod:`repro.cluster.supervisor` — :class:`ShardSupervisor`: spawn,
-  health-check, restart-with-recovery of the worker fleet;
+  (:class:`LocalShard`) or one object per ``QueryServer`` subprocess
+  (:class:`ProcessShard`: process, data directory, channels);
+* :mod:`repro.cluster.supervisor` — :class:`ShardSupervisor`: worker
+  command lines, spawn + banner scrape, log relay, graceful stop;
 * :mod:`repro.cluster.gather` — recombination of per-shard synopsis
   answers (COUNT/SUM add, AVG via weighted sums, GROUP BY unions,
   conservative bounds);

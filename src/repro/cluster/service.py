@@ -18,8 +18,11 @@ running either in-process (``mode="local"``, tests) or as supervised
   count + table catalog, so :meth:`ClusterQueryService.open` recovers the
   whole fleet — each worker replays its own snapshot + WAL.
 * **Failure**: a worker crash surfaces as a connection error; the front
-  end restarts it through the :class:`ShardSupervisor` (recovery happens
-  inside the worker before it listens) and retries the call once.
+  end has the shard restart it — a :class:`ProcessShard` respawns its
+  worker on its own data directory (recovery happens inside the worker
+  before it listens), a :class:`ReplicatedShard` promotes its freshest
+  replica — and retries the call once.  A memory-only worker comes back
+  empty, so its rows leave the catalog with it.
 """
 
 from __future__ import annotations
@@ -46,12 +49,7 @@ from ..service.database import check_rows_match
 from ..service.ops import OPS
 from ..service.wire import UnsentRequestError
 from ..storage.durable import CheckpointResult
-from ..storage.cluster import (
-    ClusterLayout,
-    ClusterManifest,
-    ClusterTableMeta,
-    shard_dir_name,
-)
+from ..storage.cluster import ClusterLayout, ClusterManifest, ClusterTableMeta
 from .gather import gather_groups, gather_scalar, plan_query
 from .router import ShardRouter
 from .shard import LocalShard, ProcessShard, ReplicatedShard, decode_answers
@@ -176,7 +174,7 @@ class ClusterQueryService:
         default_params: PairwiseHistParams | None = None,
         partition_size: int | None = None,
         worker: ServeConfig | None = None,
-        replicas: int | None = 0,
+        replicas: int = 0,
         max_replica_lag: int = 256,
         _opening: bool = False,
         **shard_kwargs,
@@ -195,6 +193,7 @@ class ClusterQueryService:
         self.partition_size = partition_size
         self.router = ShardRouter(num_shards)
         self.layout = ClusterLayout(path) if path is not None else None
+        self.replicas = replicas
         self.max_replica_lag = max_replica_lag
         self._catalog: dict[str, ClusterTable] = {}
         #: Guards catalog dict mutations + manifest writes (register/drop).
@@ -205,16 +204,7 @@ class ClusterQueryService:
         #: N-1 orphaned processes.
         self._revive_locks = [threading.Lock() for _ in range(num_shards)]
         self._closed = False
-        if replicas is None:
-            # Autodetect (the open() path): the replica directories on
-            # disk are the setting.
-            replicas = (
-                self.layout.detect_replicas(num_shards)
-                if self.layout is not None
-                else 0
-            )
-        self.replicas = int(replicas)
-        if self.replicas and (mode != "process" or self.layout is None):
+        if replicas and (mode != "process" or self.layout is None):
             raise ValueError(
                 "read replicas need mode='process' and a cluster path — "
                 "each replica is a follower subprocess with its own data dir"
@@ -227,73 +217,23 @@ class ClusterQueryService:
                     "contains state; use ClusterQueryService.open(path) to "
                     "recover it"
                 )
-            self.layout.ensure(num_shards, replicas=self.replicas)
-        shard_dirs: list[Path | None] = (
-            self.layout.shard_paths(num_shards)
-            if self.layout is not None
-            else [None] * num_shards
-        )
-        replica_dirs: list[list[Path]] | None = None
-        epoch_files: list[Path] | None = None
-        if self.replicas:
-            from ..replication.fence import read_epoch, write_epoch
-
-            replica_dirs = [
-                [self.layout.replica_path(i, r) for r in range(self.replicas)]
-                for i in range(num_shards)
-            ]
-            epoch_files = [self.layout.epoch_path(i) for i in range(num_shards)]
-            for i in range(num_shards):
-                record = read_epoch(epoch_files[i])
-                if record.epoch == 0:
-                    write_epoch(epoch_files[i], 1, primary=shard_dir_name(i))
-                elif record.primary and record.primary != shard_dirs[i].name:
-                    # A past promotion moved the primary role into one of
-                    # the replica directories; honour the epoch record so
-                    # the reopened cluster serves the promoted state.
-                    for slot, candidate in enumerate(replica_dirs[i]):
-                        if candidate.name == record.primary:
-                            shard_dirs[i], replica_dirs[i][slot] = (
-                                candidate,
-                                shard_dirs[i],
-                            )
-                            break
+            self.layout.ensure(num_shards, replicas=replicas)
         self.supervisor: ShardSupervisor | None = None
         if mode == "process":
             worker = worker or ServeConfig()
             if partition_size is not None:
                 worker = replace(worker, partition_size=partition_size)
             self.supervisor = ShardSupervisor(
-                data_dirs=shard_dirs,
-                worker=worker,
-                replicas=self.replicas,
-                replica_data_dirs=replica_dirs,
-                epoch_files=epoch_files,
-                **shard_kwargs,
+                worker=worker, replicas=replicas, **shard_kwargs
             )
-            handles = self.supervisor.start()
-            primaries = [
-                ProcessShard(h.index, self.supervisor.host, h.port) for h in handles
-            ]
-            if self.replicas:
-                self.shards = [
-                    ReplicatedShard(
-                        i,
-                        primary,
-                        {
-                            r: ProcessShard(
-                                i,
-                                self.supervisor.host,
-                                self.supervisor.handles[(i, r)].port,
-                            )
-                            for r in range(self.replicas)
-                        },
-                        max_lag_records=max_replica_lag,
-                    )
-                    for i, primary in enumerate(primaries)
-                ]
-            else:
-                self.shards = primaries
+            self.shards = [self._process_shard(i) for i in range(num_shards)]
+            try:
+                for shard in self.shards:
+                    for _, member in shard.workers():
+                        member.start()  # a primary before its replicas
+            except BaseException:
+                self.supervisor.stop(self._handles(), graceful=False)
+                raise
         else:
             if worker is not None:
                 raise ValueError("worker only applies to mode='process'")
@@ -302,8 +242,11 @@ class ClusterQueryService:
                 kwargs["default_params"] = default_params
             if partition_size is not None:
                 kwargs["partition_size"] = partition_size
+            paths = [None] * num_shards
+            if self.layout is not None:
+                paths = [self.layout.shard_path(i) for i in range(num_shards)]
             self.shards = [
-                LocalShard(index, data_dir=shard_dirs[index], **kwargs)
+                LocalShard(index, data_dir=paths[index], **kwargs)
                 for index in range(num_shards)
             ]
         # Scatter pool sized for many *concurrent* fan-outs: every in-flight
@@ -314,6 +257,39 @@ class ClusterQueryService:
         )
         if self.layout is not None and not _opening:
             self._write_manifest()
+
+    def _process_shard(self, index: int) -> ProcessShard | ReplicatedShard:
+        """Shard ``index``'s workers, not yet started, on the directories
+        its epoch record assigns them."""
+        primary_dir, replica_dirs = (
+            (None, [])
+            if self.layout is None
+            else self.layout.worker_paths(index, self.replicas)
+        )
+        epoch_file = self.layout.epoch_path(index) if self.replicas else None
+        primary = ProcessShard(
+            index, self.supervisor, primary_dir, epoch_file=epoch_file
+        )
+        if not self.replicas:
+            return primary
+        replicas = {
+            slot: ProcessShard(
+                index, self.supervisor, path, slot, primary, epoch_file
+            )
+            for slot, path in enumerate(replica_dirs)
+        }
+        return ReplicatedShard(
+            index, primary, replicas, max_lag_records=self.max_replica_lag
+        )
+
+    def _handles(self) -> list:
+        """The handle of every worker process that was spawned."""
+        return [
+            worker.handle
+            for shard in self.shards
+            for _, worker in shard.workers()
+            if worker.handle is not None
+        ]
 
     # ------------------------------------------------------------------ #
     # Recovery
@@ -347,9 +323,10 @@ class ClusterQueryService:
                 f"shard(s); refusing to reopen with {expected_shards} — the "
                 "shard count is part of the routing function"
             )
-        # Reopening autodetects the replica count from the directory
-        # listing unless the caller pins it explicitly.
-        kwargs.setdefault("replicas", None if mode == "process" else 0)
+        if mode == "process" and not kwargs.get("replicas"):
+            # Unless the caller pins it, the replica directories on disk
+            # are the setting.
+            kwargs["replicas"] = layout.detect_replicas(manifest.num_shards)
         service = cls(
             num_shards=manifest.num_shards,
             path=path,
@@ -431,9 +408,10 @@ class ClusterQueryService:
         callers simultaneously; the per-shard lock serializes them, the
         generation check makes later arrivals observe (not repeat) the
         first caller's revival, and a wire ping distinguishes a dead
-        worker (restart + recover) from a mere channel loss — e.g. our
-        side of the socket was closed by a concurrent reconnect — where
-        restarting would needlessly discard a healthy worker.
+        worker (restart + recover, or promote a replica) from a mere
+        channel loss — e.g. our side of the socket was closed by a
+        concurrent reconnect — where restarting would needlessly discard
+        a healthy worker.
         """
         if self.supervisor is None:
             raise  # local shards share our process; a crash here is ours
@@ -441,90 +419,19 @@ class ClusterQueryService:
         with self._revive_locks[index]:
             if generation is not None and shard.generation != generation:
                 return  # another caller already revived this shard
-            if self.supervisor.ping(index):
+            if shard.ping():
                 shard.reconnect()
                 return
-            if self.replicas and self._promote_shard(index):
-                return
-            handle = self.supervisor.restart(index)
-            shard.reconnect(handle.port)
+            shard.restart()
             if self.layout is None:
                 # Memory-only workers lose their tables with the process;
-                # drop them from the routing sets so the next ingest
-                # re-registers.
+                # drop them from the routing sets (the next ingest
+                # re-registers) and their rows from the counts.
                 for table in self._catalog.values():
                     with table.mutex:
                         table.registered.discard(index)
-                        table.shard_rows.pop(index, None)
+                        table.rows -= table.shard_rows.pop(index, 0)
                         table.shard_partitions.pop(index, None)
-
-    def _promote_shard(self, index: int) -> bool:
-        """Fail a dead primary over to its freshest live replica.
-
-        Caller holds the shard's revive lock.  The order is the fencing
-        contract: bump the epoch file first (from that instant the deposed
-        primary — even a zombie that is merely unreachable — can no longer
-        acknowledge writes), then tell the chosen replica to act as the
-        primary.  The freshest replica (highest durable LSN) necessarily
-        holds every acknowledged write, because acks waited for
-        replication and follower WALs are contiguous.
-
-        Returns False when no replica can take over — the caller falls
-        back to restart-as-recovery on the old primary's directory.
-        """
-        from ..replication.fence import read_epoch, write_epoch
-
-        shard = self.shards[index]
-        supervisor = self.supervisor
-        candidates: list[tuple[int, int]] = []
-        for slot in shard.replica_slots():
-            replica = shard.replicas[slot]
-            try:
-                status = replica.call("status")
-            except Exception:
-                try:
-                    replica.reconnect()
-                    status = replica.call("status")
-                except Exception:
-                    continue
-            if status.get("role") != "replica":
-                continue
-            candidates.append((int(status.get("durable_lsn", 0)), slot))
-        if not candidates:
-            return False
-        _, slot = max(candidates)
-        epoch_path = self.layout.epoch_path(index)
-        new_epoch = read_epoch(epoch_path).epoch + 1
-        promoted_dir = supervisor.replica_data_dirs[index][slot]
-        write_epoch(epoch_path, new_epoch, primary=promoted_dir.name)
-        try:
-            shard.replicas[slot].call("promote", new_epoch)
-        except Exception:
-            return False  # retried at a yet-higher epoch by the next revive
-        deposed = supervisor.adopt_primary(index, slot)
-        if deposed is not None and deposed.alive:
-            deposed.process.kill()  # fenced zombie; reap it
-            deposed.process.wait(timeout=30)
-        shard.swap_primary(slot)
-        new_port = supervisor.handles[index].port
-        for other in shard.replica_slots():
-            try:
-                shard.replicas[other].call("follow", supervisor.host, new_port)
-            except Exception:
-                pass  # its own revive path will respawn it
-        # The deposed primary's directory comes back as a fresh follower:
-        # its unreplicated (never-acknowledged) WAL tail is quarantined so
-        # it reseeds cleanly from the new primary.
-        try:
-            handle = supervisor.respawn_replica(
-                index, slot, fresh=True, epoch=new_epoch
-            )
-            shard.attach_replica(
-                slot, ProcessShard(index, supervisor.host, handle.port)
-            )
-        except Exception:
-            pass  # a missing replica only costs read capacity
-        return True
 
     def _submit(self, calls, revive: bool, traced: bool) -> list:
         """The one scatter loop: start each ``(shard index, thunk)`` of
@@ -731,6 +638,8 @@ class ClusterQueryService:
         grouped = query.group_by is not None
 
         def _query_shard(i: int, shard):
+            if i not in entry.registered:
+                return None  # a revived memory-only worker: its rows are gone
             started = time.perf_counter()
             with tracing.child_span("shard_execute", attrs={"shard": i}):
                 answers = decode_answers(shard.call("query", sql), grouped)
@@ -885,12 +794,11 @@ class ClusterQueryService:
         return plan
 
     def ready(self) -> bool:
-        """Every worker reachable — the cluster's ``/readyz`` predicate."""
+        """Every primary answers a wire ping — the cluster's ``/readyz``
+        predicate."""
         if self.supervisor is None:
             return True
-        return all(
-            self.supervisor.ping(index) for index in range(self.num_shards)
-        )
+        return all(shard.ping() for shard in self.shards)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -900,13 +808,14 @@ class ClusterQueryService:
             return
         self._closed = True
         self._pool.shutdown(wait=True)
+        handles = self._handles() if self.supervisor is not None else []
         for shard in self.shards:
             try:
                 shard.close()
             except OSError:  # pragma: no cover - a dying worker's socket
                 pass
         if self.supervisor is not None:
-            self.supervisor.stop(graceful=graceful)
+            self.supervisor.stop(handles, graceful=graceful)
 
     def __enter__(self) -> "ClusterQueryService":
         return self

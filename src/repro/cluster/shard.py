@@ -2,18 +2,22 @@
 
 A shard is one full durable engine owning a disjoint, hash-routed subset
 of every table's rows.  The cluster front end talks to shards through one
-small interface so the same scatter-gather code drives both flavours:
+small interface so the same scatter-gather code drives every flavour:
 
 * :class:`LocalShard` — a :class:`~repro.service.database.QueryService`
   (optionally over a :class:`~repro.storage.durable.DurableDatabase` data
   directory) living in the front end's process.  No serialization, no
   sockets: the configuration unit tests use to pin cluster semantics.
-* :class:`ProcessShard` — a :class:`~repro.service.server.QueryServer`
-  subprocess managed by a
-  :class:`~repro.cluster.supervisor.ShardSupervisor`, spoken to over the
-  binary pipelined protocol via
-  :class:`~repro.service.wire.PipelinedClient`.  This is the
-  multi-process deployment the GIL cannot bound.
+* :class:`ProcessShard` — one ``QueryServer`` subprocess, as one object:
+  its :class:`~repro.cluster.supervisor.WorkerHandle` (process, port),
+  its data directory and the two binary pipelined channels to it.  It
+  starts, pings, kills and restarts its own worker; the
+  :class:`~repro.cluster.supervisor.ShardSupervisor` only spawns and
+  stops.  This is the multi-process deployment the GIL cannot bound.
+* :class:`ReplicatedShard` — a primary :class:`ProcessShard` plus
+  replica ones, keyed by slot.  Reads spread over the replicas within
+  the staleness bound; a dead primary is replaced by promoting the
+  freshest replica, which is one re-keying of these objects.
 
 Every flavour answers ``call(name, *args)`` for the rows of the op table
 (:mod:`repro.service.ops`) with the payload that op has over the wire, so
@@ -24,11 +28,13 @@ payload into the :class:`AqpEstimate` lists the gather layer combines.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from pathlib import Path
 
 from ..core.aggregation import AqpEstimate
+from ..obs import log as obs_log
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from ..service.database import Database, QueryService
@@ -36,6 +42,9 @@ from ..service.ops import OPS
 from ..service.wire import PipelinedClient, WireError
 from ..sql.ast import UnsupportedQueryError
 from ..sql.parser import ParseError
+from .supervisor import ShardSupervisor, WorkerHandle
+
+_LOG = obs_log.get_logger("supervisor")
 
 _REPLICA_READ_LAG = obs_metrics.gauge(
     "aqp_replica_read_lag_records",
@@ -89,6 +98,18 @@ def _raise_wire_error(error: WireError):
     raise error
 
 
+def _status(worker) -> dict | None:
+    """A worker's ``status``, reconnecting once; ``None`` if unreachable."""
+    try:
+        return worker.call("status")
+    except Exception:
+        try:
+            worker.reconnect()
+            return worker.call("status")
+        except Exception:
+            return None
+
+
 class LocalShard:
     """An in-process worker shard (one thread-safe :class:`QueryService`)."""
 
@@ -124,31 +145,97 @@ class LocalShard:
 
 
 class ProcessShard:
-    """A worker shard living in a supervised ``QueryServer`` subprocess.
+    """One worker process: its :class:`WorkerHandle`, its data directory
+    and the two channels the front end speaks to it over.
 
-    The shard is spoken to over two multiplexed binary channels
-    (:class:`~repro.service.wire.PipelinedClient`), picked by the op
-    row's ``channel``: a *query* channel, where each scatter is one
+    The channels are multiplexed binary
+    :class:`~repro.service.wire.PipelinedClient` connections, picked by
+    the op row's ``channel``: a *query* channel, where each scatter is one
     pipelined ``QUERY`` frame, and a *bulk* channel for ingest/register —
     so an MB-sized row frame (or a slow tail recompression) never
     head-of-line blocks the small query frames sharing the shard.
+
+    The object owns its process: :meth:`start` spawns it through the
+    supervisor on :attr:`data_dir`, and :meth:`restart` replaces it with a
+    fresh process on the same directory, which recovers the shard's
+    snapshot + WAL before it listens — restart *is* recovery.  A replica
+    (``slot`` set) spawns subscribed to its ``leader``'s port.
     """
 
     def __init__(
-        self, index: int, host: str, port: int, timeout: float | None = 600.0
+        self,
+        index: int,
+        supervisor: ShardSupervisor,
+        data_dir: str | Path | None = None,
+        slot: int | None = None,
+        leader: "ProcessShard | None" = None,
+        epoch_file: Path | None = None,
+        timeout: float | None = 600.0,
     ) -> None:
         self.index = index
-        self.host = host
-        self.port = port
+        self.supervisor = supervisor
+        self.data_dir = Path(data_dir) if data_dir is not None else None
+        #: Replica slot within the shard, ``None`` for the primary.
+        self.slot = slot
+        #: The primary a replica follows (``None`` for the primary).
+        self.leader = leader
+        #: The shard's epoch (fencing) file, when it is replicated.
+        self.epoch_file = epoch_file
         self.timeout = timeout
+        self.handle: WorkerHandle | None = None
         self._mutex = threading.Lock()
         self._generation = 0
-        # Connect eagerly so construction fails fast when the worker is
-        # not listening.
-        self._query_channel, self._bulk_channel = self._open_channels()
+        self._query_channel = self._bulk_channel = None
+
+    # ------------------------------------------------------------------ #
+    # The process
+
+    def argv(self) -> list[str]:
+        """The command line :meth:`start` spawns."""
+        follow = None if self.leader is None else self.leader.handle
+        return self.supervisor.argv(
+            self.index, self.data_dir, self.slot, follow, self.epoch_file
+        )
+
+    def start(self) -> "ProcessShard":
+        """Spawn the worker and connect to it, once it listens."""
+        self.handle = self.supervisor.spawn(self.argv(), self.index, self.slot)
+        self.reconnect()
+        return self
+
+    def kill(self) -> None:
+        """``kill -9`` the worker and reap it (fault injection, and the
+        first step of :meth:`restart`)."""
+        if self.handle.alive:
+            self.handle.process.kill()
+        self.handle.process.wait(timeout=30)
+
+    def restart(self) -> None:
+        """Replace the worker with a fresh process on the same data
+        directory and reconnect; any remnant process is killed first."""
+        _LOG.warning("worker_restarting", shard=self.index, slot=self.slot)
+        self.kill()
+        self.start()
+
+    def ping(self, timeout: float = 5.0) -> bool:
+        """Liveness through the wire, not just the process table."""
+        if self.handle is None or not self.handle.alive:
+            return False
+        try:
+            with PipelinedClient(
+                self.supervisor.host, self.handle.port, timeout=timeout
+            ) as client:
+                return client.ping() == "pong"
+        except (OSError, ConnectionError):
+            return False
+
+    # ------------------------------------------------------------------ #
+    # The channels
 
     def _connect(self) -> PipelinedClient:
-        return PipelinedClient(self.host, self.port, timeout=self.timeout).connect()
+        return PipelinedClient(
+            self.supervisor.host, self.handle.port, timeout=self.timeout
+        ).connect()
 
     def _open_channels(self) -> tuple[PipelinedClient, PipelinedClient]:
         query = self._connect()
@@ -165,22 +252,21 @@ class ProcessShard:
         another caller already revived the shard."""
         return self._generation
 
-    def reconnect(self, port: int | None = None) -> None:
-        """Point the channels at a restarted worker.
+    def reconnect(self) -> None:
+        """Point the channels at the worker's current port.
 
         In-flight requests on the old channels fail with
         :class:`ConnectionError` when they are closed — their callers
         observe the bumped generation and retry on the new channels.
         """
-        if port is not None:
-            self.port = port
         query, bulk = self._open_channels()
         with self._mutex:
             self._generation += 1
             stale = (self._query_channel, self._bulk_channel)
             self._query_channel, self._bulk_channel = query, bulk
         for channel in stale:
-            channel.close()
+            if channel is not None:
+                channel.close()
 
     def _channels(self) -> tuple[PipelinedClient, PipelinedClient]:
         with self._mutex:
@@ -210,7 +296,8 @@ class ProcessShard:
             self._generation += 1
             channels = (self._query_channel, self._bulk_channel)
         for channel in channels:
-            channel.close()
+            if channel is not None:
+                channel.close()
 
 
 class ReplicatedShard:
@@ -251,11 +338,11 @@ class ReplicatedShard:
         self._generation = 0
 
     # ------------------------------------------------------------------ #
-    # Topology
+    # Topology: start, revival, promotion
 
     @property
     def generation(self) -> int:
-        """Bumped by reconnect and promotion; revival logic uses it to
+        """Bumped by reconnect and restart; revival logic uses it to
         detect that another caller already revived the shard."""
         return self._generation
 
@@ -268,32 +355,105 @@ class ReplicatedShard:
         with self._mutex:
             return sorted(self._eligible)
 
-    def attach_replica(self, slot: int, shard: ProcessShard) -> None:
-        """Install (or replace) the replica at ``slot``."""
+    def ping(self, timeout: float = 5.0) -> bool:
+        return self.primary.ping(timeout)
+
+    def reconnect(self) -> None:
+        self.primary.reconnect()
         with self._mutex:
-            old = self.replicas.get(slot)
-            self.replicas[slot] = shard
-            self._eligible = tuple(s for s in self._eligible if s != slot)
-        if old is not None and old is not shard:
-            old.close()
+            self._generation += 1
 
-    def swap_primary(self, slot: int) -> ProcessShard:
-        """Make the (already promoted) replica at ``slot`` the primary.
+    def restart(self) -> None:
+        """Replace a dead primary (the caller holds the shard's revive lock).
 
-        Returns the deposed primary's shard, which the caller owns —
-        its process is usually already dead.
+        The freshest live replica holds every acknowledged write (acks
+        waited for replication), so it is promoted once the bumped epoch
+        record fences the deposed primary, and moves into :attr:`primary`
+        with its process and directory; the deposed primary takes its
+        slot.  With no live replica, or when ``promote`` fails (maybe just
+        its reply), the primary restarts on its own directory.  Both end
+        in :meth:`_settle`, and the chosen slot is reseeded as a follower.
         """
+        from ..replication.fence import read_epoch, write_epoch
+
+        slot = self._freshest()
+        if slot is None:
+            self.primary.restart()
+        else:
+            chosen = self.replicas[slot]
+            epoch = read_epoch(chosen.epoch_file).epoch + 1
+            write_epoch(chosen.epoch_file, epoch, primary=chosen.data_dir.name)
+            try:
+                chosen.call("promote", epoch)
+            except Exception:
+                self.primary.restart()
+            else:
+                with self._mutex:
+                    deposed, self.primary = self.primary, chosen
+                    self.replicas[slot] = deposed
+                chosen.slot = chosen.leader = None
+                deposed.slot, deposed.leader = slot, chosen
+                deposed.kill()  # fenced; reap a zombie before reseeding
+                _LOG.warning("primary_promoted", shard=self.index, slot=slot)
+        self._settle()
+        if slot is not None:
+            try:
+                self.reseed(slot, epoch)
+            except Exception:
+                pass  # a missing replica only costs read capacity
+
+    def _freshest(self) -> int | None:
+        """The live replica slot with the highest durable LSN, if any."""
+        candidates = []
+        for slot in self.replica_slots():
+            status = _status(self.replicas[slot])
+            if status is not None and status.get("role") == "replica":
+                candidates.append((int(status.get("durable_lsn", 0)), slot))
+        return max(candidates)[1] if candidates else None
+
+    def _settle(self) -> None:
+        """Name the running primary's directory in the epoch record, and
+        point every replica at it (``follow`` reaches the live ones)."""
+        from ..replication.fence import read_epoch, write_epoch
+
+        primary = self.primary
+        epoch = read_epoch(primary.epoch_file).epoch
+        write_epoch(primary.epoch_file, epoch, primary=primary.data_dir.name)
         with self._mutex:
-            promoted = self.replicas.pop(slot)
-            deposed, self.primary = self.primary, promoted
+            replicas = list(self.replicas.values())
             self._eligible = ()
             self._generation += 1
-        return deposed
+        for replica in replicas:
+            replica.leader = primary
+            try:
+                replica.call("follow", primary.supervisor.host, primary.handle.port)
+            except Exception:
+                pass  # a dead one follows the primary once restarted
 
-    def reconnect(self, port: int | None = None) -> None:
-        self.primary.reconnect(port)
-        with self._mutex:
-            self._generation += 1
+    def reseed(self, slot: int, epoch: int) -> None:
+        """Restart the replica in ``slot`` as a fresh follower.
+
+        Its directory's ``wal/`` and ``snapshots/`` first move into
+        ``divergent-{epoch}``: a deposed primary's unreplicated (never
+        acknowledged) tail must not resurface, so the follower bootstraps
+        from the primary instead — from its WAL, or by snapshot seed once
+        the primary has truncated it.
+        """
+        replica = self.replicas[slot]
+        replica.kill()
+        quarantine = replica.data_dir / f"divergent-{epoch:06d}"
+        for name in ("wal", "snapshots"):
+            source = replica.data_dir / name
+            if source.exists():
+                quarantine.mkdir(parents=True, exist_ok=True)
+                os.replace(source, quarantine / name)
+        _LOG.warning(
+            "replica_state_quarantined",
+            shard=self.index,
+            slot=slot,
+            quarantine=str(quarantine),
+        )
+        replica.start()
 
     # ------------------------------------------------------------------ #
     # Staleness-bounded read routing
@@ -309,16 +469,8 @@ class ReplicatedShard:
         eligible = []
         shard_label = f"{self.index:05d}"
         for slot, shard in sorted(replicas.items()):
-            try:
-                status = shard.call("status")
-            except Exception:
-                try:
-                    shard.reconnect()
-                    status = shard.call("status")
-                except Exception:
-                    _REPLICA_ELIGIBLE.set(0, shard=shard_label, slot=str(slot))
-                    continue
-            if status.get("role") != "replica":
+            status = _status(shard)
+            if status is None or status.get("role") != "replica":
                 _REPLICA_ELIGIBLE.set(0, shard=shard_label, slot=str(slot))
                 continue
             applied = int(status.get("applied_lsn", 0))

@@ -105,6 +105,7 @@ def _open_cluster(config: ServeConfig) -> _Deployment:
     options = {
         "mode": "process",
         "partition_size": config.partition_size,
+        "replicas": config.replicas,
         "max_replica_lag": config.max_replica_lag,
         "worker": config,
     }
@@ -112,7 +113,6 @@ def _open_cluster(config: ServeConfig) -> _Deployment:
         cluster = ClusterQueryService.open(
             config.data_dir,
             expected_shards=config.shards,
-            replicas=config.replicas or None,
             **options,
         )
         print(
@@ -124,7 +124,6 @@ def _open_cluster(config: ServeConfig) -> _Deployment:
         cluster = ClusterQueryService(
             num_shards=config.shards,
             path=config.data_dir or None,
-            replicas=config.replicas,
             **options,
         )
     return _Deployment(
@@ -133,7 +132,7 @@ def _open_cluster(config: ServeConfig) -> _Deployment:
         # event loop unblocked.
         front=AsyncFacade(cluster, max_workers=config.workers),
         snapshot=cluster.metrics,
-        # Ready = every worker answers a supervisor ping.
+        # Ready = every primary answers a wire ping.
         ready=cluster.ready,
         # Graceful worker shutdown: SIGTERM triggers each worker's final
         # checkpoint, so the next start recovers from snapshots.

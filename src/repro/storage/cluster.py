@@ -11,6 +11,8 @@ A sharded cluster roots all durable state under one directory:
         snapshots/
       shard-00001/
         ...
+      shard-00000-replica-00/   # with read replicas: one data dir per slot
+      shard-00000.epoch         # and the shard's epoch (fencing) record
 
 Each shard directory is an ordinary
 :class:`~repro.storage.durable.DurableDatabase` data directory — the
@@ -141,9 +143,6 @@ class ClusterLayout:
     def shard_path(self, index: int) -> Path:
         return self.root / shard_dir_name(index)
 
-    def shard_paths(self, num_shards: int) -> list[Path]:
-        return [self.shard_path(i) for i in range(num_shards)]
-
     def replica_path(self, index: int, replica: int) -> Path:
         return self.root / replica_dir_name(index, replica)
 
@@ -162,13 +161,33 @@ class ClusterLayout:
         return count
 
     def ensure(self, num_shards: int, replicas: int = 0) -> None:
-        """Create the root and every shard (and replica) data directory."""
+        """Create every shard (and replica) data directory, and a replicated
+        shard's first epoch record (epoch 1, naming its shard directory)."""
+        if replicas:
+            from ..replication.fence import read_epoch, write_epoch
         self.root.mkdir(parents=True, exist_ok=True)
-        for path in self.shard_paths(num_shards):
-            path.mkdir(parents=True, exist_ok=True)
         for index in range(num_shards):
+            self.shard_path(index).mkdir(parents=True, exist_ok=True)
             for replica in range(replicas):
                 self.replica_path(index, replica).mkdir(parents=True, exist_ok=True)
+            if replicas and read_epoch(self.epoch_path(index)).epoch == 0:
+                write_epoch(self.epoch_path(index), 1, primary=shard_dir_name(index))
+
+    def worker_paths(self, index: int, replicas: int) -> tuple[Path, list[Path]]:
+        """Shard ``index``'s primary data directory and its replicas', slot
+        by slot, as its epoch record assigns them: a promotion moves the
+        primary role into a replica directory, and the directory it left
+        takes that slot."""
+        primary = self.shard_path(index)
+        slots = [self.replica_path(index, replica) for replica in range(replicas)]
+        if replicas:
+            from ..replication.fence import read_epoch
+
+            named = read_epoch(self.epoch_path(index)).primary
+            for slot, path in enumerate(slots):
+                if path.name == named:
+                    primary, slots[slot] = path, primary
+        return primary, slots
 
     # ------------------------------------------------------------------ #
     # Manifest I/O

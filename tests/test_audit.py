@@ -692,20 +692,20 @@ class TestServerWiring:
         assert service.workload_log is None and service.auditor is None
 
     def test_supervisor_propagates_audit_flags_to_worker_argv(self):
+        from repro.cluster.shard import ProcessShard
         from repro.cluster.supervisor import ShardSupervisor
 
         supervisor = ShardSupervisor(
-            data_dirs=[None],
             worker=ServeConfig(
                 audit_sample=0.25, audit_interval=1.5, workload_capacity=64
             ),
         )
-        argv = supervisor._argv(0)
+        argv = ProcessShard(0, supervisor).argv()
         assert argv[argv.index("--audit-sample") + 1] == "0.25"
         assert argv[argv.index("--audit-interval") + 1] == "1.5"
         assert argv[argv.index("--workload-capacity") + 1] == "64"
         # Off by default: no audit daemon burning worker CPU unasked.
-        quiet = ShardSupervisor(data_dirs=[None])._argv(0)
+        quiet = ProcessShard(0, ShardSupervisor()).argv()
         assert "--audit-sample" not in quiet
 
 

@@ -601,21 +601,21 @@ class TestProcessClusterSmoke:
 
             # kill -9 one worker mid-fleet; the next query revives it and
             # the replacement recovers snapshot + WAL tail before serving.
-            cluster.supervisor.kill(0)
-            assert not cluster.supervisor.is_alive(0)
+            cluster.shards[0].kill()
+            assert not cluster.shards[0].handle.alive
             after = [
                 (r.value, r.lower, r.upper)
                 for r in (cluster.execute_scalar(sql) for sql in QUERIES)
             ]
             assert after == before
-            assert cluster.supervisor.ping(0)
+            assert cluster.shards[0].ping()
 
             # Ingest routed to a crashed-and-restarting shard: kill again,
             # then ingest — the fan-out revives the worker and appends.
-            cluster.supervisor.kill(1)
+            cluster.shards[1].kill()
             result = cluster.ingest("sensors", sensors(rows=200, seed=43))
             assert result.appended_rows == 200
-            assert cluster.supervisor.ping(1)
+            assert cluster.shards[1].ping()
             count = cluster.execute_scalar("SELECT COUNT(*) FROM sensors")
             assert count.value == pytest.approx(1900, rel=0.02)
         finally:
@@ -657,6 +657,40 @@ class TestProcessClusterSmoke:
             entry = cluster.table("sensors")
             for index, shard in enumerate(cluster.shards):
                 assert shard.call("stat", "sensors")["rows"] == entry.shard_rows[index]
+        finally:
+            cluster.close()
+
+    def test_ready_is_every_primary_answering_a_ping(self):
+        cluster = ClusterQueryService(
+            num_shards=2, mode="process", partition_size=PARTITION_SIZE
+        )
+        try:
+            assert cluster.ready()
+            cluster.register_table(sensors(rows=300), params=PARAMS)
+            cluster.shards[0].kill()
+            assert not cluster.ready()
+            cluster.execute_scalar("SELECT COUNT(*) FROM sensors")  # revives it
+            assert cluster.ready()
+        finally:
+            cluster.close()
+
+    def test_memory_only_worker_death_forgets_its_rows(self):
+        """A revived memory-only worker is empty: the query that trips the
+        revival answers what the next one does, from the surviving shard,
+        and the catalog's row count follows the shards' own."""
+        count = "SELECT COUNT(*) FROM sensors"
+        cluster = ClusterQueryService(
+            num_shards=2, mode="process", partition_size=PARTITION_SIZE
+        )
+        try:
+            cluster.register_table(sensors(rows=600), params=PARAMS)
+            cluster.shards[0].kill()
+            tripping = cluster.execute_scalar(count).value
+            assert cluster.execute_scalar(count).value == tripping < 600
+            entry = cluster.table("sensors")
+            assert entry.rows == tripping == cluster.explain(count)["route"]["rows"]
+            cluster.ingest("sensors", sensors(rows=200, seed=4))
+            assert entry.rows == tripping + 200 == cluster.execute_scalar(count).value
         finally:
             cluster.close()
 

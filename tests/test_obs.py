@@ -38,7 +38,7 @@ from repro import (
     PairwiseHistParams,
     QueryServer,
 )
-from repro.cluster.shard import ProcessShard, ReplicatedShard
+from repro.cluster.shard import ReplicatedShard
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
@@ -599,7 +599,7 @@ class TestClusterObservabilityEndToEnd:
                 message="initial catch-up",
             )
 
-            cluster.supervisor.kill((0, 0))
+            shard.replicas[0].kill()
             for seed in (4, 5):
                 cluster.ingest(
                     "sensors",
@@ -614,10 +614,7 @@ class TestClusterObservabilityEndToEnd:
             follower_id = max(grown, key=grown.get)
             assert grown[follower_id] >= 2  # two un-acked ingest records
 
-            handle = cluster.supervisor.respawn_replica(0, 0)
-            shard.attach_replica(
-                0, ProcessShard(0, cluster.supervisor.host, handle.port)
-            )
+            shard.replicas[0].restart()
             recovered = _await_lag(
                 shard,
                 lambda lags: lags.get(follower_id) == 0,

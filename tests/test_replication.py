@@ -486,20 +486,17 @@ class TestReplicaLayout:
         for d in (data, replica):
             d.mkdir()
         write_epoch(epoch, 5, primary=shard_dir_name(0))
-        sup = ShardSupervisor(
-            data_dirs=[data],
-            replicas=1,
-            replica_data_dirs=[[replica]],
-            epoch_files=[epoch],
-        )
-        argv = sup._argv(0)
+        sup = ShardSupervisor(replicas=1)
+        primary = ProcessShard(0, sup, data, epoch_file=epoch)
+        argv = primary.argv()
         assert "--epoch-file" in argv and str(epoch) in argv
         # The epoch is read live from the file at spawn time, so a worker
         # restarted after a promotion rejoins at the *current* epoch.
         assert argv[argv.index("--epoch") + 1] == "5"
         assert argv[argv.index("--ack-replicas") + 1] == "1"  # semi-sync default
         with pytest.raises(RuntimeError):
-            sup._argv(0, replica=0)  # primary not spawned yet: no port to follow
+            # primary not spawned yet: no port to follow
+            ProcessShard(0, sup, replica, 0, primary, epoch).argv()
 
 
 # --------------------------------------------------------------------------- #
@@ -507,13 +504,13 @@ class TestReplicaLayout:
 
 
 def _boot(path, *, shards=1, replicas=2, **kwargs) -> ClusterQueryService:
+    kwargs.setdefault("worker", ServeConfig(checkpoint_interval=3600.0))
     return ClusterQueryService(
         num_shards=shards,
         path=path,
         mode="process",
         partition_size=PARTITION_SIZE,
         replicas=replicas,
-        worker=ServeConfig(checkpoint_interval=3600.0),
         **kwargs,
     )
 
@@ -598,7 +595,7 @@ class TestReplicationEndToEnd:
             before = read_epoch(cluster.layout.epoch_path(0))
             assert before == EpochRecord(1, shard_dir_name(0))
 
-            cluster.supervisor.kill(0)  # kill -9 the primary
+            cluster.shards[0].primary.kill()  # kill -9 the primary
             # The next ingest trips revival -> promotion, and its ack is
             # the new primary's (fenced-epoch) semi-sync ack.
             cluster.ingest(
@@ -625,7 +622,7 @@ class TestReplicationEndToEnd:
         try:
             cluster.register_table(table, params=PARAMS)
             wait_for_replica_catchup(cluster)
-            cluster.supervisor.kill(0)
+            cluster.shards[0].primary.kill()
             # Ingest routes to the primary, so it trips revival -> promotion
             # (a read could be served by the surviving replica instead).
             cluster.ingest(
@@ -649,6 +646,54 @@ class TestReplicationEndToEnd:
         finally:
             reopened.close()
 
+    def test_failed_promotion_keeps_one_history(self, tmp_path):
+        """A ``promote`` that raises (its reply lost, or the replica gone)
+        falls back to restarting the old primary.  The chosen replica must
+        then follow that primary, and the epoch record must name the
+        directory it serves from — else the acked write waits forever and
+        a reopen serves two histories."""
+        root = tmp_path / "cluster"
+        cluster = _boot(
+            root,
+            replicas=1,
+            worker=ServeConfig(checkpoint_interval=3600.0, ack_timeout=3.0),
+        )
+        try:
+            cluster.register_table(
+                make_simple_table(rows=400, seed=13, name="sensors"), params=PARAMS
+            )
+            wait_for_replica_catchup(cluster)
+            shard = cluster.shards[0]
+            replica, call = shard.replicas[0], shard.replicas[0].call
+
+            def lose_promote(name, *args):
+                if name == "promote":
+                    raise ConnectionError("promote reply lost")
+                return call(name, *args)
+
+            replica.call = lose_promote
+            shard.primary.kill()
+            result = cluster.ingest(
+                "sensors", make_simple_table(rows=100, seed=14, name="sensors")
+            )
+            assert result.appended_rows == 100
+            record = read_epoch(cluster.layout.epoch_path(0))
+            assert record.primary == shard.primary.data_dir.name
+        finally:
+            cluster.close()
+        reopened = ClusterQueryService.open(root, mode="process")
+        try:
+            wait_for_replica_catchup(reopened)
+            shard = reopened.shards[0]
+            primary = shard.primary.call("stat", "sensors")["rows"]
+            assert shard.replicas[0].call("stat", "sensors")["rows"] == primary == 500
+            answers = {
+                _scalar(reopened, "SELECT COUNT(*) FROM sensors") for _ in range(6)
+            }
+            assert answers == {500.0}
+        finally:
+            reopened.close()
+
     def test_snapshot_seed_bootstraps_a_quarantined_follower(self, tmp_path):
         table = make_simple_table(rows=500, seed=15, name="sensors")
         cluster = _boot(tmp_path / "cluster", replicas=1)
@@ -662,10 +707,7 @@ class TestReplicationEndToEnd:
             wal_segments = sorted(p.name for p in (cluster.layout.shard_path(0) / "wal").iterdir())
             assert wal_segments == [f"{2:020d}.wal"], "the checkpoint left LSN 1 in the WAL"
             epoch = read_epoch(cluster.layout.epoch_path(0)).epoch
-            handle = cluster.supervisor.respawn_replica(0, 0, fresh=True, epoch=epoch)
-            shard.attach_replica(
-                0, ProcessShard(0, cluster.supervisor.host, handle.port)
-            )
+            shard.reseed(0, epoch)
             # The follower counts a seed only once it is fully installed,
             # which is after the reseeded WAL position becomes visible as
             # ``applied_lsn`` — so wait for the count, not just the position.
@@ -695,8 +737,7 @@ class TestReplicationEndToEnd:
             cluster.register_table(table, params=PARAMS)
             wait_for_replica_catchup(cluster)
             shard = cluster.shards[0]
-            cluster.supervisor.kill((0, 0))  # kill -9 the only replica
-            time.sleep(0.1)
+            shard.replicas[0].kill()  # kill -9 the only replica, and reap it
             # Every read still answers (demote-and-retry on the primary).
             for _ in range(4):
                 assert _scalar(cluster, "SELECT COUNT(*) FROM sensors") == 300.0
@@ -708,6 +749,10 @@ class TestReplicationEndToEnd:
 
 # --------------------------------------------------------------------------- #
 # Failover drill (the CI job): concurrent load, kill -9, zero lost acks
+
+
+#: Acked ingest batches the drill waits for before the kill, and again after.
+_DRILL_BATCHES = 8
 
 
 @pytest.mark.slow
@@ -725,6 +770,8 @@ def test_failover_drill_no_acked_write_lost(tmp_path):
         wait_for_replica_catchup(cluster)
 
         acked_rows = [table.num_rows]
+        acked_batches = [0]
+        progress = threading.Condition()
         errors: list[BaseException] = []
         stop = threading.Event()
 
@@ -737,8 +784,21 @@ def test_failover_drill_no_acked_write_lost(tmp_path):
                     cluster.ingest("sensors", batch)
                 except Exception as exc:  # pragma: no cover - drill failure
                     errors.append(exc)
-                    return
+                    break
                 acked_rows[0] += batch.num_rows
+                with progress:
+                    acked_batches[0] += 1
+                    progress.notify_all()
+            with progress:
+                progress.notify_all()
+
+        def await_batches(count: int) -> None:
+            with progress:
+                progress.wait_for(
+                    lambda: errors or acked_batches[0] >= count, timeout=120.0
+                )
+            assert not errors, f"drill load failed: {errors[0]!r}"
+            assert acked_batches[0] >= count, "ingest stalled"
 
         def query_loop():
             while not stop.is_set():
@@ -755,9 +815,10 @@ def test_failover_drill_no_acked_write_lost(tmp_path):
         ]
         for t in threads:
             t.start()
-        time.sleep(1.0)
-        cluster.supervisor.kill(0)  # kill -9 shard 0's primary under load
-        time.sleep(3.0)
+        await_batches(_DRILL_BATCHES)
+        cluster.shards[0].primary.kill()  # kill -9 shard 0's primary under load
+        # Batches acked after the kill went through the promoted primary.
+        await_batches(acked_batches[0] + _DRILL_BATCHES)
         stop.set()
         for t in threads:
             t.join(timeout=60.0)
@@ -793,18 +854,17 @@ def test_stop_escalates_sigterm_to_sigkill_for_wedged_worker(tmp_path):
     """A worker that ignores SIGTERM (REPRO_HANG_ON_SIGTERM=1) must be
     SIGKILLed after the grace window — stop() always terminates."""
     sup = ShardSupervisor(
-        data_dirs=[tmp_path / "shard"],
         worker=ServeConfig(checkpoint_interval=3600.0),
         stop_grace_timeout=1.5,
         extra_env={"REPRO_HANG_ON_SIGTERM": "1"},
     )
-    sup.start()
-    process = sup.handles[0].process
-    assert sup.ping(0)
+    worker = ProcessShard(0, sup, tmp_path / "shard").start()
+    process = worker.handle.process
+    assert worker.ping()
+    worker.close()
     started = time.perf_counter()
-    sup.stop(graceful=True)
+    sup.stop([worker.handle], graceful=True)
     elapsed = time.perf_counter() - started
     assert process.poll() is not None, "wedged worker survived stop()"
     assert elapsed >= 1.0, "worker exited before the grace window (not wedged?)"
     assert elapsed < 30.0, f"escalation took {elapsed:.1f}s"
-    assert sup.handles == {}

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cluster.shard import ProcessShard
 from repro.cluster.supervisor import ShardSupervisor, WorkerHandle
 from repro.obs import log as obs_log
 from repro.service import cli
@@ -51,33 +52,27 @@ def _sample(spec):
     return SAMPLES[spec.type.split(" | ")[0]]
 
 
-class _SupervisorBuilt(Exception):
-    """Raised in place of spawning: the supervisor is wired, stop there."""
-
-
-def _supervisor_for(config: ServeConfig, monkeypatch) -> ShardSupervisor:
-    """The supervisor ``python -m repro.service`` builds for ``config``,
-    taken through the real ``cli`` -> ``ClusterQueryService`` wiring but
-    stopped before any process starts.  Every primary gets a made-up port
-    so replica command lines can be asked for too."""
-    built = []
+def _workers_for(config: ServeConfig, monkeypatch) -> dict:
+    """The workers ``python -m repro.service`` builds for ``config``, by
+    ``(shard, slot)``, taken through the real ``cli`` ->
+    ``ClusterQueryService`` wiring but with no process started.  Every
+    primary gets a made-up port so replica command lines can be asked
+    for too."""
+    built = {}
 
     def start(self):
-        built.append(self)
-        raise _SupervisorBuilt
+        self.handle = WorkerHandle(process=None, port=4242)
+        built[self.index, self.slot] = self
+        return self
 
-    monkeypatch.setattr(ShardSupervisor, "start", start)
-    with pytest.raises(_SupervisorBuilt):
-        cli._open_cluster(config)
-    (supervisor,) = built
-    for index in range(supervisor.num_shards):
-        supervisor.handles[index] = WorkerHandle(index=index, process=None, port=4242)
-    return supervisor
+    monkeypatch.setattr(ProcessShard, "start", start)
+    cli._open_cluster(config)
+    return built
 
 
-def _worker_config(supervisor, index, replica=None) -> ServeConfig:
-    argv = supervisor._argv(index, replica)
-    assert argv[:3] == [supervisor.python, "-m", "repro.service"]
+def _worker_config(worker) -> ServeConfig:
+    argv = worker.argv()
+    assert argv[:3] == [worker.supervisor.python, "-m", "repro.service"]
     return ServeConfig.from_argv(argv[3:])
 
 
@@ -159,9 +154,9 @@ def test_workers_run_with_what_the_parent_spawned_them_with(name, tmp_path, monk
     if not deployment["workers"]:
         assert config.shards == 1 and config.replicas == 0  # a node: no workers
         return
-    supervisor = _supervisor_for(config, monkeypatch)
+    workers = _workers_for(config, monkeypatch)
     for worker in deployment["workers"]:
-        ours = _worker_config(supervisor, worker["index"], worker["replica"])
+        ours = _worker_config(workers[worker["index"], worker["replica"]])
         assert ours == ServeConfig.from_argv(placed(worker["argv"]))
 
 
@@ -174,9 +169,9 @@ def test_workers_run_with_what_the_parent_spawned_them_with(name, tmp_path, monk
 )
 def test_ack_flags_reach_the_workers(given, acks, timeout, tmp_path, monkeypatch):
     front = ["--shards", "2", "--replicas", "1", "--data-dir", str(tmp_path / "root")]
-    supervisor = _supervisor_for(ServeConfig.from_argv(front + given), monkeypatch)
+    workers = _workers_for(ServeConfig.from_argv(front + given), monkeypatch)
     for replica in (None, 0):
-        worker = _worker_config(supervisor, 1, replica)
+        worker = _worker_config(workers[1, replica])
         assert worker.ack_replicas == acks and worker.acks == acks
         assert worker.ack_timeout == timeout
 
@@ -194,7 +189,6 @@ def test_a_node_acknowledges_without_followers_unless_told_to_wait():
 @pytest.mark.slow
 def test_worker_output_after_the_banner_is_relayed_not_kept(tmp_path, capsys):
     supervisor = ShardSupervisor(
-        data_dirs=[tmp_path / "shard"],
         # An idle worker's only output: one debug line per skipped checkpoint.
         worker=ServeConfig(checkpoint_interval=0.1),
         extra_env={"REPRO_LOG_LEVEL": "debug"},
@@ -208,9 +202,10 @@ def test_worker_output_after_the_banner_is_relayed_not_kept(tmp_path, capsys):
         return port, banner
 
     supervisor._await_port = recording
+    worker = ProcessShard(0, supervisor, tmp_path / "shard")
     previous = obs_log.set_level("debug")
     try:
-        supervisor.start()
+        worker.start()
         relayed = []
         deadline = time.monotonic() + 30.0
         while not relayed and time.monotonic() < deadline:
@@ -224,7 +219,9 @@ def test_worker_output_after_the_banner_is_relayed_not_kept(tmp_path, capsys):
             ]
     finally:
         obs_log.set_level(previous)
-        supervisor.stop()
+        worker.close()
+        if worker.handle is not None:
+            supervisor.stop([worker.handle])
     entry = relayed[0]
     assert (entry["event"], entry["shard"], entry["slot"]) == ("worker_output", 0, None)
     assert entry["level"] == "debug"
