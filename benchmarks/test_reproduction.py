@@ -26,9 +26,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from bench_utils import RESULTS_DIR, bench_scale
 
 from repro.bench import (
+    SCALES,
     AblationGDSeeding,
     AblationHypothesisTesting,
     AblationStorageEncoding,
@@ -43,6 +43,13 @@ from repro.bench import (
     Table5AccuracyByAggregation,
     Table6Bounds,
 )
+
+RESULTS_DIR = Path(__file__).parent / "results"
+
+
+def bench_scale():
+    """The scale ``REPRO_BENCH_SCALE`` names (``smoke`` when unset or unknown)."""
+    return SCALES.get(os.environ.get("REPRO_BENCH_SCALE", "smoke").lower(), SCALES["smoke"])
 
 
 def _accuracy_sweep(scale) -> AccuracySweep:

@@ -19,10 +19,9 @@ live workload.  :class:`AccuracyAuditor` closes the loop:
   workload log's per-template rollups, and — on violation — as a
   structured JSON ``bound_violation`` alert event.
 
-Deployments with read replicas run the auditor on the replica process
-(``repro-server --replica --audit-sample …``): replication applies the
-same committed batches, so the replica's reconstructed rows are the
-primary's rows and the exact recomputation never taxes the primary.
+The auditor samples the queries its own process answers.  In a
+replicated cluster every worker runs one, but replicas serve no queries,
+so a replica's live sample stays empty and the primaries audit.
 """
 
 from __future__ import annotations

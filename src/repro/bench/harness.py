@@ -10,8 +10,6 @@ time is available.  Relative comparisons — who wins, by roughly what factor
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,157 +143,6 @@ def workload_templates(queries: list[Query]) -> list[tuple[str, str]]:
             if condition.column != agg_column:
                 templates.setdefault((agg_column, condition.column))
     return list(templates)
-
-
-# --------------------------------------------------------------------------- #
-# Replica read-scaling benchmark (until a ``replica_reads`` e2e workload exists)
-
-
-@dataclass
-class ShardedThroughputMeasurement:
-    """One closed-loop read-only window against a deployment."""
-
-    mode: str  # "1-primary-N-replica"
-    num_clients: int
-    queries: int
-    wall_seconds: float
-
-    @property
-    def queries_per_second(self) -> float:
-        return self.queries / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-
-def _drive_closed_loop(
-    execute_query,
-    sql_queries: list[str],
-    num_clients: int,
-    duration_seconds: float,
-    mode: str,
-) -> ShardedThroughputMeasurement:
-    """N closed-loop query clients cycling ``sql_queries`` for a fixed window.
-
-    ``execute_query(sql)`` abstracts the deployment, so every configuration
-    sees the identical offered load.
-    """
-    completed = [0] * num_clients
-    failures: list[BaseException] = []
-    start = time.perf_counter()
-    deadline = start + duration_seconds
-
-    def client(worker: int) -> None:
-        step = 0
-        try:
-            while time.perf_counter() < deadline:
-                execute_query(sql_queries[(worker + step * num_clients) % len(sql_queries)])
-                completed[worker] += 1
-                step += 1
-        except BaseException as exc:  # pragma: no cover - surfaced below
-            failures.append(exc)
-
-    threads = [
-        threading.Thread(target=client, args=(w,), daemon=True)
-        for w in range(num_clients)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall_seconds = time.perf_counter() - start
-    if failures:
-        raise failures[0]
-    return ShardedThroughputMeasurement(
-        mode=mode,
-        num_clients=num_clients,
-        queries=sum(completed),
-        wall_seconds=wall_seconds,
-    )
-
-
-def wait_for_replica_catchup(cluster, timeout_seconds: float = 60.0) -> None:
-    """Block until every replica's applied LSN matches its primary's durable
-    LSN (quiescent cluster), then force a routing-eligibility refresh."""
-    from ..cluster.shard import ReplicatedShard
-
-    deadline = time.perf_counter() + timeout_seconds
-    for shard in cluster.shards:
-        if not isinstance(shard, ReplicatedShard):
-            continue
-        while True:
-            durable = int(shard.primary.call("status").get("durable_lsn", 0))
-            applied = [
-                int(shard.replicas[slot].call("status").get("applied_lsn", -1))
-                for slot in shard.replica_slots()
-            ]
-            if all(lsn >= durable for lsn in applied):
-                break
-            if time.perf_counter() > deadline:
-                raise TimeoutError(
-                    f"replicas of shard {shard.index} never caught up to "
-                    f"lsn {durable} within {timeout_seconds:.0f}s "
-                    f"(applied: {applied})"
-                )
-            time.sleep(0.05)
-        shard._refresh_eligible()
-        shard._next_refresh = time.monotonic() + shard.refresh_interval
-
-
-def run_replication_benchmark(
-    table: Table,
-    sql_queries: list[str],
-    data_dir,
-    replica_counts: tuple[int, ...] = (0, 2),
-    params: PairwiseHistParams | None = None,
-    partition_size: int = 2_000,
-    num_clients: int = 4,
-    duration_seconds: float = 8.0,
-    catchup_timeout: float = 120.0,
-) -> list[ShardedThroughputMeasurement]:
-    """Read-only throughput of one shard with varying replica counts.
-
-    Each configuration boots a 1-shard process cluster (primary plus
-    ``n`` WAL-shipping read replicas on the same host), registers the
-    same table, waits for every replica to catch up, then drives N
-    closed-loop query clients with **no** ingest stream — isolating the
-    read-scaling effect of routing scatters across the replica set.
-
-    The result cache is disabled on every worker so the measurement
-    scales with synopsis evaluation (the paper's workload) rather than
-    cache-hit serving, and checkpoints are pushed out of the window.
-    """
-    from pathlib import Path
-
-    from ..cluster.service import ClusterQueryService
-    from ..service.config import ServeConfig
-
-    data_dir = Path(data_dir)
-    params = params or PairwiseHistParams.with_defaults(sample_size=None)
-    measurements: list[ShardedThroughputMeasurement] = []
-    for count in replica_counts:
-        cluster = ClusterQueryService(
-            num_shards=1,
-            path=data_dir / f"replicas-{count}",
-            mode="process",
-            partition_size=partition_size,
-            replicas=count,
-            worker=ServeConfig(
-                checkpoint_interval=3600.0, workers=num_clients, result_cache_size=0
-            ),
-        )
-        try:
-            cluster.register_table(table, params=params)
-            wait_for_replica_catchup(cluster, timeout_seconds=catchup_timeout)
-            measurements.append(
-                _drive_closed_loop(
-                    execute_query=cluster.execute,
-                    sql_queries=sql_queries,
-                    num_clients=num_clients,
-                    duration_seconds=duration_seconds,
-                    mode=f"1-primary-{count}-replica",
-                )
-            )
-        finally:
-            cluster.close()
-    return measurements
 
 
 def format_table(headers: list[str], rows: list[list[str]], title: str | None = None) -> str:

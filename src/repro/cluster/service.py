@@ -175,7 +175,6 @@ class ClusterQueryService:
         partition_size: int | None = None,
         worker: ServeConfig | None = None,
         replicas: int = 0,
-        max_replica_lag: int = 256,
         _opening: bool = False,
         **shard_kwargs,
     ) -> None:
@@ -194,7 +193,6 @@ class ClusterQueryService:
         self.router = ShardRouter(num_shards)
         self.layout = ClusterLayout(path) if path is not None else None
         self.replicas = replicas
-        self.max_replica_lag = max_replica_lag
         self._catalog: dict[str, ClusterTable] = {}
         #: Guards catalog dict mutations + manifest writes (register/drop).
         self._catalog_mutex = threading.Lock()
@@ -206,7 +204,7 @@ class ClusterQueryService:
         self._closed = False
         if replicas and (mode != "process" or self.layout is None):
             raise ValueError(
-                "read replicas need mode='process' and a cluster path — "
+                "replicas need mode='process' and a cluster path — "
                 "each replica is a follower subprocess with its own data dir"
             )
         if self.layout is not None:
@@ -278,9 +276,7 @@ class ClusterQueryService:
             )
             for slot, path in enumerate(replica_dirs)
         }
-        return ReplicatedShard(
-            index, primary, replicas, max_lag_records=self.max_replica_lag
-        )
+        return ReplicatedShard(index, primary, replicas)
 
     def _handles(self) -> list:
         """The handle of every worker process that was spawned."""

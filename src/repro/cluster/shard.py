@@ -15,9 +15,9 @@ small interface so the same scatter-gather code drives every flavour:
   :class:`~repro.cluster.supervisor.ShardSupervisor` only spawns and
   stops.  This is the multi-process deployment the GIL cannot bound.
 * :class:`ReplicatedShard` — a primary :class:`ProcessShard` plus
-  replica ones, keyed by slot.  Reads spread over the replicas within
-  the staleness bound; a dead primary is replaced by promoting the
-  freshest replica, which is one re-keying of these objects.
+  replica ones, keyed by slot, for failover only: every op asks the
+  primary, and a dead primary is replaced by promoting the freshest
+  replica, which is one re-keying of these objects.
 
 Every flavour answers ``call(name, *args)`` for the rows of the op table
 (:mod:`repro.service.ops`) with the payload that op has over the wire, so
@@ -30,12 +30,10 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from pathlib import Path
 
 from ..core.aggregation import AqpEstimate
 from ..obs import log as obs_log
-from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from ..service.database import Database, QueryService
 from ..service.ops import OPS
@@ -45,18 +43,6 @@ from ..sql.parser import ParseError
 from .supervisor import ShardSupervisor, WorkerHandle
 
 _LOG = obs_log.get_logger("supervisor")
-
-_REPLICA_READ_LAG = obs_metrics.gauge(
-    "aqp_replica_read_lag_records",
-    "Primary durable LSN minus replica applied LSN, as last observed by "
-    "the front end's read-eligibility refresh.",
-    labelnames=("shard", "slot"),
-)
-_REPLICA_ELIGIBLE = obs_metrics.gauge(
-    "aqp_replica_read_eligible",
-    "1 when the replica is in the staleness-bounded read set, else 0.",
-    labelnames=("shard", "slot"),
-)
 
 #: Server error frames translated back into the exception the single-node
 #: service would have raised locally, so cluster callers see identical
@@ -301,20 +287,12 @@ class ProcessShard:
 
 
 class ReplicatedShard:
-    """One logical shard backed by a primary plus read replicas.
+    """One logical shard backed by a primary plus failover replicas.
 
-    Queries round-robin across the primary and every *eligible* replica —
-    a replica is eligible while its worker reports the replica role and
-    its applied LSN trails the primary's durable LSN by at most
-    ``max_lag_records`` (the bounded-staleness knob).  Eligibility is
-    refreshed at most every ``refresh_interval`` seconds by whichever
-    query thread gets there first; any failure on a replica read demotes
-    it on the spot and the query retries on the primary, so replica
-    trouble costs latency, never an error.
-
-    Everything with write or authority semantics — ingest, register,
-    drop, checkpoint, persist, stat — goes to the primary only (the op
-    table's ``replicas`` column says which is which).
+    Every op — queries included — goes to the primary; the replicas
+    follow its WAL so that one of them can take over when it dies (the
+    front end fans the op table's ``replicas="all"`` rows, such as
+    ``metrics``, out to them as well).
     """
 
     def __init__(
@@ -322,19 +300,11 @@ class ReplicatedShard:
         index: int,
         primary: ProcessShard,
         replicas: dict[int, ProcessShard] | None = None,
-        max_lag_records: int = 256,
-        refresh_interval: float = 0.25,
     ) -> None:
         self.index = index
         self.primary = primary
         self.replicas: dict[int, ProcessShard] = dict(replicas or {})
-        self.max_lag_records = max_lag_records
-        self.refresh_interval = refresh_interval
         self._mutex = threading.Lock()
-        self._refresh_mutex = threading.Lock()
-        self._eligible: tuple[int, ...] = ()
-        self._next_refresh = 0.0
-        self._rr = 0
         self._generation = 0
 
     # ------------------------------------------------------------------ #
@@ -349,11 +319,6 @@ class ReplicatedShard:
     def replica_slots(self) -> list[int]:
         with self._mutex:
             return sorted(self.replicas)
-
-    def eligible_slots(self) -> list[int]:
-        """Replica slots currently in the read set (within the lag bound)."""
-        with self._mutex:
-            return sorted(self._eligible)
 
     def ping(self, timeout: float = 5.0) -> bool:
         return self.primary.ping(timeout)
@@ -400,7 +365,7 @@ class ReplicatedShard:
             try:
                 self.reseed(slot, epoch)
             except Exception:
-                pass  # a missing replica only costs read capacity
+                pass  # a missing replica only costs failover capacity
 
     def _freshest(self) -> int | None:
         """The live replica slot with the highest durable LSN, if any."""
@@ -421,7 +386,6 @@ class ReplicatedShard:
         write_epoch(primary.epoch_file, epoch, primary=primary.data_dir.name)
         with self._mutex:
             replicas = list(self.replicas.values())
-            self._eligible = ()
             self._generation += 1
         for replica in replicas:
             replica.leader = primary
@@ -455,85 +419,9 @@ class ReplicatedShard:
         )
         replica.start()
 
-    # ------------------------------------------------------------------ #
-    # Staleness-bounded read routing
-
-    def _refresh_eligible(self) -> None:
-        """Re-derive the eligible replica set from worker statuses."""
-        try:
-            durable = int(self.primary.call("status").get("durable_lsn", 0))
-        except Exception:
-            return  # primary trouble is the revival path's problem
-        with self._mutex:
-            replicas = dict(self.replicas)
-        eligible = []
-        shard_label = f"{self.index:05d}"
-        for slot, shard in sorted(replicas.items()):
-            status = _status(shard)
-            if status is None or status.get("role") != "replica":
-                _REPLICA_ELIGIBLE.set(0, shard=shard_label, slot=str(slot))
-                continue
-            applied = int(status.get("applied_lsn", 0))
-            _REPLICA_READ_LAG.set(
-                durable - applied, shard=shard_label, slot=str(slot)
-            )
-            if durable - applied <= self.max_lag_records:
-                eligible.append(slot)
-            _REPLICA_ELIGIBLE.set(
-                1 if slot in eligible else 0, shard=shard_label, slot=str(slot)
-            )
-        with self._mutex:
-            self._eligible = tuple(s for s in eligible if s in self.replicas)
-
-    def _maybe_refresh(self) -> None:
-        now = time.monotonic()
-        if now < self._next_refresh:
-            return
-        if not self._refresh_mutex.acquire(blocking=False):
-            return  # someone else is already paying for the refresh
-        try:
-            if time.monotonic() < self._next_refresh:
-                return
-            self._refresh_eligible()
-            self._next_refresh = time.monotonic() + self.refresh_interval
-        finally:
-            self._refresh_mutex.release()
-
-    def _pick(self) -> tuple[int | None, ProcessShard]:
-        with self._mutex:
-            candidates: list[tuple[int | None, ProcessShard]] = [(None, self.primary)]
-            candidates += [
-                (slot, self.replicas[slot])
-                for slot in self._eligible
-                if slot in self.replicas
-            ]
-            self._rr += 1
-            return candidates[self._rr % len(candidates)]
-
-    def _demote(self, slot: int) -> None:
-        with self._mutex:
-            self._eligible = tuple(s for s in self._eligible if s != slot)
-
-    def _read(self, fn):
-        """``fn(worker)`` on the primary or an eligible replica."""
-        self._maybe_refresh()
-        slot, shard = self._pick()
-        if slot is None:
-            return fn(self.primary)
-        try:
-            return fn(shard)
-        except Exception:
-            # Deterministic errors re-raise identically from the primary;
-            # replica-only trouble (lag, restart, promotion) is absorbed.
-            self._demote(slot)
-            return fn(self.primary)
-
     def call(self, name: str, *args):
-        """Route by the row's ``replicas`` column: ``any`` reads spread
-        over the eligible replicas, everything else asks the primary
-        (``all`` rows are fanned out by the front end over :meth:`workers`)."""
-        if OPS[name].replicas == "any":
-            return self._read(lambda worker: worker.call(name, *args))
+        """Every op asks the primary (``replicas="all"`` rows are fanned out
+        by the front end over :meth:`workers`)."""
         return self.primary.call(name, *args)
 
     def workers(self) -> list[tuple[dict, ProcessShard]]:
@@ -548,6 +436,5 @@ class ReplicatedShard:
         with self._mutex:
             shards = [self.primary, *self.replicas.values()]
             self.replicas.clear()
-            self._eligible = ()
         for shard in shards:
             shard.close()

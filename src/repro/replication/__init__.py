@@ -1,4 +1,4 @@
-"""WAL-shipping replication: read replicas + kill-safe failover.
+"""WAL-shipping replication: failover replicas + kill-safe promotion.
 
 The subsystem has three halves:
 

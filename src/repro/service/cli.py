@@ -1,7 +1,7 @@
 """``python -m repro.service``: the serve loop.
 
 One :func:`serve` runs every deployment shape — a single node (in-memory
-or durable), a read replica (``--replica-of``) and a cluster front end
+or durable), a replica (``--replica-of``) and a cluster front end
 (``--shards N`` / ``--replicas R``).  What it runs with is one
 :class:`~repro.service.config.ServeConfig` (the flags); what differs
 between the shapes is data:
@@ -106,7 +106,6 @@ def _open_cluster(config: ServeConfig) -> _Deployment:
         "mode": "process",
         "partition_size": config.partition_size,
         "replicas": config.replicas,
-        "max_replica_lag": config.max_replica_lag,
         "worker": config,
     }
     if config.data_dir and ClusterLayout(config.data_dir).read_manifest() is not None:
@@ -142,7 +141,7 @@ def _open_cluster(config: ServeConfig) -> _Deployment:
 
 def _open_node(config: ServeConfig) -> _Deployment:
     """One engine in this process: in-memory, durable, or (with
-    ``--replica-of``) a read replica that recovers its data directory,
+    ``--replica-of``) a replica that recovers its data directory,
     subscribes to the primary and refuses external writes."""
     from ..replication import FollowerLoop, ReplicaApplier, ReplicationHub, ReplicationState
     from ..storage.cluster import ClusterLayout
@@ -172,8 +171,8 @@ def _open_node(config: ServeConfig) -> _Deployment:
         ),
         snapshot=obs_metrics.REGISTRY.snapshot,
     )
-    # Replicas are the preferred audit host: replication applies the same
-    # committed batches, so the exact recomputation never taxes the primary.
+    # The auditor samples the queries this process answers: in a replicated
+    # cluster only primaries serve queries, so they audit and replicas idle.
     auditor = _attach_answer_quality(service, config)
     if auditor is not None:
         node.stoppers.append(auditor.stop)

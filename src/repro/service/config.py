@@ -86,19 +86,13 @@ class ServeConfig:
     )
     replicas: int = _flag(
         0,
-        "(with --shards) follower workers per shard; they serve staleness-bounded "
-        "read scatters and one is promoted when the shard's primary dies",
-        scope=FRONT,
-    )
-    max_replica_lag: int = _flag(
-        256,
-        "(cluster) a replica serves reads only while its applied LSN is within this "
-        "many records of the primary's durable LSN",
+        "(with --shards) follower workers per shard for failover; they replicate "
+        "the primary's WAL and one is promoted when the shard's primary dies",
         scope=FRONT,
     )
     replica_of: str | None = _flag(
         None,
-        "run as a read replica subscribed to the given primary (requires --data-dir; "
+        "run as a follower subscribed to the given primary (requires --data-dir; "
         "the worker refuses external writes)",
         metavar="HOST:PORT",
         scope=SPAWN,

@@ -18,10 +18,10 @@ list:
   for every row: ``request`` builds the request object, ``key`` unwraps
   the reply, ``binary`` (when the arguments fit it) skips JSON entirely.
 * The cluster's shard proxies are ``shard.call(name, *args)``: a process
-  shard sends the row over its ``channel``, a replicated shard routes by
-  ``replicas``, a local shard runs ``handler`` + ``encode`` in-process —
-  so local and process payloads are equal by construction — and the
-  front end's fan-outs combine worker payloads with ``merge``.
+  shard sends the row over its ``channel``, a replicated shard asks its
+  primary, a local shard runs ``handler`` + ``encode`` in-process — so
+  local and process payloads are equal by construction — and the front
+  end's fan-outs (``replicas="all"``) combine worker payloads with ``merge``.
 
 Adding an op is :func:`register` of one row.
 """
@@ -67,7 +67,7 @@ class Op:
     name: str
     #: Admission class: which in-flight limit the request counts against.
     kind: str = "query"
-    #: Refused on a read replica; acknowledged only past the commit gate.
+    #: Refused on a replica; acknowledged only past the commit gate.
     mutating: bool = False
     #: Request fields, in stub-argument order.
     params: tuple[str, ...] = ()
@@ -91,8 +91,8 @@ class Op:
     binary: Binary | None = None
     #: Which of a process shard's two connections carries the op.
     channel: str = "query"
-    #: Workers of a replicated shard that serve the op: ``primary``,
-    #: ``any`` (round-robin over staleness-eligible replicas) or ``all``.
+    #: Workers of a replicated shard that serve the op: ``primary`` or
+    #: ``all`` (fanned out by the front end; replicas serve no queries).
     replicas: str = "primary"
     #: Cluster fan-out: ``[(worker labels, payload)] -> payload``.
     merge: Callable[[list], object] | None = None
@@ -599,7 +599,6 @@ _ROWS = [
             encode_reply=framing.encode_result,
             decode_reply=framing.decode_result,
         ),
-        replicas="any",
     ),
     Op(
         "query_batch",
@@ -615,7 +614,6 @@ _ROWS = [
             encode_reply=framing.encode_batch_response,
             decode_reply=framing.decode_batch_response,
         ),
-        replicas="any",
     ),
     Op(
         "ingest",

@@ -509,7 +509,7 @@ class QueryServer:
         return op.encode(result)
 
     def _require_writable(self) -> None:
-        """Reject external mutations on a read replica (the apply loop
+        """Reject external mutations on a replica (the apply loop
         bypasses the wire entirely, so it is unaffected)."""
         rep = self.replication
         if rep is not None and rep.role == "replica":

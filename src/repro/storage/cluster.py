@@ -11,7 +11,7 @@ A sharded cluster roots all durable state under one directory:
         snapshots/
       shard-00001/
         ...
-      shard-00000-replica-00/   # with read replicas: one data dir per slot
+      shard-00000-replica-00/   # with replicas: one data dir per slot
       shard-00000.epoch         # and the shard's epoch (fencing) record
 
 Each shard directory is an ordinary

@@ -16,7 +16,8 @@ The invariants pinned here:
   barrier, retention floors with grace eviction;
 * the follower-side applier: replay is bit-identical (same commit path,
   same LSNs) and a stream gap is refused loudly;
-* end-to-end (slow): replica catch-up and routing, ``kill -9`` failover
+* end-to-end (slow): replica catch-up, after which the primary and every
+  replica answer the same statements identically, ``kill -9`` failover
   with promotion + fencing + zero lost acks, snapshot seeding of a
   quarantined follower, and the supervisor's SIGTERM -> SIGKILL
   escalation against a wedged worker.
@@ -31,6 +32,7 @@ import tempfile
 import time
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,7 +41,6 @@ from conftest import make_simple_table
 from repro import ClusterQueryService, PairwiseHistParams, WriteAheadLog
 from repro.cluster.shard import ProcessShard, ReplicatedShard
 from repro.cluster.supervisor import ShardSupervisor
-from repro.bench.harness import wait_for_replica_catchup
 from repro.replication import (
     EpochRecord,
     FencedError,
@@ -50,6 +51,7 @@ from repro.replication import (
     read_epoch,
     write_epoch,
 )
+from repro.replication import primary as replication_primary
 from repro.replication.fence import FENCED_ERROR_TYPE
 from repro.service import framing
 from repro.service.config import ServeConfig
@@ -365,7 +367,11 @@ class TestReplicationHub:
         hub.update_ack("b", 5)
         assert hub.retention_floor() == 5
 
-    def test_disconnected_follower_pins_until_grace_expires(self):
+    def test_disconnected_follower_pins_until_grace_expires(self, monkeypatch):
+        clock = SimpleNamespace(now=100.0)
+        monkeypatch.setattr(
+            replication_primary, "time", SimpleNamespace(monotonic=lambda: clock.now)
+        )
         hub = ReplicationHub(
             _StubDatabase(), ack_replicas=1, retention_grace_seconds=0.05
         )
@@ -377,7 +383,7 @@ class TestReplicationHub:
         # Within the grace window the dead follower still pins the log —
         # it may reconnect and resume from its position.
         assert hub.retention_floor() == 3
-        time.sleep(0.1)
+        clock.now += 0.1
         assert hub.retention_floor() == 8  # evicted; only "a" pins now
         assert "b" not in hub.subscriber_snapshot()
 
@@ -500,7 +506,7 @@ class TestReplicaLayout:
 
 
 # --------------------------------------------------------------------------- #
-# End-to-end (subprocess clusters; the CI failover-drill job runs these)
+# End-to-end (subprocess clusters)
 
 
 def _boot(path, *, shards=1, replicas=2, **kwargs) -> ClusterQueryService:
@@ -519,6 +525,17 @@ def _scalar(cluster, sql) -> float:
     return cluster.execute_scalar(sql).value
 
 
+def _assert_every_worker_agrees(cluster, sql) -> None:
+    """``sql`` asked of each shard's primary and of every one of its
+    replicas directly (after catch-up) answers identically."""
+    for shard in cluster.shards:
+        expected = shard.primary.call("query", sql)
+        for slot in shard.replica_slots():
+            assert shard.replicas[slot].call("query", sql) == expected, (
+                f"shard {shard.index} replica {slot} disagrees with its primary"
+            )
+
+
 def _wait_for_status(worker, ready, timeout_seconds: float = 30.0) -> dict:
     """Poll ``worker``'s ``status`` op (one round trip per poll) until
     ``ready(status)`` holds; returns that status."""
@@ -529,6 +546,21 @@ def _wait_for_status(worker, ready, timeout_seconds: float = 30.0) -> dict:
             return status
         if time.monotonic() > deadline:
             raise TimeoutError(f"status never became ready: {status}")
+
+
+def wait_for_replica_catchup(cluster, timeout_seconds: float = 60.0) -> None:
+    """Block until every replica's applied LSN reaches its primary's durable
+    LSN (quiescent cluster)."""
+    for shard in cluster.shards:
+        if not isinstance(shard, ReplicatedShard):
+            continue
+        durable = int(shard.primary.call("status").get("durable_lsn", 0))
+        for slot in shard.replica_slots():
+            _wait_for_status(
+                shard.replicas[slot],
+                lambda status: int(status.get("applied_lsn", -1)) >= durable,
+                timeout_seconds,
+            )
 
 
 @pytest.mark.slow
@@ -544,7 +576,7 @@ class TestReplicationEndToEnd:
             wait_for_replica_catchup(cluster)
             shard = cluster.shards[0]
             assert isinstance(shard, ReplicatedShard)
-            # Both replicas durably applied everything and are eligible.
+            # Both replicas durably applied everything.
             primary_status = shard.primary.call("status")
             assert primary_status["role"] == "primary"
             assert len(primary_status["followers"]) == 2
@@ -553,12 +585,9 @@ class TestReplicationEndToEnd:
                 status = shard.replicas[slot].call("status")
                 assert status["role"] == "replica"
                 assert status["applied_lsn"] == durable
-            assert sorted(shard.eligible_slots()) == [0, 1]
-            # Reads scatter across primary + replicas bit-identically.
-            answers = {
-                _scalar(cluster, "SELECT COUNT(*) FROM sensors") for _ in range(6)
-            }
-            assert answers == {800.0}
+            # The primary and both replicas answer bit-identically.
+            assert _scalar(cluster, "SELECT COUNT(*) FROM sensors") == 800.0
+            _assert_every_worker_agrees(cluster, "SELECT COUNT(*) FROM sensors")
         finally:
             cluster.close()
 
@@ -687,10 +716,8 @@ class TestReplicationEndToEnd:
             shard = reopened.shards[0]
             primary = shard.primary.call("stat", "sensors")["rows"]
             assert shard.replicas[0].call("stat", "sensors")["rows"] == primary == 500
-            answers = {
-                _scalar(reopened, "SELECT COUNT(*) FROM sensors") for _ in range(6)
-            }
-            assert answers == {500.0}
+            assert _scalar(reopened, "SELECT COUNT(*) FROM sensors") == 500.0
+            _assert_every_worker_agrees(reopened, "SELECT COUNT(*) FROM sensors")
         finally:
             reopened.close()
 
@@ -721,34 +748,29 @@ class TestReplicationEndToEnd:
             # The pre-quarantine state was moved aside, not deleted.
             quarantine = cluster.layout.replica_path(0, 0) / f"divergent-{epoch:06d}"
             assert quarantine.is_dir()
-            answers = {
-                _scalar(cluster, "SELECT COUNT(*) FROM sensors") for _ in range(6)
-            }
-            assert answers == {500.0}
+            assert _scalar(cluster, "SELECT COUNT(*) FROM sensors") == 500.0
+            _assert_every_worker_agrees(cluster, "SELECT COUNT(*) FROM sensors")
         finally:
             cluster.close()
 
-    def test_stale_replica_is_routed_around(self, tmp_path):
-        """A replica lagging past max_replica_lag drops out of the read
-        set; queries keep answering from the primary."""
+    def test_dead_replica_costs_queries_nothing(self, tmp_path):
+        """With its only replica killed, the shard's queries keep
+        answering from the primary."""
         table = make_simple_table(rows=300, seed=16, name="sensors")
-        cluster = _boot(tmp_path / "cluster", replicas=1, max_replica_lag=256)
+        cluster = _boot(tmp_path / "cluster", replicas=1)
         try:
             cluster.register_table(table, params=PARAMS)
             wait_for_replica_catchup(cluster)
             shard = cluster.shards[0]
             shard.replicas[0].kill()  # kill -9 the only replica, and reap it
-            # Every read still answers (demote-and-retry on the primary).
             for _ in range(4):
                 assert _scalar(cluster, "SELECT COUNT(*) FROM sensors") == 300.0
-            shard._refresh_eligible()
-            assert shard.eligible_slots() == []
         finally:
             cluster.close()
 
 
 # --------------------------------------------------------------------------- #
-# Failover drill (the CI job): concurrent load, kill -9, zero lost acks
+# Failover drill: concurrent load, kill -9, zero lost acks
 
 
 #: Acked ingest batches the drill waits for before the kill, and again after.
@@ -759,8 +781,8 @@ _DRILL_BATCHES = 8
 def test_failover_drill_no_acked_write_lost(tmp_path):
     """2 shards x 2 replicas under concurrent ingest + query load; kill -9
     one primary mid-stream.  Every *acknowledged* batch must survive the
-    promotion, post-failover answers must be bit-identical across the
-    routed read set, and the epoch must have advanced exactly once."""
+    promotion, post-failover answers must be bit-identical on every
+    primary and replica, and the epoch must have advanced exactly once."""
     import threading
 
     table = make_simple_table(rows=800, seed=21, name="sensors")
@@ -804,10 +826,10 @@ def test_failover_drill_no_acked_write_lost(tmp_path):
             while not stop.is_set():
                 try:
                     value = _scalar(cluster, "SELECT COUNT(*) FROM sensors")
+                    assert value >= 800.0, f"a read saw {value} rows"
                 except Exception as exc:  # pragma: no cover - drill failure
                     errors.append(exc)
                     return
-                assert value >= 800.0
 
         threads = [
             threading.Thread(target=ingest_loop),
@@ -834,13 +856,13 @@ def test_failover_drill_no_acked_write_lost(tmp_path):
         total = _scalar(cluster, "SELECT COUNT(*) FROM sensors")
         assert total == float(acked_rows[0])
 
-        # Bit-identical answers across the whole routed read set.
+        # Bit-identical answers on every primary and replica.
         for sql in (
             "SELECT COUNT(*) FROM sensors",
             "SELECT AVG(x) FROM sensors WHERE y > 45",
             "SELECT SUM(z) FROM sensors WHERE x < 50",
         ):
-            assert len({_scalar(cluster, sql) for _ in range(8)}) == 1
+            _assert_every_worker_agrees(cluster, sql)
     finally:
         cluster.close()
 

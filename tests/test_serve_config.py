@@ -5,7 +5,7 @@ covered with no edit here (as long as its type has a sample value below):
 
 * every field round-trips ``argv()`` -> ``from_argv()`` at a non-default
   value, and the default config spells an empty command line;
-* ``for_worker`` changes exactly the eleven front-end and the five spawn
+* ``for_worker`` changes exactly the ten front-end and the five spawn
   fields;
 * the derived parser is the one ``tests/fixtures/serve-flags.json``
   recorded from the hand-written argparse block it replaced, and for the
@@ -95,7 +95,7 @@ def test_default_config_spells_an_empty_command_line():
 
 def test_for_worker_changes_exactly_the_front_only_and_spawn_fields():
     assert sorted(FRONT_ONLY) == sorted(
-        "host port shards replicas max_replica_lag metrics_port max_inflight_queries "
+        "host port shards replicas metrics_port max_inflight_queries "
         "max_inflight_ingests slow_query_ms slow_log_file slow_log_max_mb".split()
     )
     assert SPAWNED == ["data_dir", "replica_of", "follower_id", "epoch", "epoch_file"]
