@@ -10,9 +10,8 @@ histograms for every pair of columns.
 from __future__ import annotations
 
 import os
-import threading
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -246,45 +245,6 @@ def build_pairwise_hist(
 # --------------------------------------------------------------------------- #
 # Partitioned construction
 
-#: Fewest partitions for which a process pool is worth its spawn/pickle
-#: cost when the executor is chosen automatically.
-PROCESS_EXECUTOR_MIN_PARTITIONS = 6
-
-
-def default_executor(num_partitions: int) -> str:
-    """Pick the executor for a partitioned build when none is forced.
-
-    ``"process"`` buys real parallelism (one GIL per worker) but costs a
-    pool spawn plus pickling every partition's decoded codes, so it only
-    pays off when there are multiple cores *and* enough partitions to
-    amortize the overhead.  Forking a process pool out of a multi-threaded
-    service is also a classic deadlock source, so the automatic choice
-    additionally requires a single-threaded process (bulk registration on
-    the main thread — the case where the build is largest); concurrent
-    services rebuilding a tail partition stay on the thread pool, whose
-    numpy kernels release the GIL.  On platforms whose default
-    multiprocessing start method is ``spawn`` (macOS, Windows) the
-    automatic choice also stays on threads: spawn re-imports ``__main__``,
-    which breaks any caller script without a ``__main__`` guard — a
-    library default must not do that silently.  Pass
-    ``executor="process"`` explicitly to override either restriction.
-    """
-    import multiprocessing
-    import sys
-
-    method = multiprocessing.get_start_method(allow_none=True)
-    if method is None:  # not fixed yet: the platform default will apply
-        method = "fork" if sys.platform.startswith("linux") else "spawn"
-    if (
-        (os.cpu_count() or 1) > 1
-        and num_partitions >= PROCESS_EXECUTOR_MIN_PARTITIONS
-        and threading.active_count() == 1
-        and method == "fork"
-    ):
-        return "process"
-    return "thread"
-
-
 @dataclass(frozen=True)
 class PartitionInput:
     """Inputs for building one partition's synopsis.
@@ -349,7 +309,7 @@ def _build_partition(
     build_pairs: bool,
     total_rows: int,
 ) -> PairwiseHist:
-    """Build one partition's synopsis (top-level so process pools can pickle it)."""
+    """Build one partition's synopsis."""
     first = next(iter(part.codes.values()))
     rows = part.population_rows if part.population_rows is not None else len(first)
     return build_pairwise_hist(
@@ -363,27 +323,36 @@ def _build_partition(
     )
 
 
+def _build_workers(num_partitions: int) -> int:
+    """Threads for a partitioned build: one per partition, at most one per
+    CPU this process may run on (its affinity mask where the platform has
+    one, so a server pinned to one CPU builds on one thread)."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(num_partitions, cpus)
+
+
 def build_partition_synopses(
     partitions: Sequence[PartitionInput],
     params: PairwiseHistParams,
     columns: list[str] | None = None,
     build_pairs: bool = True,
-    max_workers: int | None = None,
-    executor: str | None = None,
     total_rows: int | None = None,
 ) -> list[PairwiseHist]:
-    """Build one synopsis per partition, fanning out via ``concurrent.futures``.
+    """Build one synopsis per partition on a thread pool.
 
-    ``executor`` selects ``"thread"`` (numpy's histogram and sort kernels
-    release the GIL), ``"process"`` (full parallelism, inputs are pickled
-    to workers) or ``"serial"`` (no pool; also used automatically for a
-    single partition).  The default (``None``) picks dynamically via
-    :func:`default_executor`: a process pool on multi-core hosts when the
-    partition count amortizes its spawn cost, a thread pool otherwise.
-    ``total_rows`` is the row count the per-partition bin budget is scaled
-    against; pass the whole table's size when rebuilding a subset of its
-    partitions (e.g. the tail after an append) so those partitions don't
-    get the full table's budget.
+    Threads, not processes: numpy's histogram, sort and unique kernels
+    release the GIL, so threads overlap the bulk of a build without
+    pickling every partition's decoded codes to a worker, and a pool of
+    them is safe to start from a multi-threaded server (forking one is
+    not).  A single partition is built inline.  Each partition's synopsis
+    depends only on its own input, so the result is bit-identical at any
+    thread count.  ``total_rows`` is the row count the per-partition bin
+    budget is scaled against; pass the whole table's size when rebuilding
+    a subset of its partitions (e.g. the tail after an append) so those
+    partitions don't get the full table's budget.
     """
     if not partitions:
         raise ValueError("cannot build a synopsis from zero partitions")
@@ -392,18 +361,13 @@ def build_partition_synopses(
             p.population_rows if p.population_rows is not None else len(next(iter(p.codes.values())))
             for p in partitions
         )
-    if executor is None:
-        executor = default_executor(len(partitions))
-    if executor not in ("thread", "process", "serial"):
-        raise ValueError(f"unknown executor kind {executor!r}")
-    if executor == "serial" or len(partitions) == 1:
+    workers = _build_workers(len(partitions))
+    if workers == 1:
         return [
             _build_partition(part, params, columns, build_pairs, total_rows)
             for part in partitions
         ]
-    workers = max_workers or min(len(partitions), os.cpu_count() or 1)
-    pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
-    with pool_cls(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_build_partition, part, params, columns, build_pairs, total_rows)
             for part in partitions
@@ -416,11 +380,7 @@ def build_partitioned_hist(
     params: PairwiseHistParams,
     columns: list[str] | None = None,
     build_pairs: bool = True,
-    max_workers: int | None = None,
-    executor: str | None = None,
 ) -> PairwiseHist:
     """Build per-partition synopses in parallel and merge them into one."""
-    synopses = build_partition_synopses(
-        partitions, params, columns, build_pairs, max_workers, executor
-    )
+    synopses = build_partition_synopses(partitions, params, columns, build_pairs)
     return PairwiseHist.merge(synopses, params=params)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.table import Table
-from ..gd.greedygd import GreedyGDConfig
 from ..gd.preprocessor import Preprocessor
 from ..gd.store import CompressedStore
 from ..sql.ast import (
@@ -119,7 +118,6 @@ class PairwiseHistEngine:
         params: PairwiseHistParams | None = None,
         use_compression: bool = True,
         build_pairs: bool = True,
-        gd_config: GreedyGDConfig | None = None,
     ) -> "PairwiseHistEngine":
         """Build an engine from a raw table.
 
@@ -131,7 +129,7 @@ class PairwiseHistEngine:
         start = time.perf_counter()
         if use_compression:
             engine = cls.from_compressed(
-                CompressedStore.compress(table, gd_config), params, build_pairs
+                CompressedStore.compress(table), params, build_pairs
             )
         else:
             preprocessor = Preprocessor.fit(table)

@@ -15,31 +15,6 @@ from .histogram1d import (
 )
 
 
-def _coarse_grid_targets(k_row: int, k_col: int, max_cells: int) -> tuple[int, int]:
-    """Per-axis bin targets whose product respects ``max_cells``.
-
-    Both axes shrink by the same factor where possible; when one axis
-    floors at a single bin (or clamps at the budget), the other receives
-    the remaining budget instead of a blind sqrt share, so skewed grids
-    (2 x 800 bins) honour the cap too.
-    """
-    scale = float(np.sqrt(max_cells / (k_row * k_col)))
-    target_row = min(max(1, int(k_row * scale)), max_cells)
-    target_col = max(1, min(k_col, int(k_col * scale), max_cells // target_row))
-    # Hand any budget freed by the column clamp back to the row axis.
-    target_row = max(1, min(k_row, target_row, max_cells // target_col))
-    return target_row, target_col
-
-
-def _coarse_edge_indices(num_bins: int, target: int) -> np.ndarray:
-    """Edge indices that re-bin ``num_bins`` down to ``target`` bins.
-
-    Returns indices into the edge array (first and last always kept), so
-    consecutive pairs delimit contiguous runs of source bins to be summed.
-    """
-    return np.unique(np.linspace(0, num_bins, target + 1).round().astype(int))
-
-
 @dataclass
 class AxisMetadata:
     """Per-bin metadata along one dimension of a two-dimensional histogram.
@@ -165,7 +140,6 @@ class Histogram2D:
         parent_i: Histogram1D,
         parent_j: Histogram1D,
         min_spacing: float = 1.0,
-        max_cells: int | None = None,
     ) -> "Histogram2D":
         """Combine per-partition pairwise histograms into a single one.
 
@@ -175,13 +149,6 @@ class Histogram2D:
         are merged the same way as in :meth:`Histogram1D.merge`, and the
         parent maps are recomputed against the merged 1-d histograms
         (``parent_i`` / ``parent_j``) so Eq. 27 folding keeps working.
-
-        The union grid grows with the number of inputs; ``max_cells``
-        bounds it by re-binning both axes proportionally (contiguous runs
-        of union bins summed together) once the merged grid would exceed
-        the budget.  Counts are conserved exactly; resolution degrades
-        smoothly instead of memory and query time growing without bound at
-        high partition counts.
         """
         if not hists:
             raise ValueError("cannot merge zero histograms")
@@ -217,22 +184,6 @@ class Histogram2D:
                 )
                 np.minimum(vmin, pvmin, out=vmin)
                 np.maximum(vmax, pvmax, out=vmax)
-        if max_cells is not None and counts.size > max_cells:
-            target_row, target_col = _coarse_grid_targets(k_row, k_col, max_cells)
-            keep_row = _coarse_edge_indices(k_row, target_row)
-            keep_col = _coarse_edge_indices(k_col, target_col)
-            counts = np.add.reduceat(
-                np.add.reduceat(counts, keep_row[:-1], axis=0), keep_col[:-1], axis=1
-            )
-            row_edges = row_edges[keep_row]
-            col_edges = col_edges[keep_col]
-            row_min = np.minimum.reduceat(row_min, keep_row[:-1])
-            row_max = np.maximum.reduceat(row_max, keep_row[:-1])
-            col_min = np.minimum.reduceat(col_min, keep_col[:-1])
-            col_max = np.maximum.reduceat(col_max, keep_col[:-1])
-            # Union bins are disjoint intervals, so distinct counts add.
-            row_unique = np.add.reduceat(row_unique, keep_row[:-1])
-            col_unique = np.add.reduceat(col_unique, keep_col[:-1])
         row_meta = cls._merged_axis(
             columns[0], row_edges, row_min, row_max, row_unique,
             counts.sum(axis=1), parent_i, min_spacing,

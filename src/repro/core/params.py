@@ -37,12 +37,6 @@ class PairwiseHistParams:
         Safety limit on the recursion depth of bin refinement.
     seed:
         Seed for the row-sampling RNG, so synopses are reproducible.
-    max_merged_cells:
-        Optional cell budget for merged 2-d histograms: when combining
-        per-partition synopses produces a union grid with more cells than
-        this, the grid is re-binned (coarsened) down to the budget so
-        merged synopses stay bounded at high partition counts.  ``None``
-        disables coarsening.
     """
 
     sample_size: int | None = 100_000
@@ -52,7 +46,6 @@ class PairwiseHistParams:
     max_initial_bins: int | None = None
     max_refine_depth: int = 32
     seed: int = 0
-    max_merged_cells: int | None = None
 
     def __post_init__(self) -> None:
         if self.min_points < 2:
@@ -61,8 +54,6 @@ class PairwiseHistParams:
             raise ValueError("alpha must be in (0, 1)")
         if self.sample_size is not None and self.sample_size < 1:
             raise ValueError("sample_size (Ns) must be positive")
-        if self.max_merged_cells is not None and self.max_merged_cells < 1:
-            raise ValueError("max_merged_cells must be positive")
 
     @classmethod
     def with_defaults(

@@ -397,7 +397,10 @@ _PARAMS_SENTINEL = -1
 
 def serialize_params(params: PairwiseHistParams) -> bytes:
     """Encode construction parameters losslessly (unlike the synopsis header,
-    which persists only the fields needed to recompute centre bounds)."""
+    which persists only the fields needed to recompute centre bounds).
+
+    The eighth slot once held a merged-grid cell budget; it is always
+    written as the sentinel and ignored on read."""
     return struct.pack(
         "<qqddqqqq",
         _PARAMS_SENTINEL if params.sample_size is None else params.sample_size,
@@ -407,7 +410,7 @@ def serialize_params(params: PairwiseHistParams) -> bytes:
         _PARAMS_SENTINEL if params.max_initial_bins is None else params.max_initial_bins,
         params.max_refine_depth,
         params.seed,
-        _PARAMS_SENTINEL if params.max_merged_cells is None else params.max_merged_cells,
+        _PARAMS_SENTINEL,
     )
 
 
@@ -415,7 +418,7 @@ def deserialize_params(buffer, offset: int = 0) -> tuple[PairwiseHistParams, int
     """Decode bytes produced by :func:`serialize_params`; returns the params
     and the offset just past them."""
     fmt = "<qqddqqqq"
-    sample, min_points, alpha, min_spacing, max_bins, depth, seed, max_cells = (
+    sample, min_points, alpha, min_spacing, max_bins, depth, seed, _ = (
         struct.unpack_from(fmt, buffer, offset)
     )
     params = PairwiseHistParams(
@@ -426,7 +429,6 @@ def deserialize_params(buffer, offset: int = 0) -> tuple[PairwiseHistParams, int
         max_initial_bins=None if max_bins == _PARAMS_SENTINEL else int(max_bins),
         max_refine_depth=int(depth),
         seed=int(seed),
-        max_merged_cells=None if max_cells == _PARAMS_SENTINEL else int(max_cells),
     )
     return params, offset + struct.calcsize(fmt)
 
@@ -495,8 +497,9 @@ def serialize_partitioned(
 
     Each partition keeps its own independent :func:`serialize` blob so a
     single partition can be replaced after an incremental append without
-    re-encoding the others; the merged, queryable synopsis is rebuilt from
-    the parts at load time via :meth:`PairwiseHist.merge`.
+    re-encoding the others.  The merged, queryable synopsis is stored
+    beside it (a snapshot's ``.merged`` file) and loaded as is, not
+    re-merged from the parts.
 
     ``cache=True`` memoizes each synopsis's serialized blob on the object
     (published synopses are immutable — an ingest replaces the object).

@@ -124,7 +124,6 @@ class PairwiseHist:
                 merged.hist1d[key[0]],
                 merged.hist1d[key[1]],
                 params.min_spacing,
-                max_cells=params.max_merged_cells,
             )
         return merged
 

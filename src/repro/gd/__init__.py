@@ -1,7 +1,7 @@
 """Generalized Deduplication (GreedyGD) compression substrate."""
 
 from .preprocessor import ColumnTransform, Preprocessor
-from .greedygd import GDSplit, GreedyGD, GreedyGDConfig, select_deviation_bits
+from .greedygd import GDSplit, select_deviation_bits
 from .store import CompressedStore
 from .partitioned import DEFAULT_PARTITION_SIZE, PartitionedStore
 
@@ -9,8 +9,6 @@ __all__ = [
     "ColumnTransform",
     "Preprocessor",
     "GDSplit",
-    "GreedyGD",
-    "GreedyGDConfig",
     "select_deviation_bits",
     "CompressedStore",
     "PartitionedStore",

@@ -11,34 +11,43 @@ GreedyGD chooses *how many* low-order bits of each column go to the
 deviation.  The greedy search implemented here follows the published
 algorithm's structure: starting from "all bits in the base", it repeatedly
 moves one more bit of whichever column most reduces the estimated
-compressed size, and stops when no single move helps.
+compressed size, and stops when no single move helps.  The search runs
+on at most :data:`SEARCH_ROWS` rows and gives a column at most
+:data:`MAX_DEVIATION_BITS`.
+
+:func:`compress` splits a block from scratch; :func:`append` adds rows to
+an existing split under its bit assignment.  A partitioned store
+compresses each fresh tail partition warm-started from the previous
+partition's deviation bits: rows arriving on one stream share a
+distribution, so the warm start is usually already at (or one move from)
+the greedy optimum and the search ends in a couple of iterations instead
+of walking up from zero deviation bits.  Registration has no previous
+partition and starts cold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass
-class GreedyGDConfig:
-    """Tuning knobs for the greedy bit-selection search."""
+#: Most rows the bit-selection search evaluates candidates on: the search
+#: is quadratic in the number of columns, so larger inputs are strided
+#: down to this many rows.
+SEARCH_ROWS = 20_000
+#: Most deviation bits a column may take (keeps the ``1 << bits``
+#: deviation mask inside int64).
+MAX_DEVIATION_BITS = 62
 
-    #: Maximum rows used to evaluate candidate configurations (the search is
-    #: quadratic in the number of columns, so it runs on a sample).
-    search_rows: int = 20_000
-    #: Upper limit on deviation bits per column (guards the search loop).
-    max_deviation_bits: int = 62
-    #: Stop as soon as an iteration fails to improve the estimated size.
-    early_stop: bool = True
-    #: Seed the bit-selection search for fresh tail partitions from the
-    #: previous tail partition's deviation bits (append path only).  Rows
-    #: arriving on one stream share a distribution, so the warm start is
-    #: usually already at (or one move from) the greedy optimum — the
-    #: search converges in a couple of iterations instead of walking up
-    #: from zero deviation bits.
-    warm_start_appends: bool = True
+
+def _size_bits(
+    num_rows: int, num_bases: int, deviation_bits: np.ndarray, total_bits: np.ndarray
+) -> int:
+    """Compressed size in bits: every base once, every row's deviation and base id."""
+    base_bits = int((total_bits - deviation_bits).sum())
+    id_bits = max(1, int(np.ceil(np.log2(max(num_bases, 2)))))
+    return num_bases * base_bits + num_rows * (int(deviation_bits.sum()) + id_bits)
 
 
 @dataclass
@@ -67,10 +76,7 @@ class GDSplit:
 
     def compressed_bits(self) -> int:
         """Estimated compressed payload size in bits (bases + ids + deviations)."""
-        base_bits = int((self.total_bits - self.deviation_bits).sum())
-        dev_bits = int(self.deviation_bits.sum())
-        id_bits = max(1, int(np.ceil(np.log2(max(self.num_bases, 2)))))
-        return self.num_bases * base_bits + self.num_rows * (dev_bits + id_bits)
+        return _size_bits(self.num_rows, self.num_bases, self.deviation_bits, self.total_bits)
 
     def compressed_bytes(self) -> int:
         return (self.compressed_bits() + 7) // 8
@@ -88,21 +94,13 @@ def _estimate_bits(
     codes: np.ndarray, deviation_bits: np.ndarray, total_bits: np.ndarray
 ) -> tuple[int, int]:
     """Estimated compressed size (bits) and base count for a bit assignment."""
-    shifted = codes >> deviation_bits
-    bases = np.unique(shifted, axis=0)
-    num_bases = bases.shape[0]
-    num_rows = codes.shape[0]
-    base_bits = int((total_bits - deviation_bits).sum())
-    dev_bits = int(deviation_bits.sum())
-    id_bits = max(1, int(np.ceil(np.log2(max(num_bases, 2)))))
-    size = num_bases * base_bits + num_rows * (dev_bits + id_bits)
-    return size, num_bases
+    num_bases = np.unique(codes >> deviation_bits, axis=0).shape[0]
+    return _size_bits(codes.shape[0], num_bases, deviation_bits, total_bits), num_bases
 
 
 def select_deviation_bits(
     codes: np.ndarray,
     total_bits: np.ndarray,
-    config: GreedyGDConfig | None = None,
     warm_start: np.ndarray | None = None,
 ) -> np.ndarray:
     """Greedy search for the per-column deviation bit counts.
@@ -110,7 +108,8 @@ def select_deviation_bits(
     Parameters
     ----------
     codes:
-        Integer-encoded rows, shape ``(rows, columns)``.
+        Integer-encoded rows, shape ``(rows, columns)``; the search runs on
+        at most :data:`SEARCH_ROWS` of them (an even stride).
     total_bits:
         Bits needed per column (from the pre-processor).
     warm_start:
@@ -120,14 +119,9 @@ def select_deviation_bits(
         start may overshoot what the new rows want, so the warm search is
         bidirectional: each iteration takes the single best +1 / -1 move.
     """
-    config = config or GreedyGDConfig()
     num_rows, num_cols = codes.shape
-    if num_rows > config.search_rows:
-        step = max(1, num_rows // config.search_rows)
-        sample = codes[::step]
-    else:
-        sample = codes
-    limits = np.minimum(total_bits, config.max_deviation_bits)
+    sample = codes[:: max(1, num_rows // SEARCH_ROWS)]
+    limits = np.minimum(total_bits, MAX_DEVIATION_BITS)
     if warm_start is not None:
         deviation_bits = np.clip(np.asarray(warm_start, dtype=np.int64), 0, limits)
         moves = (1, -1)
@@ -135,9 +129,7 @@ def select_deviation_bits(
         deviation_bits = np.zeros(num_cols, dtype=np.int64)
         moves = (1,)
     best_size, _ = _estimate_bits(sample, deviation_bits, total_bits)
-    improved = True
-    while improved:
-        improved = False
+    while True:
         best_candidate = None
         for col in range(num_cols):
             for move in moves:
@@ -150,67 +142,58 @@ def select_deviation_bits(
                 if size < best_size:
                     best_size = size
                     best_candidate = candidate
-        if best_candidate is not None:
-            deviation_bits = best_candidate
-            improved = True
-        elif not config.early_stop:
-            break
-    return deviation_bits
+        if best_candidate is None:
+            return deviation_bits
+        deviation_bits = best_candidate
 
 
-@dataclass
-class GreedyGD:
-    """End-to-end GreedyGD compressor over integer-encoded rows."""
+def compress(
+    codes: np.ndarray,
+    total_bits: np.ndarray,
+    warm_start: np.ndarray | None = None,
+) -> GDSplit:
+    """Split rows into deduplicated bases and verbatim deviations.
 
-    config: GreedyGDConfig = field(default_factory=GreedyGDConfig)
+    ``warm_start`` seeds the bit-selection search (see
+    :func:`select_deviation_bits`); the split itself is exact for
+    whatever assignment the search lands on.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    total_bits = np.asarray(total_bits, dtype=np.int64)
+    if codes.ndim != 2:
+        raise ValueError("codes must be a 2-d array of shape (rows, columns)")
+    deviation_bits = select_deviation_bits(codes, total_bits, warm_start)
+    shifted = codes >> deviation_bits
+    masks = (np.int64(1) << deviation_bits) - 1
+    deviations = codes & masks
+    bases, base_ids = np.unique(shifted, axis=0, return_inverse=True)
+    return GDSplit(
+        bases=bases,
+        base_ids=base_ids.astype(np.int64),
+        deviations=deviations,
+        deviation_bits=deviation_bits,
+        total_bits=total_bits,
+    )
 
-    def compress(
-        self,
-        codes: np.ndarray,
-        total_bits: np.ndarray,
-        warm_start: np.ndarray | None = None,
-    ) -> GDSplit:
-        """Split rows into deduplicated bases and verbatim deviations.
 
-        ``warm_start`` seeds the bit-selection search (see
-        :func:`select_deviation_bits`); the split itself is exact for
-        whatever assignment the search lands on.
-        """
-        codes = np.asarray(codes, dtype=np.int64)
-        total_bits = np.asarray(total_bits, dtype=np.int64)
-        if codes.ndim != 2:
-            raise ValueError("codes must be a 2-d array of shape (rows, columns)")
-        deviation_bits = select_deviation_bits(codes, total_bits, self.config, warm_start)
-        shifted = codes >> deviation_bits
-        masks = (np.int64(1) << deviation_bits) - 1
-        deviations = codes & masks
-        bases, base_ids = np.unique(shifted, axis=0, return_inverse=True)
-        return GDSplit(
-            bases=bases,
-            base_ids=base_ids.astype(np.int64),
-            deviations=deviations,
-            deviation_bits=deviation_bits,
-            total_bits=total_bits,
-        )
-
-    def append(self, split: GDSplit, new_codes: np.ndarray) -> GDSplit:
-        """Incrementally add rows to an existing split (new bases appended)."""
-        new_codes = np.asarray(new_codes, dtype=np.int64)
-        shifted = new_codes >> split.deviation_bits
-        masks = (np.int64(1) << split.deviation_bits) - 1
-        deviations = new_codes & masks
-        base_lookup = {tuple(row): i for i, row in enumerate(split.bases)}
-        bases = list(map(tuple, split.bases))
-        new_ids = np.empty(len(new_codes), dtype=np.int64)
-        for i, row in enumerate(map(tuple, shifted)):
-            if row not in base_lookup:
-                base_lookup[row] = len(bases)
-                bases.append(row)
-            new_ids[i] = base_lookup[row]
-        return GDSplit(
-            bases=np.asarray(bases, dtype=np.int64),
-            base_ids=np.concatenate([split.base_ids, new_ids]),
-            deviations=np.vstack([split.deviations, deviations]),
-            deviation_bits=split.deviation_bits,
-            total_bits=split.total_bits,
-        )
+def append(split: GDSplit, new_codes: np.ndarray) -> GDSplit:
+    """Incrementally add rows to an existing split (new bases appended)."""
+    new_codes = np.asarray(new_codes, dtype=np.int64)
+    shifted = new_codes >> split.deviation_bits
+    masks = (np.int64(1) << split.deviation_bits) - 1
+    deviations = new_codes & masks
+    base_lookup = {tuple(row): i for i, row in enumerate(split.bases)}
+    bases = list(map(tuple, split.bases))
+    new_ids = np.empty(len(new_codes), dtype=np.int64)
+    for i, row in enumerate(map(tuple, shifted)):
+        if row not in base_lookup:
+            base_lookup[row] = len(bases)
+            bases.append(row)
+        new_ids[i] = base_lookup[row]
+    return GDSplit(
+        bases=np.asarray(bases, dtype=np.int64),
+        base_ids=np.concatenate([split.base_ids, new_ids]),
+        deviations=np.vstack([split.deviations, deviations]),
+        deviation_bits=split.deviation_bits,
+        total_bits=split.total_bits,
+    )

@@ -30,7 +30,8 @@ from ..storage.codec import (
     unpack_ndarray8,
     unpack_short_string,
 )
-from .greedygd import GDSplit, GreedyGD, GreedyGDConfig
+from . import greedygd
+from .greedygd import GDSplit
 from .preprocessor import Preprocessor
 from .store import CompressedStore
 
@@ -49,7 +50,6 @@ class PartitionedStore:
     partition_size: int
     partitions: list[CompressedStore] = field(default_factory=list)
     _column_order: list[str] = field(default_factory=list)
-    _config: GreedyGDConfig = field(default_factory=GreedyGDConfig)
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -59,12 +59,10 @@ class PartitionedStore:
         cls,
         table: Table,
         partition_size: int = DEFAULT_PARTITION_SIZE,
-        config: GreedyGDConfig | None = None,
     ) -> "PartitionedStore":
         """Pre-process a table once, then compress it partition by partition."""
         if partition_size < 1:
             raise ValueError("partition_size must be positive")
-        config = config or GreedyGDConfig()
         preprocessor = Preprocessor.fit(table)
         store = cls(
             table_name=table.name,
@@ -72,7 +70,6 @@ class PartitionedStore:
             preprocessor=preprocessor,
             partition_size=partition_size,
             _column_order=table.column_names,
-            _config=config,
         )
         for start in range(0, table.num_rows, partition_size):
             chunk = table.select_rows(np.arange(start, min(start + partition_size, table.num_rows)))
@@ -97,7 +94,7 @@ class PartitionedStore:
         )
         bits = self.preprocessor.bits_per_column()
         total_bits = np.array([bits[name] for name in self._column_order], dtype=np.int64)
-        split = GreedyGD(self._config).compress(matrix, total_bits, warm_start)
+        split = greedygd.compress(matrix, total_bits, warm_start)
         return CompressedStore(
             table_name=self.table_name,
             schema=self.schema,
@@ -182,7 +179,8 @@ class PartitionedStore:
 
         The last partition is topped up to ``partition_size`` with
         GreedyGD's incremental append (new bases only, no re-splitting);
-        remaining rows are compressed into fresh partitions.  Sealed
+        remaining rows are compressed into fresh partitions, each search
+        warm-started from the previous partition's deviation bits.  Sealed
         partitions are never touched, so their synopses stay valid — the
         returned indices tell callers exactly which partitions to refresh.
 
@@ -208,12 +206,9 @@ class PartitionedStore:
         while consumed < table.num_rows:
             take = min(self.partition_size, table.num_rows - consumed)
             chunk = table.select_rows(np.arange(consumed, consumed + take))
-            warm_start = (
-                partitions[-1].split.deviation_bits
-                if self._config.warm_start_appends
-                else None
+            partitions.append(
+                self._compress_partition(chunk, partitions[-1].split.deviation_bits)
             )
-            partitions.append(self._compress_partition(chunk, warm_start))
             affected.append(len(partitions) - 1)
             consumed += take
         self.partitions = partitions

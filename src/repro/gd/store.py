@@ -16,7 +16,8 @@ import numpy as np
 
 from ..data.schema import TableSchema
 from ..data.table import Table
-from .greedygd import GDSplit, GreedyGD, GreedyGDConfig
+from . import greedygd
+from .greedygd import GDSplit
 from .preprocessor import Preprocessor
 
 
@@ -39,7 +40,7 @@ class CompressedStore:
     # Construction
 
     @classmethod
-    def compress(cls, table: Table, config: GreedyGDConfig | None = None) -> "CompressedStore":
+    def compress(cls, table: Table) -> "CompressedStore":
         """Pre-process and compress a table."""
         preprocessor = Preprocessor.fit(table)
         codes, nulls = preprocessor.transform_table(table)
@@ -47,7 +48,7 @@ class CompressedStore:
         matrix = np.column_stack([codes[name] for name in order]) if order else np.empty((table.num_rows, 0), dtype=np.int64)
         bits = preprocessor.bits_per_column()
         total_bits = np.array([bits[name] for name in order], dtype=np.int64)
-        split = GreedyGD(config or GreedyGDConfig()).compress(matrix, total_bits)
+        split = greedygd.compress(matrix, total_bits)
         return cls(
             table_name=table.name,
             schema=table.schema,
@@ -141,7 +142,7 @@ class CompressedStore:
             raise ValueError("appended rows must match the store schema")
         codes, nulls = self.preprocessor.transform_table(table)
         matrix = np.column_stack([codes[name] for name in self._column_order])
-        new_split = GreedyGD().append(self.split, matrix)
+        new_split = greedygd.append(self.split, matrix)
         merged_nulls = {
             name: np.concatenate([self.null_masks[name], nulls[name]])
             for name in self._column_order

@@ -37,7 +37,6 @@ from ..core.params import PairwiseHistParams
 from ..core.serialization import serialize_partitioned
 from ..core.synopsis import PairwiseHist
 from ..data.table import Table
-from ..gd.greedygd import GreedyGDConfig
 from ..gd.partitioned import DEFAULT_PARTITION_SIZE, PartitionedStore
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
@@ -194,17 +193,11 @@ class Database:
         self,
         default_params: PairwiseHistParams | None = None,
         partition_size: int = DEFAULT_PARTITION_SIZE,
-        max_workers: int | None = None,
-        executor: str | None = None,
-        gd_config: GreedyGDConfig | None = None,
     ) -> None:
         self.default_params = default_params or PairwiseHistParams.with_defaults(
             sample_size=100_000
         )
         self.partition_size = partition_size
-        self.max_workers = max_workers
-        self.executor = executor
-        self.gd_config = gd_config
         self._tables: dict[str, ManagedTable] = {}
         #: Guards register's duplicate check + insert.
         self._catalog_mutex = threading.Lock()
@@ -278,9 +271,7 @@ class Database:
             raise ValueError(f"table {table.name!r} is already registered")
         start = time.perf_counter()
         params = params or self.default_params
-        store = PartitionedStore.compress(
-            table, partition_size or self.partition_size, self.gd_config
-        )
+        store = PartitionedStore.compress(table, partition_size or self.partition_size)
         synopses = self._build_synopses(store, params, store.partitions)
         merged = PairwiseHist.merge(list(synopses), params=params)
         engine = PairwiseHistEngine(
@@ -332,8 +323,6 @@ class Database:
             inputs,
             params,
             columns=store.column_order,
-            max_workers=self.max_workers,
-            executor=self.executor,
             # Scale each partition's bin budget against the whole table even
             # when rebuilding only the tail after an append.
             total_rows=store.num_rows if total_rows is None else total_rows,

@@ -233,8 +233,10 @@ _PARAMS_FIELDS = (
     "max_initial_bins",
     "max_refine_depth",
     "seed",
-    "max_merged_cells",
 )
+#: Fields this server no longer has.  Older clients send every field, so
+#: each is still accepted as ``null``, the only behaviour left.
+_RETIRED_PARAMS_FIELDS = ("max_merged_cells",)
 
 
 def params_payload(params: PairwiseHistParams) -> dict:
@@ -246,6 +248,11 @@ def params_from_payload(payload: dict) -> PairwiseHistParams:
     """Inverse of :func:`params_payload` (unknown keys are rejected)."""
     if not isinstance(payload, dict):
         raise ValueError("params payloads must be a JSON object")
+    payload = {
+        key: value
+        for key, value in payload.items()
+        if not (key in _RETIRED_PARAMS_FIELDS and value is None)
+    }
     unknown = set(payload) - set(_PARAMS_FIELDS)
     if unknown:
         raise ValueError(f"unknown params fields: {sorted(unknown)}")

@@ -14,8 +14,8 @@ Two layers live here:
   bottom of the dependency stack — anything outside :mod:`repro.data`
   and numpy is imported lazily inside the functions that need it.
 * **Durable-storage payload codecs** — table schemas, fitted
-  pre-processors, raw row batches (the WAL payloads), GreedyGD
-  configuration and the per-table catalog entries a snapshot writes.
+  pre-processors, raw row batches (the WAL payloads) and the per-table
+  catalog entries a snapshot writes.
 
 All framing is explicit little-endian ``struct`` packing — no pickle, so
 payloads are stable across Python versions and safe to read from
@@ -34,7 +34,6 @@ from ..data.table import Table
 
 if TYPE_CHECKING:  # heavyweight imports stay lazy at runtime (see docstring)
     from ..core.params import PairwiseHistParams
-    from ..gd.greedygd import GreedyGDConfig
     from ..gd.preprocessor import Preprocessor
 
 _NULL_STRING = 0xFFFFFFFF
@@ -297,36 +296,6 @@ def decode_table(buffer: memoryview, offset: int = 0) -> tuple[Table, int]:
         else:
             columns[column.name], offset = unpack_array(buffer, offset)
     return Table(name=name, schema=schema, columns=columns), offset
-
-
-# --------------------------------------------------------------------------- #
-# GreedyGD configuration
-
-
-def encode_gd_config(config: "GreedyGDConfig") -> bytes:
-    return struct.pack(
-        "<qqBB",
-        config.search_rows,
-        config.max_deviation_bits,
-        bool(config.early_stop),
-        bool(getattr(config, "warm_start_appends", True)),
-    )
-
-
-def decode_gd_config(buffer: memoryview, offset: int = 0) -> tuple["GreedyGDConfig", int]:
-    from ..gd.greedygd import GreedyGDConfig
-
-    search_rows, max_dev, early, warm = struct.unpack_from("<qqBB", buffer, offset)
-    offset += struct.calcsize("<qqBB")
-    return (
-        GreedyGDConfig(
-            search_rows=int(search_rows),
-            max_deviation_bits=int(max_dev),
-            early_stop=bool(early),
-            warm_start_appends=bool(warm),
-        ),
-        offset,
-    )
 
 
 # --------------------------------------------------------------------------- #

@@ -271,7 +271,6 @@ class DurableDatabase(Database):
                         preprocessor=managed.store.preprocessor,
                         partition_size=managed.store.partition_size,
                         params=managed.params,
-                        gd_config=managed.store._config,
                         partitions=partitions,
                         partition_synopses=managed.partition_synopses,
                         synopsis_builds=managed.synopsis_builds,

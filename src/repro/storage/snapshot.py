@@ -1,7 +1,7 @@
 """Snapshot checkpoints: atomic on-disk images of the whole catalog.
 
 A snapshot directory holds, per registered table, the catalog entry
-(schema, fitted pre-processor, construction params, GreedyGD config), the
+(schema, fitted pre-processor, construction params), the
 GD-compressed partitions and the per-partition PWHP synopses.  A
 ``MANIFEST`` listing every file with its size and CRC32 is written
 *last*, and the whole directory is assembled under a temporary name and
@@ -51,7 +51,6 @@ from ..core.serialization import (
 )
 from ..core.synopsis import PairwiseHist
 from ..data.schema import TableSchema
-from ..gd.greedygd import GreedyGDConfig
 from ..gd.partitioned import PartitionedStore, dump_partition, load_partition
 from ..gd.preprocessor import Preprocessor
 from ..gd.store import CompressedStore
@@ -112,7 +111,6 @@ class TableSnapshotState:
     preprocessor: Preprocessor
     partition_size: int
     params: PairwiseHistParams
-    gd_config: GreedyGDConfig
     partitions: list[CompressedStore]
     partition_synopses: list[PairwiseHist]
     synopsis_builds: int
@@ -146,7 +144,6 @@ class LoadedTable:
     preprocessor: Preprocessor
     partition_size: int
     params: PairwiseHistParams
-    gd_config: GreedyGDConfig
     partitions: list[CompressedStore]
     partition_synopses: list[PairwiseHist]
     synopsis_builds: int
@@ -160,7 +157,6 @@ class LoadedTable:
             partition_size=self.partition_size,
             partitions=self.partitions,
             _column_order=self.schema.names,
-            _config=self.gd_config,
         )
 
 
@@ -175,12 +171,19 @@ class LoadedSnapshot:
 # Per-table framing
 
 
+#: The 18-byte slot after the params that once held the GreedyGD search
+#: settings (search rows, max deviation bits, early stop, warm-started
+#: appends).  The search now has fixed constants; every entry writes the
+#: values they always had and a reader skips the slot.
+_GD_SLOT = struct.pack("<qqBB", 20_000, 62, 1, 1)
+
+
 def _encode_table_meta(state: TableSnapshotState) -> bytes:
     parts = [
         codec.pack_string(state.name),
         struct.pack("<qq", state.partition_size, state.synopsis_builds),
         serialize_params(state.params),
-        codec.encode_gd_config(state.gd_config),
+        _GD_SLOT,
         codec.encode_schema(state.schema),
         codec.encode_preprocessor(state.preprocessor),
     ]
@@ -188,15 +191,17 @@ def _encode_table_meta(state: TableSnapshotState) -> bytes:
 
 
 def _decode_table_meta(payload: bytes):
+    """Inverse of :func:`_encode_table_meta`; the :data:`_GD_SLOT` bytes and
+    the params' last slot (see :func:`deserialize_params`) are skipped."""
     buffer = memoryview(payload)
     name, offset = codec.unpack_string(buffer, 0)
     partition_size, synopsis_builds = struct.unpack_from("<qq", buffer, offset)
     offset += struct.calcsize("<qq")
     params, offset = deserialize_params(buffer, offset)
-    gd_config, offset = codec.decode_gd_config(buffer, offset)
+    offset += len(_GD_SLOT)
     schema, offset = codec.decode_schema(buffer, offset)
     preprocessor, offset = codec.decode_preprocessor(buffer, offset)
-    return name, int(partition_size), int(synopsis_builds), params, gd_config, schema, preprocessor
+    return name, int(partition_size), int(synopsis_builds), params, schema, preprocessor
 
 
 # --------------------------------------------------------------------------- #
@@ -445,7 +450,7 @@ def _load(
     entries = deserialize_catalog(payloads[_CATALOG_NAME])
     tables: list[LoadedTable] = []
     for index, entry in enumerate(entries):
-        name, partition_size, builds, params, gd_config, schema, preprocessor = (
+        name, partition_size, builds, params, schema, preprocessor = (
             _decode_table_meta(entry)
         )
         blob_names = _decode_parts_index(payloads[f"table-{index:05d}.parts"])
@@ -468,7 +473,6 @@ def _load(
                 preprocessor=preprocessor,
                 partition_size=partition_size,
                 params=params,
-                gd_config=gd_config,
                 partitions=partitions,
                 partition_synopses=synopses,
                 synopsis_builds=builds,

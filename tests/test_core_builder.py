@@ -159,45 +159,3 @@ class TestHistogramApproximatesDistribution:
         idx = bin_indices(hist.edges, values)
         empirical = np.bincount(idx, minlength=hist.num_bins)
         np.testing.assert_allclose(hist.counts, empirical)
-
-
-class TestDefaultExecutor:
-    """The dynamic executor choice (multi-core + enough partitions -> process)."""
-
-    def test_single_core_always_threads(self, monkeypatch):
-        import repro.core.builder as builder
-
-        monkeypatch.setattr(builder.os, "cpu_count", lambda: 1)
-        assert builder.default_executor(100) == "thread"
-
-    def test_multi_core_needs_enough_partitions(self, monkeypatch):
-        import repro.core.builder as builder
-
-        monkeypatch.setattr(builder.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(builder.threading, "active_count", lambda: 1)
-        threshold = builder.PROCESS_EXECUTOR_MIN_PARTITIONS
-        assert builder.default_executor(threshold - 1) == "thread"
-        assert builder.default_executor(threshold) == "process"
-
-    def test_threaded_process_stays_on_thread_pool(self, monkeypatch):
-        """Never auto-fork a process pool out of a multi-threaded service."""
-        import repro.core.builder as builder
-
-        monkeypatch.setattr(builder.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(builder.threading, "active_count", lambda: 3)
-        assert builder.default_executor(100) == "thread"
-
-    def test_explicit_override_respected(self, codes, params, monkeypatch):
-        """executor="thread"/"serial"/"process" are never second-guessed."""
-        import repro.core.builder as builder
-        from repro.core.builder import PartitionInput, build_partition_synopses
-
-        monkeypatch.setattr(builder.os, "cpu_count", lambda: 8)
-        parts = [
-            PartitionInput(codes={k: v[i::3] for k, v in codes.items()})
-            for i in range(3)
-        ]
-        built = build_partition_synopses(parts, params.scaled_to(1000), executor="serial")
-        assert len(built) == 3
-        with pytest.raises(ValueError, match="unknown executor"):
-            build_partition_synopses(parts, params, executor="fibers")

@@ -103,7 +103,7 @@ def _compute(sqls: list[str] | None = None) -> dict:
 
     table = _table()
     sqls = _statements(table) if sqls is None else sqls
-    database = Database(partition_size=_PARTITION_SIZE, max_workers=1)
+    database = Database(partition_size=_PARTITION_SIZE)
     managed = database.register(table)
     merged = managed.engine.synopsis
     sampled = PairwiseHistEngine.from_table(

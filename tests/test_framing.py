@@ -193,7 +193,6 @@ def test_store_append_unaffected_by_shared_framing(managed_table):
         partition_size=store.partition_size,
         partitions=loaded,
         _column_order=store.column_order,
-        _config=store._config,
     )
     extra = make_simple_table(rows=120, seed=10, name="framed")
     affected = rebuilt.append(extra)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.data.table import Table
-from repro.gd.greedygd import GDSplit, GreedyGD, GreedyGDConfig, select_deviation_bits
+from repro.gd import greedygd
+from repro.gd.greedygd import GDSplit, select_deviation_bits
 from repro.gd.store import CompressedStore
 
 
@@ -66,47 +67,55 @@ class TestDeviationBitSelection:
 class TestGreedyGDCompress:
     def test_reconstruction_is_lossless(self):
         codes, total_bits = _codes_with_shared_high_bits()
-        split = GreedyGD().compress(codes, total_bits)
+        split = greedygd.compress(codes, total_bits)
         np.testing.assert_array_equal(split.reconstruct(), codes)
 
     def test_partial_reconstruction(self):
         codes, total_bits = _codes_with_shared_high_bits()
-        split = GreedyGD().compress(codes, total_bits)
+        split = greedygd.compress(codes, total_bits)
         rows = np.array([0, 10, 500])
         np.testing.assert_array_equal(split.reconstruct(rows), codes[rows])
 
     def test_deduplication_reduces_bases(self):
         codes, total_bits = _codes_with_shared_high_bits()
-        split = GreedyGD().compress(codes, total_bits)
+        split = greedygd.compress(codes, total_bits)
         assert split.num_bases < len(codes)
 
     def test_compression_beats_raw_for_redundant_data(self):
         codes, total_bits = _codes_with_shared_high_bits(rows=5000)
-        split = GreedyGD().compress(codes, total_bits)
+        split = greedygd.compress(codes, total_bits)
         raw_bits = int(total_bits.sum()) * len(codes)
         assert split.compressed_bits() < raw_bits
 
     def test_compressed_bytes_positive(self):
         codes, total_bits = _codes_with_shared_high_bits(rows=200)
-        split = GreedyGD().compress(codes, total_bits)
+        split = greedygd.compress(codes, total_bits)
         assert split.compressed_bytes() > 0
 
     def test_rejects_non_2d_codes(self):
         with pytest.raises(ValueError):
-            GreedyGD().compress(np.arange(10), np.array([4]))
+            greedygd.compress(np.arange(10), np.array([4]))
 
     def test_append_preserves_existing_rows(self):
         codes, total_bits = _codes_with_shared_high_bits(rows=800)
-        split = GreedyGD().compress(codes[:600], total_bits)
-        extended = GreedyGD().append(split, codes[600:])
+        split = greedygd.compress(codes[:600], total_bits)
+        extended = greedygd.append(split, codes[600:])
         assert isinstance(extended, GDSplit)
         np.testing.assert_array_equal(extended.reconstruct(np.arange(600)), codes[:600])
         np.testing.assert_array_equal(extended.reconstruct(np.arange(600, 800)), codes[600:])
 
-    def test_search_rows_subsampling(self):
+    def test_search_rows_subsampling(self, monkeypatch):
         codes, total_bits = _codes_with_shared_high_bits(rows=3000)
-        config = GreedyGDConfig(search_rows=200)
-        split = GreedyGD(config).compress(codes, total_bits)
+        monkeypatch.setattr(greedygd, "SEARCH_ROWS", 200)
+        searched = []
+        estimate = greedygd._estimate_bits
+        monkeypatch.setattr(
+            greedygd,
+            "_estimate_bits",
+            lambda sample, *rest: searched.append(len(sample)) or estimate(sample, *rest),
+        )
+        split = greedygd.compress(codes, total_bits)
+        assert set(searched) == {200}
         np.testing.assert_array_equal(split.reconstruct(), codes)
 
 

@@ -412,6 +412,15 @@ def test_malformed_requests_fail_naming_what_is_wrong(dialect_cls):
         assert field in standalone[name] or field in replica[name], (name, standalone[name])
 
 
+def test_a_retired_params_field_is_accepted_only_as_null():
+    """Older clients send every params field, the retired merged-cell
+    budget included, as ``null``: the only behaviour left."""
+    sent = dict(ops.params_payload(PairwiseHistParams()), max_merged_cells=None)
+    assert ops.params_from_payload(sent) == PairwiseHistParams()
+    with pytest.raises(ValueError, match="unknown params fields"):
+        ops.params_from_payload(dict(sent, max_merged_cells=4096))
+
+
 # --------------------------------------------------------------------------- #
 # ROADMAP item 3: a new read-only op is one table row
 

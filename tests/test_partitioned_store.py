@@ -100,22 +100,28 @@ class TestAppend:
         assert store.num_rows == full.num_rows
         assert_tables_equal(store.reconstruct_rows(), full, table.schema)
 
-    def test_warm_started_append_stays_lossless(self):
+    def test_warm_started_append_stays_lossless(self, monkeypatch):
         """Fresh overflow partitions seed their bit search from the previous
         tail; whatever the search picks, reconstruction must stay exact."""
-        from repro.gd.greedygd import GreedyGDConfig
+        from repro.gd import greedygd
 
         table = make_simple_table(rows=2000, seed=11)
         extra = make_simple_table(rows=4500, seed=12)
         full = table.concat(extra)
-        stores = {}
-        for warm in (True, False):
-            config = GreedyGDConfig(warm_start_appends=warm)
-            store = PartitionedStore.compress(table, partition_size=2000, config=config)
-            store.append(extra)
-            assert_tables_equal(store.reconstruct_rows(), full, table.schema)
-            stores[warm] = store
-        assert stores[True].num_rows == stores[False].num_rows
+        store = PartitionedStore.compress(table, partition_size=2000)
+        starts = []
+        search = greedygd.select_deviation_bits
+        monkeypatch.setattr(
+            greedygd,
+            "select_deviation_bits",
+            lambda codes, bits, warm_start: starts.append(warm_start) or search(codes, bits, warm_start),
+        )
+        store.append(extra)
+        assert_tables_equal(store.reconstruct_rows(), full, table.schema)
+        # The three overflow partitions each started from their predecessor.
+        assert len(starts) == 3 == store.num_partitions - 1
+        for previous, start in zip(store.partitions, starts):
+            np.testing.assert_array_equal(start, previous.split.deviation_bits)
 
     def test_append_empty_batch_is_a_no_op(self, store_and_table):
         store, _ = store_and_table

@@ -25,7 +25,6 @@ from repro.core.serialization import (
     serialize_manifest,
     serialize_params,
 )
-from repro.gd.greedygd import GreedyGDConfig
 from repro.gd.partitioned import PartitionedStore, dump_partition, load_partition
 from repro.gd.preprocessor import Preprocessor
 from repro.storage import (
@@ -196,6 +195,22 @@ class TestWriteAheadLog:
 # Codecs
 
 
+def _params_slots(params: PairwiseHistParams, merged_cell_budget: int) -> bytes:
+    """The eight-slot params layout, spelled out (``-1`` is "unset")."""
+    unset = -1
+    return struct.pack(
+        "<qqddqqqq",
+        unset if params.sample_size is None else params.sample_size,
+        params.min_points,
+        params.alpha,
+        params.min_spacing,
+        unset if params.max_initial_bins is None else params.max_initial_bins,
+        params.max_refine_depth,
+        params.seed,
+        merged_cell_budget,
+    )
+
+
 class TestCodecs:
     def test_table_round_trip_exact(self):
         table = make_simple_table(rows=257, seed=3, name="round")
@@ -249,18 +264,62 @@ class TestCodecs:
             max_initial_bins=99,
             max_refine_depth=7,
             seed=13,
-            max_merged_cells=4096,
         )
         decoded, _ = deserialize_params(serialize_params(params))
         assert decoded == params
 
-    def test_gd_config_round_trip(self):
-        config = GreedyGDConfig(
-            search_rows=123, max_deviation_bits=7, early_stop=False,
-            warm_start_appends=False,
+    def test_retired_slots_of_older_entries_are_skipped(self):
+        """A catalog entry and a WAL register payload written with a GreedyGD
+        block of (search rows 123, max deviation bits 7, no early stop, cold
+        appends) and a merged-cell budget of 4096 decode to the same table,
+        schema, preprocessor and other seven params."""
+        from repro.storage.snapshot import _decode_table_meta
+
+        table = make_simple_table(rows=300, seed=4, name="old")
+        pre = Preprocessor.fit(table)
+        params = PairwiseHistParams(
+            sample_size=None, min_points=77, alpha=0.025, min_spacing=0.5,
+            max_initial_bins=99, max_refine_depth=7, seed=13,
         )
-        decoded, _ = codec.decode_gd_config(memoryview(codec.encode_gd_config(config)))
-        assert decoded == config
+        old_params = _params_slots(params, merged_cell_budget=4096)
+        entry = b"".join([
+            codec.pack_string("old"),
+            struct.pack("<qq", 250, 3),
+            old_params,
+            struct.pack("<qqBB", 123, 7, 0, 0),
+            codec.encode_schema(table.schema),
+            codec.encode_preprocessor(pre),
+        ])
+        name, partition_size, builds, decoded, schema, preprocessor = _decode_table_meta(entry)
+        assert (name, partition_size, builds, decoded) == ("old", 250, 3, params)
+        assert codec.encode_schema(schema) == codec.encode_schema(table.schema)
+        assert codec.encode_preprocessor(preprocessor) == codec.encode_preprocessor(pre)
+
+        register = struct.pack("<q", 250) + old_params + codec.encode_table(table)
+        rows, decoded, partition_size = codec.decode_register_payload(register)
+        assert (decoded, partition_size) == (params, 250)
+        assert codec.encode_table(rows) == codec.encode_table(table)
+
+    def test_retired_slots_are_written_as_before(self):
+        """Fresh entries carry the GreedyGD block (20000, 62, 1, 1) and the
+        sentinel budget that every entry had when both were settable."""
+        from repro.storage.snapshot import _encode_table_meta
+
+        state = _make_state(checkpoint_lsn=1).tables[0]
+        assert _encode_table_meta(state) == b"".join([
+            codec.pack_string("snap"),
+            struct.pack("<qq", state.partition_size, state.synopsis_builds),
+            _params_slots(state.params, merged_cell_budget=-1),
+            struct.pack("<qqBB", 20_000, 62, 1, 1),
+            codec.encode_schema(state.schema),
+            codec.encode_preprocessor(state.preprocessor),
+        ])
+        table = make_simple_table(rows=50, seed=4, name="new")
+        assert codec.encode_register_payload(table, state.params, 250) == (
+            struct.pack("<q", 250)
+            + _params_slots(state.params, merged_cell_budget=-1)
+            + codec.encode_table(table)
+        )
 
     def test_catalog_and_manifest_framing(self):
         entries = [b"alpha", b"", b"gamma" * 100]
@@ -317,7 +376,6 @@ def _make_state(checkpoint_lsn: int, seed: int = 0) -> SnapshotState:
         [snapshot_partition_input(store, p) for p in store.partitions],
         params,
         columns=store.column_order,
-        executor="serial",
     )
     return SnapshotState(
         checkpoint_lsn=checkpoint_lsn,
@@ -328,7 +386,6 @@ def _make_state(checkpoint_lsn: int, seed: int = 0) -> SnapshotState:
                 preprocessor=store.preprocessor,
                 partition_size=store.partition_size,
                 params=params,
-                gd_config=GreedyGDConfig(),
                 partitions=store.partitions,
                 partition_synopses=synopses,
                 synopsis_builds=len(synopses),
@@ -476,7 +533,6 @@ def _state_from_store(store, params, lsn: int) -> SnapshotState:
         [snapshot_partition_input(store, p) for p in store.partitions],
         params,
         columns=store.column_order,
-        executor="serial",
     )
     return SnapshotState(
         checkpoint_lsn=lsn,
@@ -487,7 +543,6 @@ def _state_from_store(store, params, lsn: int) -> SnapshotState:
                 preprocessor=store.preprocessor,
                 partition_size=store.partition_size,
                 params=params,
-                gd_config=GreedyGDConfig(),
                 partitions=list(store.partitions),
                 partition_synopses=synopses,
                 synopsis_builds=len(synopses),

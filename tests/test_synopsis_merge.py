@@ -147,66 +147,6 @@ class TestHistogram2DMerge:
         assert merged.row.parent.max() < parent_a.num_bins
         assert merged.col.parent.max() < parent_b.num_bins
 
-    def _merged(self, partition_synopses, params, max_cells=None):
-        key = ("a", "b")
-        parent_a = Histogram1D.merge(
-            [s.hist1d["a"] for s in partition_synopses], params.min_points, params.alpha
-        )
-        parent_b = Histogram1D.merge(
-            [s.hist1d["b"] for s in partition_synopses], params.min_points, params.alpha
-        )
-        return Histogram2D.merge(
-            [s.hist2d[key] for s in partition_synopses],
-            parent_a,
-            parent_b,
-            max_cells=max_cells,
-        )
-
-    def test_cell_budget_bounds_the_merged_grid(self, partition_synopses, params):
-        free = self._merged(partition_synopses, params)
-        budget = max(4, free.counts.size // 4)
-        capped = self._merged(partition_synopses, params, max_cells=budget)
-        assert capped.counts.size <= budget
-        assert capped.counts.size < free.counts.size
-
-    def test_coarsening_conserves_counts_and_metadata(self, partition_synopses, params):
-        free = self._merged(partition_synopses, params)
-        budget = max(4, free.counts.size // 4)
-        capped = self._merged(partition_synopses, params, max_cells=budget)
-        assert capped.total_count == pytest.approx(free.total_count)
-        np.testing.assert_allclose(
-            capped.row.marginal_counts, capped.counts.sum(axis=1)
-        )
-        np.testing.assert_allclose(
-            capped.col.marginal_counts, capped.counts.sum(axis=0)
-        )
-        # Coarse edges are a subset of the union edges; the value range and
-        # occupied supports survive re-binning.
-        assert np.isin(capped.row.edges, free.row.edges).all()
-        assert np.isin(capped.col.edges, free.col.edges).all()
-        assert capped.row.edges[0] == free.row.edges[0]
-        assert capped.row.edges[-1] == free.row.edges[-1]
-        occupied = capped.row.marginal_counts > 0
-        assert (capped.row.v_minus[occupied] <= capped.row.v_plus[occupied]).all()
-
-    def test_cell_budget_holds_on_skewed_grids(self):
-        from repro.core.histogram2d import _coarse_grid_targets
-
-        cases = [(2, 800, 16), (800, 2, 16), (10_000, 1, 100), (1, 1, 1), (3, 3, 4)]
-        for k_row, k_col, budget in cases:
-            target_row, target_col = _coarse_grid_targets(k_row, k_col, budget)
-            assert 1 <= target_row <= k_row
-            assert 1 <= target_col <= k_col
-            assert target_row * target_col <= budget, (k_row, k_col, budget)
-
-    def test_budget_above_grid_size_is_a_no_op(self, partition_synopses, params):
-        free = self._merged(partition_synopses, params)
-        capped = self._merged(
-            partition_synopses, params, max_cells=free.counts.size + 1
-        )
-        np.testing.assert_array_equal(capped.counts, free.counts)
-        np.testing.assert_array_equal(capped.row.edges, free.row.edges)
-
 
 class TestPairwiseHistMerge:
     def test_merge_sums_bookkeeping(self, partition_synopses, params):
@@ -219,17 +159,6 @@ class TestPairwiseHistMerge:
 
     def test_merge_single_is_identity(self, partition_synopses):
         assert PairwiseHist.merge([partition_synopses[0]]) is partition_synopses[0]
-
-    def test_max_merged_cells_param_bounds_2d_grids(self, partition_synopses, params):
-        import dataclasses
-
-        budget = 16
-        capped_params = dataclasses.replace(params, max_merged_cells=budget)
-        capped = PairwiseHist.merge(list(partition_synopses), params=capped_params)
-        free = PairwiseHist.merge(list(partition_synopses), params=params)
-        for key, hist in capped.hist2d.items():
-            assert hist.counts.size <= budget
-            assert hist.counts.sum() == pytest.approx(free.hist2d[key].counts.sum())
 
     def test_merge_rejects_mismatched_columns(self, partition_synopses, params):
         other = build_pairwise_hist({"z": np.arange(100)}, params)
@@ -266,18 +195,38 @@ class TestBuildPartitioned:
             mean_merged = (hp.counts @ hp.midpoints) / hp.total_count
             assert mean_merged == pytest.approx(mean_mono, rel=0.02)
 
-    def test_executor_variants_agree(self, params):
-        codes = make_codes(4_000, seed=4)
-        parts = split_codes(codes, 2)
-        serial = build_partition_synopses(parts, params, executor="serial")
-        threaded = build_partition_synopses(parts, params, executor="thread", max_workers=2)
-        for a, b in zip(serial, threaded):
-            for name in codes:
-                np.testing.assert_allclose(a.hist1d[name].counts, b.hist1d[name].counts)
+    @pytest.mark.parametrize("has_affinity", [True, False])
+    @pytest.mark.parametrize("cpus", [1, 8])
+    def test_pool_matches_each_partition_built_alone(
+        self, params, monkeypatch, cpus, has_affinity
+    ):
+        """However many threads the build gets, every partition's synopsis
+        is bit for bit the one it gets built on its own."""
+        import repro.core.builder as builder
 
-    def test_unknown_executor_rejected(self, params):
-        with pytest.raises(ValueError):
-            build_partition_synopses(split_codes(make_codes(100, 0), 2), params, executor="gpu")
+        if has_affinity:
+            monkeypatch.setattr(
+                builder.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+            )
+            monkeypatch.setattr(builder.os, "cpu_count", lambda: 2)
+        else:
+            monkeypatch.delattr(builder.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(builder.os, "cpu_count", lambda: cpus)
+        assert builder._build_workers(3) == min(3, cpus)
+        codes = make_codes(6_000, seed=4)
+        parts = split_codes(codes, 3)
+        built = build_partition_synopses(parts, params)
+        alone = [
+            build_pairwise_hist(
+                part.codes, partition_params(params, 2_000, 6_000), population_rows=2_000
+            )
+            for part in parts
+        ]
+        assert [serialize(s, exact=True) for s in built] == [
+            serialize(s, exact=True) for s in alone
+        ]
+
+    def test_zero_partitions_rejected(self, params):
         with pytest.raises(ValueError):
             build_partition_synopses([], params)
 
