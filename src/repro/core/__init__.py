@@ -37,7 +37,6 @@ from .serialization import (
     serialize_partitioned,
     synopsis_size_bytes,
 )
-from .golomb import decode_sequence, encode_sequence, rice_parameter
 from .groupby import group_predicates
 from .engine import AqpResult, PairwiseHistEngine
 
@@ -82,9 +81,6 @@ __all__ = [
     "serialize_partitioned",
     "deserialize_partitioned",
     "synopsis_size_bytes",
-    "encode_sequence",
-    "decode_sequence",
-    "rice_parameter",
     "group_predicates",
     "AqpResult",
     "PairwiseHistEngine",

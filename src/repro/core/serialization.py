@@ -7,6 +7,21 @@ counts are recomputed at load time.  2-d bin-count matrices are stored
 either densely (fixed ``l_h`` bits per count) or sparsely (Golomb-coded
 index gaps + counts), whichever is smaller — exactly the choice shown in
 Fig. 6.
+
+Count block layout (every 1-d and 2-d count matrix, row-major):
+
+* header ``<BBII``: ``width`` (``l_h``), flag (0 dense, 1 sparse, 2 raw
+  float64 — ``PWHX`` only, ``width`` 0), number of non-zero cells, payload
+  byte length;
+* dense payload: each cell's count as a ``width``-bit big-endian field;
+* sparse payload: a 6-bit big-endian Rice parameter ``k``, then one record
+  per non-zero cell in order — its gap ``g`` (cells skipped since the
+  previous non-zero, or since the start) as ``g >> k`` one bits, a zero
+  bit, the low ``k`` bits of ``g``, then the count in ``width`` bits;
+* raw payload: every cell as ``<f8``.
+
+Bit payloads are zero-padded to a whole byte, most significant bit first.
+The sparse form is chosen only when its byte length is strictly smaller.
 """
 
 from __future__ import annotations
@@ -21,9 +36,7 @@ from ..storage.codec import (
     unframe_blobs,
     unpack_short_string,
 )
-from ..util.bitstream import BitReader, BitWriter
 from .centre_bounds import weighted_centre_bounds
-from .golomb import encode_value, rice_parameter
 from .histogram1d import Histogram1D, bin_indices
 from .histogram2d import AxisMetadata, Histogram2D
 from .params import PairwiseHistParams
@@ -47,17 +60,16 @@ _COUNTS_RAW = 2
 # Low-level helpers
 
 
-def _pack_array(values: np.ndarray, fmt: str) -> bytes:
-    values = np.asarray(values)
-    return struct.pack(f"<I{len(values)}{fmt}", len(values), *values.tolist())
+def _pack_array(values: np.ndarray, dtype: str) -> bytes:
+    values = np.asarray(values, dtype=dtype)
+    return struct.pack("<I", len(values)) + values.tobytes()
 
 
-def _unpack_array(buffer: memoryview, offset: int, fmt: str, dtype) -> tuple[np.ndarray, int]:
+def _unpack_array(buffer: memoryview, offset: int, dtype: str) -> tuple[np.ndarray, int]:
     (count,) = struct.unpack_from("<I", buffer, offset)
     offset += 4
-    size = struct.calcsize(f"<{count}{fmt}")
-    values = np.array(struct.unpack_from(f"<{count}{fmt}", buffer, offset), dtype=dtype)
-    return values, offset + size
+    values = np.frombuffer(buffer, dtype=dtype, count=count, offset=offset)
+    return values.astype(float), offset + values.nbytes
 
 
 # 2-byte-length string framing, shared with every other binary format
@@ -72,34 +84,55 @@ def _count_bit_width(counts: np.ndarray) -> int:
     return max(1, int(np.ceil(np.log2(1 + maximum))) if maximum > 0 else 1)
 
 
-def _pack_counts_dense(counts: np.ndarray, width: int) -> bytes:
-    writer = BitWriter()
-    writer.write_bits_array(counts.ravel().astype(np.int64), width)
-    return writer.getvalue()
+def _rice_parameter(gaps: np.ndarray) -> int:
+    """Rice parameter ``k`` (divisor ``2^k``) of the sparse form's gaps:
+    ``log2(mean + 1)`` rounded and clamped to ``[0, 30]``; ``0`` for none."""
+    if len(gaps) == 0:
+        return 0
+    mean = max(np.mean(gaps, dtype=float), 0.01)
+    return int(np.clip(np.round(np.log2(mean + 1.0)), 0, 30))
 
 
-def _pack_counts_sparse(counts: np.ndarray, width: int) -> bytes:
-    flat = counts.ravel()
-    indices = np.flatnonzero(flat)
-    gaps = np.diff(np.concatenate([[0], indices + 1])) - 1 if indices.size else np.array([], dtype=int)
-    k = rice_parameter(gaps)
-    writer = BitWriter()
-    writer.write_bits(k, 6)
-    for gap, index in zip(gaps, indices):
-        encode_value(writer, int(gap), k)
-        writer.write_bits(int(flat[index]), width)
-    return writer.getvalue()
+def _field_bits(values: np.ndarray, width: int) -> np.ndarray:
+    """Big-endian bits of each value in a ``width``-bit field, one row per value."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    return ((np.asarray(values, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.uint8)
 
 
-def _unpack_counts_dense(payload: bytes, shape: tuple[int, ...], width: int) -> np.ndarray:
-    reader = BitReader(payload)
+def _field_values(bits: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_field_bits`: one value per row of big-endian bits."""
+    shifts = np.arange(bits.shape[1] - 1, -1, -1, dtype=np.int64)
+    return (bits.astype(np.int64) << shifts).sum(axis=1, dtype=np.int64)
+
+
+def _pack_counts_sparse(
+    values: np.ndarray, gaps: np.ndarray, k: int, width: int
+) -> bytes:
+    """Sparse block bits: ``k``, then one Rice-coded gap + count per non-zero."""
+    quotients = gaps >> k
+    lengths = quotients + (1 + k + width)
+    starts = 6 + np.cumsum(lengths) - lengths
+    bits = np.zeros(6 + int(lengths.sum()), dtype=np.uint8)
+    bits[:6] = _field_bits([k], 6)[0]
+    # The unary run of record i fills starts[i] .. starts[i] + q[i] - 1.
+    run_offsets = np.repeat(starts - (np.cumsum(quotients) - quotients), quotients)
+    bits[np.arange(int(quotients.sum())) + run_offsets] = 1
+    fields = np.hstack([_field_bits(gaps & ((1 << k) - 1), k), _field_bits(values, width)])
+    bits[(starts + quotients + 1)[:, None] + np.arange(k + width)] = fields
+    return np.packbits(bits).tobytes()
+
+
+def _unpack_counts_dense(payload: memoryview, shape: tuple[int, ...], width: int) -> np.ndarray:
     total = int(np.prod(shape))
-    values = reader.read_bits_array(total, width).astype(float)
-    return values.reshape(shape)
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
+    if len(bits) < total * width:
+        raise ValueError("dense count block is shorter than its cells")
+    fields = bits[: total * width].reshape(total, width)
+    return _field_values(fields).astype(float).reshape(shape)
 
 
 def _unpack_counts_sparse(
-    payload: bytes, shape: tuple[int, ...], width: int, non_zero: int
+    payload: memoryview, shape: tuple[int, ...], width: int, non_zero: int
 ) -> np.ndarray:
     """Decode a sparse (Golomb-gap) count block, mostly vectorized.
 
@@ -112,15 +145,16 @@ def _unpack_counts_sparse(
     snapshot load decodes one such block per pairwise histogram per
     partition.
     """
-    reader = BitReader(payload)
-    k = reader.read_bits(6)
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
+    k = int(_field_values(bits[None, :6])[0])
     flat = np.zeros(int(np.prod(shape)))
     if non_zero == 0:
         return flat.reshape(shape)
-    bits = reader._bits
-    zeros = np.flatnonzero(bits == 0)
     fixed = k + width
     end = len(bits)
+    if non_zero * (1 + fixed) > end - 6:
+        raise ValueError("sparse count block is shorter than its records")
+    zeros = np.flatnonzero(bits == 0)
     bounded = np.append(zeros, end)
     # next_zero[p] = position of the first zero bit at or after p (sentinel
     # ``end`` past the last zero), so the record walk below is plain
@@ -135,34 +169,27 @@ def _unpack_counts_sparse(
         ].tolist()
     terminators = np.empty(non_zero, dtype=np.int64)
     quotients = np.empty(non_zero, dtype=np.int64)
-    position = reader.position
+    position = 6
     for i in range(non_zero):
         if position >= end:
-            raise EOFError("bit stream exhausted")
+            raise ValueError("sparse count block ends mid-record")
         if use_table:
             terminator = next_zero[position]
         else:
             terminator = int(bounded[np.searchsorted(zeros, position, side="left")])
         if terminator >= end:
-            raise EOFError("bit stream exhausted")
+            raise ValueError("sparse count block ends mid-record")
         terminators[i] = terminator
         quotients[i] = terminator - position
         position = terminator + 1 + fixed
     if position > end:
-        raise EOFError("bit stream exhausted")
-    remainders = np.zeros(non_zero, dtype=np.int64)
-    if fixed:
-        field_index = terminators[:, None] + 1 + np.arange(fixed)
-        fields = bits[field_index].astype(np.int64)
-        if k:
-            shifts = np.arange(k - 1, -1, -1, dtype=np.int64)
-            remainders = (fields[:, :k] << shifts).sum(axis=1)
-        shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-        counts = (fields[:, k:] << shifts).sum(axis=1)
-    else:
-        counts = np.zeros(non_zero, dtype=np.int64)
-    gaps = (quotients << k) | remainders
-    flat[np.cumsum(gaps + 1) - 1] = counts
+        raise ValueError("sparse count block ends mid-record")
+    fields = bits[terminators[:, None] + 1 + np.arange(fixed)]
+    gaps = (quotients << k) | _field_values(fields[:, :k])
+    cells = np.cumsum(gaps + 1) - 1
+    if cells[-1] >= flat.size:
+        raise ValueError("sparse count block indexes past its cells")
+    flat[cells] = _field_values(fields[:, k:])
     return flat.reshape(shape)
 
 
@@ -178,42 +205,45 @@ def _encode_counts(
     block round-trips bit-exactly; integral counts still take the compact
     integer path, which is already lossless for them.
 
-    ``force_dense=True`` disables the sparse (Golomb) path; it exists for the
-    storage-encoding ablation benchmark.
+    Both sizes follow from the gaps alone, so only the smaller form is
+    packed.  ``force_dense=True`` disables the sparse (Golomb) path; it
+    exists for the storage-encoding ablation benchmark.
     """
     rounded = np.rint(counts)
     if exact and not np.array_equal(rounded, counts):
         payload = np.ascontiguousarray(counts, dtype="<f8").tobytes()
-        header = struct.pack("<BBI", 0, _COUNTS_RAW, int(np.count_nonzero(counts)))
-        return header + struct.pack("<I", len(payload)) + payload
-    counts = rounded
-    width = _count_bit_width(counts)
-    dense = _pack_counts_dense(counts, width)
-    sparse = _pack_counts_sparse(counts, width)
-    non_zero = int(np.count_nonzero(counts))
-    if len(sparse) < len(dense) and not force_dense:
-        header = struct.pack("<BBI", width, 1, non_zero)
-        payload = sparse
+        non_zero = int(np.count_nonzero(counts))
+        return struct.pack("<BBII", 0, _COUNTS_RAW, non_zero, len(payload)) + payload
+    if rounded.size and rounded.min() < 0:
+        raise ValueError("bin counts must be non-negative")
+    flat = rounded.ravel().astype(np.int64)
+    width = _count_bit_width(flat)
+    indices = np.flatnonzero(flat)
+    gaps = np.diff(indices, prepend=-1) - 1
+    k = _rice_parameter(gaps)
+    sparse_bits = 6 + int((gaps >> k).sum()) + len(indices) * (1 + k + width)
+    if force_dense or (sparse_bits + 7) // 8 >= (flat.size * width + 7) // 8:
+        flag, payload = 0, np.packbits(_field_bits(flat, width)).tobytes()
     else:
-        header = struct.pack("<BBI", width, 0, non_zero)
-        payload = dense
-    return header + struct.pack("<I", len(payload)) + payload
+        flag, payload = 1, _pack_counts_sparse(flat[indices], gaps, k, width)
+    return struct.pack("<BBII", width, flag, len(indices), len(payload)) + payload
 
 
 def _decode_counts(buffer: memoryview, offset: int, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    width, sparse_flag, non_zero = struct.unpack_from("<BBI", buffer, offset)
-    offset += 6
-    (length,) = struct.unpack_from("<I", buffer, offset)
-    offset += 4
-    payload = bytes(buffer[offset : offset + length])
-    offset += length
-    if sparse_flag == _COUNTS_RAW:
+    width, flag, non_zero, length = struct.unpack_from("<BBII", buffer, offset)
+    offset += 10
+    payload = buffer[offset : offset + length]
+    if len(payload) != length:
+        raise ValueError("count block is truncated")
+    if flag == _COUNTS_RAW:
         counts = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-    elif sparse_flag:
+    elif flag == 1:
         counts = _unpack_counts_sparse(payload, shape, width, non_zero)
-    else:
+    elif flag == 0:
         counts = _unpack_counts_dense(payload, shape, width)
-    return counts, offset
+    else:
+        raise ValueError(f"unknown count block flag {flag}")
+    return counts, offset + length
 
 
 # --------------------------------------------------------------------------- #
@@ -225,14 +255,14 @@ def _encode_hist1d(
 ) -> bytes:
     parts = [
         _pack_string(hist.column),
-        _pack_array(hist.edges, "d"),
-        _pack_array(hist.v_minus, "d"),
-        _pack_array(hist.v_plus, "d"),
+        _pack_array(hist.edges, "<f8"),
+        _pack_array(hist.v_minus, "<f8"),
+        _pack_array(hist.v_plus, "<f8"),
         # Merged histograms carry fractional unique counts (projection);
         # the exact variant must not truncate them to integers.
-        _pack_array(hist.unique, "d")
+        _pack_array(hist.unique, "<f8")
         if exact
-        else _pack_array(hist.unique.astype(np.uint32), "I"),
+        else _pack_array(hist.unique, "<u4"),
         _encode_counts(hist.counts, force_dense, exact),
     ]
     return b"".join(parts)
@@ -242,10 +272,10 @@ def _decode_hist1d(
     buffer: memoryview, offset: int, params: PairwiseHistParams, exact: bool = False
 ) -> tuple[Histogram1D, int]:
     column, offset = _unpack_string(buffer, offset)
-    edges, offset = _unpack_array(buffer, offset, "d", float)
-    v_minus, offset = _unpack_array(buffer, offset, "d", float)
-    v_plus, offset = _unpack_array(buffer, offset, "d", float)
-    unique, offset = _unpack_array(buffer, offset, "d" if exact else "I", float)
+    edges, offset = _unpack_array(buffer, offset, "<f8")
+    v_minus, offset = _unpack_array(buffer, offset, "<f8")
+    v_plus, offset = _unpack_array(buffer, offset, "<f8")
+    unique, offset = _unpack_array(buffer, offset, "<f8" if exact else "<u4")
     counts, offset = _decode_counts(buffer, offset, (len(edges) - 1,))
     hist = Histogram1D(
         column=column,
@@ -265,12 +295,12 @@ def _decode_hist1d(
 def _encode_axis(axis: AxisMetadata, exact: bool = False) -> bytes:
     parts = [
         _pack_string(axis.column),
-        _pack_array(axis.edges, "d"),
-        _pack_array(axis.v_minus, "d"),
-        _pack_array(axis.v_plus, "d"),
-        _pack_array(axis.unique, "d")
+        _pack_array(axis.edges, "<f8"),
+        _pack_array(axis.v_minus, "<f8"),
+        _pack_array(axis.v_plus, "<f8"),
+        _pack_array(axis.unique, "<f8")
         if exact
-        else _pack_array(axis.unique.astype(np.uint32), "I"),
+        else _pack_array(axis.unique, "<u4"),
     ]
     return b"".join(parts)
 
@@ -279,10 +309,10 @@ def _decode_axis(
     buffer: memoryview, offset: int, parent_hist: Histogram1D, exact: bool = False
 ) -> tuple[AxisMetadata, int]:
     column, offset = _unpack_string(buffer, offset)
-    edges, offset = _unpack_array(buffer, offset, "d", float)
-    v_minus, offset = _unpack_array(buffer, offset, "d", float)
-    v_plus, offset = _unpack_array(buffer, offset, "d", float)
-    unique, offset = _unpack_array(buffer, offset, "d" if exact else "I", float)
+    edges, offset = _unpack_array(buffer, offset, "<f8")
+    v_minus, offset = _unpack_array(buffer, offset, "<f8")
+    v_plus, offset = _unpack_array(buffer, offset, "<f8")
+    unique, offset = _unpack_array(buffer, offset, "<f8" if exact else "<u4")
     midpoints = (edges[:-1] + edges[1:]) / 2.0
     parent = bin_indices(parent_hist.edges, midpoints)
     axis = AxisMetadata(

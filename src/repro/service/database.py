@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from ..core.builder import build_partition_synopses, snapshot_partition_input
 from ..core.engine import AqpResult, PairwiseHistEngine
 from ..core.params import PairwiseHistParams
-from ..core.serialization import serialize_partitioned
 from ..core.synopsis import PairwiseHist
 from ..data.table import Table
 from ..gd.partitioned import DEFAULT_PARTITION_SIZE, PartitionedStore
@@ -165,20 +164,6 @@ class ManagedTable:
 
     def compressed_bytes(self) -> int:
         return self.store.compressed_bytes()
-
-    def synopsis_bytes(self) -> int:
-        """Persisted synopsis size: the framed per-partition payload.
-
-        Partitioned synopses are stored per partition (so an append only
-        rewrites the tail's blob) and merged at load time; the merged
-        synopsis is a transient in-memory query accelerator whose union
-        grids are not what lands on disk.
-        """
-        return len(self.serialized_partition_synopses())
-
-    def serialized_partition_synopses(self) -> bytes:
-        """Framed payload of every per-partition synopsis (PWHP format)."""
-        return serialize_partitioned(self.partition_synopses)
 
 
 class Database:

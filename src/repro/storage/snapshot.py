@@ -1,16 +1,16 @@
 """Snapshot checkpoints: atomic on-disk images of the whole catalog.
 
-A snapshot directory holds, per registered table, the catalog entry
-(schema, fitted pre-processor, construction params), the
-GD-compressed partitions and the per-partition PWHP synopses.  A
-``MANIFEST`` listing every file with its size and CRC32 is written
-*last*, and the whole directory is assembled under a temporary name and
-published with a single ``os.replace`` — so a snapshot either exists
-completely and checksum-clean, or does not exist at all.  The recovery
-path scans snapshot directories newest-first and loads the first one
-whose manifest validates, so a crash mid-checkpoint (partial temp dir,
-missing manifest, torn file) silently falls back to the previous
-checkpoint plus WAL replay.
+A snapshot directory holds a ``CATALOG`` (per table: schema, fitted
+pre-processor, construction params) and, per table ``NNNNN``, the
+GD-compressed partitions, the per-partition synopses
+(``table-NNNNN.synopses``, PWHP) and the merged synopsis queries run on
+(``table-NNNNN.merged``, exact PWHX, loaded as is).  A ``MANIFEST`` of
+every file's size and CRC32 is written *last*, and the directory is
+assembled under a temporary name and published with one ``os.replace``:
+a snapshot exists completely and checksum-clean, or not at all.
+Recovery loads the newest snapshot whose manifest validates, so a crash
+mid-checkpoint (partial temp dir, missing manifest, torn file) falls back
+to the previous checkpoint plus WAL replay.
 
 Partitions are stored one content-addressed ``part-<digest>.blob`` file
 each, plus a small ``table-NNNNN.parts`` index listing the blob names in

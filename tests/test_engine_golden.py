@@ -19,7 +19,9 @@ expressions::
 
 The fixture also carries the raw bytes (hex) of ``centre_lower`` /
 ``centre_upper`` of the merged synopsis, digests of the serialized
-synopses and ``explain_aggregation`` for one statement per aggregate.
+synopses (the partitions' ``PWHP`` payload, the merged ``PWHX`` one and the
+two stand-alone ones) and ``explain_aggregation`` for one statement per
+aggregate.
 The test rebuilds everything and compares exactly.
 """
 
@@ -96,7 +98,7 @@ def _answers(engine, sqls: list[str]) -> list:
 
 def _compute(sqls: list[str] | None = None) -> dict:
     from repro import PairwiseHistEngine, PairwiseHistParams
-    from repro.core.serialization import serialize
+    from repro.core.serialization import serialize, serialize_partitioned
     from repro.core.synopsis import PairwiseHist
     from repro.service.database import Database
     from repro.sql.parser import parse_query
@@ -132,6 +134,7 @@ def _compute(sqls: list[str] | None = None) -> dict:
             for name, hist in merged.hist1d.items()
         },
         "serialized_sha256": {
+            "partitioned": _digest(serialize_partitioned(managed.partition_synopses)),
             "merged_exact": _digest(
                 serialize(PairwiseHist.merge(managed.partition_synopses), exact=True)
             ),

@@ -1,17 +1,18 @@
 """Property-based tests (hypothesis) for the core codecs and estimators.
 
-These check invariants over randomly generated inputs: bit-stream and
-Golomb round trips, coverage ranges, weighted-centre bound ordering,
-histogram count conservation, the bracketing of exact partial counts by
-the Theorem 2 bounds and the ordering of per-bin weightings under generated
-predicate trees.
+These check invariants over randomly generated inputs: bit-field, Golomb
+and count-block round trips, coverage ranges, weighted-centre bound
+ordering, histogram count conservation, the bracketing of exact partial
+counts by the Theorem 2 bounds and the ordering of per-bin weightings under
+generated predicate trees.
 """
 
+import struct
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.builder import build_pairwise_hist
 from repro.core.centre_bounds import (
@@ -20,36 +21,44 @@ from repro.core.centre_bounds import (
     weighted_centre_bounds,
 )
 from repro.core.coverage import coverage_bounds, coverage_estimate, interval_coverage, partial_count_bounds
-from repro.core.golomb import decode_sequence, encode_sequence
 from repro.core.histogram1d import bin_indices
 from repro.core.hypothesis import terrell_scott_bins
 from repro.core.params import PairwiseHistParams
 from repro.core.refine import refine_bin_1d
+from repro.core.serialization import (
+    _decode_counts,
+    _encode_counts,
+    _field_bits,
+    _field_values,
+    _pack_counts_sparse,
+    _rice_parameter,
+    _unpack_counts_sparse,
+)
 from repro.core.weightings import PredicateEvaluator
 from repro.sql.ast import ComparisonOp, Condition, LogicalOp, PredicateNode, predicate_conditions
-from repro.util.bitstream import BitReader, BitWriter
 
 _SMALL_INTS = st.integers(min_value=0, max_value=10_000)
 
 
+def _sparse_cells(gaps: list[int], k: int) -> list[int]:
+    """Non-zero cells of a sparse block packed from ``gaps`` with parameter ``k``."""
+    gaps = np.asarray(gaps, dtype=np.int64)
+    payload = _pack_counts_sparse(np.ones(len(gaps), dtype=np.int64), gaps, k, 1)
+    size = int(gaps.sum()) + len(gaps) + 1
+    return np.flatnonzero(_unpack_counts_sparse(payload, (size,), 1, len(gaps))).tolist()
+
+
 class TestBitstreamProperties:
-    @given(st.lists(st.tuples(_SMALL_INTS, st.integers(min_value=14, max_value=20)), max_size=50))
-    def test_fixed_width_round_trip(self, pairs):
-        writer = BitWriter()
-        for value, width in pairs:
-            writer.write_bits(value, width)
-        reader = BitReader(writer.getvalue())
-        for value, width in pairs:
-            assert reader.read_bits(width) == value
+    @given(st.lists(_SMALL_INTS, max_size=50), st.integers(min_value=14, max_value=20))
+    def test_fixed_width_round_trip(self, values, width):
+        bits = _field_bits(np.array(values, dtype=np.int64), width)
+        assert bits.shape == (len(values), width)
+        assert _field_values(bits).tolist() == values
 
     @given(st.lists(st.integers(min_value=0, max_value=200), max_size=40))
-    def test_unary_round_trip(self, values):
-        writer = BitWriter()
-        for value in values:
-            writer.write_unary(value)
-        reader = BitReader(writer.getvalue())
-        for value in values:
-            assert reader.read_unary() == value
+    def test_unary_round_trip(self, gaps):
+        # k = 0: every gap is all unary.
+        assert _sparse_cells(gaps, 0) == (np.cumsum(np.add(gaps, 1)) - 1).tolist()
 
 
 class TestGolombProperties:
@@ -57,9 +66,91 @@ class TestGolombProperties:
         st.lists(_SMALL_INTS, max_size=100),
         st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
     )
-    def test_sequence_round_trip(self, values, k):
-        payload, used_k = encode_sequence(values, k=k)
-        assert decode_sequence(payload, len(values), used_k) == values
+    def test_sequence_round_trip(self, gaps, k):
+        k = _rice_parameter(gaps) if k is None else k
+        assert _sparse_cells(gaps, k) == (np.cumsum(np.add(gaps, 1)) - 1).tolist()
+
+
+@st.composite
+def _count_blocks(draw) -> np.ndarray:
+    """1-d or 2-d bin counts: a few non-zero cells, small or up to 2^40."""
+    shape = draw(
+        st.one_of(
+            st.tuples(st.integers(1, 4000)),
+            st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        )
+    )
+    counts = np.zeros(int(np.prod(shape)))
+    cells = draw(st.lists(st.integers(0, counts.size - 1), max_size=60, unique=True))
+    values = st.one_of(st.integers(1, 3), st.integers(1, 2**40))
+    counts[cells] = draw(st.lists(values, min_size=len(cells), max_size=len(cells)))
+    return counts.reshape(shape)
+
+
+def _last_cell_only() -> np.ndarray:
+    counts = np.zeros((40, 40))
+    counts[-1, -1] = 1
+    return counts
+
+
+def _long_gap_after_a_run() -> np.ndarray:
+    """200 adjacent cells, then one 3,799 cells on: k = 4, a 237-bit unary run."""
+    counts = np.zeros(4000)
+    counts[:200] = 5
+    counts[-1] = 2**40
+    return counts
+
+
+def _reference_block(counts: np.ndarray, force_dense: bool) -> bytes:
+    """The count block written one field at a time, as a string of bits."""
+    flat = [int(c) for c in np.rint(counts).ravel()]
+    width = max(1, max(flat).bit_length())
+
+    def field(value: int, bits: int) -> str:
+        return format(value, f"0{bits}b") if bits else ""
+
+    def packed(bits: str) -> bytes:
+        return bytes(int(bits[i : i + 8].ljust(8, "0"), 2) for i in range(0, len(bits), 8))
+
+    cells = [i for i, value in enumerate(flat) if value]
+    gaps = [cell - previous - 1 for previous, cell in zip([-1] + cells, cells)]
+    k = _rice_parameter(gaps)
+    dense = packed("".join(field(value, width) for value in flat))
+    sparse = packed(
+        field(k, 6)
+        + "".join(
+            "1" * (gap >> k) + "0" + field(gap & ((1 << k) - 1), k) + field(flat[cell], width)
+            for gap, cell in zip(gaps, cells)
+        )
+    )
+    flag, payload = (1, sparse) if len(sparse) < len(dense) and not force_dense else (0, dense)
+    return struct.pack("<BBII", width, flag, len(cells), len(payload)) + payload
+
+
+class TestCountBlockProperties:
+    @given(_count_blocks(), st.booleans())
+    @example(np.zeros((7, 9)), False)
+    @example(np.zeros(3000), False)
+    @example(_last_cell_only(), False)
+    @example(_last_cell_only(), True)
+    @example(np.full((3, 5), float(2**40)), False)
+    @example(_long_gap_after_a_run(), False)
+    @example(_long_gap_after_a_run(), True)
+    def test_matches_reference_round_trips_and_never_larger_than_dense(
+        self, counts, force_dense
+    ):
+        block = _encode_counts(counts, force_dense)
+        assert block == _reference_block(counts, force_dense)
+        decoded, end = _decode_counts(memoryview(block), 0, counts.shape)
+        assert end == len(block)
+        np.testing.assert_array_equal(decoded, counts)
+        assert len(block) <= len(_encode_counts(counts, force_dense=True))
+        if force_dense:
+            assert block[1] == 0
+
+    def test_long_gap_takes_the_sparse_path(self):
+        block = _encode_counts(_long_gap_after_a_run())
+        assert block[1] == 1 and block[10] >> 2 == 4
 
 
 class TestCoverageProperties:

@@ -16,7 +16,7 @@ import re
 import signal
 import subprocess
 import sys
-import time
+import threading
 
 import numpy as np
 import pytest
@@ -506,21 +506,36 @@ class TestRecovery:
         db.close()
 
 
+class _Signalling:
+    """Checkpoint target that sets ``fired`` after each checkpoint of the
+    wrapped target, and ``written`` after each one that was not skipped."""
+
+    def __init__(self, target) -> None:
+        self.target = target
+        self.fired = threading.Event()
+        self.written = threading.Event()
+
+    def checkpoint(self):
+        result = self.target.checkpoint()
+        self.fired.set()
+        if not result.skipped:
+            self.written.set()
+        return result
+
+
 class TestCheckpointIntegration:
     def test_background_checkpointer_writes_and_skips(self, tmp_path):
         db = durable(tmp_path)
         db.register(batch(0, rows=900))
         service = QueryService(database=db)
-        checkpointer = BackgroundCheckpointer(service, interval_seconds=0.05)
+        target = _Signalling(service)
+        checkpointer = BackgroundCheckpointer(target, interval_seconds=0.05)
         with checkpointer:
-            deadline = time.time() + 5.0
-            while checkpointer.checkpoints_written < 1 and time.time() < deadline:
-                time.sleep(0.01)
+            assert target.written.wait(5.0)
+            target.written.clear()
             service.ingest("sensors", batch(1))
             checkpointer.trigger()
-            deadline = time.time() + 5.0
-            while checkpointer.checkpoints_written < 2 and time.time() < deadline:
-                time.sleep(0.01)
+            assert target.written.wait(5.0)
         assert checkpointer.checkpoints_written >= 2
         assert checkpointer.last_error is None
         expected = answers(db)
@@ -531,8 +546,6 @@ class TestCheckpointIntegration:
         recovered.close()
 
     def test_checkpoint_during_concurrent_traffic(self, tmp_path):
-        import threading
-
         db = durable(tmp_path)
         db.register(batch(0, rows=900))
         service = QueryService(database=db)
@@ -581,18 +594,18 @@ class TestCheckpointIntegration:
         immediately — it waits its full interval again."""
         db = durable(tmp_path)
         db.register(batch(0, rows=900))
-        checkpointer = BackgroundCheckpointer(db, interval_seconds=30.0)
+        target = _Signalling(db)
+        checkpointer = BackgroundCheckpointer(target, interval_seconds=30.0)
         checkpointer.start()
         checkpointer.trigger()
-        deadline = time.time() + 5.0
-        while checkpointer.checkpoints_written < 1 and time.time() < deadline:
-            time.sleep(0.01)
-        assert checkpointer.checkpoints_written == 1
+        assert target.fired.wait(5.0)
         checkpointer.stop(final_checkpoint=False)
+        assert checkpointer.checkpoints_written == 1
 
         db.ingest("sensors", batch(1))  # give a restart something to write
+        target.fired.clear()
         checkpointer.start()
-        time.sleep(0.3)
+        assert not target.fired.wait(0.3)
         total = checkpointer.checkpoints_written + checkpointer.checkpoints_skipped
         assert total == 1  # nothing fired: the stale wake flag was cleared
         checkpointer.stop(final_checkpoint=False)
