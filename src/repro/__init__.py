@@ -1,10 +1,11 @@
 """PairwiseHist reproduction: approximate query processing with data compression.
 
-The engine stack is partitioned end to end: tables are sharded into
-fixed-size partitions, each an independent GreedyGD
-:class:`CompressedStore` (grouped under a :class:`PartitionedStore`), each
-partition gets its own PairwiseHist synopsis (built in parallel) and the
-per-partition synopses merge into one queryable synopsis.  Streaming
+The engine stack is partitioned end to end: a :class:`PartitionedStore`
+holds a table's schema and fitted pre-processor once and shards its rows
+into fixed-size partitions, each an independent GreedyGD
+:class:`CompressedStore` (its GD split and null bitmaps, nothing else);
+each partition gets its own PairwiseHist synopsis (built in parallel) and
+the per-partition synopses merge into one queryable synopsis.  Streaming
 appends only recompress and re-summarise the tail partition, so update
 cost stays bounded as tables grow.  :class:`QueryService` is the
 multi-table entry point: register tables, stream rows in with
@@ -21,8 +22,10 @@ The public API is re-exported at the top level for convenience:
 >>> result.lower <= result.value <= result.upper
 True
 
-The single-table :class:`PairwiseHistEngine` remains available for
-monolithic (non-partitioned) construction and ablations.
+The single-table :class:`PairwiseHistEngine` builds one synopsis over a
+whole table (``from_table``: a one-partition store, or the pre-processed
+codes alone with ``use_compression=False``) for the paper's experiments
+and ablations.
 """
 
 from .core.engine import AqpResult, PairwiseHistEngine

@@ -29,6 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from dataclasses import replace
 
 from ..exactdb.executor import ExactQueryEngine
 from ..obs import log as obs_log
@@ -313,18 +314,10 @@ class AccuracyAuditor:
 
     @staticmethod
     def _reconstruct(managed):
-        from ..data.table import Table
-
         partitions = managed.committed_partitions
         if partitions is None:
             return managed.store.reconstruct_rows()
-        tables = [p.reconstruct_rows() for p in partitions]
-        out = tables[0]
-        for extra in tables[1:]:
-            out = out.concat(extra)
-        if out.name != managed.name:
-            out = Table(name=managed.name, schema=out.schema, columns=out.columns)
-        return out
+        return replace(managed.store, partitions=partitions).reconstruct_rows()
 
     # ------------------------------------------------------------------ #
     # Introspection

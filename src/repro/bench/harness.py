@@ -92,8 +92,8 @@ class ServedSystem:
         """Register ``table`` with a fresh service at a named configuration.
 
         ``paper``: one partition, a synopsis built from ``sample_size``
-        sampled rows (or explicit ``params``) — bit-identical to the
-        monolithic ``PairwiseHistEngine.from_table``.  ``deployed``:
+        sampled rows (or explicit ``params``) — the one-partition build
+        ``PairwiseHistEngine.from_table`` runs, bit for bit.  ``deployed``:
         10k-row partitions, unsampled — what ``benchmarks/e2e`` serves;
         ``partitions`` overrides the partition count for the sweep.
         """

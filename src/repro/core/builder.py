@@ -267,16 +267,17 @@ def snapshot_partition_input(store, partition) -> PartitionInput:
     expensive synopsis build can run while queries keep answering from the
     published engine and that list is swapped underneath us.
     """
-    codes, nulls = partition.decoded_codes()
+    columns = store.column_order
+    decoded = partition.split.reconstruct()
     initial_edges = {
-        name: partition.base_values(name)
-        for name in store.column_order
+        name: partition.base_values(index)
+        for index, name in enumerate(columns)
         if not store.preprocessor[name].is_categorical
     }
     return PartitionInput(
-        codes=codes,
+        codes={name: decoded[:, index] for index, name in enumerate(columns)},
         population_rows=partition.num_rows,
-        null_masks=nulls,
+        null_masks=partition.null_masks,
         initial_edges=initial_edges,
     )
 

@@ -2,10 +2,14 @@
 
 :class:`PairwiseHistEngine` ties everything together:
 
-1. *ingestion* — GreedyGD pre-processing (and optionally full compression)
-   of a table,
-2. *synopsis construction* — :func:`~repro.core.builder.build_pairwise_hist`
-   over the pre-processed codes, seeded with GD bases when available,
+1. *ingestion* — GreedyGD pre-processing of a table and, with compression
+   (the default), a one-partition :class:`~repro.gd.partitioned.PartitionedStore`;
+   the engine keeps the pre-processor and the synopsis, not the store,
+2. *synopsis construction* — the partitioned build
+   (:func:`~repro.core.builder.build_partitioned_hist`) over that one
+   partition, seeded with its GD bases, or
+   :func:`~repro.core.builder.build_pairwise_hist` over the pre-processed
+   codes alone,
 3. *query execution* — SQL parsing, predicate-literal transformation into
    the compressed domain, coverage / weightings / aggregation, and the
    inverse "aggregation transform" back to the original data domain,
@@ -21,7 +25,7 @@ import numpy as np
 
 from ..data.table import Table
 from ..gd.preprocessor import Preprocessor
-from ..gd.store import CompressedStore
+from ..gd.partitioned import PartitionedStore
 from ..sql.ast import (
     AggregateFunction,
     Aggregation,
@@ -37,7 +41,7 @@ from ..sql.ast import (
 )
 from ..sql.parser import parse_query
 from .aggregation import AqpEstimate, aggregate, weighted_count
-from .builder import build_pairwise_hist
+from .builder import build_pairwise_hist, build_partitioned_hist, snapshot_partition_input
 from .groupby import group_predicates
 from .params import PairwiseHistParams
 from .serialization import serialize, synopsis_size_bytes
@@ -105,7 +109,6 @@ class PairwiseHistEngine:
     synopsis: PairwiseHist
     preprocessor: Preprocessor
     table_name: str
-    store: CompressedStore | None = None
     construction_seconds: float = 0.0
 
     # ------------------------------------------------------------------ #
@@ -127,57 +130,33 @@ class PairwiseHistEngine:
         histograms from min/max initial bins.
         """
         start = time.perf_counter()
+        params = params or _DEFAULT_PARAMS
         if use_compression:
-            engine = cls.from_compressed(
-                CompressedStore.compress(table), params, build_pairs
+            store = PartitionedStore.compress(table, max(table.num_rows, 1))
+            synopsis = build_partitioned_hist(
+                [snapshot_partition_input(store, p) for p in store.partitions],
+                params,
+                columns=store.column_order,
+                build_pairs=build_pairs,
             )
+            preprocessor = store.preprocessor
         else:
             preprocessor = Preprocessor.fit(table)
             codes, nulls = preprocessor.transform_table(table)
             synopsis = build_pairwise_hist(
                 codes,
-                params or _DEFAULT_PARAMS,
+                params,
                 population_rows=table.num_rows,
                 null_masks=nulls,
                 initial_edges=None,
                 columns=table.column_names,
                 build_pairs=build_pairs,
             )
-            engine = cls(synopsis=synopsis, preprocessor=preprocessor, table_name=table.name)
-        engine.construction_seconds = time.perf_counter() - start
-        return engine
-
-    @classmethod
-    def from_compressed(
-        cls,
-        store: CompressedStore,
-        params: PairwiseHistParams | None = None,
-        build_pairs: bool = True,
-    ) -> "PairwiseHistEngine":
-        """Build an engine directly from an existing GreedyGD store."""
-        start = time.perf_counter()
-        codes, nulls = store.decoded_codes()
-        initial_edges = {
-            name: store.base_values(name)
-            for name in store.column_order
-            if not store.preprocessor[name].is_categorical
-        }
-        synopsis = build_pairwise_hist(
-            codes,
-            params or _DEFAULT_PARAMS,
-            population_rows=store.num_rows,
-            null_masks=nulls,
-            initial_edges=initial_edges,
-            columns=store.column_order,
-            build_pairs=build_pairs,
-        )
-        elapsed = time.perf_counter() - start
         return cls(
             synopsis=synopsis,
-            preprocessor=store.preprocessor,
-            table_name=store.table_name,
-            store=store,
-            construction_seconds=elapsed,
+            preprocessor=preprocessor,
+            table_name=table.name,
+            construction_seconds=time.perf_counter() - start,
         )
 
     # ------------------------------------------------------------------ #

@@ -1,16 +1,21 @@
-"""Partitioned GreedyGD storage: fixed-size shards of one logical table.
+"""Partitioned GreedyGD storage: fixed-size blocks of one logical table.
 
-The monolithic :class:`~repro.gd.store.CompressedStore` re-runs the greedy
-bit-selection search over every row on each rebuild, so appends get more
-expensive as the table grows.  :class:`PartitionedStore` shards rows into
-fixed-size partitions, each an independent :class:`CompressedStore` over a
-*shared* pre-processor (so every partition lives in the same code domain
-and per-partition synopses can be merged).  ``append()`` only touches the
-tail: it tops up the last partition with GreedyGD's incremental append and
-compresses overflow rows into fresh partitions, leaving every sealed
-partition — and its synopsis — untouched.  This is the partitioned-block
-architecture that machine-generated-data stores (GreedyGD itself, RLZ web
-collections) use to bound update cost and unlock parallel processing.
+:class:`PartitionedStore` is the "Compressed Data" block of Fig. 2: one
+table-level pre-processor over GD-compressed blocks.  It holds the
+table's name, schema, fitted pre-processor and column order once; each
+partition is a :class:`~repro.gd.store.CompressedStore` holding only its
+GD split and null bitmaps, in the shared code domain (so per-partition
+synopses can be merged).  This is the shape of Relative Lempel-Ziv
+collections: independent blocks referencing one dictionary held once.
+
+Rows pass through the pre-processor in one place (``_transform``) on
+the way in and are inverse-transformed in one place
+(:meth:`PartitionedStore.reconstruct_rows`) on the way out.  ``append()``
+only touches the tail: it tops up the last partition with GreedyGD's
+incremental append and compresses overflow rows into fresh partitions,
+leaving every sealed partition — and its synopsis — untouched, so update
+cost stays bounded as the table grows.  A one-partition store
+(``partition_size >= num_rows``) is the unpartitioned table.
 """
 
 from __future__ import annotations
@@ -78,6 +83,16 @@ class PartitionedStore:
             raise ValueError("cannot build a partitioned store from an empty table")
         return store
 
+    def _transform(self, table: Table) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Rows -> their code matrix in column order, plus their null masks."""
+        codes, nulls = self.preprocessor.transform_table(table)
+        matrix = (
+            np.column_stack([codes[name] for name in self._column_order])
+            if self._column_order
+            else np.empty((table.num_rows, 0), dtype=np.int64)
+        )
+        return matrix, nulls
+
     def _compress_partition(
         self, chunk: Table, warm_start: np.ndarray | None = None
     ) -> CompressedStore:
@@ -86,23 +101,11 @@ class PartitionedStore:
         ``warm_start`` seeds the GreedyGD bit-selection search (the append
         path passes the previous tail partition's deviation bits).
         """
-        codes, nulls = self.preprocessor.transform_table(chunk)
-        matrix = (
-            np.column_stack([codes[name] for name in self._column_order])
-            if self._column_order
-            else np.empty((chunk.num_rows, 0), dtype=np.int64)
-        )
+        matrix, nulls = self._transform(chunk)
         bits = self.preprocessor.bits_per_column()
         total_bits = np.array([bits[name] for name in self._column_order], dtype=np.int64)
         split = greedygd.compress(matrix, total_bits, warm_start)
-        return CompressedStore(
-            table_name=self.table_name,
-            schema=self.schema,
-            preprocessor=self.preprocessor,
-            split=split,
-            null_masks=nulls,
-            _column_order=list(self._column_order),
-        )
+        return CompressedStore(split=split, null_masks=nulls)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -137,38 +140,37 @@ class PartitionedStore:
 
     def base_values(self, name: str) -> np.ndarray:
         """Distinct GD base values of one column across all partitions."""
-        values = np.concatenate([p.base_values(name) for p in self.partitions])
+        index = self._column_order.index(name)
+        values = np.concatenate([p.base_values(index) for p in self.partitions])
         return np.unique(values)
 
     def reconstruct_rows(self, row_indices: np.ndarray | None = None) -> Table:
         """Losslessly reconstruct (a subset of) the original table.
 
-        Global row indices are mapped onto the owning partitions; the
-        result preserves the requested order.
+        Codes are decoded across partitions (global row indices map onto
+        the owning partitions; the result keeps the requested order), then
+        each column is inverse-transformed once.
         """
+        nulls = {
+            name: np.concatenate([p.null_masks[name] for p in self.partitions])
+            for name in self._column_order
+        }
         if row_indices is None:
-            tables = [p.reconstruct_rows() for p in self.partitions]
-            out = tables[0]
-            for extra in tables[1:]:
-                out = out.concat(extra)
-            return out
-        row_indices = np.asarray(row_indices, dtype=int)
-        offsets = self.partition_row_offsets()
-        owner = np.searchsorted(offsets, row_indices, side="right") - 1
-        columns = {name: [] for name in self._column_order}
-        pieces = []
-        for rank, part in enumerate(self.partitions):
-            local = row_indices[owner == rank] - offsets[rank]
-            if local.size:
-                pieces.append((np.flatnonzero(owner == rank), part.reconstruct_rows(local)))
-        order = np.argsort(np.concatenate([idx for idx, _ in pieces])) if pieces else np.array([], dtype=int)
-        for name in self._column_order:
-            merged = (
-                np.concatenate([piece.column(name) for _, piece in pieces])
-                if pieces
-                else np.array([])
-            )
-            columns[name] = merged[order]
+            codes = np.concatenate([p.split.reconstruct() for p in self.partitions])
+        else:
+            row_indices = np.asarray(row_indices, dtype=int)
+            offsets = self.partition_row_offsets()
+            owner = np.searchsorted(offsets, row_indices, side="right") - 1
+            by_owner = np.concatenate([
+                part.split.reconstruct(row_indices[owner == rank] - offsets[rank])
+                for rank, part in enumerate(self.partitions)
+            ])
+            codes = by_owner[np.argsort(np.argsort(owner, kind="stable"))]
+            nulls = {name: mask[row_indices] for name, mask in nulls.items()}
+        columns = {
+            name: self.preprocessor[name].inverse_array(codes[:, index], nulls[name])
+            for index, name in enumerate(self._column_order)
+        }
         return Table(name=self.table_name, schema=self.schema, columns=columns)
 
     # ------------------------------------------------------------------ #
@@ -200,7 +202,7 @@ class PartitionedStore:
         capacity = self.partition_size - tail.num_rows
         if capacity > 0:
             take = min(capacity, table.num_rows)
-            partitions[-1] = tail.append(table.select_rows(np.arange(take)))
+            partitions[-1] = tail.append(*self._transform(table.select_rows(np.arange(take))))
             affected.append(len(partitions) - 1)
             consumed = take
         while consumed < table.num_rows:
@@ -231,7 +233,8 @@ def dump_partition(partition: CompressedStore) -> bytes:
     The blob is self-contained *given* the table-level context (schema,
     shared pre-processor, column order) that the snapshot catalog stores
     once per table — persisting it per partition would duplicate it
-    hundreds of times for no benefit.
+    hundreds of times for no benefit.  The null bitmaps are written in
+    the order of the partition's ``null_masks``, which is column order.
     """
     split = partition.split
     parts = [_PARTITION_MAGIC]
@@ -243,20 +246,15 @@ def dump_partition(partition: CompressedStore) -> bytes:
         split.total_bits,
     ):
         parts.append(pack_ndarray8(arr))
-    parts.append(struct.pack("<I", len(partition._column_order)))
-    for name in partition._column_order:
+    parts.append(struct.pack("<I", len(partition.null_masks)))
+    for name, mask in partition.null_masks.items():
         parts.append(pack_short_string(name))
-        parts.append(pack_bool_array(partition.null_masks[name]))
+        parts.append(pack_bool_array(mask))
     return b"".join(parts)
 
 
-def load_partition(
-    payload: bytes,
-    table_name: str,
-    schema: TableSchema,
-    preprocessor: Preprocessor,
-) -> CompressedStore:
-    """Inverse of :func:`dump_partition` (table-level context supplied)."""
+def load_partition(payload: bytes) -> CompressedStore:
+    """Inverse of :func:`dump_partition`."""
     buffer = memoryview(payload)
     if bytes(buffer[:4]) != _PARTITION_MAGIC:
         raise ValueError("not a GD partition payload (bad magic)")
@@ -268,13 +266,10 @@ def load_partition(
     bases, base_ids, deviations, deviation_bits, total_bits = arrays
     (num_columns,) = struct.unpack_from("<I", buffer, offset)
     offset += 4
-    column_order: list[str] = []
     null_masks: dict[str, np.ndarray] = {}
     for _ in range(num_columns):
         name, offset = unpack_short_string(buffer, offset)
-        mask, offset = unpack_bool_array(buffer, offset)
-        column_order.append(name)
-        null_masks[name] = mask
+        null_masks[name], offset = unpack_bool_array(buffer, offset)
     split = GDSplit(
         bases=bases,
         base_ids=base_ids,
@@ -282,11 +277,4 @@ def load_partition(
         deviation_bits=deviation_bits,
         total_bits=total_bits,
     )
-    return CompressedStore(
-        table_name=table_name,
-        schema=schema,
-        preprocessor=preprocessor,
-        split=split,
-        null_masks=null_masks,
-        _column_order=column_order,
-    )
+    return CompressedStore(split=split, null_masks=null_masks)

@@ -263,7 +263,6 @@ class Database:
             synopsis=merged,
             preprocessor=store.preprocessor,
             table_name=table.name,
-            store=None,
             construction_seconds=time.perf_counter() - start,
         )
         _SYNOPSIS_BUILDS.inc(len(synopses), table=table.name)

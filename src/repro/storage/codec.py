@@ -19,7 +19,9 @@ Two layers live here:
 
 All framing is explicit little-endian ``struct`` packing — no pickle, so
 payloads are stable across Python versions and safe to read from
-untrusted data directories.
+untrusted data directories.  A length-prefixed reader raises
+:class:`ValueError` when its prefix or the length it declares runs past
+the buffer, so a truncated frame never decodes as its prefix.
 """
 
 from __future__ import annotations
@@ -43,15 +45,39 @@ _NULL_STRING = 0xFFFFFFFF
 # Primitives
 
 
+_U16, _U32, _U64 = struct.Struct("<H"), struct.Struct("<I"), struct.Struct("<Q")
+
+
+def _read_length(prefix: struct.Struct, buffer: memoryview, offset: int) -> tuple[int, int]:
+    """A length prefix and the offset after it; :class:`ValueError` when the
+    buffer ends inside the prefix."""
+    end = offset + prefix.size
+    if end > len(buffer):
+        raise ValueError(f"truncated payload: length prefix at offset {offset} runs past the end")
+    return prefix.unpack_from(buffer, offset)[0], end
+
+
+def _read_span(buffer: memoryview, offset: int, length: int) -> tuple[memoryview, int]:
+    """The ``length`` bytes at ``offset`` and the offset after them;
+    :class:`ValueError` when a declared length runs past the buffer."""
+    end = offset + length
+    if end > len(buffer):
+        raise ValueError(
+            f"truncated payload: {length} bytes declared at offset {offset}, "
+            f"{len(buffer) - offset} left"
+        )
+    return buffer[offset:end], end
+
+
 def pack_string(text: str) -> bytes:
     raw = text.encode("utf-8")
     return struct.pack("<I", len(raw)) + raw
 
 
 def unpack_string(buffer: memoryview, offset: int) -> tuple[str, int]:
-    (length,) = struct.unpack_from("<I", buffer, offset)
-    offset += 4
-    return bytes(buffer[offset : offset + length]).decode("utf-8"), offset + length
+    length, offset = _read_length(_U32, buffer, offset)
+    raw, offset = _read_span(buffer, offset, length)
+    return bytes(raw).decode("utf-8"), offset
 
 
 def pack_optional_string(text: str | None) -> bytes:
@@ -61,11 +87,11 @@ def pack_optional_string(text: str | None) -> bytes:
 
 
 def unpack_optional_string(buffer: memoryview, offset: int) -> tuple[str | None, int]:
-    (length,) = struct.unpack_from("<I", buffer, offset)
+    length, offset = _read_length(_U32, buffer, offset)
     if length == _NULL_STRING:
-        return None, offset + 4
-    offset += 4
-    return bytes(buffer[offset : offset + length]).decode("utf-8"), offset + length
+        return None, offset
+    raw, offset = _read_span(buffer, offset, length)
+    return bytes(raw).decode("utf-8"), offset
 
 
 def pack_short_string(text: str) -> bytes:
@@ -75,9 +101,9 @@ def pack_short_string(text: str) -> bytes:
 
 
 def unpack_short_string(buffer: memoryview, offset: int) -> tuple[str, int]:
-    (length,) = struct.unpack_from("<H", buffer, offset)
-    offset += 2
-    return bytes(buffer[offset : offset + length]).decode("utf-8"), offset + length
+    length, offset = _read_length(_U16, buffer, offset)
+    raw, offset = _read_span(buffer, offset, length)
+    return bytes(raw).decode("utf-8"), offset
 
 
 def pack_bytes(payload: bytes) -> bytes:
@@ -85,9 +111,9 @@ def pack_bytes(payload: bytes) -> bytes:
 
 
 def unpack_bytes(buffer: memoryview, offset: int) -> tuple[bytes, int]:
-    (length,) = struct.unpack_from("<Q", buffer, offset)
-    offset += 8
-    return bytes(buffer[offset : offset + length]), offset + length
+    length, offset = _read_length(_U64, buffer, offset)
+    raw, offset = _read_span(buffer, offset, length)
+    return bytes(raw), offset
 
 
 def pack_array(arr: np.ndarray) -> bytes:
@@ -117,12 +143,11 @@ def pack_bool_array(mask: np.ndarray) -> bytes:
 
 
 def unpack_bool_array(buffer: memoryview, offset: int) -> tuple[np.ndarray, int]:
-    (length,) = struct.unpack_from("<Q", buffer, offset)
-    offset += 8
-    nbytes = (length + 7) // 8
-    packed = np.frombuffer(buffer[offset : offset + nbytes], dtype=np.uint8)
+    length, offset = _read_length(_U64, buffer, offset)
+    raw, offset = _read_span(buffer, offset, (length + 7) // 8)
+    packed = np.frombuffer(raw, dtype=np.uint8)
     mask = np.unpackbits(packed, count=length).astype(bool) if length else np.zeros(0, dtype=bool)
-    return mask, offset + nbytes
+    return mask, offset
 
 
 def frame_blobs(blobs: list[bytes]) -> bytes:
@@ -139,14 +164,11 @@ def frame_blobs(blobs: list[bytes]) -> bytes:
 def unframe_blobs(buffer: memoryview | bytes, offset: int = 0) -> tuple[list[bytes], int]:
     """Inverse of :func:`frame_blobs`; returns the blobs and the end offset."""
     buffer = memoryview(buffer)
-    (count,) = struct.unpack_from("<I", buffer, offset)
-    offset += 4
+    count, offset = _read_length(_U32, buffer, offset)
     blobs: list[bytes] = []
     for _ in range(count):
-        (length,) = struct.unpack_from("<Q", buffer, offset)
-        offset += 8
-        blobs.append(bytes(buffer[offset : offset + length]))
-        offset += length
+        blob, offset = unpack_bytes(buffer, offset)
+        blobs.append(blob)
     return blobs, offset
 
 

@@ -42,7 +42,6 @@ from ..service.database import Database, IngestResult, ManagedTable, StagedInges
 from . import codec
 from .faults import maybe_crash
 from .snapshot import (
-    _BLOB_ATTR,
     SNAPSHOT_PREFIX,
     LoadedTable,
     SnapshotState,
@@ -249,12 +248,11 @@ class DurableDatabase(Database):
         ``committed_partitions`` — never ``store.partitions``, which a
         staged-but-uncommitted ingest may already have advanced.
 
-        Each partition is also classified as sealed-and-already-persisted
-        (it carries the blob identity a previous checkpoint — or the
-        snapshot load — stamped on it) vs. new/tail (``None``); the
-        snapshot writer checks the identities against the previous
-        snapshot's manifest and hard-links the persisted blobs instead of
-        rewriting them, which is what makes checkpoints O(tail).
+        A partition that a previous checkpoint (or the snapshot load)
+        persisted carries its blob identity; the snapshot writer checks
+        those identities against the previous snapshot's manifest and
+        hard-links the persisted blobs instead of rewriting them, which is
+        what makes checkpoints O(tail).
         """
         with self._durable_mutex:
             tables = []
@@ -275,9 +273,6 @@ class DurableDatabase(Database):
                         partition_synopses=managed.partition_synopses,
                         synopsis_builds=managed.synopsis_builds,
                         merged=managed.engine.synopsis,
-                        persisted_blobs=[
-                            getattr(p, _BLOB_ATTR, None) for p in partitions
-                        ],
                     )
                 )
             return SnapshotState(checkpoint_lsn=self.wal.last_lsn, tables=tables)
@@ -401,7 +396,6 @@ class DurableDatabase(Database):
             synopsis=merged,
             preprocessor=loaded.preprocessor,
             table_name=loaded.name,
-            store=None,
         )
         self._tables[loaded.name] = ManagedTable(
             name=loaded.name,

@@ -118,13 +118,6 @@ class TableSnapshotState:
     #: exact (``PWHX``) encoding so a warm restart loads it directly
     #: instead of re-merging every partition's synopsis.
     merged: PairwiseHist | None = None
-    #: Per partition: ``(blob name, size, crc32)`` when the partition is
-    #: already persisted under a content-addressed v2 blob file, ``None``
-    #: for partitions never written (new / topped-up tail).  Filled by
-    #: :meth:`DurableDatabase._capture` under the durable mutex; when
-    #: left ``None`` entirely, the writer reads the same identity off the
-    #: partition objects itself.
-    persisted_blobs: list[tuple[str, int, int] | None] | None = None
 
 
 @dataclass
@@ -311,13 +304,9 @@ def write_snapshot(
         return True
 
     def _persist_partitions(index: int, table: TableSnapshotState) -> None:
-        known = (
-            table.persisted_blobs
-            if table.persisted_blobs is not None
-            else [getattr(p, _BLOB_ATTR, None) for p in table.partitions]
-        )
         names: list[str] = []
-        for partition, identity in zip(table.partitions, known):
+        for partition in table.partitions:
+            identity = getattr(partition, _BLOB_ATTR, None)
             name = None
             if identity is not None and previous is not None:
                 if identity[0] in written:
@@ -455,7 +444,7 @@ def _load(
         )
         blob_names = _decode_parts_index(payloads[f"table-{index:05d}.parts"])
         blobs = [payloads[blob_name] for blob_name in blob_names]
-        partitions = [load_partition(b, name, schema, preprocessor) for b in blobs]
+        partitions = [load_partition(blob) for blob in blobs]
         # Remember each partition's on-disk identity so the first
         # checkpoint after this restart hard-links the sealed blobs
         # instead of rewriting them.

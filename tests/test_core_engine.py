@@ -10,21 +10,13 @@ from repro.sql.ast import AggregateFunction
 class TestEngineConstruction:
     def test_construction_records_time_and_store(self, simple_engine):
         assert simple_engine.construction_seconds > 0
-        assert simple_engine.store is not None
         assert simple_engine.sampling_ratio <= 1.0
 
     def test_without_compression(self, simple_table):
         params = PairwiseHistParams.with_defaults(sample_size=1500, seed=0)
         engine = PairwiseHistEngine.from_table(simple_table, params=params, use_compression=False)
-        assert engine.store is None
         result = engine.execute_scalar("SELECT COUNT(x) FROM simple WHERE x > 50")
         assert result.value > 0
-
-    def test_from_compressed_store(self, simple_engine, simple_table):
-        engine = PairwiseHistEngine.from_compressed(simple_engine.store,
-                                                    PairwiseHistParams.with_defaults(1500))
-        result = engine.execute_scalar("SELECT AVG(x) FROM simple")
-        assert result.value == pytest.approx(simple_table.column("x").mean(), rel=0.05)
 
     def test_synopsis_bytes_positive_and_serialisable(self, simple_engine):
         payload = simple_engine.serialize_synopsis()

@@ -11,6 +11,7 @@ change any format — recovery of old data directories depends on it.
 from __future__ import annotations
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from repro.core.serialization import (
     serialize_catalog,
     serialize_partitioned,
 )
-from repro.gd.partitioned import PartitionedStore, dump_partition, load_partition
+from repro.data.table import Table
+from repro.gd.partitioned import dump_partition, load_partition
 from repro.service import framing
 from repro.service.database import Database
 from repro.storage import codec
@@ -107,6 +109,41 @@ def test_bool_array_layout_pinned():
         assert end == len(framed)
 
 
+#: One frame per length-prefixed reader.
+_LENGTH_PREFIXED = {
+    "string": (codec.unpack_string, codec.pack_string("column")),
+    "optional_string": (codec.unpack_optional_string, codec.pack_optional_string("column")),
+    "short_string": (codec.unpack_short_string, codec.pack_short_string("column")),
+    "bytes": (codec.unpack_bytes, codec.pack_bytes(b"column")),
+    "bool_array": (codec.unpack_bool_array, codec.pack_bool_array(np.arange(19) % 3 == 0)),
+    "blobs": (codec.unframe_blobs, codec.frame_blobs([b"abc", b"abcdef"])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LENGTH_PREFIXED))
+def test_truncated_frame_raises_value_error(kind):
+    """A frame cut at any offset raises: a declared length that runs past
+    the buffer is an error, never a short read of the prefix."""
+    reader, frame = _LENGTH_PREFIXED[kind]
+    for cut in range(len(frame)):
+        with pytest.raises(ValueError):
+            reader(memoryview(frame[:cut]), 0)
+
+
+def test_truncated_ingest_frame_never_decodes():
+    """Wire ingest frames carry no CRC: every cut of one (its last column
+    categorical with a NULL, so a cut can land inside a label or a NULL
+    marker) raises what the server rejects a frame with."""
+    rows = Table.from_dict(
+        {"x": [1.5, np.nan, 3.0], "label": ["alpha", None, "gamma"]}, name="t"
+    )
+    frame = framing.encode_ingest("t", rows)
+    assert framing.decode_ingest(frame)[1].num_rows == 3
+    for cut in range(len(frame)):
+        with pytest.raises((ValueError, struct.error)):
+            framing.decode_ingest(frame[:cut])
+
+
 # --------------------------------------------------------------------------- #
 # Format-level pins (the consumers of the shared helpers)
 
@@ -134,15 +171,14 @@ def test_partition_dump_layout_pinned(managed_table):
         split.total_bits,
     ):
         expected.append(legacy_ndarray8(arr))
-    expected.append(struct.pack("<I", len(partition._column_order)))
-    for name in partition._column_order:
+    columns = managed_table.store.column_order
+    expected.append(struct.pack("<I", len(columns)))
+    for name in columns:
         expected.append(legacy_short_string(name))
         expected.append(legacy_bool_array(partition.null_masks[name]))
     assert payload == b"".join(expected)
 
-    loaded = load_partition(
-        payload, "framed", managed_table.store.schema, managed_table.store.preprocessor
-    )
+    loaded = load_partition(payload)
     assert loaded.num_rows == partition.num_rows
     assert dump_partition(loaded) == payload
 
@@ -182,18 +218,7 @@ def test_store_append_unaffected_by_shared_framing(managed_table):
     """Appending after a dump/load cycle still works (framing is faithful)."""
     store = managed_table.store
     dumped = [dump_partition(p) for p in store.partitions]
-    loaded = [
-        load_partition(b, store.table_name, store.schema, store.preprocessor)
-        for b in dumped
-    ]
-    rebuilt = PartitionedStore(
-        table_name=store.table_name,
-        schema=store.schema,
-        preprocessor=store.preprocessor,
-        partition_size=store.partition_size,
-        partitions=loaded,
-        _column_order=store.column_order,
-    )
+    rebuilt = replace(store, partitions=[load_partition(b) for b in dumped])
     extra = make_simple_table(rows=120, seed=10, name="framed")
     affected = rebuilt.append(extra)
     assert affected

@@ -1,12 +1,13 @@
-"""Tests for GreedyGD base/deviation splitting and the compressed store."""
+"""Tests for GreedyGD base/deviation splitting and a one-block compressed store."""
 
 import numpy as np
 import pytest
 
+from repro.core.builder import snapshot_partition_input
 from repro.data.table import Table
 from repro.gd import greedygd
 from repro.gd.greedygd import GDSplit, select_deviation_bits
-from repro.gd.store import CompressedStore
+from repro.gd.partitioned import PartitionedStore
 
 
 def _codes_with_shared_high_bits(rows: int = 2000, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -119,10 +120,15 @@ class TestGreedyGDCompress:
         np.testing.assert_array_equal(split.reconstruct(), codes)
 
 
+def _one_block(table: Table) -> PartitionedStore:
+    """The whole table as one GD-compressed block."""
+    return PartitionedStore.compress(table, table.num_rows)
+
+
 class TestCompressedStore:
     @pytest.fixture(scope="class")
     def store(self, power_table):
-        return CompressedStore.compress(power_table)
+        return _one_block(power_table)
 
     def test_row_count_preserved(self, store, power_table):
         assert store.num_rows == power_table.num_rows
@@ -144,16 +150,17 @@ class TestCompressedStore:
         assert bases.min() >= 0
 
     def test_decoded_codes_have_all_columns(self, store, power_table):
-        codes, nulls = store.decoded_codes()
+        codes = snapshot_partition_input(store, store.partitions[0]).codes
         assert set(codes) == set(power_table.column_names)
         for name in power_table.column_names:
             assert len(codes[name]) == power_table.num_rows
 
     def test_append_rows(self, power_table):
-        store = CompressedStore.compress(power_table.head(1000))
-        extended = store.append(power_table.select_rows(np.arange(1000, 1500)))
-        assert extended.num_rows == 1500
-        reconstructed = extended.reconstruct_rows(np.arange(1000, 1500))
+        store = PartitionedStore.compress(power_table.head(1000), 1500)
+        store.append(power_table.select_rows(np.arange(1000, 1500)))
+        assert store.num_partitions == 1
+        assert store.num_rows == 1500
+        reconstructed = store.reconstruct_rows(np.arange(1000, 1500))
         np.testing.assert_allclose(
             reconstructed.column("voltage"),
             power_table.column("voltage")[1000:1500],
@@ -166,6 +173,6 @@ class TestCompressedStore:
             store.append(other)
 
     def test_categorical_round_trip(self, flights_table):
-        store = CompressedStore.compress(flights_table.head(500))
+        store = _one_block(flights_table.head(500))
         reconstructed = store.reconstruct_rows(np.arange(500))
         assert list(reconstructed.column("airline")) == list(flights_table.column("airline")[:500])

@@ -13,6 +13,7 @@ from repro import (
     ExactQueryEngine,
     PairwiseHistEngine,
     PairwiseHistParams,
+    PartitionedStore,
     load_dataset,
     parse_query,
     scale_dataset,
@@ -80,7 +81,8 @@ class TestCompressionIntegration:
         params = PairwiseHistParams.with_defaults(sample_size=3000, seed=1)
         engine = PairwiseHistEngine.from_table(power_table, params=params, use_compression=True)
         raw = power_table.memory_bytes()
-        total = engine.store.compressed_bytes() + engine.synopsis_bytes()
+        store = PartitionedStore.compress(power_table, power_table.num_rows)
+        total = store.compressed_bytes() + engine.synopsis_bytes()
         assert total < raw
 
     def test_with_and_without_compression_agree(self, power_table, power_exact):

@@ -6,7 +6,6 @@ import pytest
 from conftest import make_simple_table
 
 from repro.gd.partitioned import PartitionedStore
-from repro.gd.store import CompressedStore
 
 
 @pytest.fixture(scope="module")
@@ -24,10 +23,6 @@ class TestConstruction:
         assert store.column_order == table.column_names
         np.testing.assert_array_equal(store.partition_row_offsets(), [0, 2000, 4000, 5000])
 
-    def test_partitions_share_the_preprocessor(self, store_and_table):
-        store, _ = store_and_table
-        assert all(p.preprocessor is store.preprocessor for p in store.partitions)
-
     def test_rejects_empty_table_and_bad_partition_size(self):
         table = make_simple_table(rows=10, seed=0)
         with pytest.raises(ValueError):
@@ -41,8 +36,9 @@ class TestConstruction:
     def test_base_values_cover_all_partitions(self, store_and_table):
         store, _ = store_and_table
         merged = store.base_values("x")
+        index = store.column_order.index("x")
         for partition in store.partitions:
-            assert np.isin(partition.base_values("x"), merged).all()
+            assert np.isin(partition.base_values(index), merged).all()
 
 
 def assert_tables_equal(actual, expected, schema):
@@ -135,21 +131,3 @@ class TestAppend:
         other = Table.from_dict({"only": [1.0, 2.0]}, name="other")
         with pytest.raises(ValueError):
             store.append(other)
-
-
-class TestDecodedCache:
-    def test_decoded_matrix_is_memoized(self):
-        table = make_simple_table(rows=1000, seed=5)
-        store = CompressedStore.compress(table)
-        first = store._decoded_matrix()
-        assert store._decoded_matrix() is first
-        # The cached matrix backs the public accessors.
-        np.testing.assert_array_equal(store.column_codes("x"), first[:, 0])
-
-    def test_append_returns_store_with_fresh_cache(self):
-        table = make_simple_table(rows=1000, seed=5)
-        store = CompressedStore.compress(table)
-        store._decoded_matrix()
-        updated = store.append(make_simple_table(rows=200, seed=6))
-        assert updated._decoded is None
-        assert updated._decoded_matrix().shape[0] == 1200

@@ -3,9 +3,10 @@
 Complements ``test_property_based.py`` (which covers the low-level codecs
 and refinement): these properties pin down the *algebra* the partitioned
 service relies on — merge conserves mass, serialization is a round-trip
-identity, and the partitioned store decodes to exactly the same rows as
-the monolithic one.  Each property runs over a fan-out of seeded random
-tables (plain ``random``/numpy seeding, no extra dependencies).
+identity, and a many-partition store decodes to exactly the same rows as
+the one-partition (monolithic) store.  Each property runs over a fan-out
+of seeded random tables (plain ``random``/numpy seeding, no extra
+dependencies).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    CompressedStore,
     PairwiseHistParams,
     PartitionedStore,
     Table,
@@ -164,7 +164,7 @@ class TestSerializationRoundTrip:
 
 
 class TestPartitionedDecodeEquivalence:
-    """Partitioned and monolithic stores decode to identical rows."""
+    """Many-partition and one-partition stores decode to identical rows."""
 
     @staticmethod
     def assert_tables_equal(left: Table, right: Table) -> None:
@@ -184,7 +184,7 @@ class TestPartitionedDecodeEquivalence:
     def test_partitioned_decode_matches_monolithic(self, seed):
         table = random_table(seed)
         partitioned = PartitionedStore.compress(table, partition_size=700)
-        monolithic = CompressedStore.compress(table)
+        monolithic = PartitionedStore.compress(table, table.num_rows)
         self.assert_tables_equal(
             partitioned.reconstruct_rows(), monolithic.reconstruct_rows()
         )
@@ -198,7 +198,7 @@ class TestPartitionedDecodeEquivalence:
             rng.choice(table.num_rows, size=min(500, table.num_rows), replace=False)
         )
         partitioned = PartitionedStore.compress(table, partition_size=700)
-        monolithic = CompressedStore.compress(table)
+        monolithic = PartitionedStore.compress(table, table.num_rows)
         self.assert_tables_equal(
             partitioned.reconstruct_rows(indices),
             monolithic.reconstruct_rows(indices),

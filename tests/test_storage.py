@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -341,25 +342,21 @@ class TestPartitionDumpLoad:
     def test_round_trip_reconstructs_rows(self):
         table = make_simple_table(rows=900, seed=9, name="dump")
         store = PartitionedStore.compress(table, partition_size=300)
-        for partition in store.partitions:
-            blob = dump_partition(partition)
-            loaded = load_partition(
-                blob, store.table_name, store.schema, store.preprocessor
-            )
-            original = partition.reconstruct_rows()
-            restored = loaded.reconstruct_rows()
-            for name in table.column_names:
-                a, b = original.column(name), restored.column(name)
-                if table.schema[name].is_categorical:
-                    assert list(a) == list(b)
-                else:
-                    assert np.array_equal(a, b, equal_nan=True)
-            assert loaded.num_rows == partition.num_rows
-            assert loaded.compressed_bytes() == partition.compressed_bytes()
+        loaded = [load_partition(dump_partition(p)) for p in store.partitions]
+        restored = replace(store, partitions=loaded).reconstruct_rows()
+        for name in table.column_names:
+            a, b = table.column(name), restored.column(name)
+            if table.schema[name].is_categorical:
+                assert list(a) == list(b)
+            else:
+                assert np.array_equal(a, b, equal_nan=True)
+        for partition, copy in zip(store.partitions, loaded):
+            assert copy.num_rows == partition.num_rows
+            assert copy.compressed_bytes() == partition.compressed_bytes()
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
-            load_partition(b"NOPE", "t", None, None)
+            load_partition(b"NOPE")
 
 
 # --------------------------------------------------------------------------- #
