@@ -7,18 +7,16 @@ load.  This example stands up the full concurrent stack:
   immutable published engines, copy-on-write synopsis refresh),
 * the :class:`~repro.service.AsyncQueryService` coroutine front end with
   its coalescing ingest queue,
-* a :class:`~repro.service.QueryServer` speaking both negotiated wire
-  dialects on one port — binary pipelined frames and the JSON-lines
-  fallback,
+* a :class:`~repro.service.QueryServer` speaking binary pipelined
+  frames,
 
 then drives it with several concurrent dashboard sessions issuing SQL
-over the wire while a writer task streams new rows in.  Half the
-sessions use the legacy JSON client, half the binary
-:class:`~repro.service.PipelinedClient` — the server sniffs each
-connection's first bytes, so both coexist transparently.  Queries keep
-answering at full speed through the ingest stream — they take no lock,
-and each ingest publishes a new engine instead of changing the one a
-query is running on.
+over the wire while a writer task streams new rows in.  Each session is
+one :class:`~repro.service.PipelinedClient` connection that submits a
+whole dashboard refresh as in-flight frames.  Queries keep answering at
+full speed through the ingest stream — they take no lock, and each
+ingest publishes a new engine instead of changing the one a query is
+running on.
 
 Run with:  python examples/concurrent_dashboard.py
 """
@@ -27,7 +25,6 @@ import asyncio
 import time
 
 from repro import (
-    AsyncQueryClient,
     AsyncQueryService,
     PairwiseHistParams,
     PipelinedClient,
@@ -49,22 +46,8 @@ DASHBOARD_SQL = [
 ]
 
 
-async def dashboard(host: str, port: int, session: int, latencies: list) -> int:
-    """One closed-loop dashboard session issuing SQL over its own socket."""
-    async with AsyncQueryClient(host, port) as client:
-        for step in range(QUERIES_PER_DASHBOARD):
-            sql = DASHBOARD_SQL[(session + step) % len(DASHBOARD_SQL)]
-            began = time.perf_counter()
-            await client.query(sql)
-            latencies.append(time.perf_counter() - began)
-            await asyncio.sleep(0.002)  # render time between refreshes
-    return QUERIES_PER_DASHBOARD
-
-
-async def binary_dashboard(
-    host: str, port: int, session: int, latencies: list
-) -> int:
-    """The same session over the binary pipelined protocol.
+async def dashboard(host: str, port: int, latencies: list) -> int:
+    """One closed-loop dashboard session over its own connection.
 
     The blocking client runs in a worker thread so the server's event
     loop keeps serving; one refresh submits the whole SQL rotation as
@@ -115,22 +98,18 @@ async def main() -> None:
         async with QueryServer(service) as server:
             host, port = server.address
             print(
-                f"serving binary pipelined frames + JSON-lines on {host}:{port}"
+                f"serving binary pipelined frames on {host}:{port}"
             )
             print(
                 f"driving {DASHBOARDS} dashboards x {QUERIES_PER_DASHBOARD} "
-                f"queries (half JSON-lines, half pipelined binary) with "
-                f"background ingest\n"
+                f"queries (pipelined refreshes) with background ingest\n"
             )
             latencies: list[float] = []
             started = time.perf_counter()
             results = await asyncio.gather(
                 writer(service, table),
                 *[
-                    (binary_dashboard if session % 2 else dashboard)(
-                        host, port, session, latencies
-                    )
-                    for session in range(DASHBOARDS)
+                    dashboard(host, port, latencies) for _ in range(DASHBOARDS)
                 ],
             )
             wall = time.perf_counter() - started

@@ -54,7 +54,6 @@ from .gd.partitioned import PartitionedStore
 from .gd.preprocessor import Preprocessor
 from .exactdb.executor import ExactQueryEngine
 from .service import (
-    AsyncQueryClient,
     AsyncQueryService,
     Database,
     IngestResult,
@@ -101,7 +100,6 @@ __all__ = [
     "PartitionedStore",
     "Preprocessor",
     "ExactQueryEngine",
-    "AsyncQueryClient",
     "AsyncQueryService",
     "ConcurrentQueryService",
     "Database",

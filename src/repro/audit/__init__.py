@@ -4,8 +4,8 @@ the workload analytics log.
 Three pieces, wired through the service / wire / cluster layers:
 
 * :mod:`repro.audit.explain` — structured ``EXPLAIN`` /
-  ``EXPLAIN ANALYZE`` plans (also reachable as a SQL prefix in both wire
-  dialects) showing cache state, routing, synopsis consultation, bound
+  ``EXPLAIN ANALYZE`` plans (also reachable as a SQL prefix of the
+  ``query`` op) showing cache state, routing, synopsis consultation, bound
   derivation and the scatter-gather recombination plan;
 * :mod:`repro.audit.auditor` — :class:`AccuracyAuditor`, the background
   daemon that recomputes a sample of served queries exactly against the

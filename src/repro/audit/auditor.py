@@ -27,7 +27,6 @@ so a replica's live sample stays empty and the primaries audit.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import replace
 

@@ -31,7 +31,6 @@ from ..sql.ast import (
     Aggregation,
     ComparisonOp,
     Condition,
-    LogicalOp,
     Predicate,
     PredicateNode,
     Query,

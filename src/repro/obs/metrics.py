@@ -7,8 +7,8 @@ in the process; per-worker processes therefore export per-worker
 registries, which the cluster front end merges with ``shard``/``role``
 labels (see ``ClusterQueryService.metrics``).
 
-Snapshots are plain JSON-able dicts so they travel over both wire
-dialects unchanged; :func:`merge_snapshot` folds one snapshot into
+Snapshots are plain JSON-able dicts so they travel in ``OP_JSON`` frames
+unchanged; :func:`merge_snapshot` folds one snapshot into
 another while applying extra labels, and :mod:`repro.obs.exposition`
 renders the merged result as Prometheus text.
 

@@ -7,11 +7,9 @@ each published table is an immutable engine that queries read without a
 lock, and the database serialises its own writers (a catalog mutex for
 register, a writer mutex per table for ingest and drop).
 :class:`AsyncQueryService` exposes the same API as coroutines (with a
-coalescing ingest queue), and :class:`QueryServer` serves it over TCP:
-the binary pipelined protocol
-(:mod:`repro.service.framing`, spoken by :class:`PipelinedClient`) plus a
-newline-delimited-JSON shim for ``nc`` and scripts (spoken by
-:class:`AsyncQueryClient`).  Every op either speaks is one row of the op
+coalescing ingest queue), and :class:`QueryServer` serves it over TCP in
+the binary pipelined protocol (:mod:`repro.service.framing`, spoken by
+:class:`PipelinedClient`).  Every op it serves is one row of the op
 table in :mod:`repro.service.ops`, and every flag of the
 ``python -m repro.service`` process that serves them is one field of
 :class:`ServeConfig` (:mod:`repro.service.config`), from which the
@@ -29,10 +27,9 @@ from .database import (
     StagedIngest,
 )
 from .server import AsyncQueryService, QueryServer
-from .wire import AsyncQueryClient, OverloadedError, PipelinedClient, WireError
+from .wire import OverloadedError, PipelinedClient, WireError
 
 __all__ = [
-    "AsyncQueryClient",
     "AsyncQueryService",
     "OverloadedError",
     "PipelinedClient",

@@ -166,9 +166,7 @@ def _open_node(config: ServeConfig) -> _Deployment:
         )
     service = QueryService(database=database, result_cache_size=config.result_cache_size)
     node = _Deployment(
-        front=AsyncQueryService(
-            service=service, max_workers=config.workers, max_batch_delay=config.coalesce_delay
-        ),
+        front=AsyncQueryService(service=service, max_workers=config.workers),
         snapshot=obs_metrics.REGISTRY.snapshot,
     )
     # The auditor samples the queries this process answers: in a replicated

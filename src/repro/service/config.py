@@ -15,11 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 from ..gd.partitioned import DEFAULT_PARTITION_SIZE
 from ..obs import tracing
 from .database import DEFAULT_RESULT_CACHE_SIZE
-from .server import (
-    DEFAULT_MAX_BATCH_DELAY,
-    DEFAULT_MAX_INFLIGHT_INGESTS,
-    DEFAULT_MAX_INFLIGHT_QUERIES,
-)
+from .server import DEFAULT_MAX_INFLIGHT_INGESTS, DEFAULT_MAX_INFLIGHT_QUERIES
 
 #: Whom a flag given to a cluster front end applies to: every worker
 #: inherits it, unless it describes the front end itself (a worker runs at
@@ -62,10 +58,6 @@ class ServeConfig:
         "than just process death",
     )
     partition_size: int = _flag(DEFAULT_PARTITION_SIZE)
-    coalesce_delay: float = _flag(
-        DEFAULT_MAX_BATCH_DELAY,
-        "max seconds the ingest coalescer keeps a batch open waiting for more writers",
-    )
     workers: int = _flag(4)
     result_cache_size: int = _flag(
         DEFAULT_RESULT_CACHE_SIZE,

@@ -1,19 +1,16 @@
-"""Binary wire frames for the fast query-path protocol.
+"""Binary wire frames: the query server's one protocol.
 
-The JSON-lines protocol pays a per-request JSON encode/decode plus a
-strict request-response turnaround per connection.  This module defines
-the length-prefixed binary frames that replace it on the hot path, built
-on the framing primitives consolidated in :mod:`repro.storage.codec` so
-the wire format shares one source of framing truth with the on-disk
-formats.
+Length-prefixed frames carry many in-flight requests per connection,
+with binary payloads for the hot ops and a tunnelled JSON request object
+for the rest.  They are built on the framing primitives consolidated in
+:mod:`repro.storage.codec`, so the wire format shares one source of
+framing truth with the on-disk formats.
 
-Negotiation
------------
-A binary client opens its connection by sending the 4-byte magic
-:data:`MAGIC`.  JSON-lines requests always start with ``{`` (0x7B), so
-the server sniffs the first bytes of every connection: magic → binary
-frames, anything else → the newline-delimited-JSON shim in front of the
-same dispatcher.
+Preamble
+--------
+A client opens its connection by sending the 4-byte magic
+:data:`MAGIC`; the server closes, without a reply, a connection that
+opens with anything else.
 
 Frame layout (all integers little-endian)
 -----------------------------------------
@@ -39,10 +36,9 @@ Ops / payloads
 * ``OP_INGEST`` (4) — ``<B coalesce>`` + ``pack_string(table)`` +
   ``codec.encode_table(rows)`` (the lossless binary table codec — no
   JSON round trip for row payloads); OK payload is a JSON object.
-* ``OP_JSON`` (5) — a JSON-encoded request object (the same shape the
-  JSON-lines shim accepts), for every op without a codec of its own —
-  the op table in :mod:`repro.service.ops` says which; OK payload is the
-  JSON result.
+* ``OP_JSON`` (5) — a JSON-encoded request object (``{"op": name,
+  ...fields}``), for every op without a codec of its own — the op table
+  in :mod:`repro.service.ops` says which; OK payload is the JSON result.
 * ``OP_SUBSCRIBE`` (6) — ``<Q after_lsn>`` + ``pack_string(follower_id)``.
   A replication follower sends this once; the server then streams
   ``STATUS_OK`` frames tagged with the subscribe request id for the life
@@ -117,8 +113,7 @@ STATUS_OK = 0
 STATUS_ERROR = 1
 STATUS_OVERLOADED = 2
 
-#: error_type carried by STATUS_OVERLOADED frames (and the JSON-lines
-#: equivalent ``{"ok": false, "error_type": "Overloaded"}``).
+#: error_type carried by STATUS_OVERLOADED frames.
 OVERLOADED_ERROR_TYPE = "Overloaded"
 
 #: High bit of the op byte: a 24-byte trace trailer (16-byte trace id +

@@ -13,10 +13,10 @@ list:
   cache holds never reaches the executor: the async face answers it on
   the event loop, and an untraced ``QUERY`` frame is answered in the
   connection's read loop itself.
-* :class:`~repro.service.wire.PipelinedClient` and
-  :class:`~repro.service.wire.AsyncQueryClient` answer ``client.<name>(...)``
-  for every row: ``request`` builds the request object, ``key`` unwraps
-  the reply, ``binary`` (when the arguments fit it) skips JSON entirely.
+* :class:`~repro.service.wire.PipelinedClient` answers
+  ``client.<name>(...)`` for every row: ``request`` builds the request
+  object, ``key`` unwraps the reply, ``binary`` (when the arguments fit
+  it) skips JSON entirely.
 * The cluster's shard proxies are ``shard.call(name, *args)``: a process
   shard sends the row over its ``channel``, a replicated shard asks its
   primary, a local shard runs ``handler`` + ``encode`` in-process — so
@@ -54,9 +54,9 @@ class Binary:
     encode_request: Callable[..., bytes | None]
     #: Server: request payload → handler arguments.
     decode_request: Callable[[bytes], tuple]
-    #: Server: the JSON dialect's reply body → reply payload.
+    #: Server: the reply body an ``OP_JSON`` frame would carry → reply payload.
     encode_reply: Callable[[object], bytes]
-    #: Client: reply payload → the JSON dialect's reply body.
+    #: Client: reply payload → the reply body an ``OP_JSON`` frame would carry.
     decode_reply: Callable[[bytes], object]
 
 
@@ -169,7 +169,7 @@ def _split_explain(sql: str):
 
 
 def error_fields(exc: BaseException) -> dict:
-    """``error`` / ``error_type`` of a failure, as both dialects report it."""
+    """``error`` / ``error_type`` of a failure, as an error frame or a batch item reports it."""
     message = exc.args[0] if exc.args else str(exc)
     return {"error": str(message), "error_type": type(exc).__name__}
 

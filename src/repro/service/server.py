@@ -12,28 +12,24 @@ recompression, amortising the synopsis rebuild across writers (the
 paper's bounded-cost update, amortised once more).
 
 :class:`QueryServer` puts a TCP protocol in front of it
-(``asyncio.start_server``).  **The** protocol is the length-prefixed
-binary pipelined one (:mod:`repro.service.framing`): many in-flight
-requests per connection, responses matched by request id, binary row and
-result payloads for the hot ops and a JSON request object tunnelled in an
-``OP_JSON`` frame for the rest.  A connection that does not open with the
-binary magic is served by a small newline-delimited-JSON shim in front
-of the same dispatcher, handy for ``nc`` and scripts:
-
-    → {"op": "query",  "sql": "SELECT AVG(x) FROM t WHERE y > 3"}
-    ← {"ok": true, "result": {"results": [{"value": ..., ...}]}}
+(``asyncio.start_server``): the length-prefixed binary pipelined one
+(:mod:`repro.service.framing`).  A connection opens with the 4-byte
+:data:`~repro.service.framing.MAGIC`, then carries many in-flight
+requests, whose responses are matched by request id.  The hot ops have
+binary row and result payloads; every other op travels as a JSON request
+object tunnelled in an ``OP_JSON`` frame.  A traced frame carries its
+trace ids in the frame trailer, whatever its op.
 
 The ops themselves — names, validation, handlers, reply encodings — are
 the rows of :mod:`repro.service.ops`; this module only moves them.
-Errors come back as ``{"ok": false, "error": ..., "error_type": ...}``
-(JSON) or a ``STATUS_ERROR`` frame (binary) — never as a dropped
+Errors come back as a ``STATUS_ERROR`` frame — never as a dropped
 connection or a stack trace.
 
 The server also applies **admission control**: in-flight queries and
 ingests are counted against bounded limits, and work beyond them is shed
-immediately with an explicit ``Overloaded`` error frame
-(``STATUS_OVERLOADED`` in binary) instead of queueing without bound —
-the service degrades gracefully at overload rather than collapsing.
+immediately with an explicit ``STATUS_OVERLOADED`` frame instead of
+queueing without bound — the service degrades gracefully at overload
+rather than collapsing.
 
 Run it as a process with ``python -m repro.service --data-dir
 /var/lib/aqp`` (:mod:`repro.service.cli`).
@@ -43,7 +39,6 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-import json
 import socket
 import struct
 import time
@@ -60,11 +55,6 @@ from .ops import encode_result  # noqa: F401  (part of this module's surface)
 
 #: Coalesce at most this many rows into one batched tail recompression.
 DEFAULT_MAX_BATCH_ROWS = 65_536
-
-#: How long the ingest coalescer keeps a batch open after the first append
-#: arrives (seconds).  0 keeps the legacy behaviour: batch only what is
-#: already queued.
-DEFAULT_MAX_BATCH_DELAY = 0.0
 
 #: Admission-control defaults: in-flight requests past these limits are
 #: shed with an explicit ``Overloaded`` response instead of queueing.
@@ -172,7 +162,6 @@ class AsyncQueryService(AsyncFacade):
         service: QueryService | None = None,
         max_workers: int = 4,
         max_batch_rows: int = DEFAULT_MAX_BATCH_ROWS,
-        max_batch_delay: float = DEFAULT_MAX_BATCH_DELAY,
         **service_kwargs,
     ) -> None:
         if service is not None and service_kwargs:
@@ -180,7 +169,6 @@ class AsyncQueryService(AsyncFacade):
         super().__init__(service or QueryService(**service_kwargs), max_workers)
         self.service = self.inner
         self.max_batch_rows = max_batch_rows
-        self.max_batch_delay = max_batch_delay
         self._ingest_queues: dict[str, asyncio.Queue] = {}
         self._drain_tasks: dict[str, asyncio.Task] = {}
         #: Ops this face answers itself instead of hopping the row's handler.
@@ -292,22 +280,21 @@ class AsyncQueryService(AsyncFacade):
     def _queue_for(self, table_name: str) -> asyncio.Queue:
         if table_name not in self._ingest_queues:
             self._ingest_queues[table_name] = asyncio.Queue()
-            self._drain_tasks[table_name] = asyncio.ensure_future(
-                self._drain(table_name)
+            # The drain task outlives the ingest that creates it, so it
+            # starts in an empty context rather than inherit that
+            # request's trace span.
+            self._drain_tasks[table_name] = asyncio.get_running_loop().create_task(
+                self._drain(table_name), context=contextvars.Context()
             )
         return self._ingest_queues[table_name]
 
     async def _drain(self, table_name: str) -> None:
         """Per-table drain loop: batch whatever is pending, ingest once.
 
-        With ``max_batch_delay > 0`` the batch stays open that long after
-        its first append arrives, so writers landing within the window
-        share one tail recompression even when they don't overlap a
-        rebuild; the timer bounds how long a lone small append can wait.
-        ``max_batch_rows`` caps the batch regardless of the timer.
+        ``max_batch_rows`` caps the batch; an append that would overflow
+        it opens the next one.
         """
         queue = self._ingest_queues[table_name]
-        loop = asyncio.get_running_loop()
         carried: tuple | None = None  # dequeued but over-budget for the last batch
         while True:
             rows, future = carried if carried is not None else await queue.get()
@@ -316,25 +303,7 @@ class AsyncQueryService(AsyncFacade):
             batch_rows = rows.num_rows
             futures = [future]
             try:
-                if self.max_batch_delay > 0:
-                    deadline = loop.time() + self.max_batch_delay
-                    while batch_rows < self.max_batch_rows and carried is None:
-                        remaining = deadline - loop.time()
-                        if remaining <= 0:
-                            break
-                        try:
-                            more_rows, more_future = await asyncio.wait_for(
-                                queue.get(), timeout=remaining
-                            )
-                        except asyncio.TimeoutError:
-                            break
-                        if batch_rows + more_rows.num_rows > self.max_batch_rows:
-                            carried = (more_rows, more_future)
-                        else:
-                            parts.append(more_rows)
-                            batch_rows += more_rows.num_rows
-                            futures.append(more_future)
-                while carried is None and not queue.empty():
+                while not queue.empty():
                     more_rows, more_future = queue.get_nowait()
                     if batch_rows + more_rows.num_rows > self.max_batch_rows:
                         carried = (more_rows, more_future)
@@ -373,9 +342,10 @@ def _error_frame(request_id: int, exc: BaseException) -> bytes:
 class QueryServer:
     """TCP server over an :class:`AsyncFacade`, one dispatcher for every op.
 
-    Each connection is sniffed: the :data:`~repro.service.framing.MAGIC`
-    preamble selects the binary pipelined protocol, anything else the
-    JSON-lines shim (see the module docstring).
+    Each connection must open with the
+    :data:`~repro.service.framing.MAGIC` preamble and then speak binary
+    frames (see the module docstring); one that opens with anything else
+    is closed without a reply.
 
     >>> server = QueryServer(async_service)          # doctest: +SKIP
     >>> await server.start()                         # doctest: +SKIP
@@ -463,9 +433,9 @@ class QueryServer:
         if self._server is not None:
             self._server.close()
             # wait_closed() (Python >= 3.12.1) waits for every connection
-            # handler to return, and _handle blocks in readline() until its
-            # client hangs up — so close lingering connections ourselves
-            # instead of hanging on an idle client.
+            # handler to return, and _handle blocks reading the next frame
+            # until its client hangs up — so close lingering connections
+            # ourselves instead of hanging on an idle client.
             for writer in list(self._connections):
                 writer.close()
             await self._server.wait_closed()
@@ -483,23 +453,27 @@ class QueryServer:
     async def _execute(
         self, op: ops.Op, request: dict | None, payload: bytes = b"", trace=None
     ):
-        """Run one admitted request of either dialect; returns the reply body.
+        """Run one admitted frame; returns the reply body.
 
-        ``request`` is the JSON request object, or ``None`` for a
-        fast-path frame whose arguments are in ``payload`` (and whose
-        trace ids, if any, came in the frame trailer).
+        ``request`` is an ``OP_JSON`` frame's request object, or ``None``
+        for a fast-path frame whose arguments are in ``payload``.
+        ``trace`` is the frame trailer's ids, if it had one.  A row with a
+        ``serve`` of its own opens its spans itself; any other traced row
+        runs under a root span named after it.
         """
         if op.mutating:
             self._require_writable()
         if request is None:
             args = op.binary.decode_request(payload)
-            if trace is not None:
-                trace = (trace[0].hex(), trace[1].hex())
         else:
             args = op.extract(self.service.inner, request) if op.extract else ()
-            trace = self._trace_from_request(request)
+        if trace is not None:
+            trace = (trace[0].hex(), trace[1].hex())
         if op.serve is not None:
             result = await op.serve(self, args, trace)
+        elif trace is not None:
+            with tracing.root_span(op.name, trace_id=trace[0], parent_id=trace[1]):
+                result = await self.service.call(op, *args)
         else:
             result = await self.service.call(op, *args)
         if op.mutating:
@@ -559,11 +533,10 @@ class QueryServer:
     ):
         """Root span for one query request.
 
-        When the client supplied trace ids (binary trailer / JSON
-        ``"trace"`` key) the span adopts them and is marked for wire
-        propagation, so a cluster front end forwards the trace to its
-        shard workers and a worker joins its parse/cache spans to the
-        caller's tree.  Untraced requests take the span-free
+        When the client supplied trace ids (the frame trailer) the span
+        adopts them and is marked for wire propagation, so a cluster
+        front end forwards the trace to its shard workers and a worker
+        joins its parse/cache spans to the caller's tree.  Untraced requests take the span-free
         :func:`~repro.obs.tracing.slow_watch` path: no span tree is
         built unless the query crosses the slow-query threshold, in
         which case a completed root span is synthesised for the log and
@@ -589,23 +562,8 @@ class QueryServer:
             # ~40 ms artificial stalls; this workload is exactly that.
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
-            # Negotiation sniff: binary clients lead with the 4-byte magic,
-            # JSON-lines requests start with '{'.  Read one byte at a time
-            # so a degenerate short first line (e.g. "{}\n") can never
-            # stall the sniff waiting for a fourth byte.
-            preamble = b""
-            while len(preamble) < len(framing.MAGIC):
-                byte = await reader.read(1)
-                if not byte:
-                    return
-                preamble += byte
-                if preamble == framing.MAGIC[: len(preamble)]:
-                    continue
-                break
-            if preamble == framing.MAGIC:
+            if await reader.readexactly(len(framing.MAGIC)) == framing.MAGIC:
                 await self._serve_binary(reader, writer)
-            else:
-                await self._serve_json(reader, writer, first=preamble)
         except (ConnectionResetError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -615,78 +573,6 @@ class QueryServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
-
-    # ---- JSON-lines shim: one request object per line, one reply per line
-
-    async def _serve_json(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        first: bytes = b"",
-    ) -> None:
-        """``first`` is whatever the negotiation sniff consumed; if it
-        already ends the first line, that request is served before reading
-        again — blocking in ``readline()`` first would deadlock a client
-        awaiting its first response."""
-        pending = first
-        while True:
-            if pending.endswith(b"\n"):
-                line, pending = pending, b""
-            else:
-                try:
-                    rest = await reader.readline()
-                except ValueError as exc:
-                    # Line exceeded the buffer limit; the stream cannot be
-                    # re-synchronised, so answer with an error frame and
-                    # drop this connection only.
-                    refusal = {"ok": False, **ops.error_fields(exc)}
-                    writer.write(json.dumps(refusal).encode("utf-8") + b"\n")
-                    await writer.drain()
-                    break
-                if not rest:
-                    break
-                line, pending = pending + rest, b""
-                if not line.endswith(b"\n"):
-                    break  # EOF mid-line
-            response = await self._respond(line)
-            writer.write(json.dumps(response).encode("utf-8") + b"\n")
-            await writer.drain()
-
-    async def _respond(self, line: bytes) -> dict:
-        try:
-            request = json.loads(line)
-            op = ops.lookup(request)
-        except ValueError as exc:  # includes JSONDecodeError
-            return {"ok": False, **ops.error_fields(exc)}
-        if not self._admit(op.kind):
-            return {
-                "ok": False,
-                "error": self._overloaded_message(op.kind),
-                "error_type": framing.OVERLOADED_ERROR_TYPE,
-            }
-        started = time.perf_counter()
-        try:
-            return {"ok": True, "result": await self._execute(op, request)}
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            # The documented contract: errors are frames, never dropped
-            # connections or stack traces (e.g. a query racing close()).
-            return {"ok": False, **ops.error_fields(exc)}
-        finally:
-            self._release(op.kind, started)
-
-    @staticmethod
-    def _trace_from_request(request: dict) -> tuple[str, str] | None:
-        """(trace_id, span_id) from a request's ``"trace"`` key, if sane."""
-        trace = request.get("trace")
-        if isinstance(trace, dict):
-            ids = (trace.get("trace_id"), trace.get("span_id"))
-            if isinstance(ids[0], str) and isinstance(ids[1], str):
-                return ids
-        return None
-
-    # ---- binary pipelined protocol
 
     async def _serve_binary(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -727,9 +613,9 @@ class QueryServer:
                 traced = bool(opcode & framing.TRACE_FLAG)
                 opcode &= ~framing.TRACE_FLAG
                 if payload_len > self.line_limit:
-                    # readexactly() is not bounded by the stream limit the
-                    # way readline() is, so enforce it explicitly; the
-                    # stream cannot be re-synchronised after refusing.
+                    # readexactly() is not bounded by the stream limit, so
+                    # enforce it explicitly; the stream cannot be
+                    # re-synchronised after refusing.
                     oversized = ValueError(
                         f"frame payload of {payload_len} bytes exceeds "
                         f"the {self.line_limit} byte limit"
@@ -856,8 +742,8 @@ class QueryServer:
             except asyncio.CancelledError:
                 raise
             except Exception as exc:
-                # Same contract as JSON: errors are frames, never dropped
-                # connections or stack traces.
+                # Errors are frames, never dropped connections or stack
+                # traces (e.g. a query racing close()).
                 frame = _error_frame(request_id, exc)
             try:
                 writer.write(frame)

@@ -1,22 +1,16 @@
-"""Wire clients for :class:`~repro.service.server.QueryServer`.
+"""The wire client of :class:`~repro.service.server.QueryServer`.
 
-Both answer ``client.<name>(*args)`` for every row of the op table
+:class:`PipelinedClient` is the blocking binary-protocol client
+(:mod:`repro.service.framing`): many requests in flight per connection,
+and a background reader thread matches response frames to requests by
+id.  It answers ``client.<name>(*args)`` for every row of the op table
 (:mod:`repro.service.ops`) — the row builds the request and unwraps the
-reply, so neither client lists the ops:
-
-* :class:`PipelinedClient` — the blocking binary-protocol client
-  (:mod:`repro.service.framing`): many requests in flight per connection,
-  a background reader thread matches response frames to requests by id.
-  This is what the cluster front end (:mod:`repro.cluster`) multiplexes
-  its scatters over.
-* :class:`AsyncQueryClient` — the asyncio client of the JSON-lines shim,
-  one request in flight per connection (tests, examples).
+reply, so the client does not list the ops.  The cluster front end
+(:mod:`repro.cluster`) multiplexes its scatters over it.
 """
 
 from __future__ import annotations
 
-import asyncio
-import json
 import socket
 import threading
 from concurrent.futures import Future
@@ -27,7 +21,7 @@ from .ops import OPS, stubs
 
 
 class WireError(RuntimeError):
-    """An ``{"ok": false}`` response frame, surfaced as an exception."""
+    """A ``STATUS_ERROR`` response frame, surfaced as an exception."""
 
     def __init__(self, error_type: str, message: str) -> None:
         super().__init__(f"{error_type}: {message}")
@@ -256,8 +250,8 @@ class PipelinedClient:
     ) -> Future:
         """Send op ``name``; the future resolves with what ``client.<name>``
         returns.  The op's fast-path frame is used when its arguments fit
-        one (``trace`` then rides its trailer), the JSON request object in
-        an ``OP_JSON`` frame otherwise."""
+        one, the JSON request object in an ``OP_JSON`` frame otherwise;
+        ``trace`` rides the frame trailer either way."""
         op = OPS[name]
         opcode, decode, payload = framing.OP_JSON, framing.decode_json, None
         if op.binary is not None:
@@ -290,71 +284,3 @@ class PipelinedClient:
             raise ConnectionError(
                 f"no response within {self.timeout}s"
             ) from None
-
-
-# --------------------------------------------------------------------------- #
-# Asyncio JSON-lines client
-
-
-@stubs
-class AsyncQueryClient:
-    """Minimal asyncio client of the JSON-lines shim (tests, examples).
-
-    One request is in flight per connection at a time; concurrent callers
-    sharing a client serialize on an internal lock, so open one client per
-    simulated dashboard session for parallel traffic.
-    """
-
-    def __init__(
-        self, host: str, port: int, line_limit: int = framing.DEFAULT_LINE_LIMIT
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.line_limit = line_limit
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._lock = asyncio.Lock()
-
-    async def connect(self) -> "AsyncQueryClient":
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port, limit=self.line_limit
-        )
-        sock = self._writer.get_extra_info("socket")
-        if sock is not None:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return self
-
-    async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            self._reader = self._writer = None
-
-    async def __aenter__(self) -> "AsyncQueryClient":
-        return await self.connect()
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
-
-    async def request(self, payload: dict) -> dict:
-        """Send one request object; the raw response object, ok or not."""
-        if self._writer is None:
-            raise RuntimeError("client is not connected")
-        async with self._lock:
-            self._writer.write(json.dumps(payload).encode("utf-8") + b"\n")
-            await self._writer.drain()
-            line = await self._reader.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return json.loads(line)
-
-    async def call(self, name: str, *args, **kwargs):
-        """Send op ``name``; its unwrapped reply (:class:`WireError` on error)."""
-        op = OPS[name]
-        response = await self.request(op.build_request(*args, **kwargs))
-        if not response["ok"]:
-            raise WireError(response["error_type"], response["error"])
-        return op.unwrap(response["result"])

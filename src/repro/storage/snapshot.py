@@ -33,7 +33,7 @@ import os
 import shutil
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..core.params import PairwiseHistParams

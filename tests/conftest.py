@@ -6,9 +6,6 @@ stays fast; tests must not mutate them.
 
 from __future__ import annotations
 
-import json
-import socket
-
 import numpy as np
 import pytest
 
@@ -20,8 +17,17 @@ from repro import (
     load_dataset,
 )
 from repro.data.schema import ColumnSchema, ColumnType, TableSchema
-from repro.service.ops import OPS, stubs
-from repro.service.wire import WireError
+from repro.service import framing
+
+
+def tunnel(client, request, trace=None, timeout: float = 30.0):
+    """Send ``request`` — an op's JSON request object, or raw bytes — in an
+    ``OP_JSON`` frame on a connected ``PipelinedClient``; ``trace`` rides
+    the frame trailer.  Returns the reply body (an error frame raises
+    ``WireError``)."""
+    payload = request if isinstance(request, bytes) else framing.encode_json(request)
+    future = client._submit(framing.OP_JSON, payload, framing.decode_json, trace)
+    return future.result(timeout)
 
 
 def make_simple_table(rows: int = 2000, seed: int = 0, name: str = "simple") -> Table:
@@ -98,41 +104,3 @@ def simple_exact(simple_table) -> ExactQueryEngine:
 @pytest.fixture(scope="session")
 def power_exact(power_table) -> ExactQueryEngine:
     return ExactQueryEngine(power_table)
-
-
-@stubs
-class JsonLinesClient:
-    """The JSON-lines dialect the way an ``nc`` user speaks it: one raw
-    socket, one request object per line, one reply per line.
-
-    ``client.<op>(*args)`` builds the request from the op table and returns
-    the unwrapped reply (``trace=(trace_id_hex, span_id_hex)`` adds the
-    ``"trace"`` key); :meth:`request` sends any object and returns the raw
-    reply, ok or not.
-    """
-
-    def __init__(self, host: str, port: int) -> None:
-        self.address = (host, port)
-
-    def __enter__(self) -> "JsonLinesClient":
-        self._sock = socket.create_connection(self.address, timeout=30.0)
-        self._rfile = self._sock.makefile("rb")
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._rfile.close()
-        self._sock.close()
-
-    def request(self, payload) -> dict:
-        self._sock.sendall(json.dumps(payload).encode("utf-8") + b"\n")
-        return json.loads(self._rfile.readline())
-
-    def call(self, name: str, *args, trace=None, **kwargs):
-        op = OPS[name]
-        request = op.build_request(*args, **kwargs)
-        if trace is not None:
-            request["trace"] = {"trace_id": trace[0], "span_id": trace[1]}
-        response = self.request(request)
-        if not response["ok"]:
-            raise WireError(response["error_type"], response["error"])
-        return op.unwrap(response["result"])

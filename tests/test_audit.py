@@ -4,8 +4,8 @@ What is pinned here:
 
 * ``split_explain`` and the workload log's template normalization (the
   literal → ``?`` rendering dashboards and the auditor key on);
-* the structured EXPLAIN plan, single node and cluster, in *both* wire
-  dialects and through the ``EXPLAIN <sql>`` SQL-prefix form — and the
+* the structured EXPLAIN plan, single node and cluster, in *both* frame
+  forms and through the ``EXPLAIN <sql>`` SQL-prefix form — and the
   agreement guarantee: a single-node EXPLAIN's ``gather`` section equals
   the cluster front end's actual fan-out plan, and the scattered SQL the
   shards really receive is the one the plan printed;
@@ -616,7 +616,7 @@ class TestClusterAuditDrill:
 
 
 # --------------------------------------------------------------------------- #
-# Wire ops (both dialects)
+# Wire ops
 
 
 def run_async(coroutine):

@@ -20,7 +20,6 @@ The service-level tests synchronise on events, never on sleeps.
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 import sys
 import threading
@@ -28,10 +27,9 @@ import time
 
 import pytest
 
-from conftest import make_simple_table
+from conftest import make_simple_table, tunnel
 
 from repro import (
-    AsyncQueryClient,
     AsyncQueryService,
     PairwiseHistEngine,
     PairwiseHistParams,
@@ -39,6 +37,8 @@ from repro import (
     QueryService,
     ReadWriteLock,
 )
+from repro.service import framing
+from repro.service.wire import PipelinedClient, WireError
 
 JOIN_TIMEOUT = 60.0
 
@@ -529,70 +529,6 @@ class TestAsyncQueryService:
 
         run_async(scenario())
 
-    def test_max_delay_flush_batches_staggered_small_appends(self):
-        """With a flush window, small appends arriving *after* the drain
-        task wakes — not just ones already queued — coalesce into one tail
-        recompression; the window also bounds how long a lone append waits."""
-
-        async def scenario():
-            async with AsyncQueryService(
-                partition_size=600, max_workers=2, max_batch_delay=0.25
-            ) as svc:
-                await svc.register_table(
-                    make_simple_table(rows=1200, seed=50, name="stream"),
-                    params=exact_params(),
-                )
-                async def staggered(i):
-                    await asyncio.sleep(0.01 * i)
-                    return await svc.ingest(
-                        "stream", make_simple_table(rows=30, seed=200 + i, name="stream")
-                    )
-
-                results = await asyncio.gather(*[staggered(i) for i in range(5)])
-                # One shared rebuild for all five staggered writers.
-                assert len({id(r) for r in results}) == 1
-                assert results[0].appended_rows == 150
-                after = await svc.query_scalar("SELECT COUNT(*) FROM stream")
-                assert after.value == pytest.approx(1350, rel=1e-9)
-
-                # A lone append is not stuck waiting for a writer that never
-                # comes: it completes within a couple of windows.
-                start = time.perf_counter()
-                await svc.ingest(
-                    "stream", make_simple_table(rows=20, seed=300, name="stream")
-                )
-                assert time.perf_counter() - start < 5.0
-
-        run_async(scenario())
-
-    def test_max_delay_flush_respects_row_budget(self):
-        async def scenario():
-            async with AsyncQueryService(
-                partition_size=600,
-                max_workers=1,
-                max_batch_rows=100,
-                max_batch_delay=0.2,
-            ) as svc:
-                await svc.register_table(
-                    make_simple_table(rows=1200, seed=50, name="stream"),
-                    params=exact_params(),
-                )
-                batches = [
-                    make_simple_table(rows=60, seed=400 + i, name="stream")
-                    for i in range(4)
-                ]
-                results = await asyncio.gather(
-                    *[svc.ingest("stream", b) for b in batches]
-                )
-                # 60-row appends against a 100-row budget: no drained batch
-                # may exceed the budget, so at least two rebuilds happened.
-                assert all(r.appended_rows <= 100 for r in results)
-                assert len({id(r) for r in results}) >= 2
-                after = await svc.query_scalar("SELECT COUNT(*) FROM stream")
-                assert after.value == pytest.approx(1440, rel=1e-9)
-
-        run_async(scenario())
-
     def test_validation_errors_raise_in_caller(self):
         async def scenario():
             async with AsyncQueryService(partition_size=600) as svc:
@@ -701,106 +637,111 @@ class TestAsyncQueryService:
         run_async(scenario())
 
 
+async def serve_blocking(svc, scenario):
+    """Serve ``svc`` over TCP and run the blocking ``scenario(address)`` in
+    a worker thread, so the wire client never stalls the event loop."""
+    async with QueryServer(svc) as server:
+        return await asyncio.to_thread(scenario, server.address)
+
+
 class TestQueryServer:
     def test_wire_roundtrip_and_clean_errors(self):
-        async def scenario():
+        def scenario(address):
+            with PipelinedClient(*address) as client:
+                assert client.ping() == "pong"
+                assert tunnel(client, {"op": "tables"}) == {"tables": ["stream"]}
+
+                payload = client.query("SELECT AVG(x) FROM stream WHERE y > 50")
+                (result,) = payload["results"]
+                assert result["aggregation"] == "AVG(x)"
+                assert result["lower"] <= result["value"] <= result["upper"]
+
+                grouped = client.query("SELECT COUNT(x) FROM stream GROUP BY category")
+                assert set(grouped["groups"]) <= {"alpha", "beta", "gamma", "delta"}
+
+                ingest = client.ingest(
+                    "stream",
+                    {
+                        "x": [1.0],
+                        "y": [2.0],
+                        "z": [3.0],
+                        "w": [4.0],
+                        "with_nulls": [None],
+                        "category": ["alpha"],
+                    },
+                )
+                assert ingest["appended_rows"] == 1
+
+                # Errors come back as clean frames, never closed sockets.
+                for bad in (
+                    {"op": "query", "sql": "SELECT FROM"},
+                    {"op": "query", "sql": "SELECT COUNT(*) FROM nope"},
+                    {"op": "query"},
+                    {"op": "ingest", "table": "stream"},
+                    {"op": "ingest", "table": "nope", "rows": {"x": [1]}},
+                    {"op": "explode"},
+                ):
+                    with pytest.raises(WireError) as excinfo:
+                        tunnel(client, bad)
+                    assert excinfo.value.error_type in {
+                        "ParseError", "KeyError", "ValueError", "TypeError",
+                    }
+
+                # Raw garbage in an OP_JSON frame gets an error frame too,
+                # and the connection carries on.
+                with pytest.raises(WireError) as excinfo:
+                    tunnel(client, b"this is not json")
+                assert excinfo.value.error_type == "JSONDecodeError"
+                assert client.ping() == "pong"
+
+        async def scenario_on_server():
             async with AsyncQueryService(partition_size=600, max_workers=2) as svc:
                 await svc.register_table(
                     make_simple_table(rows=1200, seed=50, name="stream"),
                     params=exact_params(),
                 )
-                async with QueryServer(svc) as server:
-                    host, port = server.address
-                    async with AsyncQueryClient(host, port) as client:
-                        assert (await client.request({"op": "ping"}))["result"] == "pong"
-                        tables = await client.request({"op": "tables"})
-                        assert tables["result"]["tables"] == ["stream"]
+                await serve_blocking(svc, scenario)
 
-                        payload = await client.query(
-                            "SELECT AVG(x) FROM stream WHERE y > 50"
-                        )
-                        (result,) = payload["results"]
-                        assert result["aggregation"] == "AVG(x)"
-                        assert result["lower"] <= result["value"] <= result["upper"]
-
-                        grouped = await client.query(
-                            "SELECT COUNT(x) FROM stream GROUP BY category"
-                        )
-                        assert set(grouped["groups"]) <= {
-                            "alpha", "beta", "gamma", "delta"
-                        }
-
-                        ingest = await client.ingest(
-                            "stream",
-                            {
-                                "x": [1.0],
-                                "y": [2.0],
-                                "z": [3.0],
-                                "w": [4.0],
-                                "with_nulls": [None],
-                                "category": ["alpha"],
-                            },
-                        )
-                        assert ingest["appended_rows"] == 1
-
-                        # Errors come back as clean frames, never closed sockets.
-                        for bad in (
-                            {"op": "query", "sql": "SELECT FROM"},
-                            {"op": "query", "sql": "SELECT COUNT(*) FROM nope"},
-                            {"op": "query"},
-                            {"op": "ingest", "table": "stream"},
-                            {"op": "ingest", "table": "nope", "rows": {"x": [1]}},
-                            {"op": "explode"},
-                        ):
-                            response = await client.request(bad)
-                            assert response["ok"] is False
-                            assert response["error_type"] in {
-                                "ParseError", "KeyError", "ValueError", "TypeError",
-                            }
-
-                        # Raw garbage on the wire gets a JSON error frame too.
-                        reader, writer = await asyncio.open_connection(host, port)
-                        writer.write(b"this is not json\n")
-                        await writer.drain()
-                        frame = json.loads(await reader.readline())
-                        assert frame["ok"] is False
-                        assert frame["error_type"] == "JSONDecodeError"
-                        writer.close()
-                        await writer.wait_closed()
-
-        run_async(scenario())
+        run_async(scenario_on_server())
 
     def test_large_ingest_frame_over_the_wire(self):
-        """Frames past asyncio's 64 KiB default line limit must still work."""
-        async def scenario():
+        """Frames past asyncio's 64 KiB default stream limit must still work."""
+        rows = 7500  # ~300 KiB of JSON in one OP_JSON frame
+        batch = make_simple_table(rows=rows, seed=7, name="stream")
+        payload = {}
+        for name in batch.column_names:
+            column = batch.column(name)
+            if batch.schema[name].is_categorical:
+                payload[name] = list(column)
+            else:  # NaN is not valid JSON; nulls travel as null
+                payload[name] = [None if v != v else v for v in column.tolist()]
+        assert len(framing.encode_json({"op": "ingest", "rows": payload})) > 256 * 1024
+
+        def scenario(address):
+            with PipelinedClient(*address) as client:
+                result = client.ingest("stream", payload)
+                assert result["appended_rows"] == rows
+                out = client.query("SELECT COUNT(*) FROM stream")
+                assert out["results"][0]["value"] == pytest.approx(2000 + rows, rel=1e-9)
+
+        async def scenario_on_server():
             async with AsyncQueryService(partition_size=2000, max_workers=2) as svc:
                 await svc.register_table(
                     make_simple_table(rows=2000, seed=50, name="stream"),
                     params=exact_params(),
                 )
-                rows = 4000  # ~300 KiB of JSON on one line
-                batch = make_simple_table(rows=rows, seed=7, name="stream")
-                payload = {}
-                for name in batch.column_names:
-                    column = batch.column(name)
-                    if batch.schema[name].is_categorical:
-                        payload[name] = list(column)
-                    else:  # NaN is not valid JSON; nulls travel as null
-                        payload[name] = [
-                            None if v != v else v for v in column.tolist()
-                        ]
-                async with QueryServer(svc) as server:
-                    async with AsyncQueryClient(*server.address) as client:
-                        result = await client.ingest("stream", payload)
-                        assert result["appended_rows"] == rows
-                        out = await client.query("SELECT COUNT(*) FROM stream")
-                        assert out["results"][0]["value"] == pytest.approx(
-                            2000 + rows, rel=1e-9
-                        )
+                await serve_blocking(svc, scenario)
 
-        run_async(scenario())
+        run_async(scenario_on_server())
 
     def test_async_drop_retires_queue_and_drain_task(self):
+        def over_the_wire(address):
+            with PipelinedClient(*address) as client:
+                assert tunnel(client, {"op": "drop", "table": "stream"})["dropped"]
+                with pytest.raises(WireError) as excinfo:
+                    tunnel(client, {"op": "drop", "table": "stream"})
+                assert excinfo.value.error_type == "KeyError"
+
         async def scenario():
             async with AsyncQueryService(partition_size=600) as svc:
                 await svc.register_table(
@@ -824,17 +765,8 @@ class TestQueryServer:
                     "stream", make_simple_table(rows=100, seed=3, name="stream")
                 )
                 assert result.appended_rows == 100
-                async with QueryServer(svc) as server:
-                    async with AsyncQueryClient(*server.address) as client:
-                        response = await client.request(
-                            {"op": "drop", "table": "stream"}
-                        )
-                        assert response["ok"] and response["result"]["dropped"]
-                        missing = await client.request(
-                            {"op": "drop", "table": "stream"}
-                        )
-                        assert missing["ok"] is False
-                        assert missing["error_type"] == "KeyError"
+                await serve_blocking(svc, over_the_wire)
+                assert "stream" not in svc._drain_tasks
 
         run_async(scenario())
 
@@ -846,13 +778,18 @@ class TestQueryServer:
                     params=exact_params(),
                 )
                 server = await QueryServer(svc).start()
-                idle = await AsyncQueryClient(*server.address).connect()
+                # One client idles after the magic (waiting on a frame),
+                # the other before it (waiting on the magic).
+                idle = PipelinedClient(*server.address)
+                await asyncio.to_thread(idle.connect)
+                _, silent = await asyncio.open_connection(*server.address)
                 try:
-                    # The idle client never sends a request; close() must
-                    # still complete instead of waiting for it to hang up.
+                    # Neither client sends a request; close() must still
+                    # complete instead of waiting for them to hang up.
                     await asyncio.wait_for(server.close(), timeout=10.0)
                 finally:
-                    await idle.close()
+                    await asyncio.to_thread(idle.close)
+                    silent.close()
 
         run_async(scenario())
 
@@ -864,19 +801,25 @@ class TestQueryServer:
                 params=exact_params(),
             )
             server = await QueryServer(svc).start()
-            client = await AsyncQueryClient(*server.address).connect()
+            client = PipelinedClient(*server.address)
+            await asyncio.to_thread(client.connect)
+
+            def query_fails() -> WireError:
+                with pytest.raises(WireError) as excinfo:
+                    client.query("SELECT COUNT(*) FROM stream")
+                return excinfo.value
+
             try:
                 # Close the service under the server: queries now raise
                 # RuntimeError internally, which must come back as a frame.
                 await svc.close()
-                response = await client.request(
-                    {"op": "query", "sql": "SELECT COUNT(*) FROM stream"}
-                )
-                assert response["ok"] is False
-                assert response["error_type"] == "RuntimeError"
-                assert "closed" in response["error"]
+                error = await asyncio.to_thread(query_fails)
+                assert error.error_type == "RuntimeError"
+                assert "closed" in error.message
+                # ... on a connection that is still up.
+                assert await asyncio.to_thread(client.ping) == "pong"
             finally:
-                await client.close()
+                await asyncio.to_thread(client.close)
                 await server.close()
 
         run_async(scenario())

@@ -11,7 +11,8 @@ What is pinned here:
   threshold-gated slow-query log;
 * the Prometheus text exposition (``/metrics`` over stdlib
   ``http.server``) and its content type;
-* the ``metrics`` and ``trace`` wire ops in *both* dialects, and the
+* the ``metrics`` and ``trace`` wire ops, a trace carried by the frame
+  trailer of a fast-path and of an ``OP_JSON`` frame alike, and the
   byte-compat regression pin for the pre-observability ``status`` payload
   (shed counts and cache stats keep their exact shapes);
 * cluster-wide behaviour: the merged metrics fan-out with
@@ -30,7 +31,7 @@ import time
 import urllib.request
 
 import pytest
-from conftest import JsonLinesClient, make_simple_table
+from conftest import make_simple_table, tunnel
 
 from repro import (
     AsyncQueryService,
@@ -330,7 +331,7 @@ class TestExposition:
 
 
 # --------------------------------------------------------------------------- #
-# Wire ops, single node (both dialects)
+# Wire ops, single node
 
 
 def run_async(coroutine):
@@ -348,41 +349,94 @@ async def serve(scenario, **server_kwargs):
 
 class TestWireOps:
     def test_traced_query_span_tree_in_both_dialects(self):
-        def scenario(address, server):
-            # JSON dialect: the "trace" request key.
-            tid = tracing.new_trace_id()
-            sid = tracing.new_span_id()
-            with JsonLinesClient(*address) as old:
-                old.query("SELECT AVG(x) FROM stream", trace=(tid, sid))
-                spans = old.trace(tid)
-            names = {s["name"] for s in spans}
-            assert "query" in names and "parse" in names and "execute" in names
-            root = next(s for s in spans if s["name"] == "query")
-            assert root["trace_id"] == tid
-            assert root["parent_id"] == sid  # the client's span is the parent
-            children = [s for s in spans if s["parent_id"] == root["span_id"]]
-            assert children and all(c["trace_id"] == tid for c in children)
-            # Child work happens within the root's wall time.
-            assert sum(c["duration"] for c in children) <= root["duration"] * 1.5
+        """The two frame forms: an ``OP_JSON`` frame and the fast-path
+        ``QUERY`` frame, each carrying its trace in the trailer."""
 
-            # Binary dialect: the frame trailer.
-            tid2 = tracing.new_trace_id()
-            sid2 = tracing.new_span_id()
-            with PipelinedClient(*address) as new:
-                new.query(
+        def scenario(address, server):
+            with PipelinedClient(*address) as client:
+                # An OP_JSON frame: the trailer carries the trace here too.
+                tid = tracing.new_trace_id()
+                sid = tracing.new_span_id()
+                request = {"op": "query", "sql": "SELECT AVG(x) FROM stream"}
+                trace = (bytes.fromhex(tid), bytes.fromhex(sid))
+                assert tunnel(client, request, trace)["results"]
+                spans = client.trace(tid)
+                names = {s["name"] for s in spans}
+                assert "query" in names and "parse" in names and "execute" in names
+                root = next(s for s in spans if s["name"] == "query")
+                assert root["trace_id"] == tid
+                assert root["parent_id"] == sid  # the client's span is the parent
+                children = [s for s in spans if s["parent_id"] == root["span_id"]]
+                assert children and all(c["trace_id"] == tid for c in children)
+                # Child work happens within the root's wall time.
+                assert sum(c["duration"] for c in children) <= root["duration"] * 1.5
+
+                # The fast-path QUERY frame.
+                tid2 = tracing.new_trace_id()
+                sid2 = tracing.new_span_id()
+                client.query(
                     "SELECT SUM(y) FROM stream",
                     trace=(bytes.fromhex(tid2), bytes.fromhex(sid2)),
                 )
-                spans2 = new.trace(tid2)
+                spans2 = client.trace(tid2)
             root2 = next(s for s in spans2 if s["name"] == "query")
             assert root2["parent_id"] == sid2
             assert {s["name"] for s in spans2} >= {"query", "parse"}
 
         run_async(serve(scenario))
 
+    def test_a_traced_request_in_an_op_json_frame_keeps_its_trace(self):
+        """``EXPLAIN SELECT ...`` cannot ride the fast-path QUERY frame, so
+        the client tunnels it in an ``OP_JSON`` frame with the trace in
+        the trailer: it is recorded like the plain statement's."""
+
+        def scenario(address, server):
+            recorded = {}
+            with PipelinedClient(*address) as client:
+                for sql in ("SELECT AVG(x) FROM stream", "EXPLAIN SELECT AVG(x) FROM stream"):
+                    tid, sid = tracing.new_trace_id(), tracing.new_span_id()
+                    client.query(sql, trace=(bytes.fromhex(tid), bytes.fromhex(sid)))
+                    spans = client.trace(tid)
+                    assert spans, sql
+                    (root,) = [s for s in spans if s["parent_id"] == sid]
+                    assert all(s["trace_id"] == tid for s in spans)
+                    recorded[sql] = root["name"]
+            assert recorded == {
+                "SELECT AVG(x) FROM stream": "query",
+                "EXPLAIN SELECT AVG(x) FROM stream": "explain",
+            }
+
+        run_async(serve(scenario))
+
+    def test_a_traced_first_ingest_does_not_trace_later_ingests(self, monkeypatch):
+        """A table's first ingest starts its coalescing drain task, which
+        outlives that request: the request's root span must not become
+        the context every later ingest runs in."""
+        seen = []
+
+        def scenario(address, server):
+            service = server.service.service
+            ingest = service.ingest
+
+            def recording(*args):
+                seen.append(tracing.current_span())
+                return ingest(*args)
+
+            monkeypatch.setattr(service, "ingest", recording)
+            trace = (bytes.fromhex(tracing.new_trace_id()), bytes.fromhex(tracing.new_span_id()))
+            with PipelinedClient(*address) as client:
+                for seed, traced in ((3, trace), (4, None)):
+                    batch = make_simple_table(rows=10, seed=seed, name="stream")
+                    assert client.ingest("stream", batch, trace=traced)["appended_rows"] == 10
+                root = client.trace(trace[0].hex())
+            assert [span["name"] for span in root] == ["ingest"]
+
+        run_async(serve(scenario))
+        assert seen == [None, None]
+
     def test_untraced_queries_do_not_leak_into_foreign_traces(self):
         def scenario(address, server):
-            with JsonLinesClient(*address) as client:
+            with PipelinedClient(*address) as client:
                 client.query("SELECT COUNT(*) FROM stream")
                 assert client.trace(tracing.new_trace_id()) == []
 
@@ -393,7 +447,7 @@ class TestWireOps:
         must not change the ``status`` op payload one old clients parse."""
 
         def scenario(address, server):
-            with JsonLinesClient(*address) as client:
+            with PipelinedClient(*address) as client:
                 client.query("SELECT COUNT(*) FROM stream")
                 client.query("SELECT COUNT(*) FROM stream")  # cache hit
                 status = client.status()

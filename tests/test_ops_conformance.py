@@ -3,8 +3,9 @@
 Parametrised over the table itself, so a new op is covered with no edit
 here (as long as its request fields have a sample value below):
 
-* the JSON-lines shim, an ``OP_JSON`` frame and — where the row has one —
-  the fast-path frame answer the identical body;
+* an ``OP_JSON`` frame and — where the row has one — the fast-path frame
+  answer the identical body, traced requests carrying their ids in the
+  frame trailer either way;
 * a 1-shard ``mode="local"`` cluster answers what a single node answers;
 * every ``mutating`` row is refused on a replica and passes the commit
   gate exactly once; no other row touches the gate;
@@ -12,7 +13,7 @@ here (as long as its request fields have a sample value below):
 
 The per-op ``CHECKS`` are what the former per-feature "both dialects"
 tests asserted (explain, workload + audit, metrics, query equality); they
-run against every dialect's answer.  The last tests register a throw-away
+run against both frame forms' answers.  The last tests register a throw-away
 op as one row and call it through every layer, and pin the README's op
 list to the table.
 """
@@ -26,7 +27,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from conftest import JsonLinesClient, make_simple_table
+from conftest import make_simple_table, tunnel
 from test_wire_golden import _scrub
 
 from repro import (
@@ -40,9 +41,9 @@ from repro import (
 from repro.cluster.gather import plan_query
 from repro.obs import tracing
 from repro.replication import ReplicationState
-from repro.service import framing, ops
+from repro.service import ops
 from repro.service.server import AsyncFacade
-from repro.service.wire import AsyncQueryClient, PipelinedClient, WireError
+from repro.service.wire import PipelinedClient, WireError
 from repro.sql.parser import parse_query
 
 PARAMS = PairwiseHistParams.with_defaults(sample_size=None, seed=1)
@@ -132,45 +133,35 @@ def serve(scenario, **kwargs):
 
 
 # --------------------------------------------------------------------------- #
-# Dialects: each sends a request object (or fast-path arguments), returns the body
+# Dialects, the two frame forms: each sends a request object (or fast-path
+# arguments) and returns the body
 
 
-class _JsonLines:
-    name = "json-lines"
-    client_cls = JsonLinesClient
+def _trailer(trace):
+    """Hex ``(trace_id, span_id)`` as the frame trailer's raw bytes."""
+    return None if trace is None else (bytes.fromhex(trace[0]), bytes.fromhex(trace[1]))
+
+
+class _Tunnel:
+    """JSON request objects in ``OP_JSON`` frames: the reference form."""
+
+    name = "OP_JSON"
 
     def __init__(self, address):
-        self.client = self.client_cls(*address)
+        self.client = PipelinedClient(*address)
 
     def __enter__(self):
-        self.client.__enter__()
+        self.client.connect()
         return self
 
     def __exit__(self, *exc_info):
-        self.client.__exit__(*exc_info)
+        self.client.close()
 
-    def raw(self, request):
-        response = self.client.request(request)
-        if not response["ok"]:
-            raise WireError(response["error_type"], response["error"])
-        return response["result"]
+    def raw(self, request, trace=None):
+        return tunnel(self.client, request, _trailer(trace))
 
     def body(self, op, args, trace=None):
-        request = op.build_request(*args)
-        if trace is not None:
-            request["trace"] = {"trace_id": trace[0], "span_id": trace[1]}
-        return self.raw(request)
-
-
-class _Tunnel(_JsonLines):
-    """JSON request objects in ``OP_JSON`` frames."""
-
-    name = "OP_JSON"
-    client_cls = PipelinedClient
-
-    def raw(self, request):
-        payload = framing.encode_json(request)
-        return self.client._submit(framing.OP_JSON, payload, framing.decode_json).result(30.0)
+        return self.raw(op.build_request(*args), trace)
 
 
 class _FastPath(_Tunnel):
@@ -182,13 +173,13 @@ class _FastPath(_Tunnel):
         payload = op.binary.encode_request(*args) if op.binary is not None else None
         if payload is None:
             return super().body(op, args, trace)
-        if trace is not None:
-            trace = (bytes.fromhex(trace[0]), bytes.fromhex(trace[1]))
-        future = self.client._submit(op.binary.opcode, payload, op.binary.decode_reply, trace)
+        future = self.client._submit(
+            op.binary.opcode, payload, op.binary.decode_reply, _trailer(trace)
+        )
         return future.result(30.0)
 
 
-DIALECTS = (_JsonLines, _Tunnel, _FastPath)
+DIALECTS = (_Tunnel, _FastPath)
 
 
 def scrub(body):
@@ -321,7 +312,7 @@ def test_every_dialect_answers_the_identical_body(name):
                 return result
 
         outcomes[dialect_cls.name] = serve(scenario)
-    reference = outcomes[_JsonLines.name]
+    reference = outcomes[_Tunnel.name]
     assert all(result == reference for result in outcomes.values()), outcomes
 
 
@@ -389,7 +380,7 @@ def test_mutating_rows_are_gated_and_only_they_are(dialect_cls):
     serve(on_primary)
 
 
-@pytest.mark.parametrize("dialect_cls", (_JsonLines, _Tunnel), ids=lambda d: d.name)
+@pytest.mark.parametrize("dialect_cls", (_Tunnel,), ids=lambda d: d.name)
 def test_malformed_requests_fail_naming_what_is_wrong(dialect_cls):
     def scenario(address, server, services):
         with dialect_cls(address) as dialect:
@@ -438,22 +429,12 @@ def test_a_new_read_only_op_is_one_row_through_every_layer():
     try:
 
         def scenario(address, server, services):
-            with JsonLinesClient(*address) as nc, PipelinedClient(*address) as client:
-                assert nc.request({"op": "row_count", "table": "stream"}) == {
-                    "ok": True,
-                    "result": {"rows": 1200},
-                }
+            with _Tunnel(address) as tunnelled, PipelinedClient(*address) as client:
+                assert tunnelled.raw({"op": "row_count", "table": "stream"}) == {"rows": 1200}
                 # (Rows in the table at import also get a ``client.<name>`` method.)
-                assert nc.call("row_count", "stream") == 1200
                 assert client.call("row_count", "stream") == 1200
                 with pytest.raises(WireError, match="KeyError"):
                     client.call("row_count", "absent")
-
-            async def over_asyncio():
-                async with AsyncQueryClient(*address) as client:
-                    return await client.call("row_count", "stream")
-
-            assert asyncio.run(over_asyncio()) == 1200
 
         serve(scenario)
         # A 2-shard local cluster: the front end answers for the fleet,

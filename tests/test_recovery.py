@@ -10,7 +10,6 @@ idempotency) — plus a real ``kill -9`` of a ``QueryServer`` subprocess.
 
 from __future__ import annotations
 
-import asyncio
 import os
 import re
 import signal
@@ -20,11 +19,12 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import make_simple_table
+from conftest import make_simple_table, tunnel
 
 from repro.core.params import PairwiseHistParams
 from repro.core.serialization import LazyPartitionSynopses
 from repro.service.database import Database, QueryService
+from repro.service.wire import PipelinedClient
 from repro.storage import (
     BackgroundCheckpointer,
     DurableDatabase,
@@ -700,14 +700,21 @@ def _start_server(data_dir, crash_point: str | None = None):
     return proc, port
 
 
-def _client_run(port, coroutine_factory):
-    from repro.service.wire import AsyncQueryClient
+def _client_run(port, scenario):
+    with PipelinedClient("127.0.0.1", port, timeout=60.0) as client:
+        return scenario(client)
 
-    async def runner():
-        async with AsyncQueryClient("127.0.0.1", port) as client:
-            return await coroutine_factory(client)
 
-    return asyncio.run(runner())
+def _register(client) -> None:
+    """Register table ``t`` from a plain rows mapping (column types
+    inferred by the server), tunnelled in an ``OP_JSON`` frame."""
+    request = {
+        "op": "register",
+        "table": "t",
+        "rows": _rows_payload(0, rows=700),
+        "partition_size": 300,
+    }
+    tunnel(client, request, timeout=60.0)
 
 
 def _rows_payload(seed: int, rows: int = 250) -> dict:
@@ -727,21 +734,12 @@ class TestServerKillRecovery:
         proc, port = _start_server(data_dir)
         try:
 
-            async def setup(client):
-                await client.request(
-                    {
-                        "op": "register",
-                        "table": "t",
-                        "rows": _rows_payload(0, rows=700),
-                        "partition_size": 300,
-                    }
-                )
-                checkpoint = await client.request({"op": "checkpoint"})
-                assert checkpoint["ok"] and not checkpoint["result"]["skipped"]
-                await client.ingest("t", _rows_payload(1))
-                persisted = await client.request({"op": "persist"})
-                assert persisted["ok"]
-                return await client.query(_SQL)
+            def setup(client):
+                _register(client)
+                assert not client.checkpoint()["skipped"]
+                client.ingest("t", _rows_payload(1))
+                client.persist()
+                return client.query(_SQL)
 
             before = _client_run(port, setup)
         finally:
@@ -752,10 +750,7 @@ class TestServerKillRecovery:
         try:
             after = _client_run(port, lambda client: client.query(_SQL))
             assert after == before
-            tables = _client_run(
-                port, lambda client: client.request({"op": "tables"})
-            )
-            assert tables["result"]["tables"] == ["t"]
+            assert _client_run(port, lambda client: client.tables()) == ["t"]
         finally:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=30) == 0
@@ -770,21 +765,12 @@ class TestServerKillRecovery:
         proc, port = _start_server(data_dir)
         try:
 
-            async def setup(client):
-                await client.request(
-                    {
-                        "op": "register",
-                        "table": "t",
-                        "rows": _rows_payload(0, rows=700),
-                        "partition_size": 300,
-                    }
-                )
-                checkpoint = await client.request({"op": "checkpoint"})
-                assert checkpoint["ok"] and not checkpoint["result"]["skipped"]
-                await client.ingest("t", _rows_payload(1))
-                persisted = await client.request({"op": "persist"})
-                assert persisted["ok"]
-                return await client.query(_SQL)
+            def setup(client):
+                _register(client)
+                assert not client.checkpoint()["skipped"]
+                client.ingest("t", _rows_payload(1))
+                client.persist()
+                return client.query(_SQL)
 
             before = _client_run(port, setup)
         finally:
@@ -795,11 +781,11 @@ class TestServerKillRecovery:
         proc, port = _start_server(data_dir, crash_point="snapshot.before_manifest")
         try:
 
-            async def doomed(client):
+            def doomed(client):
                 with pytest.raises(
                     (RuntimeError, ConnectionError, OSError, EOFError)
                 ):
-                    await client.request({"op": "checkpoint"})
+                    client.checkpoint()
 
             _client_run(port, doomed)
             assert proc.wait(timeout=30) != 0  # died at the crash point
@@ -812,10 +798,8 @@ class TestServerKillRecovery:
         try:
             after = _client_run(port, lambda client: client.query(_SQL))
             assert after == before
-            checkpoint = _client_run(
-                port, lambda client: client.request({"op": "checkpoint"})
-            )
-            assert checkpoint["ok"] and not checkpoint["result"]["skipped"]
+            checkpoint = _client_run(port, lambda client: client.checkpoint())
+            assert not checkpoint["skipped"]
         finally:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=30) == 0
@@ -826,17 +810,10 @@ class TestServerKillRecovery:
         proc, port = _start_server(data_dir)
         try:
 
-            async def setup(client):
-                await client.request(
-                    {
-                        "op": "register",
-                        "table": "t",
-                        "rows": _rows_payload(0, rows=700),
-                        "partition_size": 300,
-                    }
-                )
-                await client.ingest("t", _rows_payload(1))
-                return await client.query(_SQL)
+            def setup(client):
+                _register(client)
+                client.ingest("t", _rows_payload(1))
+                return client.query(_SQL)
 
             before = _client_run(port, setup)
         finally:
@@ -848,9 +825,9 @@ class TestServerKillRecovery:
         proc, port = _start_server(data_dir, crash_point="wal.append.mid_write")
         try:
 
-            async def doomed(client):
+            def doomed(client):
                 with pytest.raises((RuntimeError, ConnectionError, OSError)):
-                    await client.ingest("t", _rows_payload(2))
+                    client.ingest("t", _rows_payload(2))
 
             _client_run(port, doomed)
             assert proc.wait(timeout=30) != 0  # died at the crash point

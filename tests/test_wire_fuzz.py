@@ -1,0 +1,162 @@
+"""Seeded hostile-input fuzz of the wire protocol.
+
+One connection carries a few hundred frames, sent in pipelined bursts:
+the assigned request opcodes and unassigned ones, some with the trace
+flag (and a trailer), with valid, random, truncated and bit-flipped
+payloads, and ``OP_JSON`` bodies that are not JSON, not an object, name
+an unknown op or give a field the wrong type.  What must hold:
+
+* every frame gets exactly one reply, carrying its request id, with
+  status OK or ERROR;
+* the connection stays usable (a ping at the end answers);
+* no admission slot leaks (``server._inflight`` is back to zero);
+* a fresh client still gets ``pong``.
+
+The two replication opcodes are left out: ``OP_WAL_ACK`` is one-way by
+design, and ``OP_SUBSCRIBE`` turns the connection into a stream.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import socket
+
+import pytest
+from conftest import make_simple_table
+from test_wire_protocol import make_cached_service, on_loop, run_async, serve_service
+
+from repro.service import framing
+from repro.service.wire import PipelinedClient
+
+FRAMES = 300
+BURST = 16  # frames in flight at once: well under the admission limits
+SQL = "SELECT AVG(x) FROM stream WHERE y > 50"
+
+REQUEST_OPS = (
+    framing.OP_PING,
+    framing.OP_QUERY,
+    framing.OP_QUERY_BATCH,
+    framing.OP_INGEST,
+    framing.OP_JSON,
+)
+UNASSIGNED_OPS = (0, 8, 9, 42, 99, 127)
+
+#: ``OP_JSON`` bodies that must each come back as an error frame.
+HOSTILE_REQUESTS = [
+    b"{nope",
+    b"\xff\xfe not utf-8",
+    b"",
+    b"[1, 2]",
+    b"7",
+    b'"query"',
+    b"null",
+    json.dumps({"op": "nope"}).encode(),
+    json.dumps({"op": 7}).encode(),
+    json.dumps({}).encode(),
+    json.dumps({"op": "query", "sql": 5}).encode(),
+    json.dumps({"op": "query", "sql": None}).encode(),
+    json.dumps({"op": "query_batch", "sqls": "SELECT"}).encode(),
+    json.dumps({"op": "query_batch", "sqls": [1, None]}).encode(),
+    json.dumps({"op": "stat", "table": ["stream"]}).encode(),
+    json.dumps({"op": "drop", "table": {"name": "stream"}}).encode(),
+    json.dumps({"op": "ingest", "table": "stream", "rows": [1, 2]}).encode(),
+    json.dumps({"op": "ingest", "table": 3, "rows": {"x": [1.0]}}).encode(),
+    json.dumps({"op": "ingest", "table": "stream", "rows": {"x": "abc"}}).encode(),
+    json.dumps({"op": "register", "table": None, "rows": {"x": [1.0]}}).encode(),
+    json.dumps({"op": "register", "table": "t", "rows": {"x": [1.0]}, "params": 5}).encode(),
+    json.dumps({"op": "trace", "trace_id": 12}).encode(),
+    json.dumps({"op": "explain", "sql": ["SELECT"]}).encode(),
+    json.dumps({"op": "promote", "epoch": "two"}).encode(),
+    json.dumps({"op": "follow", "host": 1, "port": "p"}).encode(),
+]
+
+
+def _valid_payloads() -> dict[int, bytes]:
+    rows = make_simple_table(rows=5, seed=3, name="stream")
+    return {
+        framing.OP_PING: b"",
+        framing.OP_QUERY: framing.encode_query(SQL),
+        framing.OP_QUERY_BATCH: framing.encode_query_batch([SQL, "SELECT FROM"]),
+        framing.OP_INGEST: framing.encode_ingest("stream", rows, False),
+        framing.OP_JSON: framing.encode_json({"op": "stat", "table": "stream"}),
+    }
+
+
+def _payload(rng: random.Random, opcode: int, valid: dict[int, bytes]) -> bytes:
+    base = valid.get(opcode, b"")
+    shape = rng.choice(("valid", "random", "truncated", "flipped", "hostile"))
+    if shape == "random" or not base:
+        return rng.randbytes(rng.randrange(0, 64))
+    if shape == "truncated":
+        return base[: rng.randrange(len(base))]
+    if shape == "flipped":
+        flipped = bytearray(base)
+        for _ in range(rng.randint(1, 3)):
+            flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
+        return bytes(flipped)
+    if shape == "hostile" and opcode == framing.OP_JSON:
+        return rng.choice(HOSTILE_REQUESTS)
+    return base
+
+
+def _frames(seed: int) -> list[bytes]:
+    rng = random.Random(seed)
+    valid = _valid_payloads()
+    frames = []
+    for request_id in range(1, FRAMES + 1):
+        opcode = rng.choice(REQUEST_OPS + UNASSIGNED_OPS)
+        trace = (rng.randbytes(16), rng.randbytes(8)) if rng.random() < 0.25 else None
+        frames.append(
+            framing.encode_frame(opcode, request_id, _payload(rng, opcode, valid), trace)
+        )
+    return frames
+
+
+def _read_exactly(sock: socket.socket, count: int) -> bytes:
+    data = b""
+    while len(data) < count:
+        chunk = sock.recv(count - len(data))
+        if not chunk:
+            raise ConnectionError("the server closed the connection")
+        data += chunk
+    return data
+
+
+def _read_reply(sock: socket.socket) -> tuple[int, int]:
+    status, request_id, length = framing.decode_header(
+        _read_exactly(sock, framing.HEADER_SIZE)
+    )
+    _read_exactly(sock, length)
+    return status, request_id
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hostile_frames_each_get_one_reply_and_leave_the_server_usable(seed):
+    frames = _frames(seed)
+
+    def scenario(address, server, loop):
+        statuses = {}
+        with socket.create_connection(address, timeout=10.0) as sock:
+            sock.sendall(framing.MAGIC)
+            for start in range(0, FRAMES, BURST):
+                burst = range(start + 1, min(start + BURST, FRAMES) + 1)
+                sock.sendall(b"".join(frames[start : burst[-1]]))
+                for _ in burst:
+                    status, request_id = _read_reply(sock)
+                    assert request_id in burst and request_id not in statuses
+                    statuses[request_id] = status
+            assert set(statuses) == set(range(1, FRAMES + 1))
+            assert set(statuses.values()) <= {framing.STATUS_OK, framing.STATUS_ERROR}
+            # Both outcomes occur: the fuzz reached the handlers, not just
+            # the refusals.
+            assert set(statuses.values()) == {framing.STATUS_OK, framing.STATUS_ERROR}
+            # The connection is still usable: the next frame's reply is next.
+            sock.sendall(framing.encode_frame(framing.OP_PING, FRAMES + 1, b""))
+            assert _read_reply(sock) == (framing.STATUS_OK, FRAMES + 1)
+        # Read on the loop: a reply is written before its slot is released.
+        assert on_loop(loop, lambda: dict(server._inflight)) == {"query": 0, "ingest": 0}
+        with PipelinedClient(*address, timeout=10.0) as fresh:
+            assert fresh.ping() == "pong"
+
+    run_async(serve_service(make_cached_service(), scenario))

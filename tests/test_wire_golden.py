@@ -1,11 +1,16 @@
-"""Byte-level wire compatibility against traffic recorded at the parent commit.
+"""Byte-level wire compatibility against traffic recorded at a parent commit.
 
 ``tests/fixtures/wire-golden.json`` holds one request frame per binary
-opcode and one JSON line per op (plus the malformed-request errors),
-together with what the server answered, recorded by running this file
-as a script against the commit *before* the op table existed::
+opcode and one ``OP_JSON`` frame per op (plus the malformed-request
+errors), together with what the server answered, recorded by running
+this file as a script against a checkout of an earlier commit::
 
-    PYTHONPATH=<parent>/src python tests/test_wire_golden.py --record
+    REPRO_GOLDEN_SRC=<parent>/src python tests/test_wire_golden.py --record
+
+The fast-path frames were recorded before the op table existed.  The
+``OP_JSON`` frames carry the request objects that were recorded then as
+newline-delimited JSON lines, and were re-recorded as frames at the
+commit before that dialect was deleted.
 
 The test replays the recorded request bytes through raw sockets into a
 fresh ``python -m repro.service`` process and compares the answers,
@@ -100,25 +105,17 @@ def _read_exactly(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def _exchange(socks: dict, dialect: str, request: bytes):
-    """Send one recorded request, return the decoded reply."""
-    sock = socks[dialect]
+def _exchange(sock: socket.socket, request: bytes) -> dict:
+    """Send one recorded request frame, return the decoded reply."""
     sock.sendall(request)
-    if dialect == "json":
-        line = b""
-        while not line.endswith(b"\n"):
-            line += _read_exactly(sock, 1)
-        return json.loads(line)
     status, request_id, length = HEADER.unpack(_read_exactly(sock, HEADER.size))
     return {"status": status, "request_id": request_id, "payload": _read_exactly(sock, length).hex()}
 
 
-def _comparable(step: dict, reply) -> object:
+def _comparable(step: dict, reply: dict) -> dict:
     """The part of a reply that must not move between commits."""
-    if step["dialect"] == "json":
-        return _scrub(reply)
     payload = bytes.fromhex(reply["payload"])
-    if step["reply"] == "json":  # OP_INGEST / OP_JSON answer with a JSON body
+    if step["reply"] == "json" and reply["status"] == 0:  # an OK JSON body
         return {**reply, "payload": _scrub(json.loads(payload))}
     return reply  # result / batch / error blocks compare byte for byte
 
@@ -126,18 +123,14 @@ def _comparable(step: dict, reply) -> object:
 def _replay(steps: list[dict]) -> list:
     with tempfile.TemporaryDirectory() as data_dir:
         server = _Server(data_dir)
-        socks = {}
         try:
-            for dialect in ("json", "binary"):
-                socks[dialect] = socket.create_connection(server.address, timeout=60)
-            socks["binary"].sendall(MAGIC)
-            return [
-                _comparable(step, _exchange(socks, step["dialect"], bytes.fromhex(step["request"])))
-                for step in steps
-            ]
+            with socket.create_connection(server.address, timeout=60) as sock:
+                sock.sendall(MAGIC)
+                return [
+                    _comparable(step, _exchange(sock, bytes.fromhex(step["request"])))
+                    for step in steps
+                ]
         finally:
-            for sock in socks.values():
-                sock.close()
             server.stop()
 
 
@@ -183,13 +176,17 @@ def _script() -> list[dict]:
     avg = "SELECT AVG(x) FROM golden WHERE y > 60"
     steps: list[dict] = []
 
-    def line(label: str, request) -> None:
-        raw = request if isinstance(request, bytes) else json.dumps(request).encode() + b"\n"
-        steps.append({"label": label, "dialect": "json", "request": raw.hex()})
-
     def frame(label: str, op: int, payload: bytes, reply: str, trace=None) -> None:
         raw = framing.encode_frame(op, len(steps) + 1, payload, trace)
         steps.append({"label": label, "dialect": "binary", "request": raw.hex(), "reply": reply})
+
+    def line(label: str, request, trace=None) -> None:
+        """A request object (or raw bytes) once sent as a JSON line, now in
+        an ``OP_JSON`` frame; its reply is a JSON body or an error block."""
+        payload = request if isinstance(request, bytes) else json.dumps(request).encode()
+        frame(label, framing.OP_JSON, payload, "json", trace)
+
+    ids = (bytes.fromhex(trace_id), bytes.fromhex(span_id))
 
     line("ping", {"op": "ping"})
     line(
@@ -207,7 +204,13 @@ def _script() -> list[dict]:
     line("stat", {"op": "stat", "table": "golden"})
     line("query scalar", {"op": "query", "sql": avg})
     line("query group by", {"op": "query", "sql": "SELECT COUNT(*), SUM(y) FROM golden GROUP BY kind"})
-    line("query traced", {"op": "query", "sql": "SELECT MAX(y) FROM golden", "trace": {"trace_id": trace_id, "span_id": span_id}})
+    # The object keeps its "trace" key (all a JSON-lines request could
+    # carry) and the frame its trailer, so either server records the trace.
+    line(
+        "query traced",
+        {"op": "query", "sql": "SELECT MAX(y) FROM golden", "trace": {"trace_id": trace_id, "span_id": span_id}},
+        trace=ids,
+    )
     line("query explain prefix", {"op": "query", "sql": "EXPLAIN " + avg})
     line("ingest", {"op": "ingest", "table": "golden", "rows": table_payload(more), "coalesce": False})
     line("status", {"op": "status"})
@@ -224,7 +227,7 @@ def _script() -> list[dict]:
     line("unknown op", {"op": "nope"})
     line("no op", {})
     line("not an object", [1, 2])
-    line("not json", b"{nope\n")
+    line("not json", b"{nope")
     line("stat without table", {"op": "stat"})
     line("drop without table", {"op": "drop", "table": 7})
     line("query without sql", {"op": "query"})
@@ -246,7 +249,7 @@ def _script() -> list[dict]:
         framing.OP_QUERY,
         framing.encode_query("SELECT MIN(y) FROM golden"),
         "raw",
-        trace=(bytes.fromhex(trace_id), bytes.fromhex(span_id)),
+        trace=ids,
     )
     frame("OP_QUERY group by", framing.OP_QUERY, framing.encode_query("SELECT AVG(y) FROM golden GROUP BY kind"), "raw")
     frame("OP_QUERY parse error", framing.OP_QUERY, framing.encode_query("SELECT FROM"), "raw")

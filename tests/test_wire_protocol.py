@@ -3,10 +3,10 @@
 The contract under test (see ``repro.service.framing`` / ``wire`` /
 ``server``):
 
-* the server sniffs each connection's first bytes — the binary magic
-  selects the pipelined frame protocol, anything else the JSON-lines
-  shim, so ``nc``-style clients keep working (that both dialects answer
-  identically is pinned per op in ``test_ops_conformance.py``);
+* a connection opens with the binary magic and then speaks frames; one
+  that opens with anything else is closed without a reply, and no other
+  connection notices (that a fast-path frame and an ``OP_JSON`` frame
+  answer identically is pinned per op in ``test_ops_conformance.py``);
 * :class:`PipelinedClient` keeps many requests in flight on one
   connection and matches responses by request id;
 * admission control sheds requests over the in-flight limit with an
@@ -27,7 +27,7 @@ import threading
 
 import pytest
 
-from conftest import JsonLinesClient, make_simple_table
+from conftest import make_simple_table, tunnel
 
 from repro import (
     AccuracyAuditor,
@@ -88,29 +88,53 @@ EXTRA_ROW = {
 
 
 # --------------------------------------------------------------------------- #
-# Protocol negotiation
+# The preamble
 
 
-class TestNegotiation:
-    def test_old_json_lines_client_works_against_the_new_server(self):
-        """A pre-binary client (first byte ``{``) gets correct answers."""
+def _reply_to(address, opening: bytes) -> bytes:
+    """What the server sends back on a raw connection that opens with
+    ``opening`` and then half-closes: ``b""`` when it closes silently."""
+    with socket.create_connection(address, timeout=10.0) as sock:
+        sock.sendall(opening)
+        sock.shutdown(socket.SHUT_WR)
+        received = b""
+        try:
+            while chunk := sock.recv(4096):
+                received += chunk
+        except ConnectionResetError:  # closed with our bytes unread
+            pass
+        return received
+
+
+class TestPreamble:
+    def test_a_non_aqp1_connection_is_closed_silently(self):
+        """A JSON line, a wrong magic, a cut magic and a bare frame header
+        each get the connection closed with no reply, while a binary
+        client with a request in flight on the same server carries on."""
+        sql = "SELECT COUNT(*) FROM stream"
 
         def scenario(address, server):
-            with JsonLinesClient(*address) as client:
-                assert client.ping()
-                assert client.tables() == ["stream"]
-                payload = client.query("SELECT COUNT(*) FROM stream")
-                assert payload["results"][0]["value"] == pytest.approx(
-                    1200, rel=1e-9
-                )
+            with PipelinedClient(*address) as client:
+                answer = client.query(sql)
+                in_flight = client.submit("query", "SELECT AVG(x) FROM stream")
+                for opening in (
+                    b'{"op": "ping"}\n',
+                    b"AQP2",
+                    framing.MAGIC[:2],
+                    framing.encode_frame(framing.OP_PING, 1, b""),
+                ):
+                    assert _reply_to(address, opening) == b"", opening
+                assert in_flight.result(timeout=10.0)["results"]
+                assert client.ping() == "pong"
+                assert client.query(sql) == answer
                 assert client.ingest("stream", EXTRA_ROW)["appended_rows"] == 1
-                after = client.query("SELECT COUNT(*) FROM stream")
-                assert after["results"][0]["value"] == pytest.approx(
-                    1201, rel=1e-9
-                )
-                # Errors still come back as clean JSON frames.
+                # Errors are still frames on the binary connection.
                 with pytest.raises(WireError, match="ParseError"):
                     client.query("SELECT FROM")
+            # The same opening after the magic is a ping frame like any other.
+            framed = framing.MAGIC + framing.encode_frame(framing.OP_PING, 1, b"")
+            status, request_id, length = framing.decode_header(_reply_to(address, framed))
+            assert (status, request_id, length) == (framing.STATUS_OK, 1, 0)
 
         run_async(serve(scenario))
 
@@ -224,22 +248,18 @@ class TestPipelinedClient:
 
 class TestAdmissionControl:
     def test_query_shed_is_an_explicit_overloaded_response(self):
-        """``max_inflight_queries=0`` sheds every query on both dialects."""
+        """``max_inflight_queries=0`` sheds every query in both frame forms."""
 
         def scenario(address, server):
             with PipelinedClient(*address) as binary:
                 with pytest.raises(OverloadedError):
                     binary.query("SELECT COUNT(*) FROM stream")
-            with JsonLinesClient(*address) as old:
-                response = old.request(
-                    {"op": "query", "sql": "SELECT COUNT(*) FROM stream"}
-                )
-                assert response["ok"] is False
-                assert response["error_type"] == "Overloaded"
-            assert server.shed_counts["query"] >= 2
-            # Ingest has its own limit: it is not collateral damage.
-            with JsonLinesClient(*address) as old:
-                assert old.ingest("stream", EXTRA_ROW)["appended_rows"] == 1
+                with pytest.raises(OverloadedError, match="in-flight query limit"):
+                    tunnel(binary, {"op": "query", "sql": "SELECT COUNT(*) FROM stream"})
+                assert server.shed_counts["query"] >= 2
+                # Ingest has its own limit: it is not collateral damage
+                # (a dict of rows travels in an OP_JSON frame).
+                assert binary.ingest("stream", EXTRA_ROW)["appended_rows"] == 1
 
         run_async(serve(scenario, max_inflight_queries=0))
 
@@ -491,8 +511,8 @@ class RawConnection:
 class TestHitPath:
     def test_hits_answer_while_the_only_worker_is_parked(self, monkeypatch):
         """One executor thread, parked inside the engine: a cached statement
-        still answers over binary QUERY, OP_JSON, the JSON-lines shim and
-        QUERY_BATCH, because no hit waits for the executor."""
+        still answers over binary QUERY, OP_JSON and QUERY_BATCH, because
+        no hit waits for the executor."""
         cold = "SELECT SUM(z) FROM stream WHERE x < 40"
         cold_answer = encode_result(make_cached_service(result_cache_size=0).execute(cold))
         inside, release = threading.Event(), threading.Event()
@@ -504,9 +524,7 @@ class TestHitPath:
             return execute(engine, query)
 
         def scenario(address, server, loop):
-            with PipelinedClient(*address, timeout=10.0) as client, JsonLinesClient(
-                *address
-            ) as shim:
+            with PipelinedClient(*address, timeout=10.0) as client:
                 hot = client.query(HOT)  # a miss: executed, then cached
                 monkeypatch.setattr(PairwiseHistEngine, "execute", parked)
                 parked_query = client.submit("query", cold)
@@ -519,7 +537,6 @@ class TestHitPath:
                         framing.decode_json,
                     )
                     assert tunnelled.result(timeout=10.0) == hot
-                    assert shim.query(HOT) == hot
                     items = client.query_batch([HOT, HOT])
                     assert [(item["ok"], item["result"]) for item in items] == [(True, hot)] * 2
                     assert not parked_query.done()
