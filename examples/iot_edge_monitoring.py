@@ -65,6 +65,7 @@ def main() -> None:
               f"({outcome.untouched_partitions} untouched) in {outcome.seconds * 1e3:.0f} ms")
     after = service.execute_scalar("SELECT AVG(temperature) FROM gas WHERE humidity > 60")
     drift = after.value - before.value
+    gas = service.table("gas")  # each ingest committed a new table value
     print(f"  rows: {history.num_rows} -> {gas.num_rows}; lifetime synopsis builds: "
           f"{gas.synopsis_builds}")
     print(f"  AVG(temperature | humidity > 60): {before.value:.3f} -> {after.value:.3f} "

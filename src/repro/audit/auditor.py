@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import replace
 
 from ..exactdb.executor import ExactQueryEngine
 from ..obs import log as obs_log
@@ -286,37 +285,25 @@ class AccuracyAuditor:
     def _exact_engine(self, table_name: str) -> ExactQueryEngine | None:
         """Exact engine over the table's lossless rows, version-cached.
 
-        Reconstructs from the *committed* partition list (what queries
-        actually see), re-checking the synopsis version around the
-        reconstruction so a concurrent ingest commit retries once instead
-        of pairing new rows with an old estimate.
+        The store and the version come from one immutable table value, so
+        the rows reconstructed are exactly the rows the synopsis of that
+        version summarises.
         """
-        for _ in range(2):
-            try:
-                managed = self.service.table(table_name)
-            except KeyError:
-                return None
-            version = managed.synopsis_version
-            cached = self._exact_cache.get(table_name)
-            if cached is not None and cached[0] == version:
-                return cached[1]
-            try:
-                rows = self._reconstruct(managed)
-            except Exception:
-                return None
-            if managed.synopsis_version != version:
-                continue  # ingest committed mid-reconstruction; retry
-            engine = ExactQueryEngine(rows)
-            self._exact_cache[table_name] = (version, engine)
-            return engine
-        return None
-
-    @staticmethod
-    def _reconstruct(managed):
-        partitions = managed.committed_partitions
-        if partitions is None:
-            return managed.store.reconstruct_rows()
-        return replace(managed.store, partitions=partitions).reconstruct_rows()
+        try:
+            managed = self.service.table(table_name)
+        except KeyError:
+            return None
+        version = managed.synopsis_version
+        cached = self._exact_cache.get(table_name)
+        if cached is not None and cached[0] == version:
+            return cached[1]
+        try:
+            rows = managed.store.reconstruct_rows()
+        except Exception:
+            return None
+        engine = ExactQueryEngine(rows)
+        self._exact_cache[table_name] = (version, engine)
+        return engine
 
     # ------------------------------------------------------------------ #
     # Introspection

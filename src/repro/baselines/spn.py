@@ -201,8 +201,11 @@ def _column_groups(matrix: np.ndarray, threshold: float) -> list[list[int]]:
     num_cols = matrix.shape[1]
     if num_cols == 1:
         return [[0]]
-    filled = np.where(np.isfinite(matrix), matrix, np.nanmean(np.where(np.isfinite(matrix), matrix, np.nan), axis=0))
-    filled = np.nan_to_num(filled, nan=0.0)
+    finite = np.isfinite(matrix)
+    # Column means over the finite cells; an all-NULL column fills with 0
+    # (``np.nanmean`` would warn on it).
+    means = np.where(finite, matrix, 0.0).sum(axis=0) / np.maximum(finite.sum(axis=0), 1)
+    filled = np.nan_to_num(np.where(finite, matrix, means), nan=0.0)
     with np.errstate(invalid="ignore"):
         corr = np.corrcoef(filled, rowvar=False)
     corr = np.nan_to_num(corr, nan=0.0)

@@ -40,6 +40,7 @@ from ..core.engine import AqpResult
 from ..core.params import PairwiseHistParams
 from ..data.schema import TableSchema
 from ..data.table import Table
+from ..gd.preprocessor import check_encodable
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from ..sql.ast import Query
@@ -486,6 +487,8 @@ class ClusterQueryService:
     ) -> ClusterTable:
         if table.name in self._catalog:
             raise ValueError(f"table {table.name!r} is already registered")
+        # Refuse before any shard registers its slice.
+        check_encodable(table)
         # Catalog entries hold the per-shard (scaled) params so lazy shard
         # registrations — including after a cluster restart — use exactly
         # what the initial shards were built with.

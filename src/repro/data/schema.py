@@ -40,9 +40,11 @@ class ColumnSchema:
         For NUMERIC columns, the number of decimal digits that must be
         preserved when converting to integers (GreedyGD pre-processing).
     categories:
-        For CATEGORICAL columns, the list of category labels.  Optional;
-        filled in automatically from the data by the pre-processor when
-        absent.
+        For CATEGORICAL columns, an optional list of category labels.
+        Only the schema codecs (``repro.storage.codec`` and the wire's
+        schema payload in ``repro.service.ops``) read or write it; the
+        pre-processor ranks the labels it finds in the data and never
+        consults it.
     nullable:
         Whether the column may contain missing values.
     """

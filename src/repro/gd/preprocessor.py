@@ -27,6 +27,43 @@ from ..data.schema import ColumnSchema
 from ..data.table import Table
 
 
+#: Every stored numeric cell has ``|value| * 10**decimals`` below this, so
+#: any code ``(value - offset) * 10**decimals`` (whose offset is itself a
+#: stored value) fits in int64.
+_CODE_BOUND = 2.0**62
+
+
+def check_encodable(table: Table) -> None:
+    """Refuse a table holding a numeric cell the code domain cannot hold.
+
+    NaN is the NULL marker; ±inf, or a value whose magnitude at the
+    column's scale reaches :data:`_CODE_BOUND`, has no int64 code and
+    would be stored as NULL or as a garbage code.  Raises
+    :class:`ValueError` naming the column and the first bad row.  Only the
+    front doors (register, ingest) call this, never
+    :meth:`ColumnTransform.transform_array`, so WAL records acked before
+    the check existed still replay.
+    """
+    first = None
+    for cschema in table.schema:
+        if cschema.is_categorical:
+            continue
+        values = np.asarray(table.column(cschema.name), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = np.abs(values) * 10.0**cschema.decimals >= _CODE_BOUND
+        if bad.any():
+            row = int(np.argmax(bad))
+            if first is None or row < first[0]:
+                first = (row, cschema.name, values[row])
+    if first is not None:
+        row, name, value = first
+        raise ValueError(
+            f"column {name!r} of table {table.name!r} cannot store row {row}'s "
+            f"value {value!r}: a numeric cell must be finite with magnitude "
+            f"below 2**62 at the column's scale"
+        )
+
+
 @dataclass
 class ColumnTransform:
     """Invertible affine / dictionary transform of one column."""

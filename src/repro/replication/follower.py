@@ -152,7 +152,6 @@ class ReplicaApplier:
             )
         for loaded in snapshot.tables:
             db._install_loaded(loaded)
-        db._finalize_recovery()
         db._last_checkpoint_lsn = checkpoint_lsn
 
 

@@ -3,20 +3,23 @@
 The monolithic pipeline (one table → one synopsis → one engine) becomes a
 service here:
 
-* :class:`Database` is the catalog and maintenance layer.  Registering a
-  table shards it into a :class:`~repro.gd.partitioned.PartitionedStore`,
-  builds one PairwiseHist per partition in parallel and merges them into
-  the queryable synopsis.  :meth:`Database.ingest` streams new rows in:
-  only the tail partition's store and synopsis are rebuilt, the merged
-  synopsis is recomposed from the (mostly untouched) per-partition parts
-  and published as a new engine.
+* :class:`Database` is the catalog and maintenance layer.  A registered
+  table is one immutable :class:`ManagedTable` value: its
+  :class:`~repro.gd.partitioned.PartitionedStore` (the pre-processor and
+  the GD-compressed partitions), one PairwiseHist per partition, and the
+  engine over their merge.  :meth:`Database.ingest` streams new rows in:
+  it appends to a copy of the store, rebuilds only the tail partition's
+  synopsis, recomposes the merged synopsis from the (mostly untouched)
+  per-partition parts, and commits the resulting value with one catalog
+  assignment.  Registration, WAL replay and snapshot install commit the
+  same way (:meth:`Database._commit`).
 * :class:`QueryService` is the SQL front end: it parses queries, routes
   them by table name to the owning engine and exposes streaming ingestion.
   It is safe under parallel clients without a lock on the read path: a
-  published engine is never mutated, so a query reads ``managed.engine``
-  once and runs on that object while writers publish the next one.
-  Writers serialise on the catalog mutex (register) and on each table's
-  writer mutex (ingest, drop).
+  query reads the table's value once and runs on it while writers commit
+  the next one, so rows a writer has staged but not committed are never
+  seen.  Writers serialise on the catalog mutex (register) and on each
+  table's writer mutex (ingest, drop).
 
 This is the Fig. 2 pipeline including the red incremental-update arrows,
 generalised to many tables with bounded-cost appends.
@@ -37,6 +40,7 @@ from ..core.params import PairwiseHistParams
 from ..core.synopsis import PairwiseHist
 from ..data.table import Table
 from ..gd.partitioned import DEFAULT_PARTITION_SIZE, PartitionedStore
+from ..gd.preprocessor import check_encodable
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..sql.ast import Query
@@ -55,7 +59,7 @@ _SYNOPSIS_BUILDS = obs_metrics.counter(
 
 
 def check_rows_match(table_name: str, rows, schema) -> None:
-    """The type and schema checks every ingest front door applies."""
+    """The type, schema and value checks every ingest front door applies."""
     if not isinstance(rows, Table):
         raise TypeError(
             f"ingest into {table_name!r} needs a Table of rows, "
@@ -67,6 +71,7 @@ def check_rows_match(table_name: str, rows, schema) -> None:
             f"expected columns {schema.names}, "
             f"got {rows.schema.names}"
         )
+    check_encodable(rows)
 
 
 @dataclass
@@ -84,75 +89,35 @@ class IngestResult:
         return self.total_partitions - len(self.rebuilt_partitions)
 
 
-@dataclass
-class StagedIngest:
-    """An ingest whose rebuild is done but whose results are unpublished.
+@dataclass(frozen=True)
+class ManagedTable:
+    """One registered table as one immutable value: store, synopses, engine.
 
-    Produced by :meth:`Database.stage_ingest` (the expensive phase) and
-    consumed by :meth:`Database.commit_ingest` (the cheap publish), both
-    under the table's writer mutex when driven by :meth:`Database.ingest`.
+    A commit never mutates a value; it makes the next one with
+    :func:`dataclasses.replace` and swaps it into the catalog with one
+    assignment (:meth:`Database._commit`).  A query that read a value
+    finishes on it, and everything on it belongs to one commit: the rows
+    the store holds are the rows the synopses summarise.
     """
 
-    #: The table this ingest was staged against; the commit publishes
-    #: into it only while it is still the one registered under its name.
-    table: ManagedTable
-    appended_rows: int
-    affected: list[int]
-    #: Full replacement partition-synopsis list (``None`` for a no-op append).
-    synopses: list[PairwiseHist] | None
-    merged: PairwiseHist | None
-    total_partitions: int
-    started: float
-    #: The raw appended rows — a durable database logs them to its WAL at
-    #: commit time, so recovery can replay exactly the committed batches.
-    rows: Table | None = None
-    #: The store's partition list as assembled by this append.  Committing
-    #: publishes it as the table's durable (checkpointable) partition set.
-    partitions: list | None = None
-
-
-@dataclass
-class ManagedTable:
-    """One registered table: partitioned store, per-partition synopses, engine."""
-
     name: str
-    store: PartitionedStore
     params: PairwiseHistParams
+    store: PartitionedStore
     partition_synopses: list[PairwiseHist]
     engine: PairwiseHistEngine
     #: Total partition-synopsis builds over the table's lifetime — the
     #: incremental-maintenance cost metric (grows by the number of affected
     #: partitions per ingest, not by the partition count).
-    synopsis_builds: int = 0
-    #: The partition list as of the last *committed* ingest.  The store's
-    #: own list advances during :meth:`Database.stage_ingest` (before the
-    #: commit publishes synopses and the WAL record), so a
-    #: checkpoint capturing mid-ingest state must snapshot this list, not
-    #: ``store.partitions`` — otherwise it would persist rows whose WAL
-    #: record does not exist yet and recovery would apply them twice.
-    committed_partitions: list | None = None
-    #: Version of the published (queryable) synopsis, drawn from one
-    #: global monotonic counter at registration and re-drawn by every
-    #: ingest commit that swaps synopses in.  Result-cache keys include
-    #: it, so the commit pointer swap doubles as cache invalidation —
-    #: and a drop + re-register under the same name can never collide
-    #: with stale entries (the counter never repeats).
-    synopsis_version: int = 0
+    synopsis_builds: int
+    #: Drawn from one global monotonic counter by every commit.
+    #: Result-cache keys include it, so the commit swap doubles as cache
+    #: invalidation — and a drop + re-register under the same name can
+    #: never collide with stale entries (the counter never repeats).
+    synopsis_version: int
     #: Serialises this table's writers (ingest, drop, a replica's
-    #: uninstall); queries never take it.
+    #: uninstall); queries never take it.  Every value committed under
+    #: one registration shares it.
     writer: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
-
-    def publish(self, synopsis: PairwiseHist) -> None:
-        """Make ``synopsis`` the queryable one: a new engine, then a new version.
-
-        The published engine is never mutated, so a query already holding
-        it finishes on it.  The version is drawn after the engine is
-        assigned, so a reader that sees the new version sees the new
-        engine; an answer cached under the superseded version is never
-        looked up again.
-        """
-        self.engine = replace(self.engine, synopsis=synopsis)
-        self.synopsis_version = next(Database._version_counter)
 
     @property
     def num_rows(self) -> int:
@@ -164,6 +129,27 @@ class ManagedTable:
 
     def compressed_bytes(self) -> int:
         return self.store.compressed_bytes()
+
+
+@dataclass
+class StagedIngest:
+    """An ingest whose rebuild is done but whose value is unpublished.
+
+    Produced by :meth:`Database.stage_ingest` (the expensive phase) and
+    consumed by :meth:`Database.commit_ingest` (the cheap publish), both
+    under the table's writer mutex when driven by :meth:`Database.ingest`.
+    """
+
+    #: The value this ingest was staged from; the commit publishes only
+    #: while it is still the one in the catalog.
+    table: ManagedTable
+    #: The value the commit publishes (``None`` for a no-op append).
+    next: ManagedTable | None
+    #: The raw appended rows — a durable database logs them to its WAL at
+    #: commit time, so recovery can replay exactly the committed batches.
+    rows: Table
+    affected: list[int]
+    started: float
 
 
 class Database:
@@ -211,20 +197,37 @@ class Database:
     def writing(self, name: str):
         """Hold the writer mutex of the table registered as ``name``.
 
-        While it is held the table can be neither dropped nor replaced
-        under its name, so the yielded :class:`ManagedTable` stays the
-        catalog's.  Lock order: writer mutex, then any database-internal
-        mutex (the durable subclass's).
+        Every commit makes a new value, so the registration is identified
+        by its shared writer lock and the current value is re-read under
+        it.  While the lock is held the table can be neither dropped nor
+        replaced under its name and no other writer commits, so the
+        yielded :class:`ManagedTable` stays the catalog's.  Lock order:
+        writer mutex, then any database-internal mutex (the durable
+        subclass's).
         """
-        managed = self.table(name)
-        with managed.writer:
-            if self._tables.get(name) is not managed:
+        writer = self.table(name).writer
+        with writer:
+            managed = self._tables.get(name)
+            if managed is None or managed.writer is not writer:
                 raise KeyError(f"table {name!r} was dropped while waiting to write")
             yield managed
 
     def drop(self, name: str) -> None:
         with self.writing(name):
             del self._tables[name]
+
+    def _commit(self, managed: ManagedTable, **changes) -> ManagedTable:
+        """Publish the next value of a table: one catalog assignment.
+
+        The one commit path (registration, ingest, WAL replay, snapshot
+        install).  It draws a fresh synopsis version, so an answer cached
+        under an earlier value is never looked up again; a query that
+        already read the earlier value finishes on it.  Callers hold the
+        table's writer mutex or the catalog mutex.
+        """
+        committed = replace(managed, **changes, synopsis_version=next(self._version_counter))
+        self._tables[committed.name] = committed
+        return committed
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -235,10 +238,14 @@ class Database:
         params: PairwiseHistParams | None = None,
         partition_size: int | None = None,
     ) -> ManagedTable:
-        """Shard, compress and summarise a table, making it queryable."""
+        """Shard, compress and summarise a table, making it queryable.
+
+        Raises :class:`ValueError` for a numeric cell the code domain
+        cannot hold (:func:`~repro.gd.preprocessor.check_encodable`).
+        """
+        check_encodable(table)
         managed = self._build_managed(table, params, partition_size)
-        self._publish_registration(managed, table)
-        return managed
+        return self._publish_registration(managed, table)
 
     def _build_managed(
         self,
@@ -250,7 +257,7 @@ class Database:
 
         Produces a fully-built :class:`ManagedTable` without touching the
         catalog, so a durable subclass can make the catalog insert atomic
-        with its WAL append.
+        with its WAL append.  Its version is drawn when it is committed.
         """
         if table.name in self._tables:
             raise ValueError(f"table {table.name!r} is already registered")
@@ -268,16 +275,15 @@ class Database:
         _SYNOPSIS_BUILDS.inc(len(synopses), table=table.name)
         return ManagedTable(
             name=table.name,
-            store=store,
             params=params,
+            store=store,
             partition_synopses=synopses,
             engine=engine,
             synopsis_builds=len(synopses),
-            committed_partitions=store.partitions,
-            synopsis_version=next(self._version_counter),
+            synopsis_version=0,
         )
 
-    def _publish_registration(self, managed: ManagedTable, source: Table) -> None:
+    def _publish_registration(self, managed: ManagedTable, source: Table) -> ManagedTable:
         """The cheap half of registration: the catalog insert.
 
         The durable subclass overrides this to WAL-log the source rows
@@ -286,7 +292,7 @@ class Database:
         with self._catalog_mutex:
             if managed.name in self._tables:
                 raise ValueError(f"table {managed.name!r} is already registered")
-            self._tables[managed.name] = managed
+            return self._commit(managed)
 
     def _build_synopses(
         self,
@@ -322,90 +328,76 @@ class Database:
           registered catalog,
         * ``rows`` not a :class:`~repro.data.table.Table` → :class:`TypeError`,
         * schema mismatch → :class:`ValueError` naming both column lists,
+        * a numeric cell the code domain cannot hold → :class:`ValueError`
+          naming the column and the first bad row,
 
         instead of whatever attribute error would otherwise escape from
-        deep inside the partitioned store.
+        deep inside the partitioned store, or a value silently lost.
         """
         managed = self.table(table_name)
         check_rows_match(table_name, rows, managed.store.schema)
         return managed
 
     def stage_ingest(self, table_name: str, rows: Table) -> StagedIngest:
-        """Phase 1 of an ingest: append + rebuild, without publishing.
+        """Phase 1 of an ingest: build the table's next value, unpublished.
 
-        The partitioned store appends (tail top-up + overflow partitions;
-        the partition list is swapped atomically), then only the affected
-        partitions' synopses are rebuilt and re-merged — into *fresh*
-        objects that no reader can see yet.  Queries running concurrently
-        keep using the table's published engine untouched.
+        The rows are appended to a shallow copy of the store (tail top-up
+        + overflow partitions; ``append`` rebinds only the copy's
+        partition list), then only the affected partitions' synopses are
+        rebuilt and re-merged.  Nothing a reader can see changes, so a
+        failure here leaves nothing to undo.
         """
         start = time.perf_counter()
         managed = self.validate_ingest(table_name, rows)
-        partitions_before = managed.store.partitions
-        affected = managed.store.append(rows)
-        synopses = None
-        merged = None
-        try:
-            if affected:
-                rebuilt = self._build_synopses(
-                    managed.store,
-                    managed.params,
-                    [managed.store.partitions[index] for index in affected],
-                )
-                synopses = list(managed.partition_synopses)
-                synopses.extend([None] * (managed.store.num_partitions - len(synopses)))
-                for index, synopsis in zip(affected, rebuilt):
-                    synopses[index] = synopsis
-                merged = PairwiseHist.merge(list(synopses), params=managed.params)
-        except BaseException:
-            # Roll the append back so the store never outruns its synopses:
-            # append() swapped in a fresh partition list and sealed
-            # partitions are immutable, so restoring the old list reverts
-            # it exactly and the table stays ingestable.
-            managed.store.partitions = partitions_before
-            raise
+        store = replace(managed.store)
+        affected = store.append(rows)
+        following = None
+        if affected:
+            rebuilt = self._build_synopses(
+                store, managed.params, [store.partitions[index] for index in affected]
+            )
+            synopses = list(managed.partition_synopses)
+            synopses.extend([None] * (store.num_partitions - len(synopses)))
+            for index, synopsis in zip(affected, rebuilt):
+                synopses[index] = synopsis
+            merged = PairwiseHist.merge(list(synopses), params=managed.params)
+            following = replace(
+                managed,
+                store=store,
+                partition_synopses=synopses,
+                engine=replace(managed.engine, synopsis=merged),
+                synopsis_builds=managed.synopsis_builds + len(affected),
+            )
         return StagedIngest(
-            table=managed,
-            appended_rows=rows.num_rows,
-            affected=affected,
-            synopses=synopses,
-            merged=merged,
-            total_partitions=managed.store.num_partitions,
-            started=start,
-            rows=rows,
-            partitions=managed.store.partitions,
+            table=managed, next=following, rows=rows, affected=affected, started=start
         )
 
     def commit_ingest(self, staged: StagedIngest) -> IngestResult:
-        """Phase 2 of an ingest: publish the staged synopses (cheap swap).
+        """Phase 2 of an ingest: publish the staged value (one swap).
 
         Everything expensive happened in :meth:`stage_ingest`; this only
-        swaps the partition-synopsis list and publishes a new engine over
-        the merged synopsis (:meth:`ManagedTable.publish`, which also
-        invalidates every cached result for the table).  Raises
-        :class:`KeyError` if the table was dropped (or dropped and
-        re-registered) since staging.
+        commits the next value (:meth:`_commit`, which also invalidates
+        every cached result for the table).  Raises :class:`KeyError` if
+        the value it was staged from is no longer the catalog's (the
+        table was dropped, re-registered or committed to since).
         """
         managed = self._staged_table(staged)
-        if staged.synopses is not None:
-            managed.partition_synopses = staged.synopses
-            managed.committed_partitions = staged.partitions
-            managed.synopsis_builds += len(staged.affected)
+        if staged.next is not None:
             _SYNOPSIS_BUILDS.inc(len(staged.affected), table=managed.name)
-            managed.publish(staged.merged)
+            managed = self._commit(staged.next)
         return IngestResult(
             table_name=managed.name,
-            appended_rows=staged.appended_rows,
+            appended_rows=staged.rows.num_rows,
             rebuilt_partitions=staged.affected,
-            total_partitions=staged.total_partitions,
+            total_partitions=managed.num_partitions,
             seconds=time.perf_counter() - staged.started,
         )
 
     def _staged_table(self, staged: StagedIngest) -> ManagedTable:
-        """The table a staged ingest publishes into, if it is still registered."""
+        """The value a staged ingest was staged from, if it is still the catalog's."""
         managed = staged.table
         if self._tables.get(managed.name) is not managed:
-            raise KeyError(f"table {managed.name!r} was dropped after this ingest was staged")
+            raise KeyError(f"table {managed.name!r} changed after this ingest was staged")
         return managed
 
     def ingest(self, table_name: str, rows: Table) -> IngestResult:
@@ -413,7 +405,7 @@ class Database:
 
         :meth:`stage_ingest` then :meth:`commit_ingest`, both under the
         table's writer mutex; queries keep answering from the published
-        engine throughout.
+        value throughout.
         """
         with self.writing(table_name):
             return self.commit_ingest(self.stage_ingest(table_name, rows))
@@ -580,9 +572,8 @@ class QueryService:
 
         The key is ``(table, synopsis_version, scalar, sql_text)``; the
         raw SQL string keys directly (no canonicalisation — dashboards
-        re-send byte-identical text).  The table's engine is read once,
-        after its version (the order :meth:`ManagedTable.publish` writes
-        them in reverse), and the whole query runs on that object.  A
+        re-send byte-identical text).  The version and the engine come
+        from one table value, and the whole query runs on that engine.  A
         result written under version v after a concurrent commit bumped to
         v+1 is harmless: lookups use the current version, so the stale
         entry can never be served and simply ages out of the LRU.

@@ -27,7 +27,6 @@ _EXPORTS = {
     "BackgroundCheckpointer": ("checkpointer", "BackgroundCheckpointer"),
     "CheckpointResult": ("durable", "CheckpointResult"),
     "DurableDatabase": ("durable", "DurableDatabase"),
-    "LoadedSnapshot": ("snapshot", "LoadedSnapshot"),
     "RecoveryInfo": ("durable", "RecoveryInfo"),
     "SimulatedCrash": ("faults", "SimulatedCrash"),
     "SnapshotState": ("snapshot", "SnapshotState"),

@@ -6,13 +6,13 @@ checkpoints:
 
 * every mutation (register / committed ingest / drop) appends one record
   to the :class:`~repro.storage.wal.WriteAheadLog` *atomically* with its
-  in-memory publication — a single ``_durable_mutex`` orders appends,
-  catalog inserts and synopsis-pointer swaps against checkpoint captures,
-  so a checkpoint always sees a consistent cut of (state, LSN);
-* :meth:`checkpoint` captures copy-on-write references under that mutex
-  (microseconds — queries never block, writers block only for the
-  capture, never the serialization), writes an atomic snapshot directory
-  and truncates WAL segments the snapshot covers;
+  catalog swap — a single ``_durable_mutex`` orders appends and catalog
+  swaps against checkpoint captures, so a checkpoint always sees a
+  consistent cut of (state, LSN);
+* :meth:`checkpoint` captures every table's current immutable value
+  under that mutex (microseconds — queries never block, writers block
+  only for the capture, never the serialization), writes an atomic
+  snapshot directory and truncates WAL segments the snapshot covers;
 * :meth:`open` recovers: load the newest valid snapshot, replay WAL
   records past its checkpoint LSN, rebuild only the partition synopses
   the replay touched — each with the table size as of the ingest that
@@ -43,7 +43,6 @@ from . import codec
 from .faults import maybe_crash
 from .snapshot import (
     SNAPSHOT_PREFIX,
-    LoadedTable,
     SnapshotState,
     TableSnapshotState,
     load_latest_snapshot,
@@ -163,7 +162,7 @@ class DurableDatabase(Database):
     # ------------------------------------------------------------------ #
     # Logged mutations
 
-    def _publish_registration(self, managed: ManagedTable, source: Table) -> None:
+    def _publish_registration(self, managed: ManagedTable, source: Table) -> ManagedTable:
         payload = codec.encode_register_payload(
             source, managed.params, managed.store.partition_size
         )
@@ -171,12 +170,11 @@ class DurableDatabase(Database):
             if managed.name in self._tables:
                 raise ValueError(f"table {managed.name!r} is already registered")
             self.wal.append(WAL_REGISTER, payload)
-            self._tables[managed.name] = managed
+            return self._commit(managed)
 
     def commit_ingest(self, staged: StagedIngest) -> IngestResult:
-        if staged.synopses is None or staged.rows is None:
-            # Nothing was appended (or a replay-internal commit); nothing
-            # to make durable.
+        if staged.next is None:
+            # Nothing was appended; nothing to make durable.
             return super().commit_ingest(staged)
         payload = codec.encode_ingest_payload(staged.table.name, staged.rows)
         with self._durable_mutex:
@@ -240,13 +238,14 @@ class DurableDatabase(Database):
     # Checkpoints
 
     def _capture(self) -> SnapshotState:
-        """Grab copy-on-write references to every table's committed state.
+        """Grab every table's current value: references, not copies.
 
-        Runs under ``_durable_mutex`` so the set of references and the
-        WAL's last LSN form one consistent cut: a record is reflected in
-        the captured state iff its LSN is ``<= checkpoint_lsn``.  Captures
-        ``committed_partitions`` — never ``store.partitions``, which a
-        staged-but-uncommitted ingest may already have advanced.
+        Runs under ``_durable_mutex``, which every logged mutation holds, so
+        the values and the WAL's last LSN form one consistent cut: a
+        record is reflected in the captured state iff its LSN is
+        ``<= checkpoint_lsn``.  A value is immutable, so the serialization
+        that follows runs without any lock, and rows an ingest has staged
+        but not committed are never in it.
 
         A partition that a previous checkpoint (or the snapshot load)
         persisted carries its blob identity; the snapshot writer checks
@@ -255,26 +254,16 @@ class DurableDatabase(Database):
         what makes checkpoints O(tail).
         """
         with self._durable_mutex:
-            tables = []
-            for managed in self._tables.values():
-                partitions = (
-                    managed.committed_partitions
-                    if managed.committed_partitions is not None
-                    else managed.store.partitions
+            tables = [
+                TableSnapshotState(
+                    store=managed.store,
+                    params=managed.params,
+                    partition_synopses=managed.partition_synopses,
+                    synopsis_builds=managed.synopsis_builds,
+                    merged=managed.engine.synopsis,
                 )
-                tables.append(
-                    TableSnapshotState(
-                        name=managed.name,
-                        schema=managed.store.schema,
-                        preprocessor=managed.store.preprocessor,
-                        partition_size=managed.store.partition_size,
-                        params=managed.params,
-                        partitions=partitions,
-                        partition_synopses=managed.partition_synopses,
-                        synopsis_builds=managed.synopsis_builds,
-                        merged=managed.engine.synopsis,
-                    )
-                )
+                for managed in self._tables.values()
+            ]
             return SnapshotState(checkpoint_lsn=self.wal.last_lsn, tables=tables)
 
     def checkpoint(self) -> CheckpointResult:
@@ -361,7 +350,6 @@ class DurableDatabase(Database):
                 # silently losing them on the following restart.
                 db.wal.reset_to(checkpoint_lsn)
         replayed_records, replayed_rows, rebuilt = db._replay(checkpoint_lsn)
-        db._finalize_recovery()
         truncated = db.wal.truncate_through(checkpoint_lsn)
         db._last_checkpoint_lsn = checkpoint_lsn
         db.recovery_info = RecoveryInfo(
@@ -376,61 +364,64 @@ class DurableDatabase(Database):
         )
         return db
 
-    def _install_loaded(self, loaded: LoadedTable) -> None:
-        """Turn one snapshot table into a live ManagedTable (no rebuilds).
+    def _install_loaded(self, loaded: TableSnapshotState) -> None:
+        """Commit one snapshot table as a live ManagedTable (no rebuilds).
 
         The queryable synopsis comes straight from the snapshot's exact
         (``PWHX``) merged payload when present; re-merging every partition
         would dominate the restart otherwise.  Its construction params are
         swapped back to the catalog's full-fidelity copy (the wire header
-        only carries the bound-recomputation fields).  Replay may still
-        replace it (``_rebuild_replayed``); a snapshot without a merged
-        payload is merged once after replay settles
-        (``_finalize_recovery``).
+        only carries the bound-recomputation fields).  A snapshot without
+        a merged payload is merged here, so no catalog value ever lacks
+        a synopsis.  Replay may still replace it (``_rebuild_replayed``).
+        A reseed replaces a table under its name; the fresh version the
+        commit draws keeps the old table's cached answers from aliasing.
         """
-        store = loaded.to_store()
         merged = loaded.merged
-        if merged is not None and merged.params != loaded.params:
+        if merged is None:
+            merged = PairwiseHist.merge(list(loaded.partition_synopses), params=loaded.params)
+        elif merged.params != loaded.params:
             merged = replace(merged, params=loaded.params)
+        store = loaded.store
         engine = PairwiseHistEngine(
             synopsis=merged,
-            preprocessor=loaded.preprocessor,
-            table_name=loaded.name,
+            preprocessor=store.preprocessor,
+            table_name=store.table_name,
         )
-        self._tables[loaded.name] = ManagedTable(
-            name=loaded.name,
-            store=store,
-            params=loaded.params,
-            # Kept as the snapshot's lazy sequence: per-partition synopses
-            # hydrate on first ingest touch, not at open() (queries only
-            # need the merged synopsis installed below).
-            partition_synopses=loaded.partition_synopses,
-            engine=engine,
-            synopsis_builds=loaded.synopsis_builds,
-            committed_partitions=store.partitions,
-            # A reseed replaces a table under its name: a fresh version
-            # keeps the old table's cached answers from aliasing.
-            synopsis_version=next(self._version_counter),
+        self._commit(
+            ManagedTable(
+                name=store.table_name,
+                params=loaded.params,
+                store=store,
+                # Kept as the snapshot's lazy sequence: per-partition
+                # synopses hydrate on first ingest touch, not at open()
+                # (queries only need the merged synopsis).
+                partition_synopses=loaded.partition_synopses,
+                engine=engine,
+                synopsis_builds=loaded.synopsis_builds,
+                synopsis_version=0,
+            )
         )
 
     def _replay(self, checkpoint_lsn: int) -> tuple[int, int, int]:
         """Apply WAL records past the checkpoint; rebuild touched synopses.
 
-        Appends are applied store-level only while scanning; per partition
-        we remember the table's row count as of the *last* record touching
-        it, then rebuild each touched partition once with that row count —
-        the same bin budget the live run used for its final rebuild of
-        that partition, so recovered synopses match exactly at a fraction
-        of the live run's rebuild cost.
+        Appends are applied store-level only while scanning, to a copy of
+        each touched table's store; per partition we remember the table's
+        row count as of the *last* record touching it, then rebuild each
+        touched partition once with that row count — the same bin budget
+        the live run used for its final rebuild of that partition, so
+        recovered synopses match exactly at a fraction of the live run's
+        rebuild cost.
         """
         replayed_records = 0
         replayed_rows = 0
-        #: table -> {partition index -> table rows as of last touch}
-        pending: dict[str, dict[int, int]] = {}
-        #: table -> builds the live run would have counted (one per
-        #: affected partition per ingest, even when replay coalesces the
-        #: actual rebuilds) — keeps the maintenance-cost metric identical.
-        pending_builds: dict[str, int] = {}
+        #: table -> [its store with the replayed batches appended,
+        #: {partition index -> table rows as of last touch}, builds the
+        #: live run would have counted — one per affected partition per
+        #: ingest, even when replay coalesces the actual rebuilds, which
+        #: keeps the maintenance-cost metric identical]
+        pending: dict[str, list] = {}
         for record in self.wal.read_records(after_lsn=checkpoint_lsn):
             replayed_records += 1
             if record.rtype == WAL_REGISTER:
@@ -438,63 +429,54 @@ class DurableDatabase(Database):
                     record.payload
                 )
                 pending.pop(table.name, None)
-                pending_builds.pop(table.name, None)
                 self._tables.pop(table.name, None)
-                managed = self._build_managed(table, params, partition_size)
-                self._tables[table.name] = managed
+                self._commit(self._build_managed(table, params, partition_size))
             elif record.rtype == WAL_INGEST:
                 name, batch = codec.decode_ingest_payload(record.payload)
-                managed = self._tables[name]
-                affected = managed.store.append(batch)
+                if name not in pending:
+                    pending[name] = [replace(self._tables[name].store), {}, 0]
+                entry = pending[name]
+                store, touched = entry[0], entry[1]
+                affected = store.append(batch)
                 replayed_rows += batch.num_rows
-                touched = pending.setdefault(name, {})
-                pending_builds[name] = pending_builds.get(name, 0) + len(affected)
-                total = managed.store.num_rows
+                entry[2] += len(affected)
                 for index in affected:
-                    touched[index] = total
+                    touched[index] = store.num_rows
             elif record.rtype == WAL_DROP:
                 name = codec.decode_drop_payload(record.payload)
                 pending.pop(name, None)
-                pending_builds.pop(name, None)
                 self._tables.pop(name, None)
             else:
                 raise ValueError(f"unknown WAL record type {record.rtype}")
-        rebuilt = self._rebuild_replayed(pending, pending_builds)
+        rebuilt = 0
+        for name, (store, touched, builds) in pending.items():
+            rebuilt += self._rebuild_replayed(self._tables[name], store, touched, builds)
         return replayed_records, replayed_rows, rebuilt
 
     def _rebuild_replayed(
-        self, pending: dict[str, dict[int, int]], pending_builds: dict[str, int]
+        self, managed: ManagedTable, store, touched: dict[int, int], builds: int
     ) -> int:
-        rebuilt = 0
-        for name, touched in pending.items():
-            managed = self._tables.get(name)
-            if managed is None:
-                continue
-            synopses: list[PairwiseHist | None] = list(managed.partition_synopses)
-            synopses.extend([None] * (managed.store.num_partitions - len(synopses)))
-            by_total: dict[int, list[int]] = {}
-            for index, total in touched.items():
-                by_total.setdefault(total, []).append(index)
-            for total, indices in sorted(by_total.items()):
-                built = self._build_synopses(
-                    managed.store,
-                    managed.params,
-                    [managed.store.partitions[i] for i in indices],
-                    total_rows=total,
-                )
-                for index, synopsis in zip(indices, built):
-                    synopses[index] = synopsis
-                rebuilt += len(indices)
-            managed.partition_synopses = synopses
-            managed.synopsis_builds += pending_builds.get(name, len(touched))
-            managed.publish(PairwiseHist.merge(list(synopses), params=managed.params))
-            managed.committed_partitions = managed.store.partitions
-        return rebuilt
-
-    def _finalize_recovery(self) -> None:
-        """Compose the queryable synopsis for tables replay left untouched."""
-        for managed in self._tables.values():
-            if managed.engine.synopsis is None:
-                managed.publish(
-                    PairwiseHist.merge(list(managed.partition_synopses), params=managed.params)
-                )
+        """Commit ``store`` with each touched partition's synopsis rebuilt."""
+        synopses: list[PairwiseHist | None] = list(managed.partition_synopses)
+        synopses.extend([None] * (store.num_partitions - len(synopses)))
+        by_total: dict[int, list[int]] = {}
+        for index, total in touched.items():
+            by_total.setdefault(total, []).append(index)
+        for total, indices in sorted(by_total.items()):
+            built = self._build_synopses(
+                store,
+                managed.params,
+                [store.partitions[i] for i in indices],
+                total_rows=total,
+            )
+            for index, synopsis in zip(indices, built):
+                synopses[index] = synopsis
+        merged = PairwiseHist.merge(list(synopses), params=managed.params)
+        self._commit(
+            managed,
+            store=store,
+            partition_synopses=synopses,
+            engine=replace(managed.engine, synopsis=merged),
+            synopsis_builds=managed.synopsis_builds + builds,
+        )
+        return len(touched)

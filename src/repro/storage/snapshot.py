@@ -1,5 +1,10 @@
 """Snapshot checkpoints: atomic on-disk images of the whole catalog.
 
+One record, :class:`TableSnapshotState` — a table's store, params,
+per-partition synopses, build count and merged synopsis — is both what
+a checkpoint captures from a :class:`~repro.service.database.ManagedTable`
+value and what a load returns for recovery to commit.
+
 A snapshot directory holds a ``CATALOG`` (per table: schema, fitted
 pre-processor, construction params) and, per table ``NNNNN``, the
 GD-compressed partitions, the per-partition synopses
@@ -50,10 +55,7 @@ from ..core.serialization import (
     serialize_partitioned,
 )
 from ..core.synopsis import PairwiseHist
-from ..data.schema import TableSchema
 from ..gd.partitioned import PartitionedStore, dump_partition, load_partition
-from ..gd.preprocessor import Preprocessor
-from ..gd.store import CompressedStore
 from . import codec
 from .faults import maybe_crash
 
@@ -67,11 +69,12 @@ _BLOB_PREFIX = "part-"
 _BLOB_SUFFIX = ".blob"
 _PARTS_MAGIC = b"PRT2"
 
-#: Attribute cached on a :class:`CompressedStore` once its blob has been
-#: persisted: ``(blob file name, size, crc32)``.  Partition objects are
-#: immutable after publication (a tail top-up replaces the object), so
-#: the identity holds for the object's whole lifetime; whether the file
-#: still exists is re-checked against the previous snapshot's manifest.
+#: Attribute cached on a :class:`~repro.gd.store.CompressedStore` once
+#: its blob has been persisted: ``(blob file name, size, crc32)``.
+#: Partition objects are immutable after publication (a tail top-up
+#: replaces the object), so the identity holds for the object's whole
+#: lifetime; whether the file still exists is re-checked against the
+#: previous snapshot's manifest.
 _BLOB_ATTR = "_snapshot_blob"
 
 
@@ -96,25 +99,22 @@ def _decode_parts_index(payload: bytes) -> list[str]:
 # Captured state (copy-on-write references, serialized off-lock)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableSnapshotState:
-    """One table's state at the checkpoint cut — references, not copies.
+    """One table at a checkpoint cut: what a checkpoint writes and a load returns.
 
-    Partitions and partition-synopsis lists are published atomically by
-    the ingest protocol and their elements are immutable once published,
-    so holding the references keeps the cut consistent while the actual
-    serialization runs without any lock.
+    References, not copies: a :class:`~repro.service.database.ManagedTable`
+    value and everything on it are immutable, so holding the references
+    keeps the cut consistent while the serialization runs without any
+    lock.  The store carries the table's name, schema, pre-processor,
+    partition size and partitions.
     """
 
-    name: str
-    schema: TableSchema
-    preprocessor: Preprocessor
-    partition_size: int
+    store: PartitionedStore
     params: PairwiseHistParams
-    partitions: list[CompressedStore]
     partition_synopses: list[PairwiseHist]
     synopsis_builds: int
-    #: The live merged (queryable) synopsis at the cut.  Persisted in the
+    #: The merged (queryable) synopsis at the cut.  Persisted in the
     #: exact (``PWHX``) encoding so a warm restart loads it directly
     #: instead of re-merging every partition's synopsis.
     merged: PairwiseHist | None = None
@@ -126,38 +126,6 @@ class SnapshotState:
 
     checkpoint_lsn: int
     tables: list[TableSnapshotState]
-
-
-@dataclass
-class LoadedTable:
-    """One table decoded from a snapshot, ready to become a ManagedTable."""
-
-    name: str
-    schema: TableSchema
-    preprocessor: Preprocessor
-    partition_size: int
-    params: PairwiseHistParams
-    partitions: list[CompressedStore]
-    partition_synopses: list[PairwiseHist]
-    synopsis_builds: int
-    merged: PairwiseHist | None = None
-
-    def to_store(self) -> PartitionedStore:
-        return PartitionedStore(
-            table_name=self.name,
-            schema=self.schema,
-            preprocessor=self.preprocessor,
-            partition_size=self.partition_size,
-            partitions=self.partitions,
-            _column_order=self.schema.names,
-        )
-
-
-@dataclass
-class LoadedSnapshot:
-    checkpoint_lsn: int
-    path: Path
-    tables: list[LoadedTable]
 
 
 # --------------------------------------------------------------------------- #
@@ -172,13 +140,14 @@ _GD_SLOT = struct.pack("<qqBB", 20_000, 62, 1, 1)
 
 
 def _encode_table_meta(state: TableSnapshotState) -> bytes:
+    store = state.store
     parts = [
-        codec.pack_string(state.name),
-        struct.pack("<qq", state.partition_size, state.synopsis_builds),
+        codec.pack_string(store.table_name),
+        struct.pack("<qq", store.partition_size, state.synopsis_builds),
         serialize_params(state.params),
         _GD_SLOT,
-        codec.encode_schema(state.schema),
-        codec.encode_preprocessor(state.preprocessor),
+        codec.encode_schema(store.schema),
+        codec.encode_preprocessor(store.preprocessor),
     ]
     return b"".join(parts)
 
@@ -305,7 +274,7 @@ def write_snapshot(
 
     def _persist_partitions(index: int, table: TableSnapshotState) -> None:
         names: list[str] = []
-        for partition in table.partitions:
+        for partition in table.store.partitions:
             identity = getattr(partition, _BLOB_ATTR, None)
             name = None
             if identity is not None and previous is not None:
@@ -433,11 +402,9 @@ def _validate(path: Path) -> tuple[int, dict[str, bytes]] | None:
     return checkpoint_lsn, payloads
 
 
-def _load(
-    path: Path, checkpoint_lsn: int, payloads: dict[str, bytes]
-) -> LoadedSnapshot:
+def _load(checkpoint_lsn: int, payloads: dict[str, bytes]) -> SnapshotState:
     entries = deserialize_catalog(payloads[_CATALOG_NAME])
-    tables: list[LoadedTable] = []
+    tables: list[TableSnapshotState] = []
     for index, entry in enumerate(entries):
         name, partition_size, builds, params, schema, preprocessor = (
             _decode_table_meta(entry)
@@ -455,20 +422,24 @@ def _load(
         synopses = LazyPartitionSynopses(payloads[f"table-{index:05d}.synopses"])
         merged_payload = payloads.get(f"table-{index:05d}.merged")
         merged = deserialize(merged_payload) if merged_payload is not None else None
+        store = PartitionedStore(
+            table_name=name,
+            schema=schema,
+            preprocessor=preprocessor,
+            partition_size=partition_size,
+            partitions=partitions,
+            _column_order=schema.names,
+        )
         tables.append(
-            LoadedTable(
-                name=name,
-                schema=schema,
-                preprocessor=preprocessor,
-                partition_size=partition_size,
+            TableSnapshotState(
+                store=store,
                 params=params,
-                partitions=partitions,
                 partition_synopses=synopses,
                 synopsis_builds=builds,
                 merged=merged,
             )
         )
-    return LoadedSnapshot(checkpoint_lsn=checkpoint_lsn, path=path, tables=tables)
+    return SnapshotState(checkpoint_lsn=checkpoint_lsn, tables=tables)
 
 
 def read_snapshot_files(
@@ -493,7 +464,7 @@ def read_snapshot_files(
     return None
 
 
-def load_latest_snapshot(snapshots_dir: str | os.PathLike) -> LoadedSnapshot | None:
+def load_latest_snapshot(snapshots_dir: str | os.PathLike) -> SnapshotState | None:
     """Load the newest snapshot that validates, or ``None`` if there is none.
 
     Invalid candidates (partial directory from a crashed checkpoint,
@@ -507,7 +478,7 @@ def load_latest_snapshot(snapshots_dir: str | os.PathLike) -> LoadedSnapshot | N
             continue
         checkpoint_lsn, payloads = validated
         try:
-            return _load(path, checkpoint_lsn, payloads)
+            return _load(checkpoint_lsn, payloads)
         except (ValueError, struct.error, KeyError):
             continue
     return None

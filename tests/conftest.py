@@ -69,6 +69,13 @@ def make_simple_table(rows: int = 2000, seed: int = 0, name: str = "simple") -> 
     )
 
 
+def with_cell(table: Table, column: str, row: int, value) -> Table:
+    """A copy of ``table`` with one cell replaced."""
+    columns = {name: table.column(name).copy() for name in table.column_names}
+    columns[column][row] = value
+    return Table(name=table.name, schema=table.schema, columns=columns)
+
+
 @pytest.fixture(scope="session")
 def simple_table() -> Table:
     return make_simple_table()

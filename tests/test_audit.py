@@ -30,6 +30,7 @@ import json
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import pytest
 from conftest import make_simple_table
@@ -88,14 +89,14 @@ def corrupt_synopsis(service, table_name: str, column: str = "x") -> None:
 
     The GD store (the auditor's ground truth) is untouched, so estimates
     drift while exact recomputation stays correct — exactly the failure
-    the auditor exists to catch.  Publishing it the way an ingest commit
-    does (a new engine, then a new version) makes the result cache and
-    the auditor's truth cache both see a new synopsis generation.
+    the auditor exists to catch.  Committing it the way an ingest does (a
+    new table value with a new engine and a new version) makes the result
+    cache and the auditor's truth cache both see a new synopsis generation.
     """
     managed = service.table(table_name)
     synopsis = managed.engine.synopsis
     synopsis.hist1d[column].counts *= 3.0
-    managed.publish(synopsis)
+    service.database._commit(managed, engine=replace(managed.engine, synopsis=synopsis))
 
 
 # --------------------------------------------------------------------------- #

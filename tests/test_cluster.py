@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import make_simple_table
+from conftest import make_simple_table, with_cell
 from hypothesis import given, settings, strategies as st
 
 from repro import (
@@ -33,7 +33,6 @@ from repro import (
     parse_query,
 )
 from repro.cluster.gather import (
-    GatherPlan,
     _combine,
     gather_groups,
     gather_scalar,
@@ -507,6 +506,19 @@ class TestLocalCluster:
             )
         with pytest.raises(ValueError, match="already registered"):
             cluster.register_table(sensors())
+
+    @pytest.mark.parametrize("value", [float("inf"), 9.51851994e19])
+    def test_a_cell_without_a_code_is_refused_before_any_shard_applies(
+        self, cluster, value
+    ):
+        with pytest.raises(ValueError, match=r"column 'z' .* row 3"):
+            cluster.ingest("sensors", with_cell(sensors(rows=400, seed=12), "z", 3, value))
+        per_shard = [shard.service.table("sensors").num_rows for shard in cluster.shards]
+        assert sum(per_shard) == cluster.table("sensors").rows == 1200
+        with pytest.raises(ValueError, match=r"column 'x' .* row 5"):
+            cluster.register_table(with_cell(sensors(name="other"), "x", 5, value))
+        assert "other" not in cluster
+        assert all(shard.call("tables") == ["sensors"] for shard in cluster.shards)
 
     def test_drop_table(self, cluster):
         cluster.drop_table("sensors")

@@ -36,6 +36,7 @@ from repro import (
     QueryServer,
     QueryService,
     ReadWriteLock,
+    load_dataset,
 )
 from repro.service import framing
 from repro.service.wire import PipelinedClient, WireError
@@ -352,8 +353,11 @@ class TestConcurrentService:
         before = old.synopsis
         service.ingest("stream", make_simple_table(rows=300, seed=55, name="stream"))
         assert old.synopsis is before
-        assert table.engine is not old
-        assert table.engine.synopsis.population_rows == 1500
+        # The value a reader holds is untouched; the commit made a new one.
+        assert table.engine is old and table.num_rows == 1200
+        current = service.table("stream")
+        assert current.engine is not old
+        assert current.engine.synopsis.population_rows == 1500
 
     def test_writer_never_waits_on_a_reader(self, monkeypatch):
         service = make_service()
@@ -486,13 +490,61 @@ class TestConcurrentService:
                 "stream", make_simple_table(rows=900, seed=53, name="stream")
             )
         monkeypatch.undo()
-        # The append was reverted: the store never outran its synopses.
+        # The append went to a copy of the store, so the published store
+        # never outran its synopses.
         assert service.table("stream").num_rows == rows_before
         assert service.table("stream").store.partitions is partitions_before
         # The table is still fully ingestable and queryable.
         service.ingest("stream", make_simple_table(rows=300, seed=54, name="stream"))
         total = service.execute_scalar("SELECT COUNT(*) FROM stream").value
         assert total == pytest.approx(rows_before + 300, rel=1e-9)
+
+    def test_staged_rows_are_invisible_until_committed(self, monkeypatch):
+        """Rows an ingest has appended but not committed are not the
+        table's: ``stat``, ``table(name).num_rows`` and EXPLAIN's route
+        report the committed count while the stage is in flight and after
+        it fails."""
+        from repro.service.ops import OPS
+
+        service = QueryService(partition_size=5_000)
+        service.register_table(load_dataset("power", rows=5_000))
+        inside, release = threading.Event(), threading.Event()
+
+        def held(*args, **kwargs):
+            inside.set()
+            release.wait(JOIN_TIMEOUT)
+            raise RuntimeError("synthetic build failure")
+
+        monkeypatch.setattr(service.database, "_build_synopses", held)
+        failures: list[BaseException] = []
+
+        def ingest() -> None:
+            try:
+                service.ingest("power", load_dataset("power", rows=1_000, seed=1))
+            except RuntimeError as exc:
+                failures.append(exc)
+
+        def reported() -> dict:
+            stat = OPS["stat"]
+            explain = service.explain("SELECT COUNT(*) FROM power")
+            return {
+                "stat": stat.encode(stat.handler(service, "power"))["rows"],
+                "table": service.table("power").num_rows,
+                "explain": explain["route"]["rows"],
+                "count": service.execute_scalar("SELECT COUNT(*) FROM power").value,
+            }
+
+        committed = dict.fromkeys(("stat", "table", "explain", "count"), 5_000)
+        writer = threading.Thread(target=ingest)
+        writer.start()
+        try:
+            assert inside.wait(JOIN_TIMEOUT)
+            assert reported() == pytest.approx(committed)
+        finally:
+            release.set()
+            join_all([writer])
+        assert len(failures) == 1
+        assert reported() == pytest.approx(committed)
 
 
 # --------------------------------------------------------------------------- #

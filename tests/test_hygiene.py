@@ -1,4 +1,4 @@
-"""Import hygiene of ``src/``, checked with :mod:`ast` (no linter needed).
+"""Import hygiene of ``src/`` and ``tests/``, checked with :mod:`ast` (no linter needed).
 
 Every module-level import must be used, and every ``__all__`` entry must
 be a name the module defines (or, in a package that resolves names
@@ -19,6 +19,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = sorted(SRC.rglob("*.py"))
+TESTS = Path(__file__).resolve().parent
+TEST_MODULES = sorted(TESTS.rglob("*.py"))
 
 
 def _module_level(body: list[ast.stmt]):
@@ -124,6 +126,12 @@ def _problems(path: Path, root: Path = SRC) -> list[str]:
 def test_src_has_no_unused_imports_and_no_dangling_all_entries():
     assert MODULES, f"no modules under {SRC}"
     problems = [problem for path in MODULES for problem in _problems(path)]
+    assert not problems, "\n".join(problems)
+
+
+def test_tests_have_no_unused_imports():
+    assert TEST_MODULES, f"no modules under {TESTS}"
+    problems = [problem for path in TEST_MODULES for problem in _problems(path, TESTS)]
     assert not problems, "\n".join(problems)
 
 

@@ -16,6 +16,7 @@ import signal
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from repro.storage import (
     DurableDatabase,
     SimulatedCrash,
     set_crash_hook,
+    write_snapshot,
 )
 
 QUERIES = [
@@ -585,6 +587,64 @@ class TestCheckpointIntegration:
         expected = answers(db)
         db.close()
         recovered = durable(tmp_path)
+        assert answers(recovered) == expected
+        recovered.close()
+
+    def test_checkpoint_during_a_staged_ingest_persists_only_committed_rows(
+        self, tmp_path, monkeypatch
+    ):
+        """A checkpoint taken while an ingest is staged captures the
+        committed value, not the staged rows; the stage then fails, so
+        recovery from that snapshot must hold the registered rows only."""
+        db = durable(tmp_path)
+        db.register(batch(0, rows=900))
+        expected = answers(db)
+        inside, release = threading.Event(), threading.Event()
+
+        def held(*args, **kwargs):
+            inside.set()
+            release.wait(30)
+            raise RuntimeError("synthetic build failure")
+
+        monkeypatch.setattr(db, "_build_synopses", held)
+        failures: list[BaseException] = []
+
+        def ingest() -> None:
+            try:
+                db.ingest("sensors", batch(1))
+            except RuntimeError as exc:
+                failures.append(exc)
+
+        writer = threading.Thread(target=ingest)
+        writer.start()
+        try:
+            assert inside.wait(30)
+            assert not db.checkpoint().skipped
+        finally:
+            release.set()
+            writer.join(30)
+        assert len(failures) == 1
+        db.close()
+        recovered = durable(tmp_path)
+        assert recovered.recovery_info.replayed_records == 0
+        assert recovered.table("sensors").num_rows == 900
+        assert answers(recovered) == expected
+        recovered.close()
+
+    def test_a_snapshot_without_a_merged_payload_opens_queryable(self, tmp_path):
+        """Recovery merges the per-partition synopses of a snapshot table
+        that has no ``.merged`` file, so no catalog value lacks one."""
+        db = durable(tmp_path)
+        db.register(batch(0, rows=900))
+        expected = answers(db)
+        state = db._capture()
+        db.close()
+        state.tables = [replace(table, merged=None) for table in state.tables]
+        path = write_snapshot(tmp_path / "data" / "snapshots", state)
+        assert not list(path.glob("*.merged"))
+        recovered = durable(tmp_path)
+        assert recovered.recovery_info.snapshot_tables == 1
+        assert recovered.table("sensors").engine.synopsis is not None
         assert answers(recovered) == expected
         recovered.close()
 

@@ -26,7 +26,6 @@ The invariants pinned here:
 from __future__ import annotations
 
 import asyncio
-import os
 import struct
 import tempfile
 import time
@@ -34,7 +33,6 @@ import zlib
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from conftest import make_simple_table
 

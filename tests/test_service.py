@@ -1,15 +1,17 @@
 """Tests for the multi-table query service: registration, routing, ingestion."""
 
+import asyncio
+
 import numpy as np
 import pytest
 
-from conftest import make_simple_table
+from conftest import make_simple_table, with_cell
 
 from repro import (
+    AsyncQueryService,
     Database,
     PairwiseHistParams,
     QueryService,
-    Table,
     parse_query,
 )
 from repro.bench import ServedSystem
@@ -111,6 +113,11 @@ class TestIngest:
         # re-summarised; sealed partitions kept their exact objects.
         assert outcome.rebuilt_partitions == [2, 3]
         assert outcome.untouched_partitions == 2
+        # The ingest committed a new value; the one read before it is
+        # unchanged, so the table is read again.
+        assert managed.synopsis_builds == builds_before
+        assert managed.num_rows == 5000
+        managed = svc.table("simple")
         assert managed.partition_synopses[0] is sealed_synopses[0]
         assert managed.partition_synopses[1] is sealed_synopses[1]
         assert managed.store.partitions[0] is sealed_partitions[0]
@@ -119,11 +126,11 @@ class TestIngest:
 
     def test_ingest_swaps_the_engine_synopsis(self):
         svc = self.make_service()
-        managed = svc.table("simple")
-        synopsis_before = managed.engine.synopsis
+        synopsis_before = svc.table("simple").engine.synopsis
         svc.ingest("simple", make_simple_table(rows=500, seed=33))
-        assert managed.engine.synopsis is not synopsis_before
-        assert managed.engine.synopsis.population_rows == 5500
+        synopsis = svc.table("simple").engine.synopsis
+        assert synopsis is not synopsis_before
+        assert synopsis.population_rows == 5500
 
     def test_ingest_preserves_lossless_reconstruction(self):
         svc = self.make_service(rows=3000)
@@ -189,11 +196,61 @@ class TestIngest:
         # bin budget, not the full budget (which would regrow the merged
         # union grids toward num_partitions x monolithic granularity).
         svc = self.make_service()
-        managed = svc.table("simple")
         svc.ingest("simple", make_simple_table(rows=2500, seed=36))
+        managed = svc.table("simple")
         whole_table_budget = managed.params.effective_initial_bins
         for synopsis in managed.partition_synopses:
             assert synopsis.params.effective_initial_bins < whole_table_budget
+
+
+class TestUnencodableValues:
+    """A numeric cell without an int64 code is refused at the door, not
+    acked and then stored as NULL or a garbage code."""
+
+    BAD = [float("inf"), -float("inf"), 9.51851994e19]
+
+    def make_service(self):
+        svc = QueryService(partition_size=2000)
+        svc.register_table(make_simple_table(rows=1000, seed=41))
+        return svc
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_ingest_names_the_column_and_first_bad_row(self, value):
+        svc = self.make_service()
+        batch = with_cell(make_simple_table(rows=5, seed=42), "z", 3, value)
+        batch = with_cell(batch, "y", 4, value)
+        with pytest.raises(ValueError, match=r"column 'z' .* row 3"):
+            svc.ingest("simple", batch)
+        assert svc.table("simple").num_rows == 1000
+        assert svc.execute_scalar("SELECT COUNT(*) FROM simple").value == pytest.approx(1000)
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_register_refuses_before_building(self, value):
+        svc = QueryService(partition_size=2000)
+        with pytest.raises(ValueError, match=r"column 'x' .* row 7"):
+            svc.register_table(with_cell(make_simple_table(rows=50, seed=43), "x", 7, value))
+        assert "simple" not in svc
+
+    def test_nan_and_large_finite_values_still_round_trip(self):
+        svc = self.make_service()
+        batch = with_cell(make_simple_table(rows=5, seed=44), "z", 0, np.nan)
+        batch = with_cell(batch, "w", 1, 1e15)
+        svc.ingest("simple", batch)
+        rows = svc.table("simple").store.reconstruct_rows()
+        assert np.isnan(rows.column("z")[1000])
+        assert rows.column("w")[1001] == 1e15
+
+    def test_the_async_queue_refuses_before_enqueueing(self):
+        async def scenario():
+            async with AsyncQueryService(partition_size=2000) as svc:
+                await svc.register_table(make_simple_table(rows=1000, seed=41))
+                batch = with_cell(make_simple_table(rows=5, seed=42), "z", 2, float("inf"))
+                with pytest.raises(ValueError, match="column 'z'"):
+                    await svc.ingest("simple", batch)
+                assert svc._ingest_queues == {}
+                return svc.service.table("simple").num_rows
+
+        assert asyncio.run(scenario()) == 1000
 
 
 class TestWorkloadIntegration:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.exactdb.executor import ExactQueryEngine
-from repro.sql.ast import AggregateFunction
 from repro.sql.parser import parse_predicate, parse_query
 from repro.sql.predicate import condition_mask, predicate_mask, selectivity
 

@@ -309,11 +309,11 @@ class TestCodecs:
         state = _make_state(checkpoint_lsn=1).tables[0]
         assert _encode_table_meta(state) == b"".join([
             codec.pack_string("snap"),
-            struct.pack("<qq", state.partition_size, state.synopsis_builds),
+            struct.pack("<qq", state.store.partition_size, state.synopsis_builds),
             _params_slots(state.params, merged_cell_budget=-1),
             struct.pack("<qqBB", 20_000, 62, 1, 1),
-            codec.encode_schema(state.schema),
-            codec.encode_preprocessor(state.preprocessor),
+            codec.encode_schema(state.store.schema),
+            codec.encode_preprocessor(state.store.preprocessor),
         ])
         table = make_simple_table(rows=50, seed=4, name="new")
         assert codec.encode_register_payload(table, state.params, 250) == (
@@ -378,12 +378,8 @@ def _make_state(checkpoint_lsn: int, seed: int = 0) -> SnapshotState:
         checkpoint_lsn=checkpoint_lsn,
         tables=[
             TableSnapshotState(
-                name="snap",
-                schema=store.schema,
-                preprocessor=store.preprocessor,
-                partition_size=store.partition_size,
+                store=store,
                 params=params,
-                partitions=store.partitions,
                 partition_synopses=synopses,
                 synopsis_builds=len(synopses),
             )
@@ -400,10 +396,10 @@ class TestSnapshots:
         assert loaded is not None
         assert loaded.checkpoint_lsn == 7
         (table,) = loaded.tables
-        assert table.name == "snap"
-        assert len(table.partitions) == 3
+        assert table.store.table_name == "snap"
+        assert len(table.store.partitions) == 3
         assert len(table.partition_synopses) == 3
-        assert table.to_store().num_rows == 600
+        assert table.store.num_rows == 600
 
     def test_latest_valid_snapshot_wins(self, tmp_path):
         write_snapshot(tmp_path, _make_state(checkpoint_lsn=3), keep=5)
@@ -480,7 +476,7 @@ class TestSnapshots:
         assert not list(tmp_path.glob("tmp-*"))
         loaded = load_latest_snapshot(tmp_path)
         assert loaded.checkpoint_lsn == 7
-        assert loaded.tables[0].to_store().num_rows == 600
+        assert loaded.tables[0].store.num_rows == 600
 
     def test_fsync_covers_current_pointer_and_skips_linked_blobs(
         self, tmp_path, monkeypatch
@@ -535,12 +531,8 @@ def _state_from_store(store, params, lsn: int) -> SnapshotState:
         checkpoint_lsn=lsn,
         tables=[
             TableSnapshotState(
-                name=store.table_name,
-                schema=store.schema,
-                preprocessor=store.preprocessor,
-                partition_size=store.partition_size,
+                store=replace(store),
                 params=params,
-                partitions=list(store.partitions),
                 partition_synopses=synopses,
                 synopsis_builds=len(synopses),
             )
@@ -566,7 +558,7 @@ class TestIncrementalSnapshots:
             assert a.st_ino == b.st_ino and b.st_nlink >= 2
         loaded = load_latest_snapshot(tmp_path)
         assert loaded.checkpoint_lsn == 2
-        assert loaded.tables[0].to_store().num_rows == 800
+        assert loaded.tables[0].store.num_rows == 800
 
     def test_unsealed_tail_blob_is_relinked_when_unchanged(self, tmp_path):
         """A half-full tail that no ingest touched between checkpoints has
@@ -586,7 +578,7 @@ class TestIncrementalSnapshots:
         assert len(_blob_names(snap1) & _blob_names(snap2)) == 2  # sealed pair
         assert len(_blob_names(snap2) - _blob_names(snap1)) == 1  # new tail content
         loaded = load_latest_snapshot(tmp_path)
-        assert loaded.tables[0].to_store().num_rows == 550
+        assert loaded.tables[0].store.num_rows == 550
 
     def test_loaded_snapshot_links_on_next_checkpoint(self, tmp_path):
         """Recovery stamps each loaded partition with its blob identity, so
@@ -595,7 +587,7 @@ class TestIncrementalSnapshots:
         store, params = _make_store()
         snap1 = write_snapshot(tmp_path, _state_from_store(store, params, 1), keep=5)
         loaded = load_latest_snapshot(tmp_path)
-        restored = loaded.tables[0].to_store()
+        restored = loaded.tables[0].store
         snap2 = write_snapshot(
             tmp_path, _state_from_store(restored, params, 2), keep=5
         )
@@ -634,8 +626,8 @@ class TestIncrementalSnapshots:
         assert after == before
         loaded = load_latest_snapshot(tmp_path)
         assert loaded.checkpoint_lsn == 4
-        assert loaded.tables[0].to_store().num_rows == 1200
-        assert before_loaded.tables[0].to_store().num_rows == 1000
+        assert loaded.tables[0].store.num_rows == 1200
+        assert before_loaded.tables[0].store.num_rows == 1000
 
     def test_crash_before_manifest_falls_back_to_previous(self, tmp_path):
         """A crash after the blobs are linked but before the manifest is
